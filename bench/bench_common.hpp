@@ -364,7 +364,8 @@ inline void parse_hard_faults(std::string_view s, fault::Config& cfg,
   cfg.classes |= fault::kClassDeviceDead;
 }
 
-/// Parses "--repeats N" / "--threads N" / "--trace" style flags trivially.
+/// Parses the flags every bench driver shares. Numeric operands are parsed
+/// strictly, as "--flag N" or "--flag=N"; a malformed one exits 2 with usage.
 struct Args {
   int repeats = 1;
   /// Sweep worker threads; 0 = all hardware threads, 1 = sequential.
@@ -401,9 +402,15 @@ struct Args {
     for (int i = 1; i < argc; ++i) {
       const std::string_view s = argv[i];
       if (s == "--repeats" && i + 1 < argc) {
-        a.repeats = std::atoi(argv[++i]);
+        parse_repeats(argv[++i], a.repeats);
+      } else if (s.rfind("--repeats=", 0) == 0) {
+        parse_repeats(std::string(s.substr(sizeof("--repeats=") - 1)),
+                      a.repeats);
       } else if (s == "--threads" && i + 1 < argc) {
-        a.threads = std::atoi(argv[++i]);
+        parse_threads(argv[++i], a.threads);
+      } else if (s.rfind("--threads=", 0) == 0) {
+        parse_threads(std::string(s.substr(sizeof("--threads=") - 1)),
+                      a.threads);
       } else if (s == "--pdes-threads" && i + 1 < argc) {
         const std::string v = argv[++i];
         if (!parse_int_strict(v, a.pdes_threads) || a.pdes_threads < 1) {
@@ -448,8 +455,19 @@ struct Args {
         if (i + 1 < argc && argv[i + 1][0] != '-') a.trace_path = argv[++i];
       }
     }
-    if (a.repeats < 1) a.repeats = 1;
     return a;
+  }
+
+  static void parse_repeats(const std::string& v, int& out) {
+    if (!parse_int_strict(v, out) || out < 1) {
+      flag_usage_error("--repeats", "an integer >= 1", v);
+    }
+  }
+
+  static void parse_threads(const std::string& v, int& out) {
+    if (!parse_int_strict(v, out) || out < 0) {
+      flag_usage_error("--threads", "an integer >= 0 (0 = all cores)", v);
+    }
   }
 
   [[nodiscard]] sweep::Options sweep_options() const {

@@ -1,7 +1,10 @@
 #include "solvers/sparse_cg.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <compare>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -18,6 +21,7 @@
 #include "exec/program.hpp"
 #include "exec/sync.hpp"
 #include "hostmpi/comm.hpp"
+#include "sim/memo.hpp"
 #include "sim/observe.hpp"
 #include "vgpu/host.hpp"
 #include "vgpu/kernel.hpp"
@@ -60,6 +64,9 @@ struct SparseRankState {
     row_ptr.assign(rows * nx + 1, 0);
     cols.clear();
     vals.clear();
+    const std::size_t nnz = csr_rank_nnz(rows, offset, nx, ny);
+    cols.reserve(nnz);
+    vals.reserve(nnz);
     std::size_t k = 0;
     for (std::size_t r = 1; r <= rows; ++r) {
       const std::size_t gy = offset + r - 1;
@@ -231,19 +238,36 @@ std::vector<std::size_t> split_rows_weighted(std::size_t ny, int ranks,
   return rows;
 }
 
+std::size_t csr_rank_nnz(std::size_t rows, std::size_t offset,
+                         std::size_t nx, std::size_t ny) {
+  if (rows == 0 || nx == 0) return 0;
+  // Per grid row: a diagonal per point plus a west/east pair between
+  // neighbouring points; per point, an up and a down coupling unless the
+  // row is the grid's first or last.
+  const std::size_t up = rows - (offset == 0 ? 1 : 0);
+  const std::size_t down = rows - (offset + rows >= ny ? 1 : 0);
+  return rows * (3 * nx - 2) + (up + down) * nx;
+}
+
 double sparse_partition_imbalance(const SparseCgConfig& config, int ranks) {
-  const auto states = make_sparse_states(config, ranks);
+  const auto rows = split_rows_weighted(config.ny, ranks, config.imbalance);
   double total = 0.0, peak = 0.0;
-  for (const auto& s : states) {
-    const auto w = static_cast<double>(s.nnz());
+  std::size_t off = 0;
+  for (std::size_t r : rows) {
+    const auto w =
+        static_cast<double>(csr_rank_nnz(r, off, config.nx, config.ny));
     total += w;
     peak = std::max(peak, w);
+    off += r;
   }
   const double mean = total / static_cast<double>(ranks);
   return mean > 0.0 ? peak / mean : 1.0;
 }
 
-CgResult sparse_cg_reference(const SparseCgConfig& cfg, int ranks) {
+namespace {
+
+/// sparse_cg_reference without the memo.
+CgResult reference_uncached(const SparseCgConfig& cfg, int ranks) {
   auto states = make_sparse_states(cfg, ranks);
   const int n = ranks;
   std::vector<std::vector<double>> b(static_cast<std::size_t>(n));
@@ -326,6 +350,43 @@ CgResult sparse_cg_reference(const SparseCgConfig& cfg, int ranks) {
     }
   }
   return res;
+}
+
+/// Exactly the config fields the reference reads, plus the rank count.
+/// Doubles are keyed by bit pattern so the key order stays total.
+struct ReferenceKey {
+  std::size_t nx;
+  std::size_t ny;
+  int max_iterations;
+  std::uint64_t tolerance;
+  std::uint64_t imbalance;
+  int ranks;
+
+  auto operator<=>(const ReferenceKey&) const = default;
+};
+
+}  // namespace
+
+CgResult sparse_cg_reference(const SparseCgConfig& cfg, int ranks) {
+  static sim::Memo<ReferenceKey, CgResult> memo;
+  const ReferenceKey key{cfg.nx,
+                         cfg.ny,
+                         cfg.max_iterations,
+                         std::bit_cast<std::uint64_t>(cfg.tolerance),
+                         std::bit_cast<std::uint64_t>(cfg.imbalance),
+                         ranks};
+  return memo.get(key, [&key] {
+    // Rebuilt from the key alone: a field the reference reads but the key
+    // lacks takes its default here, so verification fails loudly instead of
+    // hitting a stale entry.
+    SparseCgConfig keyed;
+    keyed.nx = key.nx;
+    keyed.ny = key.ny;
+    keyed.max_iterations = key.max_iterations;
+    keyed.tolerance = std::bit_cast<double>(key.tolerance);
+    keyed.imbalance = std::bit_cast<double>(key.imbalance);
+    return reference_uncached(keyed, key.ranks);
+  });
 }
 
 // --- Shared distributed core --------------------------------------------------

@@ -67,12 +67,20 @@ struct SparseCgConfig {
                                                            int ranks,
                                                            double imbalance);
 
+/// CSR nonzeros of the 5-point operator's grid rows [offset, offset+rows)
+/// on an nx-by-ny grid (offset + rows <= ny), counted from the row geometry
+/// alone. Sizes each rank's CSR and tags the partition imbalance.
+[[nodiscard]] std::size_t csr_rank_nnz(std::size_t rows, std::size_t offset,
+                                       std::size_t nx, std::size_t ny);
+
 /// Realized partition-imbalance factor: max per-rank CSR nonzeros / mean.
 [[nodiscard]] double sparse_partition_imbalance(const SparseCgConfig& config,
                                                 int ranks);
 
 /// Serial reference with the distributed variants' CSR accumulation and
-/// rank-ordered reduction, so `ranks`-device runs match bitwise.
+/// rank-ordered reduction, so `ranks`-device runs match bitwise. Computed
+/// once per process for each (nx, ny, max_iterations, tolerance, imbalance,
+/// ranks); every call returns its own copy.
 [[nodiscard]] CgResult sparse_cg_reference(const SparseCgConfig& config,
                                            int ranks);
 

@@ -1,7 +1,9 @@
 #include "workloads/histogram/histogram.hpp"
 
 #include <algorithm>
+#include <compare>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -13,6 +15,7 @@
 #include "exec/launch.hpp"
 #include "exec/program.hpp"
 #include "exec/sync.hpp"
+#include "sim/memo.hpp"
 #include "sim/observe.hpp"
 #include "vgpu/host.hpp"
 #include "vgpu/kernel.hpp"
@@ -66,28 +69,70 @@ struct Touched {
   std::size_t lo = 0;
   std::size_t hi = 0;
   bool any = false;
+  std::size_t keys = 0;  // the source's keys that land in the slice
 
   [[nodiscard]] std::size_t slots() const { return any ? hi - lo + 1 : 0; }
 };
 
-Touched touched_slots(const HistogramConfig& cfg, const BinPartition& part,
-                      int source, int round, int owner) {
-  Touched tr;
-  const std::size_t start = part.start[static_cast<std::size_t>(owner)];
-  const std::size_t count = part.count[static_cast<std::size_t>(owner)];
-  for (std::size_t i = 0; i < cfg.keys_per_round; ++i) {
-    const std::size_t bin = histogram_key_bin(cfg, source, round, i);
-    if (bin < start || bin >= start + count) continue;
-    const std::size_t slot = bin - start;
-    if (!tr.any) {
-      tr.lo = tr.hi = slot;
-      tr.any = true;
-    } else {
-      tr.lo = std::min(tr.lo, slot);
-      tr.hi = std::max(tr.hi, slot);
+/// Every (round, source, owner) edge of one run — rounds x ranks^2 of
+/// them — derived in one pass over each (round, source) key stream.
+struct EdgeTable {
+  std::size_t n = 0;
+  std::vector<Touched> edges;
+
+  [[nodiscard]] std::size_t index(int round, int source, int owner) const {
+    return (static_cast<std::size_t>(round - 1) * n +
+            static_cast<std::size_t>(source)) *
+               n +
+           static_cast<std::size_t>(owner);
+  }
+  [[nodiscard]] const Touched& at(int round, int source, int owner) const {
+    return edges[index(round, source, owner)];
+  }
+};
+
+EdgeTable build_edges(const HistogramConfig& cfg, const BinPartition& part,
+                      int ranks) {
+  EdgeTable tab;
+  tab.n = static_cast<std::size_t>(ranks);
+  tab.edges.resize(static_cast<std::size_t>(std::max(cfg.rounds, 0)) *
+                   tab.n * tab.n);
+  for (int t = 1; t <= cfg.rounds; ++t) {
+    for (int s = 0; s < ranks; ++s) {
+      for (std::size_t i = 0; i < cfg.keys_per_round; ++i) {
+        const std::size_t bin = histogram_key_bin(cfg, s, t, i);
+        const int o = owner_of(part, bin);
+        const std::size_t slot =
+            bin - part.start[static_cast<std::size_t>(o)];
+        Touched& tr = tab.edges[tab.index(t, s, o)];
+        if (!tr.any) {
+          tr.lo = tr.hi = slot;
+          tr.any = true;
+        } else {
+          tr.lo = std::min(tr.lo, slot);
+          tr.hi = std::max(tr.hi, slot);
+        }
+        ++tr.keys;
+      }
     }
   }
-  return tr;
+  return tab;
+}
+
+/// Max per-owner key updates over the run / mean (1.0 = perfectly
+/// balanced).
+double imbalance_of(const EdgeTable& tab) {
+  std::vector<double> updates(tab.n, 0.0);
+  for (std::size_t e = 0; e < tab.edges.size(); ++e) {
+    updates[e % tab.n] += static_cast<double>(tab.edges[e].keys);
+  }
+  double total = 0.0, peak = 0.0;
+  for (double u : updates) {
+    total += u;
+    peak = std::max(peak, u);
+  }
+  const double mean = total / static_cast<double>(tab.n);
+  return mean > 0.0 ? peak / mean : 1.0;
 }
 
 /// Everything the histogram bodies dereference, heap-held so an
@@ -103,6 +148,7 @@ struct HistCore {
   vshmem::World* world = nullptr;
   int n = 0;
   BinPartition part;
+  EdgeTable edges;
   vshmem::Sym<double> bins, xfer;
   std::unique_ptr<vshmem::SignalSet> sig;
 };
@@ -114,6 +160,7 @@ std::unique_ptr<HistCore> make_hist_core(vshmem::World& world,
   core->world = &world;
   core->n = world.n_pes();
   core->part = split_bins(cfg.bins, core->n);
+  core->edges = build_edges(cfg, core->part, core->n);
   core->bins = world.alloc<double>(core->part.stride, "hist_bins");
   core->xfer = world.alloc<double>(
       2 * static_cast<std::size_t>(core->n) * core->part.stride, "hist_xfer");
@@ -158,7 +205,7 @@ void merge_round(HistCore& core, int me, int t) {
   auto rows = core.xfer.on(me);
   auto my_bins = core.bins.on(me);
   for (int s = 0; s < core.n; ++s) {
-    const Touched tr = touched_slots(core.cfg, core.part, s, t, me);
+    const Touched& tr = core.edges.at(t, s, me);
     if (!tr.any) continue;
     const std::size_t row =
         s == me ? static_cast<std::size_t>(me)
@@ -169,25 +216,12 @@ void merge_round(HistCore& core, int me, int t) {
   }
 }
 
-/// Keys `me` draws in round `t` that belong to remote owners (sizes the
-/// overlap composition's comm-kernel share of the local phase).
-std::size_t remote_keys(HistCore& core, int me, int t) {
-  std::size_t cnt = 0;
-  for (std::size_t i = 0; i < core.cfg.keys_per_round; ++i) {
-    if (owner_of(core.part, histogram_key_bin(core.cfg, me, t, i)) != me) {
-      ++cnt;
-    }
-  }
-  return cnt;
-}
-
 /// Owner-side merge traffic of round `t` (data-dependent: only touched
 /// slots are read and folded).
 double merge_bytes(HistCore& core, int me, int t) {
   double slots = 0.0;
   for (int s = 0; s < core.n; ++s) {
-    slots +=
-        static_cast<double>(touched_slots(core.cfg, core.part, s, t, me).slots());
+    slots += static_cast<double>(core.edges.at(t, s, me).slots());
   }
   return slots * kMergeBytes;
 }
@@ -197,7 +231,7 @@ void observe_partial_writes(HistCore& core, vgpu::KernelCtx& k, int me,
                             int t, bool remote_only, bool self_only) {
   for (int o = 0; o < core.n; ++o) {
     if ((remote_only && o == me) || (self_only && o != me)) continue;
-    const Touched tr = touched_slots(core.cfg, core.part, me, t, o);
+    const Touched& tr = core.edges.at(t, me, o);
     if (!tr.any) continue;
     k.obs_access(
         sim::MemRange::of(core.xfer.on(me),
@@ -213,7 +247,7 @@ void observe_partial_writes(HistCore& core, vgpu::KernelCtx& k, int me,
 void observe_merge(HistCore& core, vgpu::KernelCtx& k, int me, int t) {
   Touched un;
   for (int s = 0; s < core.n; ++s) {
-    const Touched tr = touched_slots(core.cfg, core.part, s, t, me);
+    const Touched& tr = core.edges.at(t, s, me);
     if (!tr.any) continue;
     const std::size_t row =
         s == me ? static_cast<std::size_t>(me)
@@ -241,7 +275,7 @@ sim::Task flush_rows_staged(HistCore& core, vgpu::HostCtx& h,
   vshmem::World& w = *core.world;
   for (int o = 0; o < core.n; ++o) {
     if (o == dev) continue;
-    const Touched tr = touched_slots(core.cfg, core.part, dev, t, o);
+    const Touched& tr = core.edges.at(t, dev, o);
     if (!tr.any) continue;
     const std::size_t src =
         row_off(core, static_cast<std::size_t>(o)) + tr.lo;
@@ -332,7 +366,9 @@ sim::Task staged_step(HistCore& core, const exec::Plan& plan,
 sim::Task overlap_step(HistCore& core, const exec::Plan& plan,
                        vgpu::HostCtx& h, int dev, int t, vgpu::Stream& comp_s,
                        vgpu::Stream& comm_s) {
-  const std::size_t remote = remote_keys(core, dev, t);
+  // Keys bound for remote owners size the comm kernel's share.
+  const std::size_t remote =
+      core.cfg.keys_per_round - core.edges.at(t, dev, dev).keys;
   const std::size_t self = core.cfg.keys_per_round - remote;
   vgpu::LaunchConfig lcr;
   lcr.threads_per_block = core.cfg.threads_per_block;
@@ -417,7 +453,7 @@ sim::Task peer_store_step(HistCore& core, const exec::Plan& plan,
         "hist_local", std::move(f));
     for (int o = 0; o < core.n; ++o) {
       if (o == dev) continue;
-      const Touched tr = touched_slots(core.cfg, core.part, dev, t, o);
+      const Touched& tr = core.edges.at(t, dev, o);
       if (!tr.any) continue;
       const std::size_t src =
           row_off(core, static_cast<std::size_t>(o)) + tr.lo;
@@ -478,7 +514,7 @@ sim::Task signaled_local_phase(HistCore& core, vgpu::KernelCtx& k,
   // owner's merge wait must see every source).
   for (int o = 0; o < core.n; ++o) {
     if (o == dev) continue;
-    const Touched tr = touched_slots(core.cfg, core.part, dev, t, o);
+    const Touched& tr = core.edges.at(t, dev, o);
     if (tr.any) {
       co_await proto.put_and_signal(
           k, core.xfer, row_off(core, static_cast<std::size_t>(o)) + tr.lo,
@@ -654,11 +690,11 @@ std::vector<double> gather(HistCore& core) {
   return out;
 }
 
-}  // namespace
-
-std::vector<double> histogram_reference(const HistogramConfig& cfg,
-                                        int ranks) {
+/// histogram_reference without the memo.
+std::vector<double> reference_uncached(const HistogramConfig& cfg,
+                                       int ranks) {
   const BinPartition part = split_bins(cfg.bins, ranks);
+  const EdgeTable edges = build_edges(cfg, part, ranks);
   std::vector<double> bins(cfg.bins, 0.0);
   std::vector<std::vector<double>> partial(
       static_cast<std::size_t>(ranks));
@@ -678,7 +714,7 @@ std::vector<double> histogram_reference(const HistogramConfig& cfg,
     for (int o = 0; o < ranks; ++o) {
       const std::size_t start = part.start[static_cast<std::size_t>(o)];
       for (int s = 0; s < ranks; ++s) {
-        const Touched tr = touched_slots(cfg, part, s, t, o);
+        const Touched& tr = edges.at(t, s, o);
         if (!tr.any) continue;
         for (std::size_t slot = tr.lo; slot <= tr.hi; ++slot) {
           bins[start + slot] +=
@@ -690,24 +726,41 @@ std::vector<double> histogram_reference(const HistogramConfig& cfg,
   return bins;
 }
 
+/// Exactly the config fields the reference reads, plus the rank count.
+struct ReferenceKey {
+  std::size_t bins;
+  std::size_t keys_per_round;
+  int rounds;
+  int skew;
+  std::uint64_t seed;
+  int ranks;
+
+  auto operator<=>(const ReferenceKey&) const = default;
+};
+
+}  // namespace
+
+std::vector<double> histogram_reference(const HistogramConfig& cfg,
+                                        int ranks) {
+  static sim::Memo<ReferenceKey, std::vector<double>> memo;
+  const ReferenceKey key{cfg.bins, cfg.keys_per_round, cfg.rounds,
+                         cfg.skew, cfg.seed, ranks};
+  return memo.get(key, [&key] {
+    // Rebuilt from the key alone: a field the reference reads but the key
+    // lacks takes its default here, so verification fails loudly instead of
+    // hitting a stale entry.
+    HistogramConfig keyed;
+    keyed.bins = key.bins;
+    keyed.keys_per_round = key.keys_per_round;
+    keyed.rounds = key.rounds;
+    keyed.skew = key.skew;
+    keyed.seed = key.seed;
+    return reference_uncached(keyed, key.ranks);
+  });
+}
+
 double histogram_imbalance(const HistogramConfig& cfg, int ranks) {
-  const BinPartition part = split_bins(cfg.bins, ranks);
-  std::vector<double> updates(static_cast<std::size_t>(ranks), 0.0);
-  for (int t = 1; t <= cfg.rounds; ++t) {
-    for (int s = 0; s < ranks; ++s) {
-      for (std::size_t i = 0; i < cfg.keys_per_round; ++i) {
-        updates[static_cast<std::size_t>(
-            owner_of(part, histogram_key_bin(cfg, s, t, i)))] += 1.0;
-      }
-    }
-  }
-  double total = 0.0, peak = 0.0;
-  for (double u : updates) {
-    total += u;
-    peak = std::max(peak, u);
-  }
-  const double mean = total / static_cast<double>(ranks);
-  return mean > 0.0 ? peak / mean : 1.0;
+  return imbalance_of(build_edges(cfg, split_bins(cfg.bins, ranks), ranks));
 }
 
 HistogramResult run_histogram(const vgpu::MachineSpec& spec,
@@ -730,7 +783,7 @@ HistogramResult run_histogram(const vgpu::MachineSpec& spec,
                                      cfg.rounds);
   cpufree::apply_fault_stats(res.metrics, machine.faults().stats());
   if (cfg.functional) res.bins = gather(*core);
-  res.imbalance = histogram_imbalance(cfg, core->n);
+  res.imbalance = imbalance_of(core->edges);
   return res;
 }
 
@@ -774,7 +827,7 @@ std::vector<double> HistogramCpufreeJob::gather_bins() const {
 }
 
 double HistogramCpufreeJob::imbalance() const {
-  return histogram_imbalance(impl_->core->cfg, impl_->core->n);
+  return imbalance_of(impl_->core->edges);
 }
 
 }  // namespace workloads

@@ -107,7 +107,9 @@ struct HistogramResult {
 }
 
 /// Serial reference with the distributed merge's source-order reduction,
-/// so `ranks`-PE runs match bitwise under every policy triple.
+/// so `ranks`-PE runs match bitwise under every policy triple. Computed
+/// once per process for each (bins, keys_per_round, rounds, skew, seed,
+/// ranks); every call returns its own copy.
 [[nodiscard]] std::vector<double> histogram_reference(
     const HistogramConfig& cfg, int ranks);
 

@@ -1,6 +1,7 @@
-// Golden-metrics regression test: re-runs a 40-case cross-section of the
+// Golden-metrics regression test: re-runs a 48-case cross-section of the
 // benchmark configurations (all seven stencil variants in 2D and 3D, both CG
-// variants, and the dacelite discrete/persistent backends) and compares every
+// variants, the dacelite discrete/persistent backends, the histogram under
+// all six valid plans and both sparse-CG variants) and compares every
 // RunMetrics field — serialized through cpufree::to_json — byte-for-byte
 // against the capture committed in golden_metrics.txt. The simulator is
 // deterministic, so ANY diff here means an execution-policy or cost-model
@@ -22,9 +23,11 @@
 #include "dacelite/transforms.hpp"
 #include "hostmpi/comm.hpp"
 #include "solvers/cg.hpp"
+#include "solvers/sparse_cg.hpp"
 #include "stencil/problems.hpp"
 #include "stencil/runner.hpp"
 #include "vshmem/world.hpp"
+#include "workloads/histogram/histogram.hpp"
 
 namespace {
 
@@ -58,7 +61,7 @@ vgpu::MachineSpec golden_spec(int gpus) {
   return s;
 }
 
-/// Regenerates the 40 capture lines in file order.
+/// Regenerates the 48 capture lines in file order.
 std::vector<std::string> generate() {
   std::vector<std::string> out;
   // Stencil: small functional 2D, 2 and 4 GPUs, all seven variants.
@@ -197,6 +200,73 @@ std::vector<std::string> generate() {
     out.push_back(line("dace/j2d/discrete", r.metrics,
                        "iters=" + std::to_string(r.iterations)));
   }
+  // Histogram: small functional, skew 2, 4 GPUs, every valid plan. The
+  // extra field pins the owner imbalance and the gathered bins (their sum in
+  // bin order) next to the bitwise verdict.
+  const exec::Plan hist_plans[] = {
+      {exec::LaunchPolicy::kHostLoop, exec::CommPolicy::kStagedCopy,
+       exec::SyncPolicy::kHostBarrier, "hist"},
+      {exec::LaunchPolicy::kHostLoop, exec::CommPolicy::kOverlapStreams,
+       exec::SyncPolicy::kHostBarrier, "hist"},
+      {exec::LaunchPolicy::kHostLoop, exec::CommPolicy::kPeerStore,
+       exec::SyncPolicy::kHostBarrier, "hist_p2p"},
+      {exec::LaunchPolicy::kHostLoop, exec::CommPolicy::kSignaledPut,
+       exec::SyncPolicy::kStreamSync, "hist_nvshmem"},
+      {exec::LaunchPolicy::kPersistent, exec::CommPolicy::kSignaledPut,
+       exec::SyncPolicy::kIterationFlags, "hist_cpufree"},
+      {exec::LaunchPolicy::kPersistentPair, exec::CommPolicy::kSignaledPut,
+       exec::SyncPolicy::kIterationFlags, "hist_cpufree"},
+  };
+  for (const exec::Plan& plan : hist_plans) {
+    workloads::HistogramConfig cfg;
+    cfg.bins = 97;
+    cfg.keys_per_round = 512;
+    cfg.rounds = 4;
+    cfg.skew = 2;
+    cfg.threads_per_block = 128;
+    cfg.persistent_blocks = 8;
+    const auto r = workloads::run_histogram(golden_spec(4), cfg, plan);
+    double sum = 0.0;
+    for (double b : r.bins) sum += b;
+    const bool verified = r.bins == workloads::histogram_reference(cfg, 4);
+    char extra[128];
+    std::snprintf(extra, sizeof(extra), "imbalance=%.17g sum=%.17g verified=%d",
+                  r.imbalance, sum, verified ? 1 : 0);
+    out.push_back(line("hist/skew2/g4/" + std::string(exec::name(plan.launch)) +
+                           "+" + std::string(exec::name(plan.comm)),
+                       r.metrics, extra));
+  }
+  // Sparse CG: both variants at imbalance 4, 4 GPUs.
+  for (bool cpufree_v : {false, true}) {
+    solvers::SparseCgConfig cfg;
+    cfg.nx = 24;
+    cfg.ny = 24;
+    cfg.max_iterations = 40;
+    cfg.tolerance = 1e-10;
+    cfg.persistent_blocks = 12;
+    cfg.imbalance = 4.0;
+    const exec::Plan plan =
+        cpufree_v ? exec::Plan{exec::LaunchPolicy::kPersistent,
+                               exec::CommPolicy::kSignaledPut,
+                               exec::SyncPolicy::kIterationFlags,
+                               "sparse_cg_cpufree"}
+                  : exec::Plan{exec::LaunchPolicy::kHostLoop,
+                               exec::CommPolicy::kStagedCopy,
+                               exec::SyncPolicy::kHostBarrier, "sparse_cg"};
+    const solvers::CgResult r =
+        solvers::run_sparse_cg(golden_spec(4), cfg, plan);
+    const solvers::CgResult ref = solvers::sparse_cg_reference(cfg, 4);
+    const bool verified = r.rr_history == ref.rr_history &&
+                          r.iterations_run == ref.iterations_run;
+    char extra[160];
+    std::snprintf(extra, sizeof(extra),
+                  "iters=%d rr=%.17g imbalance=%.17g verified=%d",
+                  r.iterations_run, r.final_rr,
+                  solvers::sparse_partition_imbalance(cfg, 4), verified ? 1 : 0);
+    out.push_back(line(std::string("sparse_cg/") +
+                           (cpufree_v ? "cpufree" : "baseline") + "/imb4/r4",
+                       r.metrics, extra));
+  }
   return out;
 }
 
@@ -212,7 +282,7 @@ std::vector<std::string> load_golden() {
 
 TEST(GoldenMetrics, EveryCaseMatchesTheSeedCaptureByteForByte) {
   const std::vector<std::string> expected = load_golden();
-  ASSERT_EQ(expected.size(), 40u)
+  ASSERT_EQ(expected.size(), 48u)
       << "golden_metrics.txt missing or truncated: " << GOLDEN_METRICS_FILE;
   const std::vector<std::string> actual = generate();
   ASSERT_EQ(actual.size(), expected.size());

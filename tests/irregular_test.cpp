@@ -5,6 +5,7 @@
 // imbalance the contention figures claim.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -244,6 +245,59 @@ TEST(WeightedSplit, ImbalanceFactorGrowsWithRatio) {
       solvers::sparse_partition_imbalance(small_sparse(4.0), 4);
   EXPECT_NEAR(even, 1.0, 0.1);
   EXPECT_GT(skewed, 1.4);
+}
+
+/// Per-rank CSR nonzeros from csr_rank_nnz over the rows of one weighted
+/// split.
+std::vector<std::size_t> rank_nnz(std::size_t nx, std::size_t ny, int ranks,
+                                  double imbalance) {
+  std::vector<std::size_t> nnz;
+  std::size_t off = 0;
+  for (std::size_t rows : solvers::split_rows_weighted(ny, ranks, imbalance)) {
+    nnz.push_back(solvers::csr_rank_nnz(rows, off, nx, ny));
+    off += rows;
+  }
+  return nnz;
+}
+
+TEST(CsrNnz, MatchesTheBuiltMatrixOnEdgeShapes) {
+  // Per-rank nonzeros of the CSR matrices the solver builds, captured when
+  // the counts were still taken from the built matrices: one-column grids,
+  // ny = 2*ranks, and splits whose last rank keeps fewer than two rows.
+  using V = std::vector<std::size_t>;
+  EXPECT_EQ(rank_nnz(1, 2, 1, 4.0), (V{4}));
+  EXPECT_EQ(rank_nnz(1, 8, 4, 4.0), (V{5, 6, 6, 5}));
+  EXPECT_EQ(rank_nnz(1, 16, 8, 4.0), (V{5, 6, 6, 6, 6, 6, 6, 5}));
+  EXPECT_EQ(rank_nnz(3, 5, 3, 7.5), (V{23, 26, 10}));
+  EXPECT_EQ(rank_nnz(3, 7, 4, 7.5), (V{23, 26, 26, 10}));
+  EXPECT_EQ(rank_nnz(7, 1, 2, 1.0), (V{19, 0}));
+  EXPECT_EQ(rank_nnz(24, 24, 4, 4.0), (V{1156, 826, 590, 212}));
+}
+
+TEST(CsrNnz, MatchesTheBuiltMatrixOnAShapeGrid) {
+  // FNV-1a over every rank's nonzeros on 600 shapes, captured from the
+  // built matrices.
+  std::uint64_t h = 1469598103934665603ull;
+  int shapes = 0;
+  for (std::size_t nx : {1u, 2u, 3u, 7u, 24u}) {
+    for (int ranks : {1, 2, 3, 4, 8}) {
+      const std::size_t r2 = 2 * static_cast<std::size_t>(ranks);
+      for (std::size_t ny : {std::size_t{1}, r2 - 1, r2, r2 + 1,
+                             std::size_t{24}, std::size_t{61}}) {
+        for (double imbalance : {1.0, 2.5, 4.0, 7.5}) {
+          for (std::size_t v : rank_nnz(nx, ny, ranks, imbalance)) {
+            for (int b = 0; b < 8; ++b) {
+              h ^= (v >> (8 * b)) & 0xff;
+              h *= 1099511628211ull;
+            }
+          }
+          ++shapes;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(shapes, 600);
+  EXPECT_EQ(h, 0xfdc4c301737c9f1dull);
 }
 
 TEST(SparseReference, ConvergesLikeDenseCg) {

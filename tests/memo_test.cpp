@@ -1,0 +1,206 @@
+// Reference-memo suite (`ctest -L irregular`): sim::Memo computes each key
+// once per process even when sweep workers ask for it concurrently, never
+// caches a failure, and hands out independent copies; the histogram and
+// sparse-CG references key on exactly the fields they read plus the rank
+// count.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <latch>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "sim/memo.hpp"
+#include "sim/observe.hpp"
+#include "solvers/sparse_cg.hpp"
+#include "workloads/histogram/histogram.hpp"
+
+namespace {
+
+constexpr int kThreads = 8;
+
+/// Runs `body(i)` on kThreads threads released together, and returns once
+/// all have finished.
+void run_together(const std::function<void(int)>& body) {
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&start, &body, i] {
+      start.arrive_and_wait();
+      body(i);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+}
+
+/// Blocks the first computation until every thread has announced itself,
+/// then lingers so the others are parked on the pending entry.
+void hold_until_all_arrived(const std::atomic<int>& arrived) {
+  while (arrived.load() < kThreads) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+}
+
+TEST(Memo, ConcurrentCallersOfOneKeyComputeItOnce) {
+  sim::Memo<int, std::vector<double>> memo;
+  std::atomic<int> arrived{0};
+  std::atomic<int> calls{0};
+  std::vector<std::vector<double>> got(kThreads);
+  run_together([&](int i) {
+    ++arrived;
+    got[static_cast<std::size_t>(i)] = memo.get(7, [&] {
+      ++calls;
+      hold_until_all_arrived(arrived);
+      return std::vector<double>{1.0, 2.5, -3.0};
+    });
+  });
+  EXPECT_EQ(calls.load(), 1);
+  for (const auto& v : got) EXPECT_EQ(v, got.front());
+  EXPECT_EQ(got.front(), (std::vector<double>{1.0, 2.5, -3.0}));
+}
+
+TEST(Memo, FailureReachesEveryWaiterAndTheNextCallRetries) {
+  sim::Memo<int, int> memo;
+  std::atomic<int> arrived{0};
+  std::atomic<int> calls{0};
+  std::vector<std::string> errors(kThreads);
+  run_together([&](int i) {
+    ++arrived;
+    try {
+      (void)memo.get(1, [&]() -> int {
+        const int attempt = ++calls;
+        hold_until_all_arrived(arrived);
+        throw std::runtime_error("attempt " + std::to_string(attempt));
+      });
+    } catch (const std::runtime_error& e) {
+      errors[static_cast<std::size_t>(i)] = e.what();
+    }
+  });
+  EXPECT_EQ(calls.load(), 1);
+  for (const std::string& e : errors) EXPECT_EQ(e, "attempt 1");
+
+  // Not cached: the next call computes afresh, and its success is.
+  EXPECT_EQ(memo.get(1, [&] { return ++calls; }), 2);
+  EXPECT_EQ(memo.get(1, [&] { return ++calls; }), 2);
+  EXPECT_EQ(calls.load(), 2);
+}
+
+TEST(Memo, EditingAReturnedCopyLeavesLaterHitsIntact) {
+  sim::Memo<int, std::vector<double>> memo;
+  auto first = memo.get(3, [] { return std::vector<double>{4.0, 5.0}; });
+  first[0] += 1.0;
+  EXPECT_EQ(memo.get(3, [] { return std::vector<double>{}; }),
+            (std::vector<double>{4.0, 5.0}));
+}
+
+// --- Reference keys -----------------------------------------------------------
+
+template <class Config>
+struct Edit {
+  const char* field;
+  std::function<void(Config&)> apply;
+};
+
+workloads::HistogramConfig base_hist() {
+  workloads::HistogramConfig cfg;
+  cfg.bins = 97;
+  cfg.keys_per_round = 512;
+  cfg.rounds = 4;
+  cfg.skew = 2;
+  return cfg;
+}
+
+TEST(ReferenceMemo, HistogramKeyedFieldsChangeTheReference) {
+  using Cfg = workloads::HistogramConfig;
+  const std::vector<double> ref = workloads::histogram_reference(base_hist(), 3);
+  const Edit<Cfg> edits[] = {
+      {"bins", [](Cfg& c) { c.bins = 101; }},
+      {"keys_per_round", [](Cfg& c) { c.keys_per_round = 500; }},
+      {"rounds", [](Cfg& c) { c.rounds = 3; }},
+      {"skew", [](Cfg& c) { c.skew = 0; }},
+      {"seed", [](Cfg& c) { c.seed = 43; }},
+  };
+  for (const Edit<Cfg>& e : edits) {
+    Cfg cfg = base_hist();
+    e.apply(cfg);
+    EXPECT_NE(workloads::histogram_reference(cfg, 3), ref) << e.field;
+  }
+  EXPECT_NE(workloads::histogram_reference(base_hist(), 4), ref) << "ranks";
+}
+
+TEST(ReferenceMemo, HistogramRunOptionsLeaveTheReferenceIdentical) {
+  using Cfg = workloads::HistogramConfig;
+  const std::vector<double> ref = workloads::histogram_reference(base_hist(), 3);
+  sim::Observer observer;
+  const Edit<Cfg> edits[] = {
+      {"functional", [](Cfg& c) { c.functional = false; }},
+      {"trace", [](Cfg& c) { c.trace = false; }},
+      {"threads_per_block", [](Cfg& c) { c.threads_per_block = 64; }},
+      {"persistent_blocks", [](Cfg& c) { c.persistent_blocks = 3; }},
+      {"observer", [&observer](Cfg& c) { c.observer = &observer; }},
+      {"job_label", [](Cfg& c) { c.job_label = "j1:t0:histogram"; }},
+  };
+  for (const Edit<Cfg>& e : edits) {
+    Cfg cfg = base_hist();
+    e.apply(cfg);
+    EXPECT_EQ(workloads::histogram_reference(cfg, 3), ref) << e.field;
+  }
+}
+
+solvers::SparseCgConfig base_sparse() {
+  solvers::SparseCgConfig cfg;
+  cfg.nx = 24;
+  cfg.ny = 24;
+  cfg.max_iterations = 40;
+  cfg.tolerance = 1e-10;
+  cfg.imbalance = 4.0;
+  return cfg;
+}
+
+bool same(const solvers::CgResult& a, const solvers::CgResult& b) {
+  return a.iterations_run == b.iterations_run && a.final_rr == b.final_rr &&
+         a.rr_history == b.rr_history;
+}
+
+TEST(ReferenceMemo, SparseKeyedFieldsChangeTheReference) {
+  using Cfg = solvers::SparseCgConfig;
+  const solvers::CgResult ref = solvers::sparse_cg_reference(base_sparse(), 4);
+  const Edit<Cfg> edits[] = {
+      {"nx", [](Cfg& c) { c.nx = 20; }},
+      {"ny", [](Cfg& c) { c.ny = 28; }},
+      {"max_iterations", [](Cfg& c) { c.max_iterations = 30; }},
+      {"tolerance", [](Cfg& c) { c.tolerance = 1e-2; }},
+      {"imbalance", [](Cfg& c) { c.imbalance = 1.0; }},
+  };
+  for (const Edit<Cfg>& e : edits) {
+    Cfg cfg = base_sparse();
+    e.apply(cfg);
+    EXPECT_FALSE(same(solvers::sparse_cg_reference(cfg, 4), ref)) << e.field;
+  }
+  EXPECT_FALSE(same(solvers::sparse_cg_reference(base_sparse(), 2), ref))
+      << "ranks";
+}
+
+TEST(ReferenceMemo, SparseRunOptionsLeaveTheReferenceIdentical) {
+  using Cfg = solvers::SparseCgConfig;
+  const solvers::CgResult ref = solvers::sparse_cg_reference(base_sparse(), 4);
+  sim::Observer observer;
+  const Edit<Cfg> edits[] = {
+      {"functional", [](Cfg& c) { c.functional = false; }},
+      {"trace", [](Cfg& c) { c.trace = false; }},
+      {"threads_per_block", [](Cfg& c) { c.threads_per_block = 128; }},
+      {"persistent_blocks", [](Cfg& c) { c.persistent_blocks = 3; }},
+      {"observer", [&observer](Cfg& c) { c.observer = &observer; }},
+      {"job_label", [](Cfg& c) { c.job_label = "j2:t1:sparse_cg"; }},
+  };
+  for (const Edit<Cfg>& e : edits) {
+    Cfg cfg = base_sparse();
+    e.apply(cfg);
+    EXPECT_TRUE(same(solvers::sparse_cg_reference(cfg, 4), ref)) << e.field;
+  }
+}
+
+}  // namespace
