@@ -400,11 +400,16 @@ std::string validate(const JobSpec& spec) {
         return "histogram needs at least one bin per device";
       }
       break;
-    case JobKind::kSparseCg:
+    case JobKind::kSparseCg: {
       if (spec.ny < 2 * static_cast<std::size_t>(spec.devices)) {
         return "sparse_cg needs at least two rows per device";
       }
-      break;
+      solvers::SparseCgConfig cfg;
+      cfg.nx = spec.nx;
+      cfg.ny = spec.ny;
+      cfg.imbalance = spec.imbalance;
+      return solvers::csr_overflow(cfg, spec.devices);
+    }
   }
   return {};
 }

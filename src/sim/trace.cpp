@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+
+#include "sim/json.hpp"
 
 namespace sim {
 
@@ -141,8 +144,10 @@ std::string Trace::to_chrome_json() const {
   for (const Interval& iv : intervals_) {
     if (!first) os << ",";
     first = false;
-    os << "\n  {\"name\": \"" << (iv.name.empty() ? cat_name(iv.cat) : iv.name)
-       << "\", \"cat\": \"" << cat_name(iv.cat) << "\", \"ph\": \"X\""
+    std::string name;
+    append_json_string(name, iv.name.empty() ? cat_name(iv.cat) : iv.name);
+    os << "\n  {\"name\": " << name << ", \"cat\": \"" << cat_name(iv.cat)
+       << "\", \"ph\": \"X\""
        << ", \"ts\": " << to_usec(iv.begin)
        << ", \"dur\": " << to_usec(iv.end - iv.begin)
        << ", \"pid\": " << (iv.device < 0 ? 999 : iv.device)

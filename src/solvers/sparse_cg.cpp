@@ -6,10 +6,12 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -43,130 +45,71 @@ double rhs_value(std::size_t gy, std::size_t gx) {
   return static_cast<double>((gy * 53 + gx * 29) % 83) / 83.0;
 }
 
-/// One rank's slice: dense interior vectors in the (rows+2)*nx halo-extended
-/// layout of cg.cpp, plus the rank's rows of the operator in CSR with
-/// column indices into that LOCAL layout (halo rows 0 and rows+1 included,
-/// so the SpMV needs no index translation).
-struct SparseRankState {
-  std::size_t rows = 0;
-  std::size_t offset = 0;
-  std::size_t nx = 0;
-  std::size_t ny = 0;
-  std::vector<std::size_t> row_ptr;  // rows*nx + 1
-  std::vector<std::size_t> cols;
-  std::vector<double> vals;
-
-  [[nodiscard]] std::size_t idx(std::size_t r, std::size_t j) const {
-    return r * nx + j;
-  }
-
-  void build_csr() {
-    row_ptr.assign(rows * nx + 1, 0);
-    cols.clear();
-    vals.clear();
-    const std::size_t nnz = csr_rank_nnz(rows, offset, nx, ny);
-    cols.reserve(nnz);
-    vals.reserve(nnz);
-    std::size_t k = 0;
-    for (std::size_t r = 1; r <= rows; ++r) {
-      const std::size_t gy = offset + r - 1;
-      for (std::size_t j = 0; j < nx; ++j) {
-        // Ascending column order: up, west, diag, east, down — the fixed
-        // accumulation order every variant and the reference share.
-        if (gy > 0) {
-          cols.push_back(idx(r - 1, j));
-          vals.push_back(-1.0);
-        }
-        if (j > 0) {
-          cols.push_back(idx(r, j - 1));
-          vals.push_back(-1.0);
-        }
-        cols.push_back(idx(r, j));
-        vals.push_back(4.0);
-        if (j + 1 < nx) {
-          cols.push_back(idx(r, j + 1));
-          vals.push_back(-1.0);
-        }
-        if (gy + 1 < ny) {
-          cols.push_back(idx(r + 1, j));
-          vals.push_back(-1.0);
-        }
-        ++k;
-        row_ptr[k] = cols.size();
-      }
-    }
-  }
-
-  [[nodiscard]] std::size_t nnz() const { return cols.size(); }
-
-  /// q = A p via the CSR rows (reads p halo rows through the local cols).
-  void spmv(std::span<const double> p, std::span<double> q) const {
-    for (std::size_t row = 0; row < rows * nx; ++row) {
-      double acc = 0.0;
-      for (std::size_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
-        acc += vals[k] * p[cols[k]];
-      }
-      q[nx + row] = acc;  // interior rows start at layout row 1
-    }
-  }
-
-  [[nodiscard]] double dot(std::span<const double> a,
-                           std::span<const double> b) const {
-    double acc = 0.0;
-    for (std::size_t r = 1; r <= rows; ++r) {
-      for (std::size_t j = 0; j < nx; ++j) acc += a[idx(r, j)] * b[idx(r, j)];
-    }
-    return acc;
-  }
-
-  void axpy2(double alpha, std::span<const double> p, std::span<const double> q,
-             std::span<double> x, std::span<double> r_vec) const {
-    for (std::size_t r = 1; r <= rows; ++r) {
-      for (std::size_t j = 0; j < nx; ++j) {
-        x[idx(r, j)] += alpha * p[idx(r, j)];
-        r_vec[idx(r, j)] -= alpha * q[idx(r, j)];
-      }
-    }
-  }
-
-  void p_update(double beta, std::span<const double> r_vec,
-                std::span<double> p) const {
-    for (std::size_t r = 1; r <= rows; ++r) {
-      for (std::size_t j = 0; j < nx; ++j) {
-        p[idx(r, j)] = r_vec[idx(r, j)] + beta * p[idx(r, j)];
-      }
-    }
-  }
-
-  [[nodiscard]] double points() const {
-    return static_cast<double>(rows) * static_cast<double>(nx);
-  }
-
-  [[nodiscard]] double spmv_bytes() const {
-    return static_cast<double>(nnz()) * kCsrBytesPerNnz +
-           points() * kCsrBytesPerRow;
-  }
-};
-
-std::vector<SparseRankState> make_sparse_states(const SparseCgConfig& cfg,
-                                                int ranks) {
-  std::vector<SparseRankState> st;
-  const auto rows = split_rows_weighted(cfg.ny, ranks, cfg.imbalance);
-  std::size_t off = 0;
-  for (int r = 0; r < ranks; ++r) {
-    SparseRankState s;
-    s.rows = rows[static_cast<std::size_t>(r)];
-    s.offset = off;
-    s.nx = cfg.nx;
-    s.ny = cfg.ny;
-    s.build_csr();
-    off += s.rows;
-    st.push_back(std::move(s));
-  }
-  return st;
+double spmv_bytes(const CsrSlice& s) {
+  return static_cast<double>(s.nnz) * kCsrBytesPerNnz +
+         s.points() * kCsrBytesPerRow;
 }
 
-void init_vectors(const SparseRankState& s, std::span<double> b,
+/// Fills `s`'s CSR arrays. Ascending column order per row: up, west, diag,
+/// east, down — the fixed accumulation order every variant and the
+/// reference share.
+void build_csr(CsrSlice& s, std::size_t ny) {
+  s.row_ptr.assign(s.rows * s.nx + 1, 0);
+  s.cols.reserve(s.nnz);
+  s.vals.reserve(s.nnz);
+  auto push = [&s](std::size_t col, double v) {
+    s.cols.push_back(static_cast<std::uint32_t>(col));
+    s.vals.push_back(v);
+  };
+  std::size_t k = 0;
+  for (std::size_t r = 1; r <= s.rows; ++r) {
+    const std::size_t gy = s.offset + r - 1;
+    for (std::size_t j = 0; j < s.nx; ++j) {
+      if (gy > 0) push(s.idx(r - 1, j), -1.0);
+      if (j > 0) push(s.idx(r, j - 1), -1.0);
+      push(s.idx(r, j), 4.0);
+      if (j + 1 < s.nx) push(s.idx(r, j + 1), -1.0);
+      if (gy + 1 < ny) push(s.idx(r + 1, j), -1.0);
+      s.row_ptr[++k] = static_cast<std::uint32_t>(s.cols.size());
+    }
+  }
+}
+
+/// Each rank's rows of the weighted split, CSR arrays not built.
+SparseOperator partition(const SparseCgConfig& cfg, int ranks) {
+  if (std::string why = csr_overflow(cfg, ranks); !why.empty()) {
+    throw std::invalid_argument(why);
+  }
+  SparseOperator op;
+  std::size_t off = 0;
+  for (std::size_t rows : split_rows_weighted(cfg.ny, ranks, cfg.imbalance)) {
+    CsrSlice s;
+    s.rows = rows;
+    s.offset = off;
+    s.nx = cfg.nx;
+    s.nnz = csr_rank_nnz(rows, off, cfg.nx, cfg.ny);
+    off += rows;
+    op.push_back(std::move(s));
+  }
+  return op;
+}
+
+/// The slices a run reads: the shared operator for functional runs, the
+/// bare row split for timing-only ones (they charge nnz, never read it).
+std::shared_ptr<const SparseOperator> run_slices(const SparseCgConfig& cfg,
+                                                 int ranks) {
+  if (cfg.functional) return sparse_operator(cfg, ranks);
+  return std::make_shared<const SparseOperator>(partition(cfg, ranks));
+}
+
+/// Halo-extended vector length that fits every rank's slice.
+std::size_t vector_size(const SparseOperator& op, std::size_t nx) {
+  std::size_t rows = 0;
+  for (const CsrSlice& s : op) rows = std::max(rows, s.rows);
+  return (rows + 2) * nx;
+}
+
+void init_vectors(const CsrSlice& s, std::span<double> b,
                   std::span<double> r, std::span<double> p) {
   for (std::size_t row = 1; row <= s.rows; ++row) {
     const std::size_t gy = s.offset + row - 1;
@@ -264,11 +207,122 @@ double sparse_partition_imbalance(const SparseCgConfig& config, int ranks) {
   return mean > 0.0 ? peak / mean : 1.0;
 }
 
+std::string csr_overflow(const SparseCgConfig& config, int ranks) {
+  constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+  // (rows+2)*nx > kMax without forming the product: rows+2 > kMax/nx. Once
+  // the layout fits, nonzeros are at most 5*kMax, so counting them cannot
+  // wrap either.
+  const std::size_t cap = config.nx == 0 ? kMax : kMax / config.nx;
+  const auto rows = split_rows_weighted(config.ny, ranks, config.imbalance);
+  std::size_t off = 0;
+  for (std::size_t rank = 0; rank < rows.size(); ++rank) {
+    if (cap < 2 || rows[rank] > cap - 2 ||
+        csr_rank_nnz(rows[rank], off, config.nx, config.ny) > kMax) {
+      return "sparse CG: rank " + std::to_string(rank) + "'s slice of " +
+             std::to_string(rows[rank]) + " rows x nx " +
+             std::to_string(config.nx) +
+             " overflows 32-bit CSR indices (layout or nonzeros above " +
+             std::to_string(kMax) + ")";
+    }
+    off += rows[rank];
+  }
+  return {};
+}
+
+// The kernels walk interior rows 1..rows of the halo-extended layout, which
+// is the flat index range [nx, (rows+1)*nx), and add in that order.
+
+double CsrSlice::spmv_dot(std::span<const double> p,
+                          std::span<double> q) const {
+  const std::uint32_t* rp = row_ptr.data();
+  const std::uint32_t* c = cols.data();
+  const double* v = vals.data();
+  const double* pv = p.data();
+  const std::size_t n = rows * nx;
+  double pq = 0.0;
+  for (std::size_t row = 0; row < n; ++row) {
+    const std::uint32_t k = rp[row];
+    const std::uint32_t end = rp[row + 1];
+    double acc = 0.0;
+    if (end - k == 5) {
+      // Every interior row: the general loop's five terms in the same
+      // order, unrolled.
+      acc += v[k] * pv[c[k]];
+      acc += v[k + 1] * pv[c[k + 1]];
+      acc += v[k + 2] * pv[c[k + 2]];
+      acc += v[k + 3] * pv[c[k + 3]];
+      acc += v[k + 4] * pv[c[k + 4]];
+    } else {
+      for (std::uint32_t e = k; e < end; ++e) acc += v[e] * pv[c[e]];
+    }
+    q[nx + row] = acc;
+    pq += pv[nx + row] * acc;
+  }
+  return pq;
+}
+
+double CsrSlice::axpy2_dot(double alpha, std::span<const double> p,
+                           std::span<const double> q, std::span<double> x,
+                           std::span<double> r) const {
+  double rr = 0.0;
+  for (std::size_t i = nx; i < (rows + 1) * nx; ++i) {
+    x[i] += alpha * p[i];
+    r[i] -= alpha * q[i];
+    rr += r[i] * r[i];
+  }
+  return rr;
+}
+
+double CsrSlice::dot(std::span<const double> a,
+                     std::span<const double> b) const {
+  double acc = 0.0;
+  for (std::size_t i = nx; i < (rows + 1) * nx; ++i) acc += a[i] * b[i];
+  return acc;
+}
+
+void CsrSlice::p_update(double beta, std::span<const double> r,
+                        std::span<double> p) const {
+  for (std::size_t i = nx; i < (rows + 1) * nx; ++i) p[i] = r[i] + beta * p[i];
+}
+
+namespace {
+
+/// Exactly the config fields the CSR build reads, plus the rank count.
+struct OperatorKey {
+  std::size_t nx;
+  std::size_t ny;
+  std::uint64_t imbalance;  // bit pattern: keeps the key order total
+  int ranks;
+
+  auto operator<=>(const OperatorKey&) const = default;
+};
+
+}  // namespace
+
+std::shared_ptr<const SparseOperator> sparse_operator(
+    const SparseCgConfig& config, int ranks) {
+  static sim::Memo<OperatorKey, std::shared_ptr<const SparseOperator>> memo;
+  const OperatorKey key{config.nx, config.ny,
+                        std::bit_cast<std::uint64_t>(config.imbalance), ranks};
+  return memo.get(key, [&key] {
+    // Built from the key alone, like the references: a field the build
+    // reads but the key lacks would take its default for every caller.
+    SparseCgConfig keyed;
+    keyed.nx = key.nx;
+    keyed.ny = key.ny;
+    keyed.imbalance = std::bit_cast<double>(key.imbalance);
+    SparseOperator op = partition(keyed, key.ranks);
+    for (CsrSlice& s : op) build_csr(s, keyed.ny);
+    return std::make_shared<const SparseOperator>(std::move(op));
+  });
+}
+
 namespace {
 
 /// sparse_cg_reference without the memo.
 CgResult reference_uncached(const SparseCgConfig& cfg, int ranks) {
-  auto states = make_sparse_states(cfg, ranks);
+  const auto op = sparse_operator(cfg, ranks);
+  const SparseOperator& states = *op;
   const int n = ranks;
   std::vector<std::vector<double>> b(static_cast<std::size_t>(n));
   std::vector<std::vector<double>> x(static_cast<std::size_t>(n));
@@ -318,24 +372,14 @@ CgResult reference_uncached(const SparseCgConfig& cfg, int ranks) {
   });
   for (int t = 1; t <= cfg.max_iterations; ++t) {
     exchange_halos();
-    for (int d = 0; d < n; ++d) {
-      const auto& s = states[static_cast<std::size_t>(d)];
-      s.spmv(p[static_cast<std::size_t>(d)], q[static_cast<std::size_t>(d)]);
-    }
     const double pq = reduce([&](int d) {
-      const auto& s = states[static_cast<std::size_t>(d)];
-      return s.dot(p[static_cast<std::size_t>(d)], q[static_cast<std::size_t>(d)]);
+      const auto i = static_cast<std::size_t>(d);
+      return states[i].spmv_dot(p[i], q[i]);
     });
     const double alpha = rz / pq;
-    for (int d = 0; d < n; ++d) {
-      const auto& s = states[static_cast<std::size_t>(d)];
-      s.axpy2(alpha, p[static_cast<std::size_t>(d)],
-              q[static_cast<std::size_t>(d)], x[static_cast<std::size_t>(d)],
-              r[static_cast<std::size_t>(d)]);
-    }
     const double rr = reduce([&](int d) {
-      const auto& s = states[static_cast<std::size_t>(d)];
-      return s.dot(r[static_cast<std::size_t>(d)], r[static_cast<std::size_t>(d)]);
+      const auto i = static_cast<std::size_t>(d);
+      return states[i].axpy2_dot(alpha, p[i], q[i], x[i], r[i]);
     });
     res.rr_history.push_back(rr);
     res.iterations_run = t;
@@ -401,7 +445,7 @@ struct SparseCgCore {
   vshmem::World* world = nullptr;
   int n = 0;
   int persistent_blocks = 0;
-  std::vector<SparseRankState> states;
+  std::shared_ptr<const SparseOperator> op;
   vshmem::Sym<double> p, x, r, q, b, slots0, slots1;
   std::unique_ptr<vshmem::SignalSet> sig;
   std::size_t top_halo = 0;
@@ -424,19 +468,10 @@ std::unique_ptr<SparseCgCore> make_sparse_core(vshmem::World& world,
   core->n = n;
   core->persistent_blocks = exec::resolve_persistent_blocks(
       cfg.persistent_blocks, spec, cfg.threads_per_block);
-  core->states = make_sparse_states(cfg, n);
-  auto& states = core->states;
+  core->op = run_slices(cfg, n);
+  const SparseOperator& states = *core->op;
 
-  const std::size_t vec_size =
-      cfg.functional
-          ? (*std::max_element(states.begin(), states.end(),
-                               [](const SparseRankState& a,
-                                  const SparseRankState& b) {
-                                 return a.rows < b.rows;
-                               })).rows *
-                    cfg.nx +
-                2 * cfg.nx
-          : 1;
+  const std::size_t vec_size = cfg.functional ? vector_size(states, cfg.nx) : 1;
   core->p = world.alloc<double>(vec_size, "sp_p");
   core->x = world.alloc<double>(vec_size, "sp_x");
   core->r = world.alloc<double>(vec_size, "sp_r");
@@ -495,7 +530,7 @@ exec::ProgramGroups build_sparse_groups(SparseCgCore& core, int dev,
   vshmem::World& world = *core.world;
   const SparseCgConfig& cfg = core.cfg;
   const int n = core.n;
-  auto& states = core.states;
+  const SparseOperator& states = *core.op;
   vshmem::Sym<double>& p = core.p;
   vshmem::Sym<double>& x = core.x;
   vshmem::Sym<double>& r = core.r;
@@ -509,7 +544,7 @@ exec::ProgramGroups build_sparse_groups(SparseCgCore& core, int dev,
   auto iterations_run = core.iterations_run;
   auto final_rr = core.final_rr;
 
-  const SparseRankState* st = &states[static_cast<std::size_t>(dev)];
+  const CsrSlice* st = &states[static_cast<std::size_t>(dev)];
   const std::size_t up_rows =
       dev > 0 ? states[static_cast<std::size_t>(dev - 1)].rows : 0;
   auto body = [&world, &cfg, st, dev, n, up_rows, &p, &x, &r, &q, &slots0,
@@ -547,45 +582,35 @@ exec::ProgramGroups build_sparse_groups(SparseCgCore& core, int dev,
               /*is_write=*/false, "p_halo_read");
         }
       }
+      // The fused host kernels compute each dot with the pass before it;
+      // the dot phases keep charging their own device time, with no body.
+      double pq_local = 0.0;
       std::function<void()> f_spmv;
       if (cfg.functional) {
-        f_spmv = [st, &p, &q, dev] { st->spmv(p.on(dev), q.on(dev)); };
+        f_spmv = [st, &p, &q, dev, &pq_local] {
+          pq_local = st->spmv_dot(p.on(dev), q.on(dev));
+        };
       }
       // The nnz-proportional cost is where the weighted partition bites:
       // heavy ranks stream more CSR entries every iteration.
-      co_await k.compute(st->spmv_bytes(), 1.0, "spmv_csr",
-                         std::move(f_spmv));
-
-      double pq_local = 0.0;
-      std::function<void()> f_dot1;
-      if (cfg.functional) {
-        f_dot1 = [st, &p, &q, dev, &pq_local] {
-          pq_local = st->dot(p.on(dev), q.on(dev));
-        };
-      }
-      co_await k.compute(pts * kDotBytes, 1.0, "dot_pq", std::move(f_dot1));
+      co_await k.compute(spmv_bytes(*st), 1.0, "spmv_csr", std::move(f_spmv));
+      co_await k.compute(pts * kDotBytes, 1.0, "dot_pq", {});
       CO_AWAIT(exec::allreduce_put_wait(world, k, slots0, *sigp,
                                         /*flag_base=*/0, dev, n, t, pq_local,
                                         cfg.functional));
       const double pq = cfg.functional ? sum_slots(slots0) : 1.0;
       const double alpha = cfg.functional ? rz / pq : 0.0;
 
+      double rr_local = 0.0;
       std::function<void()> f_axpy;
       if (cfg.functional) {
-        f_axpy = [st, alpha, &p, &q, &x, &r, dev] {
-          st->axpy2(alpha, p.on(dev), q.on(dev), x.on(dev), r.on(dev));
+        f_axpy = [st, alpha, &p, &q, &x, &r, dev, &rr_local] {
+          rr_local =
+              st->axpy2_dot(alpha, p.on(dev), q.on(dev), x.on(dev), r.on(dev));
         };
       }
       co_await k.compute(pts * kAxpy2Bytes, 1.0, "axpy", std::move(f_axpy));
-
-      double rr_local = 0.0;
-      std::function<void()> f_dot2;
-      if (cfg.functional) {
-        f_dot2 = [st, &r, dev, &rr_local] {
-          rr_local = st->dot(r.on(dev), r.on(dev));
-        };
-      }
-      co_await k.compute(pts * kDotBytes, 1.0, "dot_rr", std::move(f_dot2));
+      co_await k.compute(pts * kDotBytes, 1.0, "dot_rr", {});
       CO_AWAIT(exec::allreduce_put_wait(
           world, k, slots1, *sigp,
           /*flag_base=*/static_cast<std::size_t>(n), dev, n, t, rr_local,
@@ -704,17 +729,9 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
   // --- Baseline CPU-controlled loop through the generic host driver ---
   hostmpi::Comm comm(machine);
   const int n = machine.num_devices();
-  auto states = make_sparse_states(cfg, n);
-  const std::size_t vec_size =
-      cfg.functional
-          ? (*std::max_element(states.begin(), states.end(),
-                               [](const SparseRankState& a,
-                                  const SparseRankState& b) {
-                                 return a.rows < b.rows;
-                               })).rows *
-                    cfg.nx +
-                2 * cfg.nx
-          : 1;
+  const auto op = run_slices(cfg, n);
+  const SparseOperator& states = *op;
+  const std::size_t vec_size = cfg.functional ? vector_size(states, cfg.nx) : 1;
   vshmem::Sym<double> p = world.alloc<double>(vec_size, "sp_p");
   vshmem::Sym<double> x = world.alloc<double>(vec_size, "sp_x");
   vshmem::Sym<double> r = world.alloc<double>(vec_size, "sp_r");
@@ -762,7 +779,7 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
                        std::span<vgpu::Stream* const> streams,
                        vshmem::SignalSet*) -> sim::Task {
     vgpu::Stream& stream = *streams[0];
-    const SparseRankState* st = &states[static_cast<std::size_t>(dev)];
+    const CsrSlice* st = &states[static_cast<std::size_t>(dev)];
     const double pts = st->points();
     const int blocks =
         std::max(1, static_cast<int>(pts / cfg.threads_per_block) + 1);
@@ -779,14 +796,12 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
                   dev](bool to_top) -> std::pair<sim::MemRange,
                                                  sim::MemRange> {
         if (to_top) {
-          const SparseRankState* up =
-              &states[static_cast<std::size_t>(dev - 1)];
+          const CsrSlice* up = &states[static_cast<std::size_t>(dev - 1)];
           return {sim::MemRange::of(p.on(dev), st->idx(1, 0), st->nx),
                   sim::MemRange::of(p.on(dev - 1), up->idx(up->rows + 1, 0),
                                     st->nx)};
         }
-        const SparseRankState* down =
-            &states[static_cast<std::size_t>(dev + 1)];
+        const CsrSlice* down = &states[static_cast<std::size_t>(dev + 1)];
         return {sim::MemRange::of(p.on(dev), st->idx(st->rows, 0), st->nx),
                 sim::MemRange::of(p.on(dev + 1), down->idx(0, 0), st->nx)};
       };
@@ -797,8 +812,7 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
          functional = cfg.functional](bool to_top) -> std::function<void()> {
           if (!functional) return {};
           if (to_top) {
-            const SparseRankState* up =
-                &states[static_cast<std::size_t>(dev - 1)];
+            const CsrSlice* up = &states[static_cast<std::size_t>(dev - 1)];
             return [&p, st, up, dev] {
               auto dst = p.on(dev - 1);
               auto src = p.on(dev);
@@ -807,8 +821,7 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
               }
             };
           }
-          const SparseRankState* down =
-              &states[static_cast<std::size_t>(dev + 1)];
+          const CsrSlice* down = &states[static_cast<std::size_t>(dev + 1)];
           return [&p, st, down, dev] {
             auto dst = p.on(dev + 1);
             auto src = p.on(dev);
@@ -825,8 +838,7 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
     std::function<void()> f1;
     if (cfg.functional) {
       f1 = [st, &p, &q, dev, pq_partial] {
-        st->spmv(p.on(dev), q.on(dev));
-        *pq_partial = st->dot(p.on(dev), q.on(dev));
+        *pq_partial = st->spmv_dot(p.on(dev), q.on(dev));
       };
     }
     {
@@ -845,7 +857,7 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
           }
         }
         std::function<void()> fn = f;
-        co_await k.compute(st->spmv_bytes() + pts * kDotBytes, 1.0,
+        co_await k.compute(spmv_bytes(*st) + pts * kDotBytes, 1.0,
                            "spmv_csr+dot", std::move(fn));
       };
       std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
@@ -862,8 +874,8 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
     std::function<void()> f2;
     if (cfg.functional) {
       f2 = [st, alpha, &p, &q, &x, &r, dev, rr_partial] {
-        st->axpy2(alpha, p.on(dev), q.on(dev), x.on(dev), r.on(dev));
-        *rr_partial = st->dot(r.on(dev), r.on(dev));
+        *rr_partial =
+            st->axpy2_dot(alpha, p.on(dev), q.on(dev), x.on(dev), r.on(dev));
       };
     }
     {

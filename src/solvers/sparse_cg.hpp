@@ -21,11 +21,14 @@
 //  * (host_loop, staged_copy, host_barrier) — CPU-orchestrated loop, MPI
 //    allreduce, host convergence test.
 // Distributed runs are verified bit-for-bit against a serial reference
-// reproducing the same CSR accumulation and reduction order.
+// reproducing the same CSR accumulation and reduction order. The reference
+// and every functional run of one shape read one shared, immutable operator
+// (sparse_operator).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,6 +79,63 @@ struct SparseCgConfig {
 /// Realized partition-imbalance factor: max per-rank CSR nonzeros / mean.
 [[nodiscard]] double sparse_partition_imbalance(const SparseCgConfig& config,
                                                 int ranks);
+
+/// Why the weighted split of `config` over `ranks` does not fit 32-bit CSR
+/// — some rank's (rows+2)*nx halo-extended layout or nonzero count exceeds
+/// UINT32_MAX — naming nx, the rows and the rank; empty if it fits.
+/// Computed from the row split alone, without overflowing. Every sparse CG
+/// entry point throws std::invalid_argument with this message before
+/// allocating anything problem-sized.
+[[nodiscard]] std::string csr_overflow(const SparseCgConfig& config,
+                                       int ranks);
+
+/// One rank's rows of the 5-point operator in CSR, with column indices into
+/// the rank's LOCAL (rows+2)*nx layout (halo rows 0 and rows+1 included, so
+/// the SpMV needs no index translation). Indices are 32-bit: 12 bytes per
+/// nonzero, what the simulated SpMV charges. Vectors passed to the kernels
+/// use the same layout; each kernel touches interior rows 1..rows only and
+/// adds in grid-row order, the order the reference shares with every run.
+struct CsrSlice {
+  std::size_t rows = 0;
+  std::size_t offset = 0;  // first grid row owned
+  std::size_t nx = 0;
+  std::size_t nnz = 0;  // csr_rank_nnz, also where the arrays are not built
+  std::vector<std::uint32_t> row_ptr;  // rows*nx + 1 (empty: timing-only)
+  std::vector<std::uint32_t> cols;
+  std::vector<double> vals;
+
+  [[nodiscard]] std::size_t idx(std::size_t r, std::size_t j) const {
+    return r * nx + j;
+  }
+  [[nodiscard]] double points() const {
+    return static_cast<double>(rows) * static_cast<double>(nx);
+  }
+
+  /// q = A p over the CSR rows (p's halo rows read through the local
+  /// columns); returns dot(p, q).
+  [[nodiscard]] double spmv_dot(std::span<const double> p,
+                                std::span<double> q) const;
+  /// x += alpha p, r -= alpha q; returns dot(r, r) of the updated r.
+  [[nodiscard]] double axpy2_dot(double alpha, std::span<const double> p,
+                                 std::span<const double> q,
+                                 std::span<double> x,
+                                 std::span<double> r) const;
+  [[nodiscard]] double dot(std::span<const double> a,
+                           std::span<const double> b) const;
+  /// p = r + beta p.
+  void p_update(double beta, std::span<const double> r,
+                std::span<double> p) const;
+};
+
+/// Every rank's slice of the operator, in rank order.
+using SparseOperator = std::vector<CsrSlice>;
+
+/// The operator of `config`'s grid under its weighted split over `ranks`.
+/// Built once per process for each (nx, ny, imbalance, ranks) and shared
+/// read-only by the reference and every run and job of that shape; a hit
+/// copies a pointer.
+[[nodiscard]] std::shared_ptr<const SparseOperator> sparse_operator(
+    const SparseCgConfig& config, int ranks);
 
 /// Serial reference with the distributed variants' CSR accumulation and
 /// rank-ordered reduction, so `ranks`-device runs match bitwise. Computed

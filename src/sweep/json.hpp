@@ -13,6 +13,8 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/json.hpp"
+
 namespace sweep {
 
 class JsonWriter {
@@ -41,14 +43,14 @@ class JsonWriter {
 
   void key(std::string_view k) {
     sep();
-    escape(k);
+    sim::append_json_string(out_, k);
     out_ += ':';
     after_key_ = true;
   }
 
   void value(std::string_view s) {
     sep();
-    escape(s);
+    sim::append_json_string(out_, s);
   }
   void value(const char* s) { value(std::string_view(s)); }
   void value(double d) {
@@ -90,29 +92,6 @@ class JsonWriter {
     if (first_.empty()) return;  // top-level value
     if (!first_.back()) out_ += ',';
     first_.back() = false;
-  }
-
-  void escape(std::string_view s) {
-    out_ += '"';
-    for (const char c : s) {
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\r': out_ += "\\r"; break;
-        case '\t': out_ += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(static_cast<unsigned char>(c)));
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
-      }
-    }
-    out_ += '"';
   }
 
   std::string out_;

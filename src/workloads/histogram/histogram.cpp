@@ -119,6 +119,50 @@ EdgeTable build_edges(const HistogramConfig& cfg, const BinPartition& part,
   return tab;
 }
 
+/// Exactly the config fields the key streams and the owner split read,
+/// plus the rank count: keys both the reference and the edge table.
+struct ReferenceKey {
+  std::size_t bins;
+  std::size_t keys_per_round;
+  int rounds;
+  int skew;
+  std::uint64_t seed;
+  int ranks;
+
+  auto operator<=>(const ReferenceKey&) const = default;
+};
+
+ReferenceKey reference_key(const HistogramConfig& cfg, int ranks) {
+  return {cfg.bins, cfg.keys_per_round, cfg.rounds, cfg.skew, cfg.seed, ranks};
+}
+
+/// Rebuilt from the key alone: a field the computation reads but the key
+/// lacks takes its default here for every caller, rather than whichever
+/// caller's value came first (memo_test checks each keyed field against
+/// tallies that never read a memo).
+HistogramConfig keyed_config(const ReferenceKey& key) {
+  HistogramConfig keyed;
+  keyed.bins = key.bins;
+  keyed.keys_per_round = key.keys_per_round;
+  keyed.rounds = key.rounds;
+  keyed.skew = key.skew;
+  keyed.seed = key.seed;
+  return keyed;
+}
+
+/// The edge table of `cfg` over `ranks`: built once per process for each
+/// key, shared read-only by every core, the reference and the imbalance tag.
+std::shared_ptr<const EdgeTable> shared_edges(const HistogramConfig& cfg,
+                                              int ranks) {
+  static sim::Memo<ReferenceKey, std::shared_ptr<const EdgeTable>> memo;
+  const ReferenceKey key = reference_key(cfg, ranks);
+  return memo.get(key, [&key] {
+    const HistogramConfig keyed = keyed_config(key);
+    return std::make_shared<const EdgeTable>(
+        build_edges(keyed, split_bins(keyed.bins, key.ranks), key.ranks));
+  });
+}
+
 /// Max per-owner key updates over the run / mean (1.0 = perfectly
 /// balanced).
 double imbalance_of(const EdgeTable& tab) {
@@ -148,7 +192,7 @@ struct HistCore {
   vshmem::World* world = nullptr;
   int n = 0;
   BinPartition part;
-  EdgeTable edges;
+  std::shared_ptr<const EdgeTable> edges;
   vshmem::Sym<double> bins, xfer;
   std::unique_ptr<vshmem::SignalSet> sig;
 };
@@ -160,7 +204,7 @@ std::unique_ptr<HistCore> make_hist_core(vshmem::World& world,
   core->world = &world;
   core->n = world.n_pes();
   core->part = split_bins(cfg.bins, core->n);
-  core->edges = build_edges(cfg, core->part, core->n);
+  core->edges = shared_edges(cfg, core->n);
   core->bins = world.alloc<double>(core->part.stride, "hist_bins");
   core->xfer = world.alloc<double>(
       2 * static_cast<std::size_t>(core->n) * core->part.stride, "hist_xfer");
@@ -205,7 +249,7 @@ void merge_round(HistCore& core, int me, int t) {
   auto rows = core.xfer.on(me);
   auto my_bins = core.bins.on(me);
   for (int s = 0; s < core.n; ++s) {
-    const Touched& tr = core.edges.at(t, s, me);
+    const Touched& tr = core.edges->at(t, s, me);
     if (!tr.any) continue;
     const std::size_t row =
         s == me ? static_cast<std::size_t>(me)
@@ -221,7 +265,7 @@ void merge_round(HistCore& core, int me, int t) {
 double merge_bytes(HistCore& core, int me, int t) {
   double slots = 0.0;
   for (int s = 0; s < core.n; ++s) {
-    slots += static_cast<double>(core.edges.at(t, s, me).slots());
+    slots += static_cast<double>(core.edges->at(t, s, me).slots());
   }
   return slots * kMergeBytes;
 }
@@ -231,7 +275,7 @@ void observe_partial_writes(HistCore& core, vgpu::KernelCtx& k, int me,
                             int t, bool remote_only, bool self_only) {
   for (int o = 0; o < core.n; ++o) {
     if ((remote_only && o == me) || (self_only && o != me)) continue;
-    const Touched& tr = core.edges.at(t, me, o);
+    const Touched& tr = core.edges->at(t, me, o);
     if (!tr.any) continue;
     k.obs_access(
         sim::MemRange::of(core.xfer.on(me),
@@ -247,7 +291,7 @@ void observe_partial_writes(HistCore& core, vgpu::KernelCtx& k, int me,
 void observe_merge(HistCore& core, vgpu::KernelCtx& k, int me, int t) {
   Touched un;
   for (int s = 0; s < core.n; ++s) {
-    const Touched& tr = core.edges.at(t, s, me);
+    const Touched& tr = core.edges->at(t, s, me);
     if (!tr.any) continue;
     const std::size_t row =
         s == me ? static_cast<std::size_t>(me)
@@ -275,7 +319,7 @@ sim::Task flush_rows_staged(HistCore& core, vgpu::HostCtx& h,
   vshmem::World& w = *core.world;
   for (int o = 0; o < core.n; ++o) {
     if (o == dev) continue;
-    const Touched& tr = core.edges.at(t, dev, o);
+    const Touched& tr = core.edges->at(t, dev, o);
     if (!tr.any) continue;
     const std::size_t src =
         row_off(core, static_cast<std::size_t>(o)) + tr.lo;
@@ -368,7 +412,7 @@ sim::Task overlap_step(HistCore& core, const exec::Plan& plan,
                        vgpu::Stream& comm_s) {
   // Keys bound for remote owners size the comm kernel's share.
   const std::size_t remote =
-      core.cfg.keys_per_round - core.edges.at(t, dev, dev).keys;
+      core.cfg.keys_per_round - core.edges->at(t, dev, dev).keys;
   const std::size_t self = core.cfg.keys_per_round - remote;
   vgpu::LaunchConfig lcr;
   lcr.threads_per_block = core.cfg.threads_per_block;
@@ -453,7 +497,7 @@ sim::Task peer_store_step(HistCore& core, const exec::Plan& plan,
         "hist_local", std::move(f));
     for (int o = 0; o < core.n; ++o) {
       if (o == dev) continue;
-      const Touched& tr = core.edges.at(t, dev, o);
+      const Touched& tr = core.edges->at(t, dev, o);
       if (!tr.any) continue;
       const std::size_t src =
           row_off(core, static_cast<std::size_t>(o)) + tr.lo;
@@ -514,7 +558,7 @@ sim::Task signaled_local_phase(HistCore& core, vgpu::KernelCtx& k,
   // owner's merge wait must see every source).
   for (int o = 0; o < core.n; ++o) {
     if (o == dev) continue;
-    const Touched& tr = core.edges.at(t, dev, o);
+    const Touched& tr = core.edges->at(t, dev, o);
     if (tr.any) {
       co_await proto.put_and_signal(
           k, core.xfer, row_off(core, static_cast<std::size_t>(o)) + tr.lo,
@@ -694,7 +738,7 @@ std::vector<double> gather(HistCore& core) {
 std::vector<double> reference_uncached(const HistogramConfig& cfg,
                                        int ranks) {
   const BinPartition part = split_bins(cfg.bins, ranks);
-  const EdgeTable edges = build_edges(cfg, part, ranks);
+  const auto edges = shared_edges(cfg, ranks);
   std::vector<double> bins(cfg.bins, 0.0);
   std::vector<std::vector<double>> partial(
       static_cast<std::size_t>(ranks));
@@ -714,7 +758,7 @@ std::vector<double> reference_uncached(const HistogramConfig& cfg,
     for (int o = 0; o < ranks; ++o) {
       const std::size_t start = part.start[static_cast<std::size_t>(o)];
       for (int s = 0; s < ranks; ++s) {
-        const Touched& tr = edges.at(t, s, o);
+        const Touched& tr = edges->at(t, s, o);
         if (!tr.any) continue;
         for (std::size_t slot = tr.lo; slot <= tr.hi; ++slot) {
           bins[start + slot] +=
@@ -726,41 +770,19 @@ std::vector<double> reference_uncached(const HistogramConfig& cfg,
   return bins;
 }
 
-/// Exactly the config fields the reference reads, plus the rank count.
-struct ReferenceKey {
-  std::size_t bins;
-  std::size_t keys_per_round;
-  int rounds;
-  int skew;
-  std::uint64_t seed;
-  int ranks;
-
-  auto operator<=>(const ReferenceKey&) const = default;
-};
-
 }  // namespace
 
 std::vector<double> histogram_reference(const HistogramConfig& cfg,
                                         int ranks) {
   static sim::Memo<ReferenceKey, std::vector<double>> memo;
-  const ReferenceKey key{cfg.bins, cfg.keys_per_round, cfg.rounds,
-                         cfg.skew, cfg.seed, ranks};
+  const ReferenceKey key = reference_key(cfg, ranks);
   return memo.get(key, [&key] {
-    // Rebuilt from the key alone: a field the reference reads but the key
-    // lacks takes its default here, so verification fails loudly instead of
-    // hitting a stale entry.
-    HistogramConfig keyed;
-    keyed.bins = key.bins;
-    keyed.keys_per_round = key.keys_per_round;
-    keyed.rounds = key.rounds;
-    keyed.skew = key.skew;
-    keyed.seed = key.seed;
-    return reference_uncached(keyed, key.ranks);
+    return reference_uncached(keyed_config(key), key.ranks);
   });
 }
 
 double histogram_imbalance(const HistogramConfig& cfg, int ranks) {
-  return imbalance_of(build_edges(cfg, split_bins(cfg.bins, ranks), ranks));
+  return imbalance_of(*shared_edges(cfg, ranks));
 }
 
 HistogramResult run_histogram(const vgpu::MachineSpec& spec,
@@ -783,7 +805,7 @@ HistogramResult run_histogram(const vgpu::MachineSpec& spec,
                                      cfg.rounds);
   cpufree::apply_fault_stats(res.metrics, machine.faults().stats());
   if (cfg.functional) res.bins = gather(*core);
-  res.imbalance = imbalance_of(core->edges);
+  res.imbalance = imbalance_of(*core->edges);
   return res;
 }
 
@@ -827,7 +849,7 @@ std::vector<double> HistogramCpufreeJob::gather_bins() const {
 }
 
 double HistogramCpufreeJob::imbalance() const {
-  return imbalance_of(impl_->core->edges);
+  return imbalance_of(*impl_->core->edges);
 }
 
 }  // namespace workloads

@@ -5,7 +5,13 @@
 // imbalance the contention figures claim.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <latch>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -13,6 +19,8 @@
 #include "fault/schedule.hpp"
 #include "solvers/sparse_cg.hpp"
 #include "vgpu/costmodel.hpp"
+#include "vgpu/machine.hpp"
+#include "vshmem/world.hpp"
 #include "workloads/histogram/histogram.hpp"
 
 namespace {
@@ -300,6 +308,77 @@ TEST(CsrNnz, MatchesTheBuiltMatrixOnAShapeGrid) {
   EXPECT_EQ(h, 0xfdc4c301737c9f1dull);
 }
 
+/// FNV-1a over a 64-bit word's bytes, low byte first.
+void fnv_word(std::uint64_t& h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 1099511628211ull;
+  }
+}
+
+TEST(SparseReference, ResidualHistoriesArePinned) {
+  // The runs and the reference share one set of kernels, so comparing them
+  // cannot notice a change in accumulation order. These values were
+  // captured from the unfused kernels and pin it independently: one-column
+  // grids (3-entry rows), two-column grids (4-entry rows), ny = 2*ranks,
+  // both imbalances, and a tolerance that breaks early.
+  std::uint64_t h = 1469598103934665603ull;
+  int cases = 0;
+  int early = 0;
+  for (std::size_t nx : {1u, 2u, 3u, 7u}) {
+    for (int ranks = 1; ranks <= 4; ++ranks) {
+      const std::size_t r2 = 2 * static_cast<std::size_t>(ranks);
+      for (std::size_t ny : {r2, r2 + 1, std::size_t{13}}) {
+        for (double imbalance : {1.0, 4.0}) {
+          for (double tolerance : {1e-10, 1e-3}) {
+            solvers::SparseCgConfig cfg;
+            cfg.nx = nx;
+            cfg.ny = ny;
+            cfg.max_iterations = 12;
+            cfg.tolerance = tolerance;
+            cfg.imbalance = imbalance;
+            const solvers::CgResult ref =
+                solvers::sparse_cg_reference(cfg, ranks);
+            fnv_word(h, static_cast<std::uint64_t>(ref.iterations_run));
+            for (double rr : ref.rr_history) {
+              fnv_word(h, std::bit_cast<std::uint64_t>(rr));
+            }
+            if (ref.iterations_run < cfg.max_iterations) ++early;
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 192);
+  EXPECT_GT(early, 0);
+  EXPECT_LT(early, cases);
+  EXPECT_EQ(h, 0x3449a1001c3e584dull);
+}
+
+TEST(SparseReference, SmallResidualHistoryIsSpelledOut) {
+  // 3x6 grid over 2 ranks at imbalance 4 (4 + 2 rows): every rr bit pattern
+  // of the solve, captured from the unfused kernels.
+  solvers::SparseCgConfig cfg;
+  cfg.nx = 3;
+  cfg.ny = 6;
+  cfg.imbalance = 4.0;
+  const solvers::CgResult ref = solvers::sparse_cg_reference(cfg, 2);
+  std::vector<std::uint64_t> bits;
+  for (double rr : ref.rr_history) {
+    bits.push_back(std::bit_cast<std::uint64_t>(rr));
+  }
+  const std::vector<std::uint64_t> expect = {
+      0x402065a6377c5a8aull, 0x3ff56a8a20f8d77eull, 0x3fc830b256c6c216ull,
+      0x3f9610710794f1c2ull, 0x3f6938e943076279ull, 0x3f251093e6c970bbull,
+      0x3eecbd3804ef88f8ull, 0x3ec35376b00401d4ull, 0x3ea1efc0be44b653ull,
+      0x3e53448080d6ba92ull, 0x3e174727a2bbe37full, 0x3dd166bd3ebfd1f8ull};
+  EXPECT_EQ(bits, expect);
+  EXPECT_EQ(ref.iterations_run, static_cast<int>(expect.size()));
+  ASSERT_FALSE(ref.rr_history.empty());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ref.final_rr), expect.back());
+}
+
 TEST(SparseReference, ConvergesLikeDenseCg) {
   // Same operator as the matrix-free CG: with a balanced split the CSR
   // reference must converge in a comparable iteration count.
@@ -392,6 +471,150 @@ TEST(SparseCg, ImbalanceCostsTheBaselineMore) {
   // The CPU-Free variant keeps its absolute advantage under imbalance: the
   // baseline pays the heavy rank AND the per-iteration host round-trips.
   EXPECT_LT(cf_skew, bl_skew);
+}
+
+/// Runs `body`, which must throw std::invalid_argument naming nx, the rows
+/// and the rank of a slice too wide for 32-bit CSR.
+template <class Fn>
+void expect_csr_overflow(const char* entry, Fn&& body) {
+  try {
+    body();
+    ADD_FAILURE() << entry << ": expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("nx 2147483648"), std::string::npos) << entry << what;
+    EXPECT_NE(what.find("rank 0"), std::string::npos) << entry << what;
+    EXPECT_NE(what.find("4 rows"), std::string::npos) << entry << what;
+  }
+}
+
+TEST(SparseCg, RejectsSlicesThatOverflow32BitCsr) {
+  // 6 halo-extended rows of 2^31 columns: every entry point must reject
+  // the shape from the row split alone, before allocating a vector (one
+  // would need about 100 GB) — and the operator memo must not cache it.
+  solvers::SparseCgConfig cfg = small_sparse(1.0);
+  cfg.nx = std::size_t{1} << 31;
+  cfg.ny = 4;
+  EXPECT_NE(solvers::csr_overflow(cfg, 1), "");
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    expect_csr_overflow("sparse_operator",
+                        [&] { (void)solvers::sparse_operator(cfg, 1); });
+  }
+  expect_csr_overflow("sparse_cg_reference",
+                      [&] { (void)solvers::sparse_cg_reference(cfg, 1); });
+  for (const Plan& plan : {sparse_cpufree_plan(), sparse_baseline_plan()}) {
+    expect_csr_overflow("run_sparse_cg", [&] {
+      (void)solvers::run_sparse_cg(MachineSpec::hgx_a100(1), cfg, plan);
+    });
+  }
+  cfg.functional = false;  // timing-only runs share the bound
+  expect_csr_overflow("run_sparse_cg timing-only", [&] {
+    (void)solvers::run_sparse_cg(MachineSpec::hgx_a100(1), cfg,
+                                 sparse_cpufree_plan());
+  });
+  expect_csr_overflow("SparseCgCpufreeJob", [&] {
+    vgpu::Machine machine(MachineSpec::hgx_a100(1));
+    vshmem::World world(machine);
+    solvers::SparseCgCpufreeJob job(machine, world, cfg);
+  });
+}
+
+TEST(SparseCsr, BoundIsExactAtUint32Max) {
+  // One rank of 3 rows has a (3+2)*nx layout and 13*nx - 6 nonzeros, so
+  // the nonzeros set the bound: nx = 330382100 is the widest grid whose
+  // count stays at or below UINT32_MAX = 4294967295.
+  constexpr std::size_t kMax = 4294967295u;
+  solvers::SparseCgConfig cfg;
+  cfg.ny = 3;
+  cfg.nx = kMax / 5 + 1;
+  EXPECT_NE(solvers::csr_overflow(cfg, 1).find("3 rows"), std::string::npos);
+  cfg.nx = 330382100;
+  EXPECT_EQ(solvers::csr_overflow(cfg, 1), "");
+  cfg.nx = 330382101;
+  EXPECT_NE(solvers::csr_overflow(cfg, 1), "");
+  cfg.nx = std::numeric_limits<std::size_t>::max();
+  EXPECT_NE(solvers::csr_overflow(cfg, 1), "");
+  cfg.nx = 0;
+  EXPECT_EQ(solvers::csr_overflow(cfg, 1), "");
+}
+
+TEST(SparseCsr, OperatorMatchesTheRowSplit) {
+  const solvers::SparseCgConfig cfg = small_sparse(4.0);
+  const auto op = solvers::sparse_operator(cfg, 4);
+  const auto rows = solvers::split_rows_weighted(cfg.ny, 4, cfg.imbalance);
+  ASSERT_EQ(op->size(), rows.size());
+  std::size_t off = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const solvers::CsrSlice& s = (*op)[r];
+    EXPECT_EQ(s.rows, rows[r]);
+    EXPECT_EQ(s.offset, off);
+    EXPECT_EQ(s.nnz, solvers::csr_rank_nnz(rows[r], off, cfg.nx, cfg.ny));
+    EXPECT_EQ(s.cols.size(), s.nnz);
+    EXPECT_EQ(s.vals.size(), s.nnz);
+    ASSERT_EQ(s.row_ptr.size(), s.rows * s.nx + 1);
+    EXPECT_EQ(s.row_ptr.back(), s.nnz);
+    off += rows[r];
+  }
+  EXPECT_EQ(solvers::sparse_operator(cfg, 4), op) << "one build per key";
+}
+
+TEST(SharedGeometry, ConcurrentReadersMatchSerialRunsAndReferences) {
+  // Four threads at once run both sparse CG plans and the histogram over
+  // one shared operator and one shared edge table; every result must equal
+  // a serial run and the reference bitwise.
+  const solvers::SparseCgConfig scfg = small_sparse(4.0);
+  HistogramConfig hcfg = small_hist();
+  hcfg.skew = 2;
+  const MachineSpec spec = MachineSpec::hgx_a100(4);
+  constexpr int kThreads = 4;
+  constexpr int kJobs = 3;  // cpufree sparse, baseline sparse, histogram
+  std::vector<solvers::CgResult> sparse(kThreads * 2);
+  std::vector<HistogramResult> hist(kThreads);
+  {
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        start.arrive_and_wait();
+        for (int k = 0; k < kJobs; ++k) {
+          const int j = (i + k) % kJobs;  // each thread starts elsewhere
+          if (j == 2) {
+            hist[static_cast<std::size_t>(i)] =
+                workloads::run_histogram(spec, hcfg, hist_plans()[4]);
+          } else {
+            sparse[static_cast<std::size_t>(2 * i + j)] =
+                solvers::run_sparse_cg(spec, scfg,
+                                       j == 0 ? sparse_cpufree_plan()
+                                              : sparse_baseline_plan());
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  const solvers::CgResult ref = solvers::sparse_cg_reference(scfg, 4);
+  const solvers::CgResult serial[] = {
+      solvers::run_sparse_cg(spec, scfg, sparse_cpufree_plan()),
+      solvers::run_sparse_cg(spec, scfg, sparse_baseline_plan())};
+  const std::vector<double> hist_ref = workloads::histogram_reference(hcfg, 4);
+  const HistogramResult hist_serial =
+      workloads::run_histogram(spec, hcfg, hist_plans()[4]);
+  EXPECT_EQ(hist_serial.bins, hist_ref);
+  for (int i = 0; i < kThreads; ++i) {
+    for (int j = 0; j < 2; ++j) {
+      const solvers::CgResult& got = sparse[static_cast<std::size_t>(2 * i + j)];
+      EXPECT_EQ(got.rr_history, ref.rr_history) << "thread " << i;
+      EXPECT_EQ(got.rr_history, serial[j].rr_history) << "thread " << i;
+      EXPECT_EQ(got.iterations_run, ref.iterations_run) << "thread " << i;
+      EXPECT_EQ(got.metrics.total_ms(), serial[j].metrics.total_ms())
+          << "thread " << i;
+    }
+    const HistogramResult& h = hist[static_cast<std::size_t>(i)];
+    EXPECT_EQ(h.bins, hist_ref) << "thread " << i;
+    EXPECT_EQ(h.imbalance, hist_serial.imbalance) << "thread " << i;
+    EXPECT_EQ(h.metrics.total_ms(), hist_serial.metrics.total_ms())
+        << "thread " << i;
+  }
 }
 
 TEST(SparseCg, RejectsUnsupportedPlansNamingTheComponent) {

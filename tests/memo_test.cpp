@@ -1,10 +1,11 @@
 // Reference-memo suite (`ctest -L irregular`): sim::Memo computes each key
 // once per process even when sweep workers ask for it concurrently, never
 // caches a failure, and hands out independent copies; the histogram and
-// sparse-CG references key on exactly the fields they read plus the rank
-// count.
+// sparse-CG references, the shared sparse operator and the shared histogram
+// edge table key on exactly the fields they read plus the rank count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -200,6 +201,124 @@ TEST(ReferenceMemo, SparseRunOptionsLeaveTheReferenceIdentical) {
     Cfg cfg = base_sparse();
     e.apply(cfg);
     EXPECT_TRUE(same(solvers::sparse_cg_reference(cfg, 4), ref)) << e.field;
+  }
+}
+
+bool same(const solvers::SparseOperator& a, const solvers::SparseOperator& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    const solvers::CsrSlice& x = a[r];
+    const solvers::CsrSlice& y = b[r];
+    if (x.rows != y.rows || x.offset != y.offset || x.nx != y.nx ||
+        x.row_ptr != y.row_ptr || x.cols != y.cols || x.vals != y.vals) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(OperatorMemo, KeyedFieldsChangeTheOperator) {
+  using Cfg = solvers::SparseCgConfig;
+  const auto op = solvers::sparse_operator(base_sparse(), 4);
+  const Edit<Cfg> edits[] = {
+      {"nx", [](Cfg& c) { c.nx = 20; }},
+      {"ny", [](Cfg& c) { c.ny = 28; }},
+      {"imbalance", [](Cfg& c) { c.imbalance = 1.0; }},
+  };
+  for (const Edit<Cfg>& e : edits) {
+    Cfg cfg = base_sparse();
+    e.apply(cfg);
+    EXPECT_FALSE(same(*solvers::sparse_operator(cfg, 4), *op)) << e.field;
+  }
+  EXPECT_FALSE(same(*solvers::sparse_operator(base_sparse(), 2), *op))
+      << "ranks";
+}
+
+TEST(OperatorMemo, OtherFieldsShareOneOperator) {
+  // Not just equal: the very same instance, built once for the key.
+  using Cfg = solvers::SparseCgConfig;
+  const auto op = solvers::sparse_operator(base_sparse(), 4);
+  sim::Observer observer;
+  const Edit<Cfg> edits[] = {
+      {"functional", [](Cfg& c) { c.functional = false; }},
+      {"trace", [](Cfg& c) { c.trace = false; }},
+      {"threads_per_block", [](Cfg& c) { c.threads_per_block = 128; }},
+      {"persistent_blocks", [](Cfg& c) { c.persistent_blocks = 3; }},
+      {"observer", [&observer](Cfg& c) { c.observer = &observer; }},
+      {"job_label", [](Cfg& c) { c.job_label = "j2:t1:sparse_cg"; }},
+      {"max_iterations", [](Cfg& c) { c.max_iterations = 30; }},
+      {"tolerance", [](Cfg& c) { c.tolerance = 1e-2; }},
+  };
+  for (const Edit<Cfg>& e : edits) {
+    Cfg cfg = base_sparse();
+    e.apply(cfg);
+    EXPECT_EQ(solvers::sparse_operator(cfg, 4), op) << e.field;
+  }
+}
+
+/// Key-order accumulation of the same streams, and the per-owner key counts
+/// behind the imbalance factor: both independent of the edge table.
+struct Naive {
+  std::vector<double> bins;
+  double imbalance = 1.0;
+};
+
+Naive naive_histogram(const workloads::HistogramConfig& cfg, int ranks) {
+  Naive out;
+  out.bins.assign(cfg.bins, 0.0);
+  const auto n = static_cast<std::size_t>(ranks);
+  std::vector<std::size_t> counts(n, 0);
+  for (int t = 1; t <= cfg.rounds; ++t) {
+    for (int pe = 0; pe < ranks; ++pe) {
+      for (std::size_t i = 0; i < cfg.keys_per_round; ++i) {
+        const std::size_t bin = workloads::histogram_key_bin(cfg, pe, t, i);
+        out.bins[bin] += workloads::histogram_key_weight(cfg, pe, t, i);
+        // Slab owner split: base bins each, the remainder to the low owners.
+        const std::size_t base = cfg.bins / n;
+        const std::size_t big = cfg.bins % n;
+        const std::size_t owner = bin < big * (base + 1)
+                                      ? bin / (base + 1)
+                                      : big + (bin - big * (base + 1)) / base;
+        ++counts[owner];
+      }
+    }
+  }
+  double total = 0.0, peak = 0.0;
+  for (std::size_t c : counts) {
+    total += static_cast<double>(c);
+    peak = std::max(peak, static_cast<double>(c));
+  }
+  out.imbalance = peak / (total / static_cast<double>(n));
+  return out;
+}
+
+TEST(EdgeTableMemo, EveryKeyedFieldReachesTheSharedTable) {
+  // Runs and the reference read one shared edge table per key, so a key
+  // that missed a field would hand both the same stale table and they would
+  // still agree. Check each keyed field against tallies that never read it.
+  using Cfg = workloads::HistogramConfig;
+  const Edit<Cfg> edits[] = {
+      {"base", [](Cfg&) {}},
+      {"bins", [](Cfg& c) { c.bins = 101; }},
+      {"keys_per_round", [](Cfg& c) { c.keys_per_round = 500; }},
+      {"rounds", [](Cfg& c) { c.rounds = 3; }},
+      {"skew", [](Cfg& c) { c.skew = 0; }},
+      {"seed", [](Cfg& c) { c.seed = 43; }},
+  };
+  for (int ranks : {3, 4}) {
+    for (const Edit<Cfg>& e : edits) {
+      Cfg cfg = base_hist();
+      e.apply(cfg);
+      const Naive naive = naive_histogram(cfg, ranks);
+      const std::vector<double> ref = workloads::histogram_reference(cfg, ranks);
+      ASSERT_EQ(ref.size(), naive.bins.size()) << e.field;
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_NEAR(ref[i], naive.bins[i], 1e-12 * (1.0 + naive.bins[i]))
+            << e.field << " ranks " << ranks << " bin " << i;
+      }
+      EXPECT_EQ(workloads::histogram_imbalance(cfg, ranks), naive.imbalance)
+          << e.field << " ranks " << ranks;
+    }
   }
 }
 

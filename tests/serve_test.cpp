@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "serve/server.hpp"
+#include "serve/workload.hpp"
 #include "vgpu/costmodel.hpp"
 
 namespace {
@@ -321,6 +322,28 @@ TEST(Serve, IrregularSpecsAreValidated) {
   EXPECT_NE(rep.jobs[1].out.detail.find("two rows per device"),
             std::string::npos)
       << rep.jobs[1].out.detail;
+}
+
+TEST(Serve, SparseJobsOverflowing32BitCsrAreRejectedWithAReason) {
+  // 6 halo-extended rows of 2^31 columns overflow 32-bit CSR indices: the
+  // job is rejected at submission, before anything is allocated for it.
+  std::vector<JobSpec> jobs;
+  JobSpec wide = job(0, "a", JobKind::kSparseCg, 1, 16, 4);
+  wide.nx = std::size_t{1} << 31;
+  wide.ny = 4;
+  jobs.push_back(wide);
+  jobs.push_back(job(1, "b", JobKind::kSparseCg, 2, 16, 4));
+  EXPECT_NE(serve::validate(wide).find("32-bit"), std::string::npos)
+      << serve::validate(wide);
+
+  ServeConfig cfg = open_loop_config(vgpu::MachineSpec::hgx_a100(2));
+  const ServeReport rep = serve::run_serve(cfg, jobs);
+  EXPECT_EQ(rep.fleet.rejected, 1);
+  EXPECT_EQ(rep.fleet.verified, 1);
+  EXPECT_EQ(rep.jobs[0].out.detail.rfind("rejected:", 0), 0u)
+      << rep.jobs[0].out.detail;
+  EXPECT_NE(rep.jobs[0].out.detail.find("nx 2147483648"), std::string::npos)
+      << rep.jobs[0].out.detail;
 }
 
 TEST(Serve, InfeasibleJobsAreRejectedNotWedged) {

@@ -2,8 +2,10 @@
 // primitives, trace analysis, and run statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -393,13 +395,143 @@ TEST(Trace, ZeroLengthIntervalsIgnored) {
   EXPECT_TRUE(tr.intervals().empty());
 }
 
+/// Strict reader for the JSON grammar (RFC 8259): whether a document
+/// parses, and every string it decodes, in document order.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view doc) : s_(doc) {}
+
+  bool parse() {
+    ws();
+    if (!value()) return false;
+    ws();
+    return i_ == s_.size();
+  }
+  std::vector<std::string> strings;
+
+ private:
+  bool eat(char c) {
+    if (i_ < s_.size() && s_[i_] == c) {
+      ++i_;
+      return true;
+    }
+    return false;
+  }
+  void ws() {
+    while (i_ < s_.size() && std::string_view(" \t\n\r").find(s_[i_]) !=
+                                 std::string_view::npos) {
+      ++i_;
+    }
+  }
+  bool value() {
+    if (i_ >= s_.size()) return false;
+    if (s_[i_] == '{') return members('}', true);
+    if (s_[i_] == '[') return members(']', false);
+    if (s_[i_] == '"') return string();
+    for (std::string_view lit : {"true", "false", "null"}) {
+      if (s_.substr(i_, lit.size()) == lit) {
+        i_ += lit.size();
+        return true;
+      }
+    }
+    return number();
+  }
+  /// An object (`keyed`) or array body after its opening bracket.
+  bool members(char close, bool keyed) {
+    ++i_;
+    ws();
+    if (eat(close)) return true;
+    for (;;) {
+      ws();
+      if (keyed) {
+        if (!string()) return false;
+        ws();
+        if (!eat(':')) return false;
+        ws();
+      }
+      if (!value()) return false;
+      ws();
+      if (eat(close)) return true;
+      if (!eat(',')) return false;
+    }
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    std::string out;
+    while (i_ < s_.size()) {
+      const char c = s_[i_++];
+      if (c == '"') {
+        strings.push_back(out);
+        return true;
+      }
+      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (i_ >= s_.size()) return false;
+      const char e = s_[i_++];
+      const std::string_view from = "\"\\/bfnrt";
+      const std::string_view to = "\"\\/\b\f\n\r\t";
+      if (const auto k = from.find(e); k != std::string_view::npos) {
+        out += to[k];
+      } else if (e == 'u' && i_ + 4 <= s_.size()) {
+        unsigned code = 0;
+        for (int d = 0; d < 4; ++d) {
+          const char h = s_[i_++];
+          const auto v = std::string_view("0123456789abcdef").find(
+              static_cast<char>(h | 0x20));
+          if (v == std::string_view::npos) return false;
+          code = code * 16 + static_cast<unsigned>(v);
+        }
+        if (code >= 0x80) return false;  // only ASCII escapes are expected
+        out += static_cast<char>(code);
+      } else {
+        return false;
+      }
+    }
+    return false;
+  }
+  bool number() {
+    const std::size_t start = i_;
+    eat('-');
+    auto digits = [this] {
+      const std::size_t from = i_;
+      while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') ++i_;
+      return i_ > from;
+    };
+    if (!digits()) return false;
+    if (eat('.') && !digits()) return false;
+    if (eat('e') || eat('E')) {
+      if (!eat('+')) eat('-');
+      if (!digits()) return false;
+    }
+    return i_ > start;
+  }
+
+  std::string_view s_;
+  std::size_t i_ = 0;
+};
+
 TEST(Trace, ChromeJsonContainsEvents) {
   sim::Trace tr;
   tr.record(Cat::kCompute, 2, 1, 1000, 3000, "stencil");
+  // A quote, a backslash, a newline and a control byte in one name, and an
+  // unnamed interval, which takes its category's name.
+  const std::string odd = "job \"a\"\\step\nx\x01y";
+  tr.record(Cat::kComm, 0, 0, 0, 500, odd);
+  tr.record(Cat::kSync, -1, 0, 100, 200);
   const std::string json = tr.to_chrome_json();
   EXPECT_NE(json.find("\"stencil\""), std::string::npos);
   EXPECT_NE(json.find("\"pid\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"dur\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"sync\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\\u0001"), std::string::npos) << json;
+  // The whole trace parses, and the odd name decodes back to itself.
+  JsonReader reader(json);
+  ASSERT_TRUE(reader.parse()) << json;
+  EXPECT_NE(std::find(reader.strings.begin(), reader.strings.end(), odd),
+            reader.strings.end());
 }
 
 TEST(Trace, OverlapRatioZeroWhenNoIntervals) {
