@@ -393,6 +393,25 @@ sim::Task run_device_persistent(vshmem::World& w, ProgramData& data,
   const int size = w.n_pes();
   const int resident_threads = opt.persistent_blocks * opt.threads_per_block;
   cpufree::IterationProtocol proto(w, data.signals());
+  // Sender-side completion. A signaled put reads its source when it is
+  // delivered, and apply_mpi_to_nvshmem dropped the Waitall that made an
+  // Isend's buffer reusable. So a map that overwrites an array some signaled
+  // put reads first quiets this PE's puts still on the wire.
+  std::set<std::string> put_sources;
+  for (const State& st : sdfg.body) {
+    for (const Node& node : st.nodes) {
+      const auto* lib = std::get_if<LibraryNode>(&node);
+      if (lib != nullptr && lib->kind == LibKind::kNvshmemPutmemSignal) {
+        put_sources.insert(lib->array);
+      }
+    }
+  }
+  auto overwrites_put_source = [&put_sources](const MapNode& map) {
+    return std::any_of(map.writes.begin(), map.writes.end(),
+                       [&put_sources](const std::string& a) {
+                         return put_sources.count(a) != 0;
+                       });
+  };
   for (int t = 1; t <= iters; ++t) {
     for (std::size_t si = 0; si < sdfg.body.size(); ++si) {
       const State& st = sdfg.body[si];
@@ -411,6 +430,9 @@ sim::Task run_device_persistent(vshmem::World& w, ProgramData& data,
       }
       for (const Node& node : st.nodes) {
         if (const auto* map = std::get_if<MapNode>(&node)) {
+          if (w.outstanding_nbi(rank) > 0 && overwrites_put_source(*map)) {
+            co_await w.quiet(k);
+          }
           const double tiling = cpufree::software_tiling_efficiency(
               map->points, resident_threads);
           const double bytes = map->points * map->bytes_per_point / tiling;

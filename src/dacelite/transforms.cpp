@@ -239,6 +239,9 @@ int apply_mpi_to_nvshmem(Sdfg& sdfg) {
         case LibKind::kMpiWaitall:
         case LibKind::kMpiBarrier:
           // Superseded by the granular flag-based synchronization (§6.2.1).
+          // Waitall's other guarantee, that a send buffer may be reused,
+          // moves to the persistent backend: it quiets in-flight puts before
+          // a map overwrites their source (run_device_persistent).
           ++changed;
           break;
         default:

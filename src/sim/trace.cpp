@@ -52,76 +52,33 @@ void Trace::append(std::vector<Interval> more) {
   std::move(more.begin(), more.end(), std::back_inserter(intervals_));
 }
 
-std::vector<std::pair<Nanos, Nanos>> Trace::merged(Cat cat,
-                                                   std::int32_t device) const {
-  std::vector<std::pair<Nanos, Nanos>> spans;
-  for (const Interval& iv : intervals_) {
-    if (iv.cat != cat) continue;
-    if (device != -2 && iv.device != device) continue;
-    spans.emplace_back(iv.begin, iv.end);
-  }
+void merge_spans(Spans& spans) {
   std::sort(spans.begin(), spans.end());
-  std::vector<std::pair<Nanos, Nanos>> out;
+  std::size_t n = 0;
   for (const auto& s : spans) {
-    if (!out.empty() && s.first <= out.back().second) {
-      out.back().second = std::max(out.back().second, s.second);
+    if (n > 0 && s.first <= spans[n - 1].second) {
+      spans[n - 1].second = std::max(spans[n - 1].second, s.second);
     } else {
-      out.push_back(s);
+      spans[n++] = s;
     }
   }
-  return out;
+  spans.resize(n);
 }
 
-Nanos Trace::union_length(Cat cat, std::int32_t device) const {
+Nanos spans_length(const Spans& merged) {
   Nanos total = 0;
-  for (const auto& [b, e] : merged(cat, device)) total += e - b;
+  for (const auto& [b, e] : merged) total += e - b;
   return total;
 }
 
-std::vector<std::pair<Nanos, Nanos>> Trace::merged_any(
-    std::initializer_list<Cat> cats, std::int32_t device) const {
-  std::vector<std::pair<Nanos, Nanos>> spans;
-  for (const Interval& iv : intervals_) {
-    bool match = false;
-    for (Cat c : cats) {
-      if (iv.cat == c) {
-        match = true;
-        break;
-      }
-    }
-    if (!match) continue;
-    if (device != -2 && iv.device != device) continue;
-    spans.emplace_back(iv.begin, iv.end);
-  }
-  std::sort(spans.begin(), spans.end());
-  std::vector<std::pair<Nanos, Nanos>> out;
-  for (const auto& sp : spans) {
-    if (!out.empty() && sp.first <= out.back().second) {
-      out.back().second = std::max(out.back().second, sp.second);
-    } else {
-      out.push_back(sp);
-    }
-  }
-  return out;
-}
-
-Nanos Trace::union_length_any(std::initializer_list<Cat> cats,
-                              std::int32_t device) const {
-  Nanos total = 0;
-  for (const auto& [b, e] : merged_any(cats, device)) total += e - b;
-  return total;
-}
-
-Nanos Trace::overlap_length(Cat a, Cat b, std::int32_t device) const {
-  const auto ua = merged(a, device);
-  const auto ub = merged(b, device);
+Nanos spans_overlap(const Spans& a, const Spans& b) {
   Nanos total = 0;
   std::size_t i = 0, j = 0;
-  while (i < ua.size() && j < ub.size()) {
-    const Nanos lo = std::max(ua[i].first, ub[j].first);
-    const Nanos hi = std::min(ua[i].second, ub[j].second);
+  while (i < a.size() && j < b.size()) {
+    const Nanos lo = std::max(a[i].first, b[j].first);
+    const Nanos hi = std::min(a[i].second, b[j].second);
     if (lo < hi) total += hi - lo;
-    if (ua[i].second < ub[j].second) {
+    if (a[i].second < b[j].second) {
       ++i;
     } else {
       ++j;
@@ -130,10 +87,45 @@ Nanos Trace::overlap_length(Cat a, Cat b, std::int32_t device) const {
   return total;
 }
 
+Spans Trace::merged(std::initializer_list<Cat> cats,
+                    std::int32_t device) const {
+  Spans spans;
+  for (const Interval& iv : intervals_) {
+    if (device != -2 && iv.device != device) continue;
+    if (std::find(cats.begin(), cats.end(), iv.cat) == cats.end()) continue;
+    spans.emplace_back(iv.begin, iv.end);
+  }
+  merge_spans(spans);
+  return spans;
+}
+
+std::array<Spans, kCatCount> Trace::merged_by_cat() const {
+  std::array<Spans, kCatCount> by_cat;
+  for (const Interval& iv : intervals_) {
+    by_cat[static_cast<std::size_t>(iv.cat)].emplace_back(iv.begin, iv.end);
+  }
+  for (Spans& spans : by_cat) merge_spans(spans);
+  return by_cat;
+}
+
+Nanos Trace::union_length(Cat cat, std::int32_t device) const {
+  return spans_length(merged({cat}, device));
+}
+
+Nanos Trace::union_length_any(std::initializer_list<Cat> cats,
+                              std::int32_t device) const {
+  return spans_length(merged(cats, device));
+}
+
+Nanos Trace::overlap_length(Cat a, Cat b, std::int32_t device) const {
+  return spans_overlap(merged({a}, device), merged({b}, device));
+}
+
 double Trace::overlap_ratio(Cat a, Cat b, std::int32_t device) const {
-  const Nanos len = union_length(a, device);
+  const Spans ua = merged({a}, device);
+  const Nanos len = spans_length(ua);
   if (len == 0) return 0.0;
-  return static_cast<double>(overlap_length(a, b, device)) /
+  return static_cast<double>(spans_overlap(ua, merged({b}, device))) /
          static_cast<double>(len);
 }
 

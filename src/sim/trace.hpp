@@ -8,10 +8,12 @@
 // of communication hidden under compute.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -27,7 +29,22 @@ enum class Cat : std::uint8_t {
   kOther,
 };
 
+/// Number of categories: Cat values index arrays of this size.
+inline constexpr std::size_t kCatCount =
+    static_cast<std::size_t>(Cat::kOther) + 1;
+
 [[nodiscard]] const char* cat_name(Cat c) noexcept;
+
+/// Half-open [begin, end) time spans.
+using Spans = std::vector<std::pair<Nanos, Nanos>>;
+
+/// Sorts `spans` and coalesces overlapping or touching ones in place, so the
+/// result is sorted and disjoint ("merged").
+void merge_spans(Spans& spans);
+/// Total length of merged spans.
+[[nodiscard]] Nanos spans_length(const Spans& merged);
+/// Length of the intersection of two merged span lists.
+[[nodiscard]] Nanos spans_overlap(const Spans& a, const Spans& b);
 
 struct Interval {
   Cat cat = Cat::kOther;
@@ -97,6 +114,11 @@ class Trace {
   /// `a` intervals exist.
   [[nodiscard]] double overlap_ratio(Cat a, Cat b, std::int32_t device = -2) const;
 
+  /// Merged spans of every category across all devices, indexed by Cat:
+  /// one pass over the intervals and one sort per category, for callers
+  /// that need several of the unions above.
+  [[nodiscard]] std::array<Spans, kCatCount> merged_by_cat() const;
+
   /// Serializes the trace in Chrome `chrome://tracing` JSON array format so
   /// timelines analogous to the paper's Nsight figures can be inspected.
   [[nodiscard]] std::string to_chrome_json() const;
@@ -107,11 +129,9 @@ class Trace {
   [[nodiscard]] std::string summary(Nanos total) const;
 
  private:
-  /// Merged, sorted union of intervals matching (cat, device).
-  [[nodiscard]] std::vector<std::pair<Nanos, Nanos>> merged(
-      Cat cat, std::int32_t device) const;
-  [[nodiscard]] std::vector<std::pair<Nanos, Nanos>> merged_any(
-      std::initializer_list<Cat> cats, std::int32_t device) const;
+  /// Merged spans of the intervals in any of `cats` on `device` (-2: all).
+  [[nodiscard]] Spans merged(std::initializer_list<Cat> cats,
+                             std::int32_t device) const;
 
   std::vector<Interval> intervals_;
   /// Thread that first recorded; default-constructed id == unowned.

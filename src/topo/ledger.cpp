@@ -12,9 +12,9 @@ namespace {
 
 // Bytes below this are "drained" (absorbs float error from rate * dt folds).
 constexpr double kEpsBytes = 1e-6;
-// Transient rate markers used inside one recompute() pass.
+// Transient rate marker: a draining flight not yet frozen in this
+// recompute() pass.
 constexpr double kUnfrozen = -1.0;
-constexpr double kPending = -2.0;
 
 }  // namespace
 
@@ -23,7 +23,10 @@ LinkLedger::LinkLedger(sim::Engine& engine, const Topology& topo,
     : engine_(&engine),
       topo_(&topo),
       faults_(faults),
-      exclusive_busy_until_(topo.links.size(), 0) {}
+      exclusive_busy_until_(topo.links.size(), 0),
+      link_flights_(topo.links.size(), 0),
+      residual_(topo.links.size(), 0.0),
+      unfrozen_(topo.links.size(), 0) {}
 
 double LinkLedger::faulty_scale(int li, sim::Nanos at) {
   if (faults_ == nullptr || !faults_->enabled()) return 1.0;
@@ -34,7 +37,7 @@ double LinkLedger::faulty_scale(int li, sim::Nanos at) {
       // Machine-level fault: no single actor timeline owns a link window, so
       // the actor slot stays invalid and `what` names the wire.
       o->on_fault(sim::Actor{}, fault::site_name(fault::Site::kLinkWindow),
-                  topo_->links[static_cast<std::size_t>(li)].name);
+                  link(li).name);
     }
   }
   return s;
@@ -45,8 +48,7 @@ sim::Nanos LinkLedger::reserve_exclusive(const Route& route, double bytes,
                                          std::string_view what) {
   sim::Nanos start = earliest_start;
   for (int li : route.links) {
-    if (topo_->links[static_cast<std::size_t>(li)].policy ==
-        LinkPolicy::kExclusive) {
+    if (link(li).policy == LinkPolicy::kExclusive) {
       start = std::max(start, exclusive_busy_until_[static_cast<std::size_t>(li)]);
     }
   }
@@ -61,16 +63,15 @@ sim::Nanos LinkLedger::reserve_exclusive(const Route& route, double bytes,
   const sim::Nanos dur = bytes <= 0.0 ? 0 : sim::ceil_nanos(bytes / bw);
   const sim::Nanos end = start + dur;
   for (int li : route.links) {
-    if (topo_->links[static_cast<std::size_t>(li)].policy ==
-        LinkPolicy::kExclusive) {
+    if (link(li).policy == LinkPolicy::kExclusive) {
       exclusive_busy_until_[static_cast<std::size_t>(li)] = end;
     }
   }
   if (sim::Observer* o = engine_->observer()) {
     const std::uint64_t id = next_id_++;
     for (int li : route.links) {
-      o->on_link_busy(id, topo_->links[static_cast<std::size_t>(li)].name,
-                      /*concurrent=*/1, start - earliest_start, what);
+      o->on_link_busy(id, link(li).name, /*concurrent=*/1,
+                      start - earliest_start, what);
     }
     // The release is pure observation at the wire end; the caller's own
     // completion delay always reaches or passes that instant, so simulated
@@ -79,9 +80,7 @@ sim::Nanos LinkLedger::reserve_exclusive(const Route& route, double bytes,
         [this, id, links = route.links] {
           if (sim::Observer* obs = engine_->observer()) {
             for (int li : links) {
-              obs->on_link_release(
-                  id, topo_->links[static_cast<std::size_t>(li)].name,
-                  /*concurrent=*/0);
+              obs->on_link_release(id, link(li).name, /*concurrent=*/0);
             }
           }
         },
@@ -101,46 +100,35 @@ sim::Task LinkLedger::wire_shared(const Route& route, double bytes,
   co_await engine_->global_gate();
   const sim::Nanos now = engine_->now();
   fold(now);
-  auto f = std::make_shared<Flight>(*engine_);
-  f->id = next_id_++;
-  f->route = &route;
-  f->remaining = bytes;
+  Flight f(*engine_);
+  f.id = next_id_++;
+  f.route = &route;
+  f.remaining = bytes;
   for (int li : route.links) {
-    const Link& l = topo_->links[static_cast<std::size_t>(li)];
+    ++link_flights_[static_cast<std::size_t>(li)];
+    const Link& l = link(li);
     if (l.policy == LinkPolicy::kUnlimited &&
-        (f->cap == 0.0 || l.bw_gbps < f->cap)) {
-      f->cap = l.bw_gbps;
+        (f.cap == 0.0 || l.bw_gbps < f.cap)) {
+      f.cap = l.bw_gbps;
     }
   }
-  flights_.emplace(f->id, f);
+  flights_.push_back(&f);
   if (sim::Observer* o = engine_->observer()) {
     for (int li : route.links) {
-      o->on_link_busy(f->id, topo_->links[static_cast<std::size_t>(li)].name,
-                      flights_on_link(li), /*queued_ns=*/0, what);
+      o->on_link_busy(f.id, link(li).name,
+                      link_flights_[static_cast<std::size_t>(li)],
+                      /*queued_ns=*/0, what);
     }
   }
   recompute(now);
   reschedule(now);
-  co_await f->done.wait_geq(1);
-}
-
-int LinkLedger::flights_on_link(int li) const {
-  int n = 0;
-  for (const auto& [id, f] : flights_) {
-    for (int rl : f->route->links) {
-      if (rl == li) {
-        ++n;
-        break;
-      }
-    }
-  }
-  return n;
+  co_await f.done.wait_geq(1);
 }
 
 void LinkLedger::fold(sim::Nanos now) {
   const double dt = static_cast<double>(now - last_fold_);
   if (dt > 0.0) {
-    for (auto& [id, f] : flights_) {
+    for (Flight* f : flights_) {
       f->remaining = std::max(0.0, f->remaining - f->rate * dt);
     }
   }
@@ -149,91 +137,101 @@ void LinkLedger::fold(sim::Nanos now) {
 
 void LinkLedger::recompute(sim::Nanos now) {
   // Max-min water-filling over flights that still have bytes on the wire.
-  std::vector<Flight*> draining;
-  for (auto& [id, f] : flights_) {
-    if (f->remaining > kEpsBytes) {
-      f->rate = kUnfrozen;
-      draining.push_back(f.get());
-    } else {
-      f->rate = 0.0;
-    }
-  }
   // Contended capacity per link (kShared; kExclusive treated the same on the
-  // rare mixed route) and its draining users. std::map iterates in link-id
-  // order, which fixes every tie-break below.
-  std::map<int, double> residual;
-  std::map<int, std::vector<Flight*>> users;
-  for (Flight* f : draining) {
+  // rare mixed route) is read once, at the link's first draining user.
+  draining_.clear();
+  used_links_.clear();
+  for (Flight* f : flights_) {
+    if (f->remaining <= kEpsBytes) {
+      f->rate = 0.0;
+      continue;
+    }
+    f->rate = kUnfrozen;
+    draining_.push_back(f);
     for (int li : f->route->links) {
-      if (topo_->links[static_cast<std::size_t>(li)].policy ==
-          LinkPolicy::kUnlimited) {
-        continue;
+      const Link& l = link(li);
+      if (l.policy == LinkPolicy::kUnlimited) continue;
+      const auto i = static_cast<std::size_t>(li);
+      if (unfrozen_[i]++ == 0) {
+        used_links_.push_back(li);
+        residual_[i] = l.bw_gbps * faulty_scale(li, now);
       }
-      residual.emplace(li, topo_->links[static_cast<std::size_t>(li)].bw_gbps *
-                               faulty_scale(li, now));
-      users[li].push_back(f);
     }
   }
-  std::size_t unfrozen = draining.size();
+  std::sort(used_links_.begin(), used_links_.end());
+  std::size_t unfrozen = draining_.size();
   while (unfrozen > 0) {
     // The next bottleneck: smallest equal-split share over any contended
     // link, or the smallest per-flight kUnlimited cap, whichever binds first.
     double share = std::numeric_limits<double>::infinity();
-    for (const auto& [li, fl] : users) {
-      int cnt = 0;
-      for (Flight* f : fl) cnt += f->rate == kUnfrozen ? 1 : 0;
-      if (cnt > 0) share = std::min(share, residual[li] / cnt);
+    for (int li : used_links_) {
+      const auto i = static_cast<std::size_t>(li);
+      if (unfrozen_[i] > 0) {
+        share = std::min(share, residual_[i] / unfrozen_[i]);
+      }
     }
-    for (Flight* f : draining) {
+    for (Flight* f : draining_) {
       if (f->rate == kUnfrozen && f->cap > 0.0) share = std::min(share, f->cap);
     }
     // Freeze every flight pinned by a constraint at the bottleneck share.
+    // Counts and residuals only change after the marking, so the frozen set
+    // does not depend on the order flights or links are visited in.
     const double lim = share * (1.0 + 1e-12);
-    std::vector<Flight*> freeze;
-    auto mark = [&freeze](Flight* f) {
-      if (f->rate == kUnfrozen) {
-        f->rate = kPending;
-        freeze.push_back(f);
-      }
+    freeze_.clear();
+    auto bottleneck = [this, lim](int li) {
+      const auto i = static_cast<std::size_t>(li);
+      return link(li).policy != LinkPolicy::kUnlimited &&
+             residual_[i] / unfrozen_[i] <= lim;
     };
-    for (const auto& [li, fl] : users) {
-      int cnt = 0;
-      for (Flight* f : fl) {
-        cnt += (f->rate == kUnfrozen || f->rate == kPending) ? 1 : 0;
-      }
-      if (cnt > 0 && residual[li] / cnt <= lim) {
-        for (Flight* f : fl) mark(f);
+    for (Flight* f : draining_) {
+      if (f->rate != kUnfrozen) continue;
+      const std::vector<int>& links = f->route->links;
+      if ((f->cap > 0.0 && f->cap <= lim) ||
+          std::any_of(links.begin(), links.end(), bottleneck)) {
+        freeze_.push_back(f);
       }
     }
-    for (Flight* f : draining) {
-      if (f->rate == kUnfrozen && f->cap > 0.0 && f->cap <= lim) mark(f);
-    }
-    if (freeze.empty()) {
+    if (freeze_.empty()) {
       // Numerical backstop; unreachable for exact-arithmetic inputs.
-      for (Flight* f : draining) mark(f);
+      for (Flight* f : draining_) {
+        if (f->rate == kUnfrozen) freeze_.push_back(f);
+      }
     }
-    for (Flight* f : freeze) {
+    // Every frozen flight takes the same share from each of its links, so
+    // the order of the subtractions leaves every residual unchanged.
+    for (Flight* f : freeze_) {
       f->rate = share;
       for (int li : f->route->links) {
-        auto it = residual.find(li);
-        if (it != residual.end()) it->second = std::max(0.0, it->second - share);
+        if (link(li).policy == LinkPolicy::kUnlimited) continue;
+        const auto i = static_cast<std::size_t>(li);
+        residual_[i] = std::max(0.0, residual_[i] - share);
+        --unfrozen_[i];
       }
       --unfrozen;
     }
   }
   // Finish times, clamped FIFO per ordered (src, dst) pair in admission
   // order: a later transfer of a pair never lands before an earlier one.
-  std::map<std::pair<int, int>, sim::Nanos> pair_fin;
-  for (auto& [id, f] : flights_) {
+  pair_finish_.clear();
+  for (Flight* f : flights_) {
     sim::Nanos fin = now;
     if (f->remaining > kEpsBytes) {
       fin = now + sim::ceil_nanos(f->remaining / f->rate);
     } else {
       f->remaining = 0.0;
     }
-    sim::Nanos& last = pair_fin[{f->route->src, f->route->dst}];
-    fin = std::max(fin, last);
-    last = fin;
+    const int src = f->route->src;
+    const int dst = f->route->dst;
+    auto it = std::find_if(pair_finish_.begin(), pair_finish_.end(),
+                           [src, dst](const PairFinish& p) {
+                             return p.src == src && p.dst == dst;
+                           });
+    if (it == pair_finish_.end()) {
+      pair_finish_.push_back(PairFinish{src, dst, fin});
+    } else {
+      fin = std::max(fin, it->last);
+      it->last = fin;
+    }
     f->finish_at = fin;
   }
 }
@@ -245,7 +243,7 @@ void LinkLedger::reschedule(sim::Nanos now) {
     return;
   }
   sim::Nanos next = std::numeric_limits<sim::Nanos>::max();
-  for (const auto& [id, f] : flights_) next = std::min(next, f->finish_at);
+  for (const Flight* f : flights_) next = std::min(next, f->finish_at);
   if (wake_.armed() && wake_at_ == next) return;
   wake_.cancel();
   // Coordinator timer under sharding: the completion wake touches flights
@@ -259,21 +257,25 @@ void LinkLedger::on_wake() {
   const sim::Nanos now = engine_->now();
   wake_at_ = -1;
   fold(now);
-  std::vector<std::shared_ptr<Flight>> landed;
-  for (auto it = flights_.begin(); it != flights_.end();) {
-    if (it->second->finish_at <= now) {
-      landed.push_back(it->second);
-      it = flights_.erase(it);
+  // Compact the table in place, keeping admission order.
+  landed_.clear();
+  std::size_t kept = 0;
+  for (Flight* f : flights_) {
+    if (f->finish_at <= now) {
+      landed_.push_back(f);
+      for (int li : f->route->links) {
+        --link_flights_[static_cast<std::size_t>(li)];
+      }
     } else {
-      ++it;
+      flights_[kept++] = f;
     }
   }
+  flights_.resize(kept);
   if (sim::Observer* o = engine_->observer()) {
-    for (const auto& f : landed) {
+    for (const Flight* f : landed_) {
       for (int li : f->route->links) {
-        o->on_link_release(f->id,
-                           topo_->links[static_cast<std::size_t>(li)].name,
-                           flights_on_link(li));
+        o->on_link_release(f->id, link(li).name,
+                           link_flights_[static_cast<std::size_t>(li)]);
       }
     }
   }
@@ -281,7 +283,7 @@ void LinkLedger::on_wake() {
   reschedule(now);
   // Wake the transfers last, with the ledger already consistent; they resume
   // through the event queue at the current instant, in admission order.
-  for (const auto& f : landed) f->done.set(1);
+  for (Flight* f : landed_) f->done.set(1);
 }
 
 }  // namespace topo

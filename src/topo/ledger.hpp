@@ -32,10 +32,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "fault/schedule.hpp"
@@ -60,6 +57,10 @@ class LinkLedger {
   /// progressive-filling path all agree.
   LinkLedger(sim::Engine& engine, const Topology& topo,
              fault::Schedule* faults = nullptr);
+  // The completion timer captures `this`, and the flight table points into
+  // live coroutine frames.
+  LinkLedger(const LinkLedger&) = delete;
+  LinkLedger& operator=(const LinkLedger&) = delete;
 
   /// Closed-form reservation for an uncontended route. The wire slot starts
   /// at `earliest_start` or when every kExclusive link on the route is free,
@@ -83,6 +84,10 @@ class LinkLedger {
   }
 
  private:
+  /// One transfer on the progressive-filling path. It lives in its own
+  /// wire_shared coroutine frame: on_wake removes a landed flight from the
+  /// table before setting `done`, and the coroutine resumes only later,
+  /// through the event queue, so the table never holds a dead frame.
   struct Flight {
     std::uint64_t id = 0;
     const Route* route = nullptr;
@@ -93,18 +98,25 @@ class LinkLedger {
     sim::Flag done;
     explicit Flight(sim::Engine& e) : done(e, 0) {}
   };
+  /// Latest finish so far of an ordered (src, dst) pair in one recompute.
+  struct PairFinish {
+    int src = -1;
+    int dst = -1;
+    sim::Nanos last = 0;
+  };
 
+  [[nodiscard]] const Link& link(int li) const {
+    return topo_->links[static_cast<std::size_t>(li)];
+  }
   /// Advances every flight's `remaining` to `now` at its current rate.
   void fold(sim::Nanos now);
   /// Max-min water-filling over all draining flights, then per-flight finish
-  /// times with the per-pair FIFO clamp. Deterministic: links are visited in
-  /// index order, flights in admission order.
+  /// times with the per-pair FIFO clamp. Deterministic: admission order
+  /// breaks every tie, and contended links are visited in id order.
   void recompute(sim::Nanos now);
   /// Re-arms the completion timer at the earliest flight finish.
   void reschedule(sim::Nanos now);
   void on_wake();
-  /// Flights currently occupying link `li` (for observer concurrency counts).
-  [[nodiscard]] int flights_on_link(int li) const;
   /// Fault-plane bandwidth multiplier for link `li` at `at` (1.0 when no
   /// schedule is attached or the window is healthy). Publishes on_fault and
   /// counts the injection once per (link, window).
@@ -114,11 +126,24 @@ class LinkLedger {
   const Topology* topo_;
   fault::Schedule* faults_;
   std::vector<sim::Nanos> exclusive_busy_until_;  // per link id
-  std::map<std::uint64_t, std::shared_ptr<Flight>> flights_;  // admission order
+  std::vector<Flight*> flights_;                  // admission order
+  std::vector<int> link_flights_;  // per link id: flights whose route uses it
   std::uint64_t next_id_ = 0;
   sim::Nanos last_fold_ = 0;  // time flights' `remaining` was last advanced to
   sim::TimerToken wake_;
   sim::Nanos wake_at_ = -1;
+
+  // Scratch of recompute() and on_wake(): cleared and refilled on every
+  // call, never shrunk, so steady state allocates nothing.
+  std::vector<double> residual_;  // per link id: capacity not yet handed out
+  /// Per link id: draining flights on it not yet frozen. Zero for every link
+  /// between recomputes (each pass freezes every flight it counted).
+  std::vector<int> unfrozen_;
+  std::vector<int> used_links_;  // contended links of draining flights, by id
+  std::vector<Flight*> draining_;
+  std::vector<Flight*> freeze_;
+  std::vector<PairFinish> pair_finish_;
+  std::vector<Flight*> landed_;
 };
 
 }  // namespace topo

@@ -317,7 +317,9 @@ class World {
   /// nvshmem_sync_all: barrier without completion guarantee for nbi ops.
   sim::Task sync_all(vgpu::KernelCtx& ctx);
 
-  /// Outstanding (issued but incomplete) nbi ops for a PE; for tests.
+  /// Outstanding (issued but incomplete) nbi ops for a PE. Nonzero means a
+  /// quiet() would wait; dacelite's persistent backend checks it before
+  /// overwriting a put's source.
   [[nodiscard]] std::int64_t outstanding_nbi(int pe) const;
 
  private:

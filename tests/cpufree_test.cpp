@@ -3,8 +3,11 @@
 // protocol, the persistent multi-GPU launcher, and run metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cpufree/halo.hpp"
@@ -12,6 +15,7 @@
 #include "cpufree/metrics.hpp"
 #include "cpufree/partition.hpp"
 #include "cpufree/perks.hpp"
+#include "sim/rng.hpp"
 #include "test_machines.hpp"
 #include "vgpu/machine.hpp"
 #include "vshmem/world.hpp"
@@ -333,6 +337,105 @@ TEST(Metrics, JsonEmitsExactNanosAndRatios) {
   EXPECT_NE(json.find("\"overlap_ratio\":0.5"), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
+}
+
+// --- Trace analysis over generated traces ------------------------------------
+
+// A trace of up to 48 raw intervals (appended, not recorded, so zero-length
+// spans reach the analysis) over every category and devices -1..2: fresh
+// spans, exact duplicates of the previous span, spans nested inside it and
+// spans touching its end. Seed 0 draws the empty trace.
+sim::Trace generated_trace(std::uint64_t seed) {
+  auto u = [seed](std::uint64_t i, std::uint64_t field) {
+    return sim::stream_uniform(seed, 0x7ace, i, field);
+  };
+  auto pick = [&u](std::uint64_t i, std::uint64_t field, int n) {
+    return static_cast<int>(u(i, field) * n);
+  };
+  const int n = seed == 0 ? 0 : 1 + pick(0, 0, 48);
+  std::vector<sim::Interval> ivs;
+  for (int i = 1; i <= n; ++i) {
+    const auto k = static_cast<std::uint64_t>(i);
+    sim::Interval iv;
+    iv.cat = static_cast<sim::Cat>(pick(k, 1, 6));
+    iv.device = pick(k, 2, 4) - 1;
+    const double shape = u(k, 3);
+    const sim::Interval* prev = ivs.empty() ? nullptr : &ivs.back();
+    if (prev != nullptr && shape < 0.15) {
+      iv.begin = prev->begin;
+      iv.end = prev->end;
+    } else if (prev != nullptr && shape < 0.3) {
+      const Nanos quarter = (prev->end - prev->begin) / 4;
+      iv.begin = prev->begin + quarter;
+      iv.end = prev->end - quarter;
+    } else if (prev != nullptr && shape < 0.45) {
+      iv.begin = prev->end;
+      iv.end = iv.begin + 1 + pick(k, 4, 300);
+    } else {
+      iv.begin = pick(k, 5, 2000);
+      iv.end = iv.begin + (u(k, 6) < 0.15 ? 0 : 1 + pick(k, 4, 300));
+    }
+    ivs.push_back(iv);
+  }
+  sim::Trace tr;
+  tr.append(std::move(ivs));
+  return tr;
+}
+
+// analyze_run spelled out with one per-call Trace query per field.
+cpufree::RunMetrics analyze_per_call(const sim::Trace& tr, Nanos total,
+                                     std::int64_t iterations) {
+  using sim::Cat;
+  cpufree::RunMetrics m;
+  m.total = total;
+  m.per_iteration = iterations > 0 ? total / iterations : total;
+  m.comm = tr.union_length(Cat::kComm);
+  m.compute = tr.union_length(Cat::kCompute);
+  m.sync = tr.union_length(Cat::kSync);
+  m.host_api = tr.union_length(Cat::kHostApi);
+  m.comm_hidden = tr.overlap_length(Cat::kComm, Cat::kCompute);
+  m.overlap_ratio = tr.overlap_ratio(Cat::kComm, Cat::kCompute);
+  m.comm_fraction =
+      total > 0 ? static_cast<double>(m.comm) / static_cast<double>(total) : 0.0;
+  m.noncompute_fraction =
+      total > 0
+          ? 1.0 - static_cast<double>(m.compute) / static_cast<double>(total)
+          : 0.0;
+  const Nanos noncompute =
+      tr.union_length_any({Cat::kComm, Cat::kSync, Cat::kHostApi});
+  if (noncompute > 0 && total > 0) {
+    const Nanos covered =
+        std::clamp<Nanos>(m.compute + noncompute - total, 0, noncompute);
+    m.hidden_comm_ratio =
+        static_cast<double>(covered) / static_cast<double>(noncompute);
+  }
+  return m;
+}
+
+// Every field of analyze_run equals the per-call queries on 400 generated
+// traces and several run lengths each, and the whole set reproduces the
+// digest captured before analyze_run bucketed the trace in one pass.
+TEST(Metrics, AnalyzeRunMatchesPerCallQueriesOnGeneratedTraces) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    const sim::Trace tr = generated_trace(seed);
+    Nanos last = 0;
+    for (const sim::Interval& iv : tr.intervals()) {
+      last = std::max(last, iv.end);
+    }
+    for (const Nanos total : {Nanos{0}, last / 2, last, 2 * last + 7}) {
+      const auto iterations = static_cast<std::int64_t>(seed % 5);
+      const std::string got =
+          cpufree::to_json(cpufree::analyze_run(tr, total, iterations));
+      ASSERT_EQ(got, cpufree::to_json(analyze_per_call(tr, total, iterations)))
+          << "seed " << seed << " total " << total;
+      for (const char c : got) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x951fb4c0d7484420ull) << std::hex << h;
 }
 
 }  // namespace

@@ -537,6 +537,32 @@ TEST_P(DaceSkewSweep, PersistentProtocolCorrectUnderTimingSkew) {
 
 INSTANTIATE_TEST_SUITE_P(Skew, DaceSkewSweep, ::testing::Values(2, 4, 8));
 
+// Directed link skew: every lane from a lower to a higher rank runs 1000x
+// slower than the machine's link, so rank 0's row put to rank 1 is still on
+// the wire when rank 0 reaches copy_back and overwrites that row of A. The
+// MPI->NVSHMEM port dropped the Waitall that made the send buffer reusable;
+// the persistent backend must still deliver the row it put, not the next
+// iteration's.
+TEST_F(DaceSkewSweep, PutSourceSurvivesDirectedLinkSkew) {
+  vgpu::MachineSpec spec = hgx(2);
+  spec.topology = vgpu::resolve_topology(spec);
+  for (topo::Link& l : spec.topology.links) {
+    if (l.name == "nvl:gpu0>gpu1") l.bw_gbps = spec.link.bw_gbps / 1000.0;
+  }
+  auto prog = dacelite::make_jacobi2d(48, 2, 10);
+  dacelite::to_cpu_free(prog.sdfg);
+  vgpu::Machine m(spec);
+  vshmem::World w(m);
+  ProgramData data(w, prog.sdfg, true);
+  dacelite::execute_persistent(m, w, data, prog.sdfg, ExecOptions{});
+  const std::vector<double> got = prog.gather(data);
+  const std::vector<double> want = prog.reference(10);
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t wrong = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) wrong += got[i] != want[i];
+  EXPECT_EQ(wrong, 0u);
+}
+
 TEST(Determinism, GeneratedProgramsAreReproducible) {
   auto run_once = [] {
     auto prog = dacelite::make_jacobi2d(24, 4, 3);

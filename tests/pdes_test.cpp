@@ -18,6 +18,7 @@
 #include "dacelite/exec.hpp"
 #include "dacelite/frontend.hpp"
 #include "dacelite/transforms.hpp"
+#include "ledger_scenarios.hpp"
 #include "sim/engine.hpp"
 #include "sim/pdes.hpp"
 #include "sim/sync.hpp"
@@ -191,6 +192,34 @@ TEST(PdesIdentity, CheckerCleanAndNonPerturbingUnderSharding) {
   const std::string golden = run(1, false);
   EXPECT_EQ(run(4, false), golden);
   EXPECT_EQ(run(4, true), golden) << "checker perturbed a sharded run";
+}
+
+TEST(PdesIdentity, LedgerScenariosMatchSerialAtFourShards) {
+  // topo_test's generated ledger scenarios under the sharded engine:
+  // admissions cross into the serialized phase and completion wakes run on
+  // the coordinator, so every completion instant must equal the serial
+  // run's. The draws stay inside what the sharded engine orders exactly:
+  //  * Sparse scenarios of flights at least one lookahead window long. The
+  //    serialized phase runs a window's admissions back to back, so a dense
+  //    scenario can see one admission pull another flight's landing into
+  //    the already-drained part of the window; that wake then fires after a
+  //    later admission and the two engines diverge.
+  //  * Link windows on the PCIe tree only. Its routes are all contended, so
+  //    every fault-schedule consult happens in the serialized phase; the
+  //    cluster's exclusive lanes would consult it from shard threads.
+  using ledger_scenarios::Box;
+  for (const Box box : {Box::kCappedPcieTree, Box::kMultiNode}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      vgpu::MachineSpec spec = ledger_scenarios::machine(box, seed);
+      if (box == Box::kMultiNode) spec.faults.rate = 0.0;
+      const auto transfers =
+          ledger_scenarios::generate(seed, spec.num_devices, 10, 65536.0);
+      const auto serial = ledger_scenarios::run(spec, transfers);
+      spec.pdes_threads = 4;
+      EXPECT_EQ(ledger_scenarios::run(spec, transfers), serial)
+          << "box=" << static_cast<int>(box) << " seed=" << seed;
+    }
+  }
 }
 
 // --- TimerToken lifecycle under both engines ---------------------------------

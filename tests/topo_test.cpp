@@ -1,6 +1,6 @@
-// Topology layer tests: routes, link contention, multi-node costing, and the
-// observer's link-occupancy stream. Carries the `topo` CTest label so CI can
-// gate on it standalone (`ctest -L topo`).
+// Topology layer tests: routes, link contention, multi-node costing, the
+// observer's link-occupancy stream, and pinned ledger arithmetic. Carries the
+// `topo` CTest label so CI can gate on it standalone (`ctest -L topo`).
 //
 // The contention numbers are hand-derived from the progressive-filling rules
 // in src/topo/ledger.hpp with the default LinkSpec latencies (device put
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "exec/comm.hpp"
+#include "ledger_scenarios.hpp"
 #include "sim/observe.hpp"
 #include "topo/ledger.hpp"
 #include "topo/router.hpp"
@@ -276,6 +277,99 @@ TEST(TopoObserver, ExclusiveLanesReportQueueing) {
   // FIFO lane, unchanged flat-model timing.
   EXPECT_EQ(a, 3000);
   EXPECT_EQ(b, 4000);
+}
+
+// --- Pinned ledger arithmetic ------------------------------------------------
+
+sim::Task wire_at(sim::Engine& e, topo::LinkLedger& ledger,
+                  const topo::Route& r, double bytes, Nanos& done_at) {
+  co_await ledger.wire_shared(r, bytes, 0, "wire");
+  done_at = e.now();
+}
+
+// Three devices behind one switch: up0 (0 -> sw) is a 10 GB/s shared link,
+// up1 (1 -> sw) an 8 GB/s kUnlimited link (a rate cap that never contends),
+// dn2 (sw -> 2) a 20 GB/s shared link. Spelled out by hand from the
+// water-filling rules:
+//  * t=0, A (0->2, 100000 B), B (1->2, 100000 B), C (0->2, 1000 B), D (0->2,
+//    0 B) are admitted in that order; D never enters the ledger.
+//  * Round 1: dn2 offers 20/3, up0 offers 10/2 = 5, B's cap is 8; the
+//    bottleneck 5 freezes A and C. Round 2: dn2 has 10 left for B alone,
+//    B's cap 8 binds. A would finish at 20000, C drains at 200 but is
+//    clamped behind A (same pair), B finishes at 12500.
+//  * t=12500, B lands: A has 37500 B left and now owns up0 (10 GB/s), so it
+//    finishes at 16250; C (drained) stays clamped behind A.
+TEST(TopoLedger, SpelledOutCapRefillAndPairClamp) {
+  topo::Topology t;
+  for (int i = 0; i < 3; ++i) t.add_device("gpu" + std::to_string(i));
+  const int sw = t.add_node(topo::NodeKind::kSwitch, "sw");
+  t.add_link(t.device_nodes[0], sw, 10.0, 0, topo::LinkPolicy::kShared, "up0");
+  t.add_link(t.device_nodes[1], sw, 8.0, 0, topo::LinkPolicy::kUnlimited,
+             "up1");
+  t.add_link(sw, t.device_nodes[2], 20.0, 0, topo::LinkPolicy::kShared, "dn2");
+  const topo::Router router(t);
+  sim::Engine e;
+  LinkLog log;
+  e.set_observer(&log);
+  topo::LinkLedger ledger(e, t);
+  const topo::Route& r02 = router.route(0, 2);
+  const topo::Route& r12 = router.route(1, 2);
+  ASSERT_TRUE(r02.contended);
+  ASSERT_TRUE(r12.contended);
+  Nanos a = -1;
+  Nanos b = -1;
+  Nanos c = -1;
+  Nanos d = -1;
+  e.spawn(wire_at(e, ledger, r02, 100000.0, a));
+  e.spawn(wire_at(e, ledger, r12, 100000.0, b));
+  e.spawn(wire_at(e, ledger, r02, 1000.0, c));
+  e.spawn(wire_at(e, ledger, r02, 0.0, d));
+  e.run();
+  EXPECT_EQ(d, 0);
+  EXPECT_EQ(b, 12500);
+  EXPECT_EQ(a, 16250);
+  EXPECT_EQ(c, 16250);
+  EXPECT_EQ(ledger.active_flights(), 0u);
+  EXPECT_EQ(log.busy,
+            (std::vector<std::string>{"up0#1+0", "dn2#1+0", "up1#1+0",
+                                      "dn2#2+0", "up0#2+0", "dn2#3+0"}));
+  // Releases count the flights left after every simultaneous landing.
+  EXPECT_EQ(log.releases,
+            (std::vector<std::string>{"up1#0", "dn2#2", "up0#0", "dn2#0",
+                                      "up0#0", "dn2#0"}));
+}
+
+// Generated contended scenarios (tests/ledger_scenarios.hpp) on the capped
+// PCIe tree and the 2x4 cluster under link-degradation and flap windows:
+// every completion instant and the observer's link and fault streams must
+// reproduce the digest captured before the ledger's scratch rewrite.
+TEST(TopoLedger, GeneratedScenariosMatchThePinnedDigest) {
+  using ledger_scenarios::Box;
+  std::uint64_t h = ledger_scenarios::kFnvBasis;
+  int events = 0;
+  int faults = 0;
+  for (const Box box : {Box::kCappedPcieTree, Box::kMultiNode}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const auto spec = ledger_scenarios::machine(box, seed);
+      const auto transfers =
+          ledger_scenarios::generate(seed, spec.num_devices, 160);
+      ledger_scenarios::LinkHasher obs;
+      const auto done = ledger_scenarios::run(spec, transfers, &obs);
+      // Observation is timing-neutral.
+      EXPECT_EQ(ledger_scenarios::run(spec, transfers), done);
+      for (const Nanos at : done) {
+        ASSERT_GE(at, 0);
+        ledger_scenarios::fnv_word(h, static_cast<std::uint64_t>(at));
+      }
+      ledger_scenarios::fnv_word(h, obs.h);
+      events += obs.events;
+      faults += obs.faults;
+    }
+  }
+  // The scenarios must actually contend and fault.
+  EXPECT_GT(events, 1000);
+  EXPECT_GT(faults, 10);
+  EXPECT_EQ(h, 0x9bfa321fd43cc8b0ull) << std::hex << h;
 }
 
 }  // namespace
