@@ -408,7 +408,11 @@ std::string validate(const JobSpec& spec) {
       cfg.nx = spec.nx;
       cfg.ny = spec.ny;
       cfg.imbalance = spec.imbalance;
-      return solvers::csr_overflow(cfg, spec.devices);
+      try {
+        return solvers::csr_overflow(cfg, spec.devices);
+      } catch (const std::invalid_argument& e) {
+        return e.what();  // an imbalance no row split can weight
+      }
     }
   }
   return {};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <compare>
 #include <cstdint>
@@ -50,56 +51,10 @@ double spmv_bytes(const CsrSlice& s) {
          s.points() * kCsrBytesPerRow;
 }
 
-/// Fills `s`'s CSR arrays. Ascending column order per row: up, west, diag,
-/// east, down — the fixed accumulation order every variant and the
-/// reference share.
-void build_csr(CsrSlice& s, std::size_t ny) {
-  s.row_ptr.assign(s.rows * s.nx + 1, 0);
-  s.cols.reserve(s.nnz);
-  s.vals.reserve(s.nnz);
-  auto push = [&s](std::size_t col, double v) {
-    s.cols.push_back(static_cast<std::uint32_t>(col));
-    s.vals.push_back(v);
-  };
-  std::size_t k = 0;
-  for (std::size_t r = 1; r <= s.rows; ++r) {
-    const std::size_t gy = s.offset + r - 1;
-    for (std::size_t j = 0; j < s.nx; ++j) {
-      if (gy > 0) push(s.idx(r - 1, j), -1.0);
-      if (j > 0) push(s.idx(r, j - 1), -1.0);
-      push(s.idx(r, j), 4.0);
-      if (j + 1 < s.nx) push(s.idx(r, j + 1), -1.0);
-      if (gy + 1 < ny) push(s.idx(r + 1, j), -1.0);
-      s.row_ptr[++k] = static_cast<std::uint32_t>(s.cols.size());
-    }
-  }
-}
-
-/// Each rank's rows of the weighted split, CSR arrays not built.
-SparseOperator partition(const SparseCgConfig& cfg, int ranks) {
-  if (std::string why = csr_overflow(cfg, ranks); !why.empty()) {
-    throw std::invalid_argument(why);
-  }
-  SparseOperator op;
-  std::size_t off = 0;
-  for (std::size_t rows : split_rows_weighted(cfg.ny, ranks, cfg.imbalance)) {
-    CsrSlice s;
-    s.rows = rows;
-    s.offset = off;
-    s.nx = cfg.nx;
-    s.nnz = csr_rank_nnz(rows, off, cfg.nx, cfg.ny);
-    off += rows;
-    op.push_back(std::move(s));
-  }
-  return op;
-}
-
-/// The slices a run reads: the shared operator for functional runs, the
-/// bare row split for timing-only ones (they charge nnz, never read it).
-std::shared_ptr<const SparseOperator> run_slices(const SparseCgConfig& cfg,
-                                                 int ranks) {
-  if (cfg.functional) return sparse_operator(cfg, ranks);
-  return std::make_shared<const SparseOperator>(partition(cfg, ranks));
+/// `v` in the shortest form that reads back as the same double.
+std::string shortest(double v) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
 }
 
 /// Halo-extended vector length that fits every rank's slice.
@@ -134,6 +89,12 @@ double combine(const std::vector<double>& partials) {
 
 std::vector<std::size_t> split_rows_weighted(std::size_t ny, int ranks,
                                              double imbalance) {
+  if (!std::isfinite(imbalance) || imbalance > kMaxImbalance) {
+    throw std::invalid_argument("sparse CG: imbalance " +
+                                shortest(imbalance) +
+                                " must be finite and at most " +
+                                shortest(kMaxImbalance));
+  }
   const auto n = static_cast<std::size_t>(ranks);
   std::vector<std::size_t> rows(n, 0);
   if (ranks <= 1) {
@@ -229,34 +190,64 @@ std::string csr_overflow(const SparseCgConfig& config, int ranks) {
   return {};
 }
 
+SparseOperator sparse_operator(const SparseCgConfig& config, int ranks) {
+  if (std::string why = csr_overflow(config, ranks); !why.empty()) {
+    throw std::invalid_argument(why);
+  }
+  SparseOperator op;
+  std::size_t off = 0;
+  for (std::size_t rows :
+       split_rows_weighted(config.ny, ranks, config.imbalance)) {
+    op.push_back({rows, off, config.nx, config.ny,
+                  csr_rank_nnz(rows, off, config.nx, config.ny)});
+    off += rows;
+  }
+  return op;
+}
+
 // The kernels walk interior rows 1..rows of the halo-extended layout, which
 // is the flat index range [nx, (rows+1)*nx), and add in that order.
 
 double CsrSlice::spmv_dot(std::span<const double> p,
                           std::span<double> q) const {
-  const std::uint32_t* rp = row_ptr.data();
-  const std::uint32_t* c = cols.data();
-  const double* v = vals.data();
-  const double* pv = p.data();
-  const std::size_t n = rows * nx;
   double pq = 0.0;
-  for (std::size_t row = 0; row < n; ++row) {
-    const std::uint32_t k = rp[row];
-    const std::uint32_t end = rp[row + 1];
-    double acc = 0.0;
-    if (end - k == 5) {
-      // Every interior row: the general loop's five terms in the same
-      // order, unrolled.
-      acc += v[k] * pv[c[k]];
-      acc += v[k + 1] * pv[c[k + 1]];
-      acc += v[k + 2] * pv[c[k + 2]];
-      acc += v[k + 3] * pv[c[k + 3]];
-      acc += v[k + 4] * pv[c[k + 4]];
-    } else {
-      for (std::uint32_t e = k; e < end; ++e) acc += v[e] * pv[c[e]];
+  for (std::size_t r = 1; r <= rows; ++r) {
+    const std::size_t gy = offset + r - 1;
+    const bool has_up = gy > 0;
+    const bool has_down = gy + 1 < ny;
+    const double* up = p.data() + (r - 1) * nx;
+    const double* mid = up + nx;
+    const double* down = mid + nx;
+    double* qr = q.data() + r * nx;
+    // One CSR row's terms in column order. Multiplying by -1 and 4 is exact,
+    // so q and the partial have the bits a stored matrix would give.
+    auto point = [&](std::size_t j) {
+      double acc = 0.0;
+      if (has_up) acc += -1.0 * up[j];
+      if (j > 0) acc += -1.0 * mid[j - 1];
+      acc += 4.0 * mid[j];
+      if (j + 1 < nx) acc += -1.0 * mid[j + 1];
+      if (has_down) acc += -1.0 * down[j];
+      qr[j] = acc;
+      pq += mid[j] * acc;
+    };
+    if (!has_up || !has_down || nx < 3) {
+      for (std::size_t j = 0; j < nx; ++j) point(j);
+      continue;
     }
-    q[nx + row] = acc;
-    pq += pv[nx + row] * acc;
+    // Interior points have all five neighbours: same terms, no branches.
+    point(0);
+    for (std::size_t j = 1; j + 1 < nx; ++j) {
+      double acc = 0.0;
+      acc += -1.0 * up[j];
+      acc += -1.0 * mid[j - 1];
+      acc += 4.0 * mid[j];
+      acc += -1.0 * mid[j + 1];
+      acc += -1.0 * down[j];
+      qr[j] = acc;
+      pq += mid[j] * acc;
+    }
+    point(nx - 1);
   }
   return pq;
 }
@@ -287,42 +278,9 @@ void CsrSlice::p_update(double beta, std::span<const double> r,
 
 namespace {
 
-/// Exactly the config fields the CSR build reads, plus the rank count.
-struct OperatorKey {
-  std::size_t nx;
-  std::size_t ny;
-  std::uint64_t imbalance;  // bit pattern: keeps the key order total
-  int ranks;
-
-  auto operator<=>(const OperatorKey&) const = default;
-};
-
-}  // namespace
-
-std::shared_ptr<const SparseOperator> sparse_operator(
-    const SparseCgConfig& config, int ranks) {
-  static sim::Memo<OperatorKey, std::shared_ptr<const SparseOperator>> memo;
-  const OperatorKey key{config.nx, config.ny,
-                        std::bit_cast<std::uint64_t>(config.imbalance), ranks};
-  return memo.get(key, [&key] {
-    // Built from the key alone, like the references: a field the build
-    // reads but the key lacks would take its default for every caller.
-    SparseCgConfig keyed;
-    keyed.nx = key.nx;
-    keyed.ny = key.ny;
-    keyed.imbalance = std::bit_cast<double>(key.imbalance);
-    SparseOperator op = partition(keyed, key.ranks);
-    for (CsrSlice& s : op) build_csr(s, keyed.ny);
-    return std::make_shared<const SparseOperator>(std::move(op));
-  });
-}
-
-namespace {
-
 /// sparse_cg_reference without the memo.
 CgResult reference_uncached(const SparseCgConfig& cfg, int ranks) {
-  const auto op = sparse_operator(cfg, ranks);
-  const SparseOperator& states = *op;
+  const SparseOperator states = sparse_operator(cfg, ranks);
   const int n = ranks;
   std::vector<std::vector<double>> b(static_cast<std::size_t>(n));
   std::vector<std::vector<double>> x(static_cast<std::size_t>(n));
@@ -445,7 +403,7 @@ struct SparseCgCore {
   vshmem::World* world = nullptr;
   int n = 0;
   int persistent_blocks = 0;
-  std::shared_ptr<const SparseOperator> op;
+  SparseOperator op;
   vshmem::Sym<double> p, x, r, q, b, slots0, slots1;
   std::unique_ptr<vshmem::SignalSet> sig;
   std::size_t top_halo = 0;
@@ -468,8 +426,8 @@ std::unique_ptr<SparseCgCore> make_sparse_core(vshmem::World& world,
   core->n = n;
   core->persistent_blocks = exec::resolve_persistent_blocks(
       cfg.persistent_blocks, spec, cfg.threads_per_block);
-  core->op = run_slices(cfg, n);
-  const SparseOperator& states = *core->op;
+  core->op = sparse_operator(cfg, n);
+  const SparseOperator& states = core->op;
 
   const std::size_t vec_size = cfg.functional ? vector_size(states, cfg.nx) : 1;
   core->p = world.alloc<double>(vec_size, "sp_p");
@@ -530,7 +488,7 @@ exec::ProgramGroups build_sparse_groups(SparseCgCore& core, int dev,
   vshmem::World& world = *core.world;
   const SparseCgConfig& cfg = core.cfg;
   const int n = core.n;
-  const SparseOperator& states = *core.op;
+  const SparseOperator& states = core.op;
   vshmem::Sym<double>& p = core.p;
   vshmem::Sym<double>& x = core.x;
   vshmem::Sym<double>& r = core.r;
@@ -685,10 +643,9 @@ exec::Program make_sparse_program(SparseCgCore& core) {
   throw std::invalid_argument(msg);
 }
 
-CgResult finish_run(vgpu::Machine& machine, int iterations, int iters_run,
-                    double final_rr, const std::vector<double>& history) {
+CgResult finish_run(vgpu::Machine& machine, int iters_run, double final_rr,
+                    const std::vector<double>& history) {
   CgResult res;
-  (void)iterations;
   res.metrics = cpufree::analyze_run(machine.trace(), machine.engine().now(),
                                      iters_run);
   cpufree::apply_fault_stats(res.metrics, machine.faults().stats());
@@ -722,15 +679,14 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
     prm.iterations = cfg.max_iterations;
     prm.threads_per_block = cfg.threads_per_block;
     exec::run_program(prog, plan, prm);
-    return finish_run(machine, cfg.max_iterations, *core->iterations_run,
-                      *core->final_rr, *core->history);
+    return finish_run(machine, *core->iterations_run, *core->final_rr,
+                      *core->history);
   }
 
   // --- Baseline CPU-controlled loop through the generic host driver ---
   hostmpi::Comm comm(machine);
   const int n = machine.num_devices();
-  const auto op = run_slices(cfg, n);
-  const SparseOperator& states = *op;
+  const SparseOperator states = sparse_operator(cfg, n);
   const std::size_t vec_size = cfg.functional ? vector_size(states, cfg.nx) : 1;
   vshmem::Sym<double> p = world.alloc<double>(vec_size, "sp_p");
   vshmem::Sym<double> x = world.alloc<double>(vec_size, "sp_x");
@@ -929,8 +885,7 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
   prm.iterations = cfg.max_iterations;
   prm.threads_per_block = cfg.threads_per_block;
   exec::run_program(prog, plan, prm);
-  return finish_run(machine, cfg.max_iterations, *iterations_run, *final_rr,
-                    *history);
+  return finish_run(machine, *iterations_run, *final_rr, *history);
 }
 
 // --- Externally-driven sparse CG job (multi-tenant serve) ---------------------

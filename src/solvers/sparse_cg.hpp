@@ -1,11 +1,11 @@
 // Sparse SpMV-based Conjugate Gradient with deliberately imbalanced row
 // partitions.
 //
-// Where cg.hpp applies the 5-point Laplacian matrix-free over an even row
-// split, this solver materializes the operator as a per-rank CSR matrix and
-// splits the rows by a WEIGHTED partition: rank 0 receives ~`imbalance`×
-// the rows of the last rank (linear taper, largest-remainder rounding).
-// That makes the per-iteration load irregular two ways:
+// Where cg.hpp applies the 5-point Laplacian over an even row split, this
+// solver charges it as a per-rank 32-bit CSR SpMV and splits the rows by a
+// WEIGHTED partition: rank 0 receives ~`imbalance`x the rows of the last
+// rank (linear taper, largest-remainder rounding). That makes the
+// per-iteration load irregular two ways:
 //
 //  * the SpMV cost is nnz-proportional (boundary rows carry shorter CSR
 //    rows than interior ones), and
@@ -21,12 +21,12 @@
 //  * (host_loop, staged_copy, host_barrier) — CPU-orchestrated loop, MPI
 //    allreduce, host convergence test.
 // Distributed runs are verified bit-for-bit against a serial reference
-// reproducing the same CSR accumulation and reduction order. The reference
-// and every functional run of one shape read one shared, immutable operator
-// (sparse_operator).
+// reproducing the same accumulation and reduction order. The host numerics
+// never store the matrix: the kernels apply the operator matrix-free, adding
+// each row's terms in the CSR column order a device would stream them.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -46,7 +46,8 @@ struct SparseCgConfig {
   double tolerance = 1e-10;
   /// Target row-count ratio between the heaviest rank (rank 0) and the
   /// lightest (the last): weights taper linearly from `imbalance` to 1.
-  /// 1.0 reproduces the even slab split; values < 1 are clamped to 1.
+  /// 1.0 reproduces the even slab split; values < 1 are clamped to 1, and
+  /// values that are not finite or exceed kMaxImbalance are rejected.
   double imbalance = 1.0;
   bool functional = true;  // false: timing-only (no numerics, no verify)
   bool trace = true;
@@ -62,17 +63,26 @@ struct SparseCgConfig {
   std::string job_label;
 };
 
+/// Largest accepted `imbalance`. A rank's share is ny·weight / total weight
+/// with weight <= imbalance, so this bound keeps ny·weight finite for every
+/// size_t ny (1e288·2^64 ≈ 1.8e307 < DBL_MAX), and the weight total over
+/// any int rank count too.
+inline constexpr double kMaxImbalance = 1e288;
+
 /// Weighted row split: rank r's weight tapers linearly from `imbalance`
 /// (r = 0) to 1 (r = ranks-1); rows are apportioned by largest remainder
 /// and every rank keeps at least two rows (stolen from the largest).
-/// Exposed for tests and the bench drivers' imbalance tagging.
+/// Throws std::invalid_argument naming `imbalance` if it is not finite or
+/// exceeds kMaxImbalance; every sparse CG entry point splits through here
+/// first. Exposed for tests and the bench drivers' imbalance tagging.
 [[nodiscard]] std::vector<std::size_t> split_rows_weighted(std::size_t ny,
                                                            int ranks,
                                                            double imbalance);
 
 /// CSR nonzeros of the 5-point operator's grid rows [offset, offset+rows)
 /// on an nx-by-ny grid (offset + rows <= ny), counted from the row geometry
-/// alone. Sizes each rank's CSR and tags the partition imbalance.
+/// alone. Sets each rank's simulated SpMV traffic and tags the partition
+/// imbalance.
 [[nodiscard]] std::size_t csr_rank_nnz(std::size_t rows, std::size_t offset,
                                        std::size_t nx, std::size_t ny);
 
@@ -89,20 +99,19 @@ struct SparseCgConfig {
 [[nodiscard]] std::string csr_overflow(const SparseCgConfig& config,
                                        int ranks);
 
-/// One rank's rows of the 5-point operator in CSR, with column indices into
-/// the rank's LOCAL (rows+2)*nx layout (halo rows 0 and rows+1 included, so
-/// the SpMV needs no index translation). Indices are 32-bit: 12 bytes per
-/// nonzero, what the simulated SpMV charges. Vectors passed to the kernels
-/// use the same layout; each kernel touches interior rows 1..rows only and
-/// adds in grid-row order, the order the reference shares with every run.
+/// One rank's rows of the 5-point operator. The simulated device holds them
+/// as 32-bit CSR (12 bytes per nonzero, what the simulated SpMV charges)
+/// with column indices into the rank's LOCAL (rows+2)*nx layout, halo rows
+/// 0 and rows+1 included. The host kernels take vectors in that layout and
+/// apply the operator matrix-free; each touches interior rows 1..rows only
+/// and adds in grid-row order, the order the reference shares with every
+/// run.
 struct CsrSlice {
   std::size_t rows = 0;
   std::size_t offset = 0;  // first grid row owned
   std::size_t nx = 0;
-  std::size_t nnz = 0;  // csr_rank_nnz, also where the arrays are not built
-  std::vector<std::uint32_t> row_ptr;  // rows*nx + 1 (empty: timing-only)
-  std::vector<std::uint32_t> cols;
-  std::vector<double> vals;
+  std::size_t ny = 0;   // grid rows: row ny-1 has no down neighbour
+  std::size_t nnz = 0;  // csr_rank_nnz
 
   [[nodiscard]] std::size_t idx(std::size_t r, std::size_t j) const {
     return r * nx + j;
@@ -111,8 +120,10 @@ struct CsrSlice {
     return static_cast<double>(rows) * static_cast<double>(nx);
   }
 
-  /// q = A p over the CSR rows (p's halo rows read through the local
-  /// columns); returns dot(p, q).
+  /// q = A p, each row adding its CSR entries' terms in column order: up
+  /// (-1), west (-1), diagonal (4), east (-1), down (-1), skipping the
+  /// neighbours the grid boundary removes. p's halo rows supply the up and
+  /// down terms across ranks. Returns dot(p, q).
   [[nodiscard]] double spmv_dot(std::span<const double> p,
                                 std::span<double> q) const;
   /// x += alpha p, r -= alpha q; returns dot(r, r) of the updated r.
@@ -130,14 +141,14 @@ struct CsrSlice {
 /// Every rank's slice of the operator, in rank order.
 using SparseOperator = std::vector<CsrSlice>;
 
-/// The operator of `config`'s grid under its weighted split over `ranks`.
-/// Built once per process for each (nx, ny, imbalance, ranks) and shared
-/// read-only by the reference and every run and job of that shape; a hit
-/// copies a pointer.
-[[nodiscard]] std::shared_ptr<const SparseOperator> sparse_operator(
-    const SparseCgConfig& config, int ranks);
+/// The operator of `config`'s grid under its weighted split over `ranks`:
+/// each rank's row geometry and nonzero count, O(ranks) to build. Throws
+/// std::invalid_argument with split_rows_weighted's or csr_overflow's
+/// message.
+[[nodiscard]] SparseOperator sparse_operator(const SparseCgConfig& config,
+                                             int ranks);
 
-/// Serial reference with the distributed variants' CSR accumulation and
+/// Serial reference with the distributed variants' accumulation and
 /// rank-ordered reduction, so `ranks`-device runs match bitwise. Computed
 /// once per process for each (nx, ny, max_iterations, tolerance, imbalance,
 /// ranks); every call returns its own copy.

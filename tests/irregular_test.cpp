@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <latch>
 #include <limits>
@@ -13,10 +14,12 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "exec/policy.hpp"
 #include "fault/schedule.hpp"
+#include "sim/rng.hpp"
 #include "solvers/sparse_cg.hpp"
 #include "vgpu/costmodel.hpp"
 #include "vgpu/machine.hpp"
@@ -255,6 +258,106 @@ TEST(WeightedSplit, ImbalanceFactorGrowsWithRatio) {
   EXPECT_GT(skewed, 1.4);
 }
 
+/// Runs `body`, which must throw std::invalid_argument whose message
+/// contains each of `needles`.
+template <class Fn>
+void expect_invalid(const char* entry, const std::vector<std::string>& needles,
+                    Fn&& body) {
+  try {
+    body();
+    ADD_FAILURE() << entry << ": expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    for (const std::string& needle : needles) {
+      EXPECT_NE(what.find(needle), std::string::npos) << entry << ": " << what;
+    }
+  }
+}
+
+TEST(WeightedSplit, RejectsImbalanceNoSplitCanWeight) {
+  // An infinite, NaN or huge ratio used to reach a size_t cast as a NaN or
+  // infinite share. Every entry point rejects it before splitting, naming
+  // the value, on one rank as on four.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<double, std::string> bad[] = {
+      {kInf, "inf"},
+      {-kInf, "-inf"},
+      {std::numeric_limits<double>::quiet_NaN(), "nan"},
+      {1e308, "1e+308"},
+      {2 * solvers::kMaxImbalance, "2e+288"},
+  };
+  for (const auto& [value, text] : bad) {
+    const std::vector<std::string> named{"imbalance " + text +
+                                         " must be finite"};
+    for (int ranks : {1, 4}) {
+      solvers::SparseCgConfig cfg = small_sparse(value);
+      expect_invalid("split_rows_weighted", named, [&] {
+        (void)solvers::split_rows_weighted(cfg.ny, ranks, value);
+      });
+      expect_invalid("csr_overflow", named,
+                     [&] { (void)solvers::csr_overflow(cfg, ranks); });
+      expect_invalid("sparse_partition_imbalance", named, [&] {
+        (void)solvers::sparse_partition_imbalance(cfg, ranks);
+      });
+      expect_invalid("sparse_operator", named, [&] {
+        (void)solvers::sparse_operator(cfg, ranks);
+      });
+      expect_invalid("sparse_cg_reference", named, [&] {
+        (void)solvers::sparse_cg_reference(cfg, ranks);
+      });
+      const MachineSpec spec = MachineSpec::hgx_a100(ranks);
+      for (const Plan& plan : {sparse_cpufree_plan(), sparse_baseline_plan()}) {
+        expect_invalid("run_sparse_cg", named, [&] {
+          (void)solvers::run_sparse_cg(spec, cfg, plan);
+        });
+      }
+      expect_invalid("SparseCgCpufreeJob", named, [&] {
+        vgpu::Machine machine(spec);
+        vshmem::World world(machine);
+        solvers::SparseCgCpufreeJob job(machine, world, cfg);
+      });
+      cfg.functional = false;
+      expect_invalid("run_sparse_cg timing-only", named, [&] {
+        (void)solvers::run_sparse_cg(spec, cfg, sparse_cpufree_plan());
+      });
+    }
+  }
+}
+
+TEST(WeightedSplit, EveryUsableImbalanceKeepsItsSplit) {
+  // The bound itself is accepted, and finite values below 1 still clamp
+  // to 1.
+  EXPECT_EQ(solvers::split_rows_weighted(61, 4, solvers::kMaxImbalance),
+            (std::vector<std::size_t>{29, 20, 10, 2}));
+  const auto even = solvers::split_rows_weighted(61, 4, 1.0);
+  for (double below : {0.5, 0.0, -0.0, -3.0, -1e300,
+                       std::numeric_limits<double>::denorm_min()}) {
+    EXPECT_EQ(solvers::split_rows_weighted(61, 4, below), even) << below;
+  }
+  // FNV-1a over the splits of 285 (imbalance, ranks, ny) cases, captured
+  // before the bound existed: a finite value up to it keeps its split.
+  std::uint64_t h = 1469598103934665603ull;
+  int cases = 0;
+  for (double imbalance : {-1e300, -3.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 1.5,
+                           4.0, 7.5, 1e3, 1e9, 0x1p52, 0x1p53, 1e16, 1e17,
+                           1e100, 1e200, 1e288}) {
+    for (int ranks : {1, 2, 3, 4, 8}) {
+      for (std::size_t ny : {16u, 61u, 1000u}) {
+        for (std::size_t v : solvers::split_rows_weighted(ny, ranks,
+                                                          imbalance)) {
+          for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 1099511628211ull;
+          }
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 285);
+  EXPECT_EQ(h, 0xa7dbcc8648d9db5cull);
+}
+
 /// Per-rank CSR nonzeros from csr_rank_nnz over the rows of one weighted
 /// split.
 std::vector<std::size_t> rank_nnz(std::size_t nx, std::size_t ny, int ranks,
@@ -379,6 +482,115 @@ TEST(SparseReference, SmallResidualHistoryIsSpelledOut) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(ref.final_rr), expect.back());
 }
 
+/// Test-only CSR oracle: the stored matrix the solver used to build, with
+/// each row's entries in ascending column order (up, west, diagonal, east,
+/// down) and columns indexing the slice's halo-extended layout.
+struct CsrMatrix {
+  std::vector<std::uint32_t> row_ptr{0};
+  std::vector<std::uint32_t> cols;
+  std::vector<double> vals;
+};
+
+CsrMatrix build_csr(const solvers::CsrSlice& s) {
+  CsrMatrix m;
+  auto push = [&m](std::size_t col, double v) {
+    m.cols.push_back(static_cast<std::uint32_t>(col));
+    m.vals.push_back(v);
+  };
+  for (std::size_t r = 1; r <= s.rows; ++r) {
+    const std::size_t gy = s.offset + r - 1;
+    for (std::size_t j = 0; j < s.nx; ++j) {
+      if (gy > 0) push(s.idx(r - 1, j), -1.0);
+      if (j > 0) push(s.idx(r, j - 1), -1.0);
+      push(s.idx(r, j), 4.0);
+      if (j + 1 < s.nx) push(s.idx(r, j + 1), -1.0);
+      if (gy + 1 < s.ny) push(s.idx(r + 1, j), -1.0);
+      m.row_ptr.push_back(static_cast<std::uint32_t>(m.cols.size()));
+    }
+  }
+  return m;
+}
+
+/// The general CSR loop over `m`'s rows: q = A p, then dot(p, q) in row
+/// order.
+double csr_spmv_dot(const CsrMatrix& m, std::size_t nx,
+                    const std::vector<double>& p, std::vector<double>& q) {
+  double pq = 0.0;
+  for (std::size_t row = 0; row + 1 < m.row_ptr.size(); ++row) {
+    double acc = 0.0;
+    for (std::uint32_t e = m.row_ptr[row]; e < m.row_ptr[row + 1]; ++e) {
+      acc += m.vals[e] * p[m.cols[e]];
+    }
+    q[nx + row] = acc;
+    pq += p[nx + row] * acc;
+  }
+  return pq;
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (double d : v) out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
+}
+
+TEST(SparseKernel, MatchesTheCsrOracleBitwise) {
+  // The matrix-free spmv_dot against the stored matrix's general loop on
+  // every slice of the pinned-history shapes: every q entry (halo rows
+  // included, which neither may write) and dot(p, q) must have the oracle's
+  // bits, so -0.0 and +0.0 differ, and the slice's simulated nonzero count
+  // must be the matrix's. p, halo rows included, mixes signed
+  // zeros with uniform draws of both signs over a range of magnitudes; a
+  // second fill of signed zeros alone makes every sign rule show.
+  int slices = 0;
+  for (std::size_t nx : {1u, 2u, 3u, 7u}) {
+    for (int ranks = 1; ranks <= 4; ++ranks) {
+      const std::size_t r2 = 2 * static_cast<std::size_t>(ranks);
+      for (std::size_t ny : {r2, r2 + 1, std::size_t{13}}) {
+        for (double imbalance : {1.0, 4.0}) {
+          solvers::SparseCgConfig cfg;
+          cfg.nx = nx;
+          cfg.ny = ny;
+          cfg.imbalance = imbalance;
+          for (const solvers::CsrSlice& s :
+               solvers::sparse_operator(cfg, ranks)) {
+            const auto id = static_cast<std::uint64_t>(slices++);
+            const CsrMatrix csr = build_csr(s);
+            EXPECT_EQ(csr.cols.size(), s.nnz) << "nx=" << nx << " ny=" << ny;
+            for (std::uint64_t kinds : {4u, 2u}) {
+              std::vector<double> p((s.rows + 2) * nx);
+              for (std::size_t i = 0; i < p.size(); ++i) {
+                const double u = sim::stream_uniform(16, id, i, kinds);
+                const std::uint64_t draw = sim::stream_mix(16, id, i, 1);
+                const int exp = static_cast<int>((draw >> 8) % 41) - 20;
+                switch (draw % kinds) {
+                  case 0: p[i] = 0.0; break;
+                  case 1: p[i] = -0.0; break;
+                  case 2: p[i] = std::ldexp(u, exp); break;
+                  default: p[i] = -std::ldexp(u, exp); break;
+                }
+              }
+              std::vector<double> want(p.size(), 0.5);
+              std::vector<double> got(p.size(), 0.5);
+              const double want_pq = csr_spmv_dot(csr, nx, p, want);
+              const double got_pq = s.spmv_dot(p, got);
+              const std::string where =
+                  "nx=" + std::to_string(nx) + " ny=" + std::to_string(ny) +
+                  " ranks=" + std::to_string(ranks) +
+                  " offset=" + std::to_string(s.offset) +
+                  " kinds=" + std::to_string(kinds);
+              EXPECT_EQ(bits_of(got), bits_of(want)) << where;
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(got_pq),
+                        std::bit_cast<std::uint64_t>(want_pq))
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(slices, 240);
+}
+
 TEST(SparseReference, ConvergesLikeDenseCg) {
   // Same operator as the matrix-free CG: with a balanced split the CSR
   // reference must converge in a comparable iteration count.
@@ -477,29 +689,20 @@ TEST(SparseCg, ImbalanceCostsTheBaselineMore) {
 /// and the rank of a slice too wide for 32-bit CSR.
 template <class Fn>
 void expect_csr_overflow(const char* entry, Fn&& body) {
-  try {
-    body();
-    ADD_FAILURE() << entry << ": expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("nx 2147483648"), std::string::npos) << entry << what;
-    EXPECT_NE(what.find("rank 0"), std::string::npos) << entry << what;
-    EXPECT_NE(what.find("4 rows"), std::string::npos) << entry << what;
-  }
+  expect_invalid(entry, {"nx 2147483648", "rank 0", "4 rows"},
+                 std::forward<Fn>(body));
 }
 
 TEST(SparseCg, RejectsSlicesThatOverflow32BitCsr) {
   // 6 halo-extended rows of 2^31 columns: every entry point must reject
   // the shape from the row split alone, before allocating a vector (one
-  // would need about 100 GB) — and the operator memo must not cache it.
+  // would need about 100 GB).
   solvers::SparseCgConfig cfg = small_sparse(1.0);
   cfg.nx = std::size_t{1} << 31;
   cfg.ny = 4;
   EXPECT_NE(solvers::csr_overflow(cfg, 1), "");
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    expect_csr_overflow("sparse_operator",
-                        [&] { (void)solvers::sparse_operator(cfg, 1); });
-  }
+  expect_csr_overflow("sparse_operator",
+                      [&] { (void)solvers::sparse_operator(cfg, 1); });
   expect_csr_overflow("sparse_cg_reference",
                       [&] { (void)solvers::sparse_cg_reference(cfg, 1); });
   for (const Plan& plan : {sparse_cpufree_plan(), sparse_baseline_plan()}) {
@@ -540,28 +743,25 @@ TEST(SparseCsr, BoundIsExactAtUint32Max) {
 
 TEST(SparseCsr, OperatorMatchesTheRowSplit) {
   const solvers::SparseCgConfig cfg = small_sparse(4.0);
-  const auto op = solvers::sparse_operator(cfg, 4);
+  const solvers::SparseOperator op = solvers::sparse_operator(cfg, 4);
   const auto rows = solvers::split_rows_weighted(cfg.ny, 4, cfg.imbalance);
-  ASSERT_EQ(op->size(), rows.size());
+  ASSERT_EQ(op.size(), rows.size());
   std::size_t off = 0;
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    const solvers::CsrSlice& s = (*op)[r];
+    const solvers::CsrSlice& s = op[r];
     EXPECT_EQ(s.rows, rows[r]);
     EXPECT_EQ(s.offset, off);
+    EXPECT_EQ(s.nx, cfg.nx);
+    EXPECT_EQ(s.ny, cfg.ny);
     EXPECT_EQ(s.nnz, solvers::csr_rank_nnz(rows[r], off, cfg.nx, cfg.ny));
-    EXPECT_EQ(s.cols.size(), s.nnz);
-    EXPECT_EQ(s.vals.size(), s.nnz);
-    ASSERT_EQ(s.row_ptr.size(), s.rows * s.nx + 1);
-    EXPECT_EQ(s.row_ptr.back(), s.nnz);
     off += rows[r];
   }
-  EXPECT_EQ(solvers::sparse_operator(cfg, 4), op) << "one build per key";
 }
 
 TEST(SharedGeometry, ConcurrentReadersMatchSerialRunsAndReferences) {
-  // Four threads at once run both sparse CG plans and the histogram over
-  // one shared operator and one shared edge table; every result must equal
-  // a serial run and the reference bitwise.
+  // Four threads at once run both sparse CG plans and the histogram, whose
+  // runs share one edge table; every result must equal a serial run and the
+  // reference bitwise.
   const solvers::SparseCgConfig scfg = small_sparse(4.0);
   HistogramConfig hcfg = small_hist();
   hcfg.skew = 2;

@@ -1,8 +1,8 @@
 // Reference-memo suite (`ctest -L irregular`): sim::Memo computes each key
 // once per process even when sweep workers ask for it concurrently, never
 // caches a failure, and hands out independent copies; the histogram and
-// sparse-CG references, the shared sparse operator and the shared histogram
-// edge table key on exactly the fields they read plus the rank count.
+// sparse-CG references and the shared histogram edge table key on exactly
+// the fields they read plus the rank count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -201,58 +201,6 @@ TEST(ReferenceMemo, SparseRunOptionsLeaveTheReferenceIdentical) {
     Cfg cfg = base_sparse();
     e.apply(cfg);
     EXPECT_TRUE(same(solvers::sparse_cg_reference(cfg, 4), ref)) << e.field;
-  }
-}
-
-bool same(const solvers::SparseOperator& a, const solvers::SparseOperator& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    const solvers::CsrSlice& x = a[r];
-    const solvers::CsrSlice& y = b[r];
-    if (x.rows != y.rows || x.offset != y.offset || x.nx != y.nx ||
-        x.row_ptr != y.row_ptr || x.cols != y.cols || x.vals != y.vals) {
-      return false;
-    }
-  }
-  return true;
-}
-
-TEST(OperatorMemo, KeyedFieldsChangeTheOperator) {
-  using Cfg = solvers::SparseCgConfig;
-  const auto op = solvers::sparse_operator(base_sparse(), 4);
-  const Edit<Cfg> edits[] = {
-      {"nx", [](Cfg& c) { c.nx = 20; }},
-      {"ny", [](Cfg& c) { c.ny = 28; }},
-      {"imbalance", [](Cfg& c) { c.imbalance = 1.0; }},
-  };
-  for (const Edit<Cfg>& e : edits) {
-    Cfg cfg = base_sparse();
-    e.apply(cfg);
-    EXPECT_FALSE(same(*solvers::sparse_operator(cfg, 4), *op)) << e.field;
-  }
-  EXPECT_FALSE(same(*solvers::sparse_operator(base_sparse(), 2), *op))
-      << "ranks";
-}
-
-TEST(OperatorMemo, OtherFieldsShareOneOperator) {
-  // Not just equal: the very same instance, built once for the key.
-  using Cfg = solvers::SparseCgConfig;
-  const auto op = solvers::sparse_operator(base_sparse(), 4);
-  sim::Observer observer;
-  const Edit<Cfg> edits[] = {
-      {"functional", [](Cfg& c) { c.functional = false; }},
-      {"trace", [](Cfg& c) { c.trace = false; }},
-      {"threads_per_block", [](Cfg& c) { c.threads_per_block = 128; }},
-      {"persistent_blocks", [](Cfg& c) { c.persistent_blocks = 3; }},
-      {"observer", [&observer](Cfg& c) { c.observer = &observer; }},
-      {"job_label", [](Cfg& c) { c.job_label = "j2:t1:sparse_cg"; }},
-      {"max_iterations", [](Cfg& c) { c.max_iterations = 30; }},
-      {"tolerance", [](Cfg& c) { c.tolerance = 1e-2; }},
-  };
-  for (const Edit<Cfg>& e : edits) {
-    Cfg cfg = base_sparse();
-    e.apply(cfg);
-    EXPECT_EQ(solvers::sparse_operator(cfg, 4), op) << e.field;
   }
 }
 

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "solvers/sparse_cg.hpp"
 #include "vgpu/costmodel.hpp"
 
 namespace {
@@ -344,6 +348,41 @@ TEST(Serve, SparseJobsOverflowing32BitCsrAreRejectedWithAReason) {
       << rep.jobs[0].out.detail;
   EXPECT_NE(rep.jobs[0].out.detail.find("nx 2147483648"), std::string::npos)
       << rep.jobs[0].out.detail;
+}
+
+TEST(Serve, SparseJobsWithAnUnusableImbalanceAreRejectedWithAReason) {
+  // An imbalance that is not finite, or too large for the row split's
+  // arithmetic, is rejected at submission with the solver's own message;
+  // the neighbour still runs and verifies.
+  const std::pair<double, std::string> bad[] = {
+      {std::numeric_limits<double>::infinity(), "inf"},
+      {std::numeric_limits<double>::quiet_NaN(), "nan"},
+      {1e308, "1e+308"},
+  };
+  for (const auto& [value, text] : bad) {
+    JobSpec skewed = job(0, "a", JobKind::kSparseCg, 2, 16, 4);
+    skewed.imbalance = value;
+    const std::string why = serve::validate(skewed);
+    solvers::SparseCgConfig cfg;
+    cfg.nx = skewed.nx;
+    cfg.ny = skewed.ny;
+    cfg.imbalance = value;
+    try {
+      (void)solvers::csr_overflow(cfg, skewed.devices);
+      ADD_FAILURE() << text << ": csr_overflow accepted the imbalance";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(why, e.what()) << text;
+    }
+    EXPECT_NE(why.find("imbalance " + text + " "), std::string::npos) << why;
+
+    std::vector<JobSpec> jobs{skewed,
+                              job(1, "b", JobKind::kSparseCg, 2, 16, 4)};
+    ServeConfig cfg_serve = open_loop_config(vgpu::MachineSpec::hgx_a100(2));
+    const ServeReport rep = serve::run_serve(cfg_serve, jobs);
+    EXPECT_EQ(rep.fleet.rejected, 1) << text;
+    EXPECT_EQ(rep.fleet.verified, 1) << text;
+    EXPECT_EQ(rep.jobs[0].out.detail, "rejected: " + why);
+  }
 }
 
 TEST(Serve, InfeasibleJobsAreRejectedNotWedged) {
