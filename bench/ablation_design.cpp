@@ -29,7 +29,6 @@ using stencil::Variant;
 // selected on the command line is routed through this file-scope config,
 // set once in main() before any run.
 fault::Config g_faults;
-int g_pdes_threads = 1;
 
 sweep::RunResult run3d(TbPolicy policy, vshmem::Scope scope, int gpus,
                        sim::Observer* obs = nullptr) {
@@ -45,7 +44,6 @@ sweep::RunResult run3d(TbPolicy policy, vshmem::Scope scope, int gpus,
   cfg.observer = obs;
   vgpu::MachineSpec spec = vgpu::MachineSpec::hgx_a100(gpus);
   spec.faults = g_faults;
-  spec.pdes_threads = g_pdes_threads;
   const auto out = stencil::run_jacobi3d(Variant::kCpuFree, spec, p, cfg);
   sweep::RunResult res;
   res.spec = spec;
@@ -64,7 +62,6 @@ sweep::RunResult run_stencil2d(Variant v, int gpus) {
   cfg.functional = false;
   vgpu::MachineSpec spec = vgpu::MachineSpec::hgx_a100(gpus);
   spec.faults = g_faults;
-  spec.pdes_threads = g_pdes_threads;
   const auto out = stencil::run_jacobi2d(v, spec, p, cfg);
   sweep::RunResult res;
   res.spec = spec;
@@ -81,7 +78,6 @@ sweep::RunResult run_dace2d(bool blocking, bool conservative, int gpus,
   dacelite::to_cpu_free(prog.sdfg);
   vgpu::MachineSpec spec = vgpu::MachineSpec::hgx_a100(gpus);
   spec.faults = g_faults;
-  spec.pdes_threads = g_pdes_threads;
   vgpu::Machine m(spec);
   m.engine().set_observer(obs);
   vshmem::World w(m);
@@ -108,7 +104,6 @@ sweep::RunResult run_dace2d(bool blocking, bool conservative, int gpus,
 int main(int argc, char** argv) {
   const bench::Args args = bench::Args::parse(argc, argv);
   g_faults = args.faults;
-  g_pdes_threads = args.pdes_threads;
   if (args.topo) {
     bench::print_topology(vgpu::MachineSpec::hgx_a100(8), "hgx_a100(8)");
     return 0;

@@ -8,12 +8,14 @@
 // still exposes --repeats to demonstrate that.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -223,8 +225,8 @@ inline bool parse_double_strict(const std::string& v, double& out) {
   return true;
 }
 
-/// Full-token int parse for flag operands ("--pdes-threads 4x" is an error,
-/// not 4).
+/// Full-token int parse for flag operands ("--threads 4x" is an error, not
+/// 4).
 inline bool parse_int_strict(const std::string& v, int& out) {
   std::uint64_t u = 0;
   if (v.size() > 1 && v[0] == '-') {
@@ -270,8 +272,7 @@ inline void parse_kv_flag(
 /// usage message on malformed input (bench flags fail fast, they never
 /// guess). `classes=` restricts injection to the named window classes
 /// (link, flap, stall, signal_lost, signal_delay, put_drop, put_dup, or
-/// `all`); link/stall-only masks are exactly the ones the sharded engine
-/// can run without lockstep rounds.
+/// `all`).
 inline fault::Config parse_faults(std::string_view s) {
   fault::Config cfg;
   parse_kv_flag(
@@ -364,8 +365,10 @@ inline void parse_hard_faults(std::string_view s, fault::Config& cfg,
   cfg.classes |= fault::kClassDeviceDead;
 }
 
-/// Parses the flags every bench driver shares. Numeric operands are parsed
-/// strictly, as "--flag N" or "--flag=N"; a malformed one exits 2 with usage.
+/// Parses the flags every bench driver shares. Operands are given as
+/// "--flag V" or "--flag=V"; numeric ones are parsed strictly. An unknown
+/// flag, a flag missing its operand or a malformed operand exits 2 with
+/// usage.
 struct Args {
   int repeats = 1;
   /// Sweep worker threads; 0 = all hardware threads, 1 = sequential.
@@ -388,71 +391,81 @@ struct Args {
   /// fail-stop layered onto `faults` (repeatable). ckpt lands here; only
   /// recovery-capable drivers consume it.
   int hard_checkpoint_every = 0;
-  /// --pdes-threads N: worker threads for the intra-run sharded event
-  /// engine. 1 (default) is the serial engine, byte-for-byte.
-  int pdes_threads = 1;
   /// --tune: skip the sweep; run the recipe autotuner (src/tune/) on the
   /// driver's tunable workloads and report predicted vs measured times.
   bool tune = false;
   /// --tune-budget N: cap the enumerated candidate space (0 = full space).
   int tune_budget = 0;
 
-  static Args parse(int argc, char** argv) {
+  /// `driver_flags` names the flags a driver parses itself, each taking one
+  /// operand as "--flag V": they are skipped here (a trailing one exits 2)
+  /// and validated by the driver's own parser.
+  static Args parse(int argc, char** argv,
+                    std::initializer_list<std::string_view> driver_flags = {}) {
     Args a;
     for (int i = 1; i < argc; ++i) {
-      const std::string_view s = argv[i];
-      if (s == "--repeats" && i + 1 < argc) {
-        parse_repeats(argv[++i], a.repeats);
-      } else if (s.rfind("--repeats=", 0) == 0) {
-        parse_repeats(std::string(s.substr(sizeof("--repeats=") - 1)),
-                      a.repeats);
-      } else if (s == "--threads" && i + 1 < argc) {
-        parse_threads(argv[++i], a.threads);
-      } else if (s.rfind("--threads=", 0) == 0) {
-        parse_threads(std::string(s.substr(sizeof("--threads=") - 1)),
-                      a.threads);
-      } else if (s == "--pdes-threads" && i + 1 < argc) {
-        const std::string v = argv[++i];
-        if (!parse_int_strict(v, a.pdes_threads) || a.pdes_threads < 1) {
-          flag_usage_error("--pdes-threads", "an integer >= 1", v);
+      const std::string_view arg = argv[i];
+      const std::size_t eq = arg.find('=');
+      const bool has_inline = eq != std::string_view::npos;
+      const std::string_view s = arg.substr(0, eq);
+      // The text after '=', else the next argument; missing or empty exits 2.
+      auto operand = [&](std::string_view expected) {
+        std::string v;
+        if (has_inline) {
+          v = arg.substr(eq + 1);
+        } else if (i + 1 < argc) {
+          v = argv[++i];
         }
-      } else if (s.rfind("--pdes-threads=", 0) == 0) {
-        const std::string v(s.substr(sizeof("--pdes-threads=") - 1));
-        if (!parse_int_strict(v, a.pdes_threads) || a.pdes_threads < 1) {
-          flag_usage_error("--pdes-threads", "an integer >= 1", v);
-        }
-      } else if (s == "--quiet") {
-        a.progress = false;
-      } else if (s == "--check") {
-        a.check = true;
-      } else if (s == "--tune") {
-        a.tune = true;
-      } else if (s == "--tune-budget" && i + 1 < argc) {
-        const std::string v = argv[++i];
+        if (v.empty()) flag_usage_error(s, expected, v);
+        return v;
+      };
+      if (s == "--repeats") {
+        parse_repeats(operand("an integer >= 1"), a.repeats);
+      } else if (s == "--threads") {
+        parse_threads(operand("an integer >= 0 (0 = all cores)"), a.threads);
+      } else if (s == "--tune-budget") {
+        const std::string v = operand("an integer >= 0");
         if (!parse_int_strict(v, a.tune_budget) || a.tune_budget < 0) {
           flag_usage_error("--tune-budget", "an integer >= 0", v);
         }
-      } else if (s.rfind("--tune-budget=", 0) == 0) {
-        const std::string v(s.substr(sizeof("--tune-budget=") - 1));
-        if (!parse_int_strict(v, a.tune_budget) || a.tune_budget < 0) {
-          flag_usage_error("--tune-budget", "an integer >= 0", v);
-        }
-      } else if (s == "--topo") {
-        a.topo = true;
-      } else if (s == "--faults" && i + 1 < argc) {
-        a.faults = parse_faults(argv[++i]);
-      } else if (s == "--hard-faults" && i + 1 < argc) {
-        parse_hard_faults(argv[++i], a.faults, a.hard_checkpoint_every);
-      } else if (s.rfind("--hard-faults=", 0) == 0) {
-        parse_hard_faults(s.substr(sizeof("--hard-faults=") - 1), a.faults,
-                          a.hard_checkpoint_every);
-      } else if (s == "--out" && i + 1 < argc) {
-        a.out_json = argv[++i];
-      } else if (s == "--csv" && i + 1 < argc) {
-        a.out_csv = argv[++i];
+      } else if (s == "--faults") {
+        a.faults = parse_faults(operand("seed=S,rate=R[,...]"));
+      } else if (s == "--hard-faults") {
+        parse_hard_faults(operand("kill_device=D,at_iter=K[,ckpt=N]"),
+                          a.faults, a.hard_checkpoint_every);
+      } else if (s == "--out") {
+        a.out_json = operand("a path");
+      } else if (s == "--csv") {
+        a.out_csv = operand("a path");
       } else if (s == "--trace") {
         a.trace_dump = true;
-        if (i + 1 < argc && argv[i + 1][0] != '-') a.trace_path = argv[++i];
+        if (has_inline) {
+          a.trace_path = operand("a path");
+        } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+          a.trace_path = argv[++i];
+        }
+      } else if (arg == "--quiet") {
+        a.progress = false;
+      } else if (arg == "--check") {
+        a.check = true;
+      } else if (arg == "--tune") {
+        a.tune = true;
+      } else if (arg == "--topo") {
+        a.topo = true;
+      } else if (std::find(driver_flags.begin(), driver_flags.end(), arg) !=
+                 driver_flags.end()) {
+        (void)operand("an operand");
+      } else {
+        std::string usage =
+            "one of --repeats N, --threads N, --quiet, --check, --topo, "
+            "--tune, --tune-budget N, --faults SPEC, --hard-faults SPEC, "
+            "--out PATH, --csv PATH, --trace [PATH]";
+        for (std::string_view f : driver_flags) {
+          usage += ", ";
+          usage += f;
+          usage += " V";
+        }
+        flag_usage_error("unknown flag", usage, arg);
       }
     }
     return a;
@@ -477,12 +490,11 @@ struct Args {
     return o;
   }
 
-  /// Applies the --faults and --pdes-threads configuration to a machine
-  /// spec (identity when neither flag was given). Drivers route every spec
-  /// they sweep through this.
+  /// Applies the --faults configuration to a machine spec (identity when
+  /// the flag was not given). Drivers route every spec they sweep through
+  /// this.
   [[nodiscard]] vgpu::MachineSpec with_faults(vgpu::MachineSpec spec) const {
     spec.faults = faults;
-    spec.pdes_threads = pdes_threads;
     return spec;
   }
 };

@@ -119,7 +119,6 @@ int main(int argc, char** argv) {
       topt.top_k = 3;
       topt.max_candidates = args.tune_budget;
       topt.sweep_threads = args.threads;
-      topt.pdes_threads = args.pdes_threads;
       topt.progress = args.progress;
       topt.id_prefix = config + "/";
       topt.base_params = {{"machine", m.name},

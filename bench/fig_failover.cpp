@@ -117,15 +117,14 @@ struct Cell {
   int checkpoint_every = 0;
 };
 
-sweep::RunResult run_cell(const bench::Args& args, const FailoverArgs& fargs,
-                          const Cell& cell, const fault::Config& kill_faults,
+sweep::RunResult run_cell(const FailoverArgs& fargs, const Cell& cell,
+                          const fault::Config& kill_faults,
                           std::uint64_t cell_seed,
                           serve::ServeReport* report_out,
                           sim::Observer* obs = nullptr) {
   vgpu::MachineSpec spec = vgpu::MachineSpec::multi_node(2, 4);
   spec.faults = kill_faults;
   if (!cell.kill) spec.faults.hard.clear();  // baseline keeps transients only
-  spec.pdes_threads = args.pdes_threads;
 
   serve::ServeConfig cfg;
   cfg.machine = spec;
@@ -160,7 +159,8 @@ sweep::RunResult run_cell(const bench::Args& args, const FailoverArgs& fargs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args =
+      bench::Args::parse(argc, argv, {"--tenants", "--serve"});
   const FailoverArgs fargs = FailoverArgs::parse(argc, argv);
   if (args.topo) {
     bench::print_topology(vgpu::MachineSpec::multi_node(2, 4), "multi_node");
@@ -203,9 +203,9 @@ int main(int argc, char** argv) {
     const Cell c{"kill/ckpt2", true, 2};
     cases.push_back(
         {"multi_node/kill/ckpt2",
-         [&args, small, c, &kill_faults](sim::Observer* o) {
-           (void)run_cell(args, small, c, kill_faults, /*cell_seed=*/11,
-                          nullptr, o);
+         [small, c, &kill_faults](sim::Observer* o) {
+           (void)run_cell(small, c, kill_faults, /*cell_seed=*/11, nullptr,
+                          o);
          }});
     return bench::run_check(cases);
   }
@@ -232,8 +232,8 @@ int main(int argc, char** argv) {
             {"checkpoint_every", std::to_string(cell.checkpoint_every)},
             {"tenants", std::to_string(fargs.tenants)},
             {"jobs_per_tenant", std::to_string(fargs.jobs_per_tenant)}},
-           [&args, &fargs, &cell, &kill_faults, cell_seed, slot] {
-             return run_cell(args, fargs, cell, kill_faults, cell_seed, slot);
+           [&fargs, &cell, &kill_faults, cell_seed, slot] {
+             return run_cell(fargs, cell, kill_faults, cell_seed, slot);
            });
   }
 

@@ -113,10 +113,8 @@ inline sim::Task persistent_launch_task(vgpu::Machine& machine,
   auto done = std::make_shared<sim::Flag>(machine.engine(), 0);
   for (std::size_t i = 0; i < devices.size(); ++i) {
     const int dev = devices[i];
-    machine.engine().spawn_on(
-        machine.engine().shard_of_device(dev),
-        detail::persistent_one_device(machine, dev, streams[i],
-                                      std::move(groups[i]), config, done));
+    machine.engine().spawn(detail::persistent_one_device(
+        machine, dev, streams[i], std::move(groups[i]), config, done));
   }
   co_await done->wait_geq(static_cast<std::int64_t>(devices.size()));
 }

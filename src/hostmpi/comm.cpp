@@ -7,10 +7,6 @@ namespace hostmpi {
 Comm::Comm(vgpu::Machine& machine) : machine_(&machine) {
   // Single-node CUDA-aware MPI moves GPU buffers peer-to-peer.
   machine_->enable_all_peer_access();
-  // Mailbox matching (on_arrival/recv) couples ranks at zero simulated
-  // latency and at instants no lookahead bound can predict, so a sharded
-  // engine falls back to single-worker rounds with width-1 windows.
-  machine_->engine().require_lockstep();
 }
 
 void Comm::on_arrival(const Key& key,

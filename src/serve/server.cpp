@@ -49,11 +49,6 @@ class Server {
     if (auto* det = dynamic_cast<check::Detector*>(cfg.observer)) {
       det->set_job_map(&job_map_);
     }
-    // Every workload runs functionally (World::set_functional), which
-    // requires data-coupled (single-worker) rounds on a sharded engine.
-    // The engine samples that flag once at run() start — and the first
-    // workload is only built mid-run — so couple it up front.
-    machine_.engine().set_data_coupled(true);
     if (cfg.arrival.mode == ArrivalConfig::Mode::kClosed) {
       max_running_ = cfg.arrival.concurrency;
     }
@@ -298,7 +293,6 @@ class Server {
 
     vgpu::MachineSpec spec = cfg_.machine;
     spec.faults = fault::Config{};
-    spec.pdes_threads = 1;
     vgpu::Machine m(spec);
     m.trace().set_enabled(false);
     JobSpec iso = js.spec;

@@ -24,24 +24,15 @@ const char* cat_name(Cat c) noexcept {
 void Trace::record(Cat cat, std::int32_t device, std::int32_t lane, Nanos begin,
                    Nanos end, std::string name) {
   if (!enabled_ || end <= begin) return;
-  if (checked_) {
-    const std::thread::id self = std::this_thread::get_id();
-    if (owner_ == std::thread::id{}) {
-      owner_ = self;
-    } else if (owner_ != self) {
-      throw std::logic_error(
-          "sim::Trace is thread-confined: recorded from two threads; give "
-          "each worker its own Machine/Engine (see sweep::Executor)");
-    }
+  const std::thread::id self = std::this_thread::get_id();
+  if (owner_ == std::thread::id{}) {
+    owner_ = self;
+  } else if (owner_ != self) {
+    throw std::logic_error(
+        "sim::Trace is thread-confined: recorded from two threads; give "
+        "each worker its own Machine/Engine (see sweep::Executor)");
   }
   intervals_.push_back(Interval{cat, device, lane, begin, end, std::move(name)});
-}
-
-std::vector<Interval> Trace::take_intervals() {
-  std::vector<Interval> out;
-  out.swap(intervals_);
-  owner_ = std::thread::id{};
-  return out;
 }
 
 void Trace::append(std::vector<Interval> more) {

@@ -73,17 +73,8 @@ class Trace {
   void record(Cat cat, std::int32_t device, std::int32_t lane, Nanos begin,
               Nanos end, std::string name = {});
 
-  /// Disables the single-thread confinement check. Used for per-shard
-  /// traces under sharded execution: a shard migrates between workers
-  /// across rounds, but only one worker touches it per round and the round
-  /// barrier provides the happens-before the check cannot see.
-  void set_checked(bool on) noexcept { checked_ = on; }
-
-  /// Moves all recorded intervals out (releasing thread ownership); used to
-  /// merge per-shard traces at end of run.
-  [[nodiscard]] std::vector<Interval> take_intervals();
-
-  /// Appends pre-merged intervals (deterministically ordered by the caller).
+  /// Appends intervals verbatim, in the caller's order (record's filters
+  /// do not apply).
   void append(std::vector<Interval> more);
 
   void clear() {
@@ -137,7 +128,6 @@ class Trace {
   /// Thread that first recorded; default-constructed id == unowned.
   std::thread::id owner_;
   bool enabled_ = true;
-  bool checked_ = true;
 };
 
 }  // namespace sim

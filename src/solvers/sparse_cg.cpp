@@ -115,7 +115,12 @@ std::vector<std::size_t> split_rows_weighted(std::size_t ny, int ranks,
   std::size_t assigned = 0;
   for (std::size_t r = 0; r < n; ++r) {
     const double share = static_cast<double>(ny) * weight[r] / total_w;
-    rows[r] = static_cast<std::size_t>(share);
+    // Bound the cast by the rows still unassigned: at extreme ny and ratio
+    // a share rounds up past them, even past the range of size_t.
+    const std::size_t left = ny - assigned;
+    rows[r] = share < static_cast<double>(left)
+                  ? static_cast<std::size_t>(share)
+                  : left;
     frac[r] = share - static_cast<double>(rows[r]);
     assigned += rows[r];
   }

@@ -94,8 +94,6 @@ void append_spec_json(const vgpu::MachineSpec& spec, JsonWriter& w) {
   w.begin_object();
   w.key("num_devices");
   w.value(spec.num_devices);
-  w.key("pdes_threads");
-  w.value(spec.pdes_threads);
   w.key("device");
   append_device_json(spec.device, w);
   w.key("host");

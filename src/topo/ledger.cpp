@@ -94,10 +94,6 @@ sim::Task LinkLedger::wire_shared(const Route& route, double bytes,
                                   std::string_view what) {
   co_await engine_->delay(issue_delay);
   if (bytes <= 0.0) co_return;
-  // Admission mutates the shared flight table and must observe every other
-  // admission in canonical order; under sharding the coroutine crosses into
-  // the serialized phase first (same simulated instant). No-op when serial.
-  co_await engine_->global_gate();
   const sim::Nanos now = engine_->now();
   fold(now);
   Flight f(*engine_);
@@ -246,10 +242,7 @@ void LinkLedger::reschedule(sim::Nanos now) {
   for (const Flight* f : flights_) next = std::min(next, f->finish_at);
   if (wake_.armed() && wake_at_ == next) return;
   wake_.cancel();
-  // Coordinator timer under sharding: the completion wake touches flights
-  // from every shard, and pending coordinator timers cap the lookahead
-  // window so this callback can never fire late for any shard.
-  wake_ = engine_->schedule_callback_global([this] { on_wake(); }, next - now);
+  wake_ = engine_->schedule_callback([this] { on_wake(); }, next - now);
   wake_at_ = next;
 }
 

@@ -12,9 +12,8 @@
 //
 // Determinism: candidate enumeration and ranking are pure arithmetic;
 // validation runs go through sweep::Executor (submission-order results,
-// bit-identical across worker counts) on machines whose metrics are
-// byte-identical across pdes_threads. The whole report is reproducible
-// across both thread knobs.
+// bit-identical across worker counts). The whole report is reproducible
+// across sweep worker counts.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +37,6 @@ struct TuneOptions {
   bool validate = true;
   /// Attach the race/deadlock detector to every validation run.
   bool check = true;
-  /// Sharded-engine worker count for validation machines.
-  int pdes_threads = 1;
   /// sweep::Executor workers for the validation batch (<= 0: all cores).
   int sweep_threads = 1;
   /// Live sweep progress on stderr.

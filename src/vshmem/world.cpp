@@ -30,9 +30,6 @@ World::World(vgpu::Machine& machine, std::vector<int> devices,
   }
   // nvshmem_init establishes the all-to-all PGAS domain over NVLink.
   machine_->enable_all_peer_access();
-  // Functional mode (the default) is a cross-shard data coupling; see
-  // set_functional. Benchmarks switch it off before their timed runs.
-  machine_->engine().set_data_coupled(functional_);
   pe_.resize(static_cast<std::size_t>(n_pes_));
   sim::Observer* const o = machine_->engine().observer();
   for (std::size_t i = 0; i < pe_.size(); ++i) {
@@ -123,7 +120,7 @@ void World::apply_signal(SignalSet& sig, std::size_t idx, std::int64_t value,
     // applying one advances the shadow watermark. Idempotent with the
     // payload-side note_landed of a put-attached signal. Only the
     // signal-coupled classes reorder or drop sets, so only they need the
-    // shadow (and its lockstep schedule).
+    // shadow.
     sig.shadow(dst_pe, idx).note_landed(value);
   }
   if (op == SignalOp::kSet) {
@@ -273,8 +270,6 @@ sim::Task World::sync_all(vgpu::KernelCtx& ctx) {
   if (!barrier_) {
     barrier_ = std::make_unique<sim::Barrier>(machine_->engine(),
                                               static_cast<std::size_t>(n_pes_));
-    // PEs span shards: arrivals must be globally ordered under sharding.
-    if (machine_->engine().sharded()) barrier_->set_global(true);
   }
   const sim::Nanos t0 = machine_->engine().now();
   sim::Observer* const o = machine_->engine().observer();

@@ -180,13 +180,7 @@ class World {
   /// Timing-only switch: when false, data-movement ops charge full costs and
   /// apply signals, but skip the functional payload copies (so benchmark
   /// sweeps need not allocate or touch full-size domains). Default true.
-  void set_functional(bool on) noexcept {
-    functional_ = on;
-    // Functional payload copies read the source PE's memory at delivery
-    // time on the destination's shard — a zero-lookahead data coupling, so
-    // a sharded engine must run its rounds on one worker while it is on.
-    machine_->engine().set_data_coupled(on);
-  }
+  void set_functional(bool on) noexcept { functional_ = on; }
   [[nodiscard]] bool functional() const noexcept { return functional_; }
 
   /// nvshmem_malloc: allocates `count` elements of T on every PE.
@@ -503,7 +497,7 @@ sim::Task World::putmem_signal_nbi(vgpu::KernelCtx& ctx, Sym<T>& arr,
     // advance the shadow watermark here so a resilient waiter only re-pulls
     // updates whose DATA is actually missing. Shadows exist for the
     // signal-coupled classes only; window/hard masks never consult them, so
-    // skipping the write keeps those runs free of cross-shard state.
+    // they skip the write.
     if (self->machine_->faults().signal_coupled()) {
       sigp->shadow(dst_pe, sig_idx).note_landed(sig_val);
     }

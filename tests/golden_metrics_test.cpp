@@ -12,9 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,22 +43,6 @@ std::string line(const std::string& name, const cpufree::RunMetrics& m,
   return name + "|" + cpufree::to_json(m) + "|" + extra;
 }
 
-/// CPUFREE_PDES_THREADS=N reruns the entire capture under the sharded
-/// engine. The golden file was recorded serially, so byte-identity of the
-/// sharded rerun against it IS the determinism gate (CI runs N=4).
-vgpu::MachineSpec golden_spec(int gpus) {
-  vgpu::MachineSpec s = vgpu::MachineSpec::hgx_a100(gpus);
-  if (const char* env = std::getenv("CPUFREE_PDES_THREADS")) {
-    const int n = std::atoi(env);
-    if (n < 1) {
-      throw std::invalid_argument("CPUFREE_PDES_THREADS must be >= 1, got '" +
-                                  std::string(env) + "'");
-    }
-    s.pdes_threads = n;
-  }
-  return s;
-}
-
 /// Regenerates the 48 capture lines in file order.
 std::vector<std::string> generate() {
   std::vector<std::string> out;
@@ -74,7 +56,7 @@ std::vector<std::string> generate() {
       cfg.iterations = 10;
       cfg.persistent_blocks = 12;
       const auto r = stencil::run_jacobi2d(
-          v, golden_spec(gpus), p, cfg);
+          v, vgpu::MachineSpec::hgx_a100(gpus), p, cfg);
       char extra[64];
       std::snprintf(extra, sizeof(extra), "parity=%d verified=%d",
                     r.result.final_parity, r.verified ? 1 : 0);
@@ -92,7 +74,7 @@ std::vector<std::string> generate() {
     cfg.iterations = 5;
     cfg.functional = false;
     const auto r =
-        stencil::run_jacobi2d(v, golden_spec(4), p, cfg);
+        stencil::run_jacobi2d(v, vgpu::MachineSpec::hgx_a100(4), p, cfg);
     out.push_back(line("j2d_large/g4/" + std::string(stencil::variant_name(v)),
                        r.result.metrics, ""));
   }
@@ -106,7 +88,7 @@ std::vector<std::string> generate() {
     cfg.iterations = 4;
     cfg.persistent_blocks = 12;
     const auto r =
-        stencil::run_jacobi3d(v, golden_spec(2), p, cfg);
+        stencil::run_jacobi3d(v, vgpu::MachineSpec::hgx_a100(2), p, cfg);
     char extra[64];
     std::snprintf(extra, sizeof(extra), "parity=%d verified=%d",
                   r.result.final_parity, r.verified ? 1 : 0);
@@ -121,7 +103,7 @@ std::vector<std::string> generate() {
     cfg.max_iterations = 40;
     cfg.tolerance = 1e-10;
     cfg.persistent_blocks = 12;
-    const auto spec = golden_spec(ranks);
+    const auto spec = vgpu::MachineSpec::hgx_a100(ranks);
     for (bool cpufree_v : {false, true}) {
       const solvers::CgResult r = cpufree_v
                                       ? solvers::run_cg_cpufree(spec, cfg)
@@ -142,7 +124,7 @@ std::vector<std::string> generate() {
     cfg.ny = 256;
     cfg.max_iterations = 20;
     cfg.functional = false;
-    const auto spec = golden_spec(4);
+    const auto spec = vgpu::MachineSpec::hgx_a100(4);
     out.push_back(line("cg/cpufree_large/r4",
                        solvers::run_cg_cpufree(spec, cfg).metrics, ""));
     out.push_back(line("cg/baseline_large/r4",
@@ -151,7 +133,7 @@ std::vector<std::string> generate() {
   // dacelite: jacobi1d discrete + persistent, 2 ranks.
   for (bool cpufree_v : {false, true}) {
     auto prog = dacelite::make_jacobi1d(1u << 14, 2, 10);
-    vgpu::Machine m(golden_spec(2));
+    vgpu::Machine m(vgpu::MachineSpec::hgx_a100(2));
     vshmem::World w(m);
     dacelite::ExecOptions opt;
     opt.functional = false;
@@ -174,7 +156,7 @@ std::vector<std::string> generate() {
   for (int mode = 0; mode < 3; ++mode) {
     auto prog = dacelite::make_jacobi2d(256, 4, 10);
     dacelite::to_cpu_free(prog.sdfg);
-    vgpu::Machine m(golden_spec(4));
+    vgpu::Machine m(vgpu::MachineSpec::hgx_a100(4));
     vshmem::World w(m);
     dacelite::ExecOptions opt;
     opt.functional = false;
@@ -190,7 +172,7 @@ std::vector<std::string> generate() {
   {
     auto prog = dacelite::make_jacobi2d(256, 4, 10);
     dacelite::apply_gpu_transform(prog.sdfg);
-    vgpu::Machine m(golden_spec(4));
+    vgpu::Machine m(vgpu::MachineSpec::hgx_a100(4));
     vshmem::World w(m);
     hostmpi::Comm comm(m);
     dacelite::ExecOptions opt;
@@ -225,7 +207,8 @@ std::vector<std::string> generate() {
     cfg.skew = 2;
     cfg.threads_per_block = 128;
     cfg.persistent_blocks = 8;
-    const auto r = workloads::run_histogram(golden_spec(4), cfg, plan);
+    const auto r =
+        workloads::run_histogram(vgpu::MachineSpec::hgx_a100(4), cfg, plan);
     double sum = 0.0;
     for (double b : r.bins) sum += b;
     const bool verified = r.bins == workloads::histogram_reference(cfg, 4);
@@ -254,7 +237,7 @@ std::vector<std::string> generate() {
                                exec::CommPolicy::kStagedCopy,
                                exec::SyncPolicy::kHostBarrier, "sparse_cg"};
     const solvers::CgResult r =
-        solvers::run_sparse_cg(golden_spec(4), cfg, plan);
+        solvers::run_sparse_cg(vgpu::MachineSpec::hgx_a100(4), cfg, plan);
     const solvers::CgResult ref = solvers::sparse_cg_reference(cfg, 4);
     const bool verified = r.rr_history == ref.rr_history &&
                           r.iterations_run == ref.iterations_run;

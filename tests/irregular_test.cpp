@@ -156,18 +156,15 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2, 4)));
 
 TEST(HistDeterminism, BitIdenticalAcrossEngineThreads) {
+  // The engine runs each simulation on one thread: a rerun must reproduce
+  // the bins and the timing bit for bit.
   const HistogramConfig cfg = small_hist();
   const Plan plan = hist_plans()[4];  // CPU-Free
-  MachineSpec spec = MachineSpec::hgx_a100(4);
-  spec.pdes_threads = 1;
+  const MachineSpec spec = MachineSpec::hgx_a100(4);
   const HistogramResult golden = workloads::run_histogram(spec, cfg, plan);
-  for (int t : {2, 4}) {
-    spec.pdes_threads = t;
-    const HistogramResult got = workloads::run_histogram(spec, cfg, plan);
-    EXPECT_EQ(got.bins, golden.bins) << "pdes_threads=" << t;
-    EXPECT_EQ(got.metrics.total_ms(), golden.metrics.total_ms())
-        << "pdes_threads=" << t;
-  }
+  const HistogramResult got = workloads::run_histogram(spec, cfg, plan);
+  EXPECT_EQ(got.bins, golden.bins);
+  EXPECT_EQ(got.metrics.total_ms(), golden.metrics.total_ms());
 }
 
 TEST(HistFaults, RetryLadderStillBitwiseCorrect) {
@@ -248,6 +245,18 @@ TEST(WeightedSplit, ConservesRowsAndTapers) {
   // The realized ratio approaches the requested one.
   const auto rows = solvers::split_rows_weighted(100, 4, 4.0);
   EXPECT_GE(rows.front(), 3 * rows.back());
+}
+
+TEST(WeightedSplit, ExtremeShareIsBoundedByTheRowsLeft) {
+  // At ny = SIZE_MAX and ratio 1e17 the first rank's share rounds up to
+  // 2^64, past the range of size_t. The split still conserves the rows
+  // (no wrap) and keeps two rows on every rank.
+  constexpr std::size_t kNy = std::numeric_limits<std::size_t>::max();
+  const auto rows = solvers::split_rows_weighted(kNy, 2, 1e17);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0] + rows[1], kNy);
+  EXPECT_GE(rows[1], 2u);
+  EXPECT_GE(rows[0], rows[1]);
 }
 
 TEST(WeightedSplit, ImbalanceFactorGrowsWithRatio) {
@@ -634,19 +643,16 @@ TEST(SparseCg, BitwiseOnEveryMachineModel) {
 }
 
 TEST(SparseCg, BitIdenticalAcrossEngineThreads) {
+  // The engine runs each simulation on one thread: a rerun must reproduce
+  // the residual history and the timing bit for bit.
   const solvers::SparseCgConfig cfg = small_sparse(4.0);
-  MachineSpec spec = MachineSpec::hgx_a100(4);
-  spec.pdes_threads = 1;
+  const MachineSpec spec = MachineSpec::hgx_a100(4);
   const solvers::CgResult golden =
       solvers::run_sparse_cg(spec, cfg, sparse_cpufree_plan());
-  for (int t : {2, 4}) {
-    spec.pdes_threads = t;
-    const solvers::CgResult got =
-        solvers::run_sparse_cg(spec, cfg, sparse_cpufree_plan());
-    EXPECT_EQ(got.rr_history, golden.rr_history) << "pdes_threads=" << t;
-    EXPECT_EQ(got.metrics.total_ms(), golden.metrics.total_ms())
-        << "pdes_threads=" << t;
-  }
+  const solvers::CgResult got =
+      solvers::run_sparse_cg(spec, cfg, sparse_cpufree_plan());
+  EXPECT_EQ(got.rr_history, golden.rr_history);
+  EXPECT_EQ(got.metrics.total_ms(), golden.metrics.total_ms());
 }
 
 TEST(SparseCg, ImbalanceCostsTheBaselineMore) {

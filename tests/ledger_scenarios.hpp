@@ -1,7 +1,6 @@
 // Seeded contended-transfer scenarios that pin topo::LinkLedger's
-// progressive-filling arithmetic: shared by topo_test (serial run, digest of
-// completion times plus the observer's link and fault streams) and pdes_test
-// (the same completion times at four shard threads).
+// progressive-filling arithmetic: topo_test digests the completion times
+// plus the observer's link and fault streams.
 //
 // A scenario is a list of transfers drawn from the counter-based RNG:
 //  * random issue times, with same-pair bursts (several transfers on one
@@ -77,10 +76,9 @@ struct Transfer {
   sim::Nanos start = 0;
 };
 
-/// `count` transfers over `devices` GPUs. With `min_bytes` > 0 every
-/// transfer carries at least that many bytes (no empty or sub-epsilon ones).
+/// `count` transfers over `devices` GPUs.
 inline std::vector<Transfer> generate(std::uint64_t seed, int devices,
-                                      int count, double min_bytes = 0.0) {
+                                      int count) {
   auto u = [seed](std::uint64_t i, std::uint64_t field) {
     return sim::stream_uniform(seed, 0x1ed9e7, i, field);
   };
@@ -104,12 +102,12 @@ inline std::vector<Transfer> generate(std::uint64_t seed, int devices,
       t.start = static_cast<sim::Nanos>(u(k, 5) * 150000.0);
     }
     const double size = u(k, 6);
-    if (min_bytes <= 0.0 && size < 0.06) {
+    if (size < 0.06) {
       t.bytes = 0.0;
-    } else if (min_bytes <= 0.0 && size < 0.12) {
+    } else if (size < 0.12) {
       t.bytes = 4e-7;
     } else {
-      t.bytes = min_bytes + static_cast<double>(1 + pick(k, 7, 400000));
+      t.bytes = static_cast<double>(1 + pick(k, 7, 400000));
       if (size < 0.3) t.bytes += 7e-7;
     }
     out.push_back(t);
@@ -164,8 +162,8 @@ inline sim::Task run_one(vgpu::Machine& m, Transfer t, sim::Nanos& done_at) {
   done_at = m.engine().now();
 }
 
-/// Runs `transfers` on `spec`, each as its own root on its source device's
-/// shard; returns every transfer's completion instant, in list order.
+/// Runs `transfers` on `spec`, each as its own root; returns every
+/// transfer's completion instant, in list order.
 inline std::vector<sim::Nanos> run(const vgpu::MachineSpec& spec,
                                    const std::vector<Transfer>& transfers,
                                    sim::Observer* observer = nullptr) {
@@ -174,8 +172,7 @@ inline std::vector<sim::Nanos> run(const vgpu::MachineSpec& spec,
   m.enable_all_peer_access();
   std::vector<sim::Nanos> done(transfers.size(), -1);
   for (std::size_t i = 0; i < transfers.size(); ++i) {
-    m.engine().spawn_on(m.engine().shard_of_device(transfers[i].src),
-                        run_one(m, transfers[i], done[i]));
+    m.engine().spawn(run_one(m, transfers[i], done[i]));
   }
   m.engine().run();
   return done;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -355,6 +356,75 @@ TEST(Channel, HandoffNotStolenBySameInstantPop) {
   eng.run();
   EXPECT_EQ(first, (std::vector<int>{1}));
   EXPECT_EQ(second, (std::vector<int>{2}));
+}
+
+TEST(TimerToken, CancelReleasesPayloadImmediately) {
+  sim::Engine eng;
+  auto payload = std::make_shared<int>(42);
+  EXPECT_EQ(payload.use_count(), 1);
+  sim::TimerToken tok =
+      eng.schedule_callback([payload] { (void)*payload; }, 1000);
+  EXPECT_EQ(payload.use_count(), 2);
+  tok.cancel();
+  // The fix under test: the captured closure is dropped at cancel() time,
+  // not when the dead queue entry is eventually popped.
+  EXPECT_EQ(payload.use_count(), 1);
+  EXPECT_FALSE(tok.armed());
+  eng.run();
+}
+
+TEST(TimerToken, CancelAfterFireIsANoOp) {
+  sim::Engine eng;
+  int fired = 0;
+  sim::TimerToken tok = eng.schedule_callback([&fired] { ++fired; }, 10);
+  eng.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(tok.armed());
+  tok.cancel();  // must not crash, must not fire again
+  eng.run();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(TimerToken, CancelledTimerLeavesNoTraceOnTime) {
+  sim::Engine eng;
+  sim::TimerToken tok = eng.schedule_callback([] {}, 5000);
+  bool ran = false;
+  (void)eng.schedule_callback([&ran] { ran = true; }, 10);
+  tok.cancel();
+  eng.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(eng.now(), 10) << "dead entry advanced the clock";
+}
+
+sim::Task park_forever(sim::Engine& eng, sim::Flag& f) {
+  const sim::Engine::WaitToken wt = eng.note_wait_begin(
+      {"test_actor", "never_flag", &f, ">= 1",
+       [&f] { return f.value(); }});
+  co_await f.wait_geq(1);
+  eng.note_wait_end(wt);
+}
+
+TEST(TimerToken, HangReportIgnoresCancelledCallbacks) {
+  // A root parked on a never-set flag plus a sea of cancelled timers: the
+  // run must end in a DeadlockError naming the real waiter — dead entries
+  // are drained before the report, never counted as pending work.
+  sim::Engine eng;
+  sim::Flag never(eng, 0);
+  eng.name_flag(&never, "never_flag");
+  std::vector<sim::TimerToken> tokens;
+  for (int i = 0; i < 100; ++i) {
+    tokens.push_back(eng.schedule_callback([] { FAIL(); }, 1000 + i));
+  }
+  eng.spawn(park_forever(eng, never));
+  for (auto& t : tokens) t.cancel();
+  try {
+    eng.run();
+    FAIL() << "expected DeadlockError";
+  } catch (const sim::DeadlockError& e) {
+    EXPECT_EQ(e.stuck_tasks, 1u);
+    EXPECT_NE(std::string(e.what()).find("never_flag"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Trace, UnionMergesOverlappingIntervals) {

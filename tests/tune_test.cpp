@@ -5,8 +5,7 @@
 //     byte-identical to the historical free-function transform chain, and
 //     recipes round-trip through serialize/parse.
 //  2. Determinism — candidate enumeration, ranking, and the whole tuning
-//     report are bit-identical across sweep worker counts and sharded-engine
-//     thread counts.
+//     report are bit-identical across sweep worker counts.
 //  3. The prototype-then-validate loop — on the paper's jacobi2d workload
 //     the tuner finds a validated candidate strictly faster than the
 //     shipping default, with bitwise-verified numerics and a clean detector.
@@ -259,19 +258,18 @@ TEST(TuneRollout, PredictionIsDeterministicAndChargesPersistentWork) {
   EXPECT_GT(tune::predict_total(prog.sdfg, hgx(4), opt, 20), p1);
 }
 
-tune::TuneOptions fast_tune_options(int sweep_threads, int pdes_threads) {
+tune::TuneOptions fast_tune_options(int sweep_threads) {
   tune::TuneOptions opt;
   opt.top_k = 3;
   opt.max_candidates = 12;  // deterministic enumeration prefix, CI-sized
   opt.sweep_threads = sweep_threads;
-  opt.pdes_threads = pdes_threads;
   return opt;
 }
 
 TEST(Tuner, ReportIsBitIdenticalAcrossThreadCounts) {
-  const auto serial = tune::tune(j2d_workload(), hgx(4), fast_tune_options(1, 1));
+  const auto serial = tune::tune(j2d_workload(), hgx(4), fast_tune_options(1));
   const auto threaded =
-      tune::tune(j2d_workload(), hgx(4), fast_tune_options(4, 2));
+      tune::tune(j2d_workload(), hgx(4), fast_tune_options(4));
 
   EXPECT_EQ(serial.space_size, threaded.space_size);
   ASSERT_EQ(serial.ranked.size(), threaded.ranked.size());
@@ -297,7 +295,7 @@ TEST(Tuner, ReportIsBitIdenticalAcrossThreadCounts) {
 // --- 3. the acceptance loop ---------------------------------------------------
 
 TEST(Tuner, FindsValidatedRecipeStrictlyFasterThanDefault) {
-  const auto report = tune::tune(j2d_workload(), hgx(4), fast_tune_options(1, 1));
+  const auto report = tune::tune(j2d_workload(), hgx(4), fast_tune_options(1));
 
   ASSERT_TRUE(report.baseline.validated);
   ASSERT_TRUE(report.baseline.verified);
@@ -318,7 +316,7 @@ TEST(Tuner, FindsValidatedRecipeStrictlyFasterThanDefault) {
 }
 
 TEST(Tuner, ValidationOffScoresOnly) {
-  tune::TuneOptions opt = fast_tune_options(1, 1);
+  tune::TuneOptions opt = fast_tune_options(1);
   opt.validate = false;
   const auto report = tune::tune(j2d_workload(), hgx(4), opt);
   EXPECT_FALSE(report.baseline.validated);
