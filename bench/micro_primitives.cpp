@@ -1,6 +1,7 @@
 // Microbenchmarks of the simulation substrate itself: engine event
-// throughput, synchronization primitives, stream ops, transfer accounting
-// and a full small stencil run. These measure the SIMULATOR's wall-clock
+// throughput, synchronization primitives, stream ops at three queue depths,
+// timer reschedule churn, transfer accounting and a full small stencil
+// run. These measure the SIMULATOR's wall-clock
 // performance (how fast experiments run), not simulated time — the
 // "items_per_sec" values are host-side throughput, the only nondeterministic
 // numbers any driver reports. The simulated end time of each workload is
@@ -40,6 +41,16 @@ sim::Task pong(sim::Flag& a, sim::Flag& b, int n) {
   for (int i = 1; i <= n; ++i) {
     co_await a.wait_geq(i);
     b.set(i);
+  }
+}
+
+/// The link ledger's timer pattern: every step cancels the pending wake
+/// and arms a new one, and only some wakes ever fire.
+sim::Task reschedule_loop(sim::Engine& eng, sim::TimerToken& wake, int n) {
+  for (int i = 0; i < n; ++i) {
+    wake.cancel();
+    wake = eng.schedule_callback([] {}, 50 + i % 13);
+    co_await eng.delay(i % 3 == 0 ? 60 : 5);
   }
 }
 
@@ -137,19 +148,36 @@ int main(int argc, char** argv) {
            });
          });
 
-  ex.add("stream_ops/n=4096", {{"workload", "stream_ops"}, {"n", "4096"}},
-         [repeats, &args] {
-           constexpr int n = 4096;
-           const vgpu::MachineSpec spec =
-               args.with_faults(vgpu::MachineSpec::hgx_a100(1));
-           return measure("stream_ops", repeats, n, spec, [&spec] {
-             vgpu::Machine m(spec);
-             vgpu::Stream& s = m.device(0).create_stream();
-             for (int i = 0; i < n; ++i) {
-               s.enqueue([&m]() -> sim::Task { co_await m.engine().delay(100); });
-             }
-             m.engine().run();
-             return m.engine().now();
+  // One stream holding n queued ops: per-op host cost across queue depths.
+  for (const int n : {1024, 4096, 16384}) {
+    ex.add("stream_ops/n=" + std::to_string(n),
+           {{"workload", "stream_ops"}, {"n", std::to_string(n)}},
+           [n, repeats, &args] {
+             const vgpu::MachineSpec spec =
+                 args.with_faults(vgpu::MachineSpec::hgx_a100(1));
+             return measure("stream_ops", repeats, n, spec, [n, &spec] {
+               vgpu::Machine m(spec);
+               vgpu::Stream& s = m.device(0).create_stream();
+               for (int i = 0; i < n; ++i) {
+                 s.enqueue(
+                     [&m]() -> sim::Task { co_await m.engine().delay(100); });
+               }
+               m.engine().run();
+               return m.engine().now();
+             });
+           });
+  }
+
+  ex.add("timer_churn/n=16384", {{"workload", "timer_churn"}, {"n", "16384"}},
+         [repeats] {
+           constexpr int n = 16384;
+           return measure("timer_churn", repeats, n,
+                          vgpu::MachineSpec::hgx_a100(1), [] {
+             sim::Engine eng;
+             sim::TimerToken wake;
+             eng.spawn(reschedule_loop(eng, wake, n));
+             eng.run();
+             return eng.now();
            });
          });
 

@@ -149,14 +149,15 @@ void run_persistent_pair(const Program& P, const Plan& plan,
   // Local per-device flags (device memory): iteration counters.
   std::deque<sim::Flag> inner_done;
   std::deque<sim::Flag> comm_done;
+  // Named for hang reports unconditionally, and for an attached checker.
+  const auto name = [&m](const sim::Flag& f, const std::string& nm) {
+    m.engine().name_flag(&f, nm);
+    if (sim::Observer* o = m.engine().observer()) o->on_flag_name(&f, nm);
+  };
   for (int d = 0; d < n; ++d) {
-    inner_done.emplace_back(m.engine(), 0);
-    comm_done.emplace_back(m.engine(), 0);
-    if (sim::Observer* o = m.engine().observer()) {
-      o->on_flag_name(&inner_done.back(),
-                      "inner_done@pe" + std::to_string(d));
-      o->on_flag_name(&comm_done.back(), "comm_done@pe" + std::to_string(d));
-    }
+    const std::string pe = std::to_string(d);
+    name(inner_done.emplace_back(m.engine(), 0), "inner_done@pe" + pe);
+    name(comm_done.emplace_back(m.engine(), 0), "comm_done@pe" + pe);
   }
 
   std::vector<vgpu::Stream*> comm_streams, comp_streams;

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "sim/observe.hpp"
+#include "sim/sync.hpp"
 
 namespace sim {
 
@@ -22,57 +23,63 @@ std::coroutine_handle<> Task::FinalAwaiter::await_suspend(Handle h) noexcept {
 
 Engine::~Engine() {
   // Destroy still-suspended root frames (e.g. after an exception unwound
-  // run()). Finished frames first, then live ones.
+  // run()). Finished frames first, then live ones in spawn order. Last,
+  // hand this thread's pooled frames back if no other Engine lives here.
   reap_finished();
-  for (auto h : roots_) {
-    if (h) h.destroy();
+  for (Task::promise_type* p = first_root_; p != nullptr;) {
+    Task::promise_type* const next = p->next_root;
+    Task::Handle::from_promise(*p).destroy();
+    p = next;
   }
+  detail::block_pool.engine_closed();
 }
 
 TimerToken Engine::schedule_callback(std::function<void()> fn, Nanos delay) {
-  auto state = std::make_shared<TimerState>();
-  state->fn = std::move(fn);
-  state->owner = this;
-  queue_.push(Event{now_ + delay, next_seq_++, nullptr, state});
-  return TimerToken{std::move(state)};
+  const std::uint64_t seq = next_seq_++;
+  const std::uint32_t slot = queue_.push_timer(now_ + delay, seq, std::move(fn));
+  return TimerToken{this, slot, seq};
 }
 
 void Engine::spawn(Task t) {
   Task::Handle h = t.release();
   if (!h) return;
-  h.promise().owner = this;
-  roots_.push_back(h);
+  Task::promise_type& p = h.promise();
+  p.owner = this;
+  p.prev_root = last_root_;
+  if (last_root_ != nullptr) {
+    last_root_->next_root = &p;
+  } else {
+    first_root_ = &p;
+  }
+  last_root_ = &p;
   ++live_roots_;
   schedule(h, 0);
 }
 
 void Engine::on_root_done(Task::Handle h) {
+  Task::promise_type& p = h.promise();
+  (p.prev_root != nullptr ? p.prev_root->next_root : first_root_) = p.next_root;
+  (p.next_root != nullptr ? p.next_root->prev_root : last_root_) = p.prev_root;
   finished_.push_back(h);
   --live_roots_;
-  if (!error_ && h.promise().exception) {
-    error_ = h.promise().exception;
+  if (!error_ && p.exception) {
+    error_ = p.exception;
   }
 }
 
 void Engine::reap_finished() {
-  for (auto h : finished_) {
-    std::erase(roots_, h);
-    h.destroy();
-  }
+  for (auto h : finished_) h.destroy();
   finished_.clear();
 }
 
 void Engine::run() {
   while (queue_.peek_live() != nullptr) {
-    Event ev = queue_.pop();
+    const Event ev = queue_.pop();
     now_ = ev.at;
-    if (ev.timer != nullptr) {
+    if (ev.handle == nullptr) {
       // peek_live skipped cancelled entries, so this timer is alive. Firing
-      // kills it (a later cancel is a no-op) and releases the payload.
-      ev.timer->alive = false;
-      auto fn = std::move(ev.timer->fn);
-      ev.timer->fn = nullptr;
-      fn();
+      // frees its slot (a later cancel is a no-op) before the callback runs.
+      queue_.fire(ev.timer)();
     } else {
       ev.handle.resume();
     }
@@ -100,14 +107,22 @@ void Engine::run() {
   }
 }
 
-Engine::WaitToken Engine::note_wait_begin(WaitSite site) {
-  const WaitToken t = ++next_wait_token_;
-  open_waits_.emplace(t, std::move(site));
+Engine::WaitToken Engine::note_wait_begin(const WaitSite& site) {
+  WaitToken t = 0;
+  if (free_waits_.empty()) {
+    t = static_cast<WaitToken>(waits_.size());
+    waits_.emplace_back();
+  } else {
+    t = free_waits_.back();
+    free_waits_.pop_back();
+  }
+  waits_[t] = OpenWait{site, ++next_wait_serial_};
   return t;
 }
 
 void Engine::note_wait_end(WaitToken token) {
-  open_waits_.erase(token);
+  waits_[token].serial = 0;
+  free_waits_.push_back(token);
 }
 
 std::string Engine::flag_name(const void* flag) const {
@@ -119,27 +134,26 @@ std::string Engine::flag_name(const void* flag) const {
 }
 
 std::string Engine::describe_wait_site(const WaitSite& site) const {
-  std::string out = "\n  " + site.who;
-  if (job_map_ != nullptr && site.actor_device >= 0) {
-    const std::string job =
-        job_map_->find_lane(site.actor_device, site.actor_lane);
-    if (!job.empty()) out += " [" + job + "]";
-  }
-  out += " blocked on " + site.what + ": " + flag_name(site.flag);
-  if (!site.predicate.empty()) out += " " + site.predicate;
-  if (site.read_value) {
-    out += "; value " + std::to_string(site.read_value());
-  } else {
-    out += "; never completed (lost/never-sent signal?)";
-  }
+  std::string out = "\n  " + site.who.str();
+  if (job_map_ != nullptr) out += job_map_->suffix(site.who);
+  out += " blocked on ";
+  out += site.what;
+  out += ": " + flag_name(site.flag) + " " + cmp_str(site.cmp) + " " +
+         std::to_string(site.rhs) + "; value " +
+         std::to_string(site.flag->value());
   return out;
 }
 
 std::string Engine::describe_open_waits() const {
-  std::string out;
-  for (const auto& [token, site] : open_waits_) {
-    out += describe_wait_site(site);
+  std::vector<const OpenWait*> open;
+  for (const OpenWait& w : waits_) {
+    if (w.serial != 0) open.push_back(&w);
   }
+  std::sort(open.begin(), open.end(), [](const OpenWait* a, const OpenWait* b) {
+    return a->serial < b->serial;
+  });
+  std::string out;
+  for (const OpenWait* w : open) out += describe_wait_site(w->site);
   return out;
 }
 

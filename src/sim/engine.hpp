@@ -16,12 +16,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "sim/actor.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
@@ -31,6 +32,8 @@ namespace sim {
 class Observer;
 class JobMap;
 class Engine;
+class Flag;
+enum class Cmp : std::uint8_t;
 
 /// Thrown by Engine::run() when the event queue drains while spawned root
 /// tasks are still suspended (e.g. waiting on a flag nobody will ever set).
@@ -49,17 +52,6 @@ class DeadlockError : public std::runtime_error {
   std::size_t stuck_tasks;
 };
 
-/// Shared state behind one scheduled callback. The queue entry and the
-/// caller's TimerToken both point here; whichever of cancel and fire comes
-/// first clears `alive` and releases the callback payload — a cancelled
-/// timer drops its captured closure immediately instead of pinning it until
-/// the entry is popped.
-struct TimerState {
-  bool alive = true;
-  std::function<void()> fn;
-  Engine* owner = nullptr;
-};
-
 /// Cancellation handle for Engine::schedule_callback. Cancelling keeps the
 /// queue entry but marks it dead: when popped it is discarded WITHOUT
 /// advancing simulated time, so a rescheduled timer leaves no trace on the
@@ -67,48 +59,112 @@ struct TimerState {
 /// time), and the dead entry is accounted so the engine can compact bloated
 /// queues and never blames a cancelled timer in a hang report.
 /// Default-constructed tokens are inert. Cancel-after-fire is a no-op.
+///
+/// A token names a slot of its engine's timer table plus the slot's
+/// generation: the sequence number of the event that armed it, unique for
+/// the engine's lifetime. Firing or cancelling frees the slot, so an old
+/// token (and its queue entry) never matches a reused slot. A token must
+/// not be used after its engine is destroyed.
 class TimerToken {
  public:
   TimerToken() = default;
-  void cancel() noexcept;  // defined after Engine (notifies its queue)
-  [[nodiscard]] bool armed() const noexcept {
-    return state_ != nullptr && state_->alive;
-  }
+  void cancel() const noexcept;  // defined after Engine (frees its slot)
+  [[nodiscard]] bool armed() const noexcept;
 
  private:
   friend class Engine;
-  explicit TimerToken(std::shared_ptr<TimerState> s) : state_(std::move(s)) {}
-  std::shared_ptr<TimerState> state_;
+  friend class Flag;
+  TimerToken(Engine* engine, std::uint32_t slot, std::uint64_t generation)
+      : engine_(engine), generation_(generation), slot_(slot) {}
+  Engine* engine_ = nullptr;
+  std::uint64_t generation_ = 0;
+  std::uint32_t slot_ = 0;
 };
 
-/// One queued resumption or callback.
+/// One queued resumption or callback: plain values, no ownership.
+///
+/// Copies go member by member. The heap moves an event right after it was
+/// stored field by field; GCC 12 copies a trivially copyable 32-byte struct
+/// with two 16-byte loads, which cannot be forwarded from the pending 8-byte
+/// stores, and that stall tripled the engine's cost per event.
 struct Event {
   Nanos at = 0;
   std::uint64_t seq = 0;
-  std::coroutine_handle<> handle;    // null for callback events
-  std::shared_ptr<TimerState> timer;  // null for resumptions
+  std::coroutine_handle<> handle;  // null for callback events
+  std::uint32_t timer = 0;         // timer slot of a callback event
+
+  Event() = default;
+  Event(Nanos t, std::uint64_t s, std::coroutine_handle<> h, std::uint32_t slot)
+      : at(t), seq(s), handle(h), timer(slot) {}
+  Event(const Event& o) : at(o.at), seq(o.seq), handle(o.handle), timer(o.timer) {}
+  Event& operator=(const Event& o) {
+    at = o.at;
+    seq = o.seq;
+    handle = o.handle;
+    timer = o.timer;
+    return *this;
+  }
+  ~Event() = default;
+
   friend bool operator>(const Event& a, const Event& b) {
     return a.at != b.at ? a.at > b.at : a.seq > b.seq;
   }
 };
 
-/// Min-heap of events with dead-entry accounting. A plain vector heap (not
-/// std::priority_queue) so cancelled timers can be dropped off the top
+/// Min-heap of events plus the table of armed timers. A plain vector heap
+/// (not std::priority_queue) so cancelled timers can be dropped off the top
 /// lazily and compacted in place when they accumulate — long fault soaks and
-/// shared-link-heavy topo runs reschedule timers constantly.
+/// shared-link-heavy topo runs reschedule timers constantly. Timer closures
+/// live in free-listed slots, so arming, firing and cancelling a timer
+/// allocate nothing once the table has grown to the run's peak.
 class EventQueue {
  public:
-  void push(Event ev) {
-    heap_.push_back(std::move(ev));
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  void push_resume(Nanos at, std::uint64_t seq, std::coroutine_handle<> h) {
+    push(Event{at, seq, h, 0});
   }
 
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+  /// Arms a timer at (at, seq) and returns its slot; `seq` becomes the
+  /// slot's generation.
+  std::uint32_t push_timer(Nanos at, std::uint64_t seq,
+                           std::function<void()> fn) {
+    std::uint32_t slot = free_timer_;
+    if (slot == kNoSlot) {
+      slot = static_cast<std::uint32_t>(timers_.size());
+      timers_.emplace_back();
+    } else {
+      free_timer_ = timers_[slot].next_free;
+    }
+    timers_[slot].fn = std::move(fn);
+    timers_[slot].generation = seq;
+    push(Event{at, seq, nullptr, slot});
+    return slot;
+  }
+
+  [[nodiscard]] bool armed(std::uint32_t slot,
+                           std::uint64_t generation) const noexcept {
+    return timers_[slot].generation == generation;
+  }
+
+  /// Kills an armed timer and destroys its closure now; a no-op when the
+  /// generation no longer matches (fired, or already cancelled).
+  void cancel(std::uint32_t slot, std::uint64_t generation) noexcept {
+    if (!armed(slot, generation)) return;
+    timers_[slot].fn = nullptr;
+    release(slot);
+    ++dead_;
+  }
+
+  /// Frees the live timer of a popped event and hands over its closure.
+  std::function<void()> fire(std::uint32_t slot) {
+    std::function<void()> fn = std::move(timers_[slot].fn);
+    timers_[slot].fn = nullptr;
+    release(slot);
+    return fn;
+  }
 
   Event pop() {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    Event ev = std::move(heap_.back());
+    const Event ev = heap_.back();
     heap_.pop_back();
     return ev;
   }
@@ -120,21 +176,15 @@ class EventQueue {
   /// having pending work.
   const Event* peek_live() {
     while (!heap_.empty()) {
-      const Event& top = heap_.front();
-      if (top.timer != nullptr && !top.timer->alive) {
+      if (dead(heap_.front())) {
         (void)pop();
         --dead_;
         continue;
       }
-      return &top;
+      return &heap_.front();
     }
     return nullptr;
   }
-
-  /// A timer living in this queue was cancelled (called from TimerToken).
-  void note_cancel() noexcept { ++dead_; }
-
-  [[nodiscard]] std::size_t dead_count() const noexcept { return dead_; }
 
   /// Removes all cancelled entries when they dominate the queue, so a run
   /// that parks many timers (ledger reschedules, watchdogs) keeps its queue
@@ -142,22 +192,46 @@ class EventQueue {
   /// is unaffected.
   void compact_if_bloated() {
     if (dead_ < 64 || dead_ * 2 < heap_.size()) return;
-    std::erase_if(heap_, [](const Event& e) {
-      return e.timer != nullptr && !e.timer->alive;
-    });
+    std::erase_if(heap_, [this](const Event& e) { return dead(e); });
     std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
     dead_ = 0;
   }
 
  private:
+  static constexpr std::uint64_t kFree = ~std::uint64_t{0};
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  struct TimerSlot {
+    std::function<void()> fn;
+    std::uint64_t generation = kFree;  // seq of the arming event; kFree if unarmed
+    std::uint32_t next_free = kNoSlot;  // free-list link while unarmed
+  };
+
+  void push(const Event& ev) {
+    heap_.push_back(ev);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
+
+  [[nodiscard]] bool dead(const Event& e) const noexcept {
+    return e.handle == nullptr && !armed(e.timer, e.seq);
+  }
+
+  void release(std::uint32_t slot) noexcept {
+    timers_[slot].generation = kFree;
+    timers_[slot].next_free = free_timer_;
+    free_timer_ = slot;
+  }
+
   std::vector<Event> heap_;
   /// Cancelled entries still in the heap.
   std::size_t dead_ = 0;
+  std::vector<TimerSlot> timers_;
+  std::uint32_t free_timer_ = kNoSlot;  // head of the unarmed slots
 };
 
 class Engine {
  public:
-  Engine() = default;
+  Engine() noexcept { detail::block_pool.engine_opened(); }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
@@ -167,7 +241,7 @@ class Engine {
 
   /// Schedules a raw coroutine resumption `delay` ns from now.
   void schedule(std::coroutine_handle<> h, Nanos delay = 0) {
-    queue_.push(Event{now_ + delay, next_seq_++, h, nullptr});
+    queue_.push_resume(now_ + delay, next_seq_++, h);
   }
 
   /// Schedules a plain callback `delay` ns from now and returns a token that
@@ -178,6 +252,10 @@ class Engine {
   /// coroutine resumptions and may schedule further work, but must not call
   /// Engine::run().
   TimerToken schedule_callback(std::function<void()> fn, Nanos delay);
+
+  /// Draws a sequence number without scheduling anything. Sequence numbers
+  /// are unique and increase, so they also order arrivals at a Flag.
+  [[nodiscard]] std::uint64_t sequence_number() noexcept { return next_seq_++; }
 
   /// Detaches `t` as a root process; it starts at the current simulated time
   /// (after already-queued events with the same timestamp).
@@ -220,27 +298,25 @@ class Engine {
   // event queue then drains with live tasks, run() names each stuck actor
   // and wait site in the DeadlockError instead of exiting with open tasks
   // unreported. This mirrors check::DeadlockAnalyzer's attribution strings
-  // but is always on — no observer required — and costs one map insert/erase
-  // per wait. Cancelled timers are drained from the queues before the report
-  // is composed, so a dead callback is never counted as pending work.
+  // but is always on — no observer required. A site is plain data in a
+  // reusable slot, so registering a wait allocates nothing; its text is
+  // rendered only when a report is composed. Cancelled timers are drained
+  // from the queues before the report is composed, so a dead callback is
+  // never counted as pending work.
 
-  /// One open blocking wait. `predicate` is the pre-rendered comparison
-  /// (e.g. ">= 12"); `read_value` reads the awaited flag's current value at
-  /// report time (may be empty).
+  /// One open blocking wait: `who` waits until `*flag <cmp> rhs`. `what`
+  /// is a view, so the wait-site name must outlive the wait (the same
+  /// contract as the trace interval a wait records when it ends).
   struct WaitSite {
-    std::string who;   ///< waiting actor, e.g. "pe1/k0.g2"
-    std::string what;  ///< wait-site name, e.g. "signal_wait"
-    const void* flag = nullptr;
-    std::string predicate;
-    std::function<std::int64_t()> read_value;
-    /// Waiting actor's (device, stream lane) for job attribution; -1/-1 when
-    /// the waiter is not a stream/kernel actor (host threads, wires).
-    std::int32_t actor_device = -1;
-    std::int32_t actor_lane = -1;
+    Actor who;              ///< waiting actor, e.g. pe1/k0.g2
+    std::string_view what;  ///< wait-site name, e.g. "signal_wait"
+    const Flag* flag = nullptr;
+    Cmp cmp{};
+    std::int64_t rhs = 0;
   };
-  using WaitToken = std::uint64_t;
+  using WaitToken = std::uint32_t;
 
-  [[nodiscard]] WaitToken note_wait_begin(WaitSite site);
+  [[nodiscard]] WaitToken note_wait_begin(const WaitSite& site);
   void note_wait_end(WaitToken token);
 
   /// Names a flag for hang reports (the registry-side twin of
@@ -257,7 +333,8 @@ class Engine {
   void set_job_map(const JobMap* jobs) noexcept { job_map_ = jobs; }
   [[nodiscard]] const JobMap* job_map() const noexcept { return job_map_; }
 
-  /// Multi-line description of every open registered wait ("" when none).
+  /// Multi-line description of every open registered wait, in
+  /// registration order ("" when none).
   [[nodiscard]] std::string describe_open_waits() const;
 
   /// Renders one wait site in the hang-report format.
@@ -289,7 +366,10 @@ class Engine {
   void on_root_done(Task::Handle h);
 
   EventQueue queue_;
-  std::vector<Task::Handle> roots_;
+  /// Live roots in spawn order (intrusive through their promises), so a
+  /// finished root leaves in O(1) and teardown destroys in spawn order.
+  Task::promise_type* first_root_ = nullptr;
+  Task::promise_type* last_root_ = nullptr;
   std::vector<Task::Handle> finished_;
   std::exception_ptr error_;
   Trace trace_;
@@ -299,23 +379,30 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::size_t live_roots_ = 0;
 
-  std::map<WaitToken, WaitSite> open_waits_;
+  /// An open-wait slot; `serial` orders registrations, 0 marks a free slot.
+  struct OpenWait {
+    WaitSite site;
+    std::uint64_t serial = 0;
+  };
+  std::vector<OpenWait> waits_;
+  std::vector<WaitToken> free_waits_;
+  std::uint64_t next_wait_serial_ = 0;
   std::map<const void*, std::string> flag_names_;
-  std::uint64_t next_wait_token_ = 0;
   std::vector<std::string> incidents_;
 
   void reap_finished();
   friend class TimerToken;
 };
 
-inline void TimerToken::cancel() noexcept {
-  // Cancel after fire (or a second cancel) finds the timer dead: no-op.
-  // Cancel releases the captured closure right here — the queue entry it
-  // leaves behind is an empty husk dropped on pop or compaction.
-  if (state_ == nullptr || !state_->alive) return;
-  state_->alive = false;
-  state_->fn = nullptr;
-  if (state_->owner != nullptr) state_->owner->queue_.note_cancel();
+inline void TimerToken::cancel() const noexcept {
+  // Cancel after fire (or a second cancel) finds the generation moved on:
+  // no-op. Cancel releases the captured closure right here — the queue
+  // entry it leaves behind is an empty husk dropped on pop or compaction.
+  if (engine_ != nullptr) engine_->queue_.cancel(slot_, generation_);
+}
+
+inline bool TimerToken::armed() const noexcept {
+  return engine_ != nullptr && engine_->queue_.armed(slot_, generation_);
 }
 
 }  // namespace sim

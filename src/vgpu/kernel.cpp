@@ -78,25 +78,6 @@ sim::Task KernelCtx::peer_put(int dst_device, double bytes, std::string_view nam
                               std::move(deliver), sim::Cat::kComm, obs);
 }
 
-namespace {
-
-sim::Engine::WaitSite wait_site(const sim::Actor& who, std::string_view what,
-                                sim::Flag& flag, sim::Cmp cmp,
-                                std::int64_t rhs) {
-  sim::Engine::WaitSite ws{
-      who.str(), std::string(what), &flag,
-      std::string(sim::cmp_str(cmp)) + " " + std::to_string(rhs),
-      [f = &flag] { return f->value(); }};
-  if (who.kind == sim::Actor::Kind::kStream ||
-      who.kind == sim::Actor::Kind::kKernelGroup) {
-    ws.actor_device = who.a;
-    ws.actor_lane = who.b;
-  }
-  return ws;
-}
-
-}  // namespace
-
 sim::Task KernelCtx::spin_wait(sim::Flag& flag, sim::Cmp cmp, std::int64_t rhs,
                                std::string_view name) {
   const sim::Nanos t0 = now();
@@ -105,7 +86,7 @@ sim::Task KernelCtx::spin_wait(sim::Flag& flag, sim::Cmp cmp, std::int64_t rhs,
     obs->on_signal_wait_begin(obs_actor(), &flag, cmp, rhs, name);
   }
   const sim::Engine::WaitToken wt =
-      engine().note_wait_begin(wait_site(obs_actor(), name, flag, cmp, rhs));
+      engine().note_wait_begin({obs_actor(), name, &flag, cmp, rhs});
   co_await flag.wait(cmp, rhs);
   engine().note_wait_end(wt);
   if (obs != nullptr) obs->on_signal_wait_end(obs_actor(), &flag);
@@ -123,7 +104,7 @@ sim::Task KernelCtx::spin_wait_for(sim::Flag& flag, sim::Cmp cmp,
     obs->on_signal_wait_begin(obs_actor(), &flag, cmp, rhs, name);
   }
   const sim::Engine::WaitToken wt =
-      engine().note_wait_begin(wait_site(obs_actor(), name, flag, cmp, rhs));
+      engine().note_wait_begin({obs_actor(), name, &flag, cmp, rhs});
   const bool ok = co_await flag.wait_for(cmp, rhs, timeout);
   engine().note_wait_end(wt);
   *satisfied = ok;

@@ -219,12 +219,8 @@ sim::Task World::quiet(vgpu::KernelCtx& ctx) {
     o->on_signal_wait_begin(ctx.obs_actor(), st.completed.get(), sim::Cmp::kGe,
                             target, "quiet");
   }
-  const sim::Actor quiet_actor = ctx.obs_actor();
   const sim::Engine::WaitToken wt = machine_->engine().note_wait_begin(
-      {quiet_actor.str(), "quiet", st.completed.get(),
-       ">= " + std::to_string(target),
-       [f = st.completed.get()] { return f->value(); }, quiet_actor.a,
-       quiet_actor.b});
+      {ctx.obs_actor(), "quiet", st.completed.get(), sim::Cmp::kGe, target});
   co_await st.completed->wait_geq(target);
   machine_->engine().note_wait_end(wt);
   if (o != nullptr) {

@@ -362,4 +362,33 @@ TEST(HangReport, NamesStuckActorAndWaitSite) {
   }
 }
 
+/// The two-kernel variant's per-device pair flags carry names without a
+/// checker attached, so its hang report names them instead of printing heap
+/// addresses, and two runs give the same text.
+TEST(HangReport, TwoKernelPairFlagsAreNamed) {
+  const auto hang_report = [] {
+    MachineSpec spec = MachineSpec::hgx_a100(2);
+    spec.faults.seed = 1;
+    spec.faults.rate = 1.0;
+    spec.faults.classes = fault::kClassSignalLost;
+    spec.faults.resilience = fault::Resilience::kNone;
+    stencil::Jacobi2D p;
+    p.nx = 64;
+    p.ny = 64;
+    StencilConfig cfg;
+    cfg.iterations = 4;
+    cfg.functional = false;
+    try {
+      (void)stencil::run_jacobi2d(Variant::kCpuFreeTwoKernels, spec, p, cfg);
+    } catch (const sim::DeadlockError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string first = hang_report();
+  EXPECT_NE(first.find("comm_done@pe0"), std::string::npos) << first;
+  EXPECT_EQ(first.find("<flag@"), std::string::npos) << first;
+  EXPECT_EQ(hang_report(), first);
+}
+
 }  // namespace

@@ -398,8 +398,7 @@ TEST(TimerToken, CancelledTimerLeavesNoTraceOnTime) {
 
 sim::Task park_forever(sim::Engine& eng, sim::Flag& f) {
   const sim::Engine::WaitToken wt = eng.note_wait_begin(
-      {"test_actor", "never_flag", &f, ">= 1",
-       [&f] { return f.value(); }});
+      {sim::Actor::host(0), "never_flag", &f, sim::Cmp::kGe, 1});
   co_await f.wait_geq(1);
   eng.note_wait_end(wt);
 }
