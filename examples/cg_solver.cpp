@@ -8,11 +8,38 @@
 // the devices — the host never sees a residual.
 //
 //   $ ./cg_solver [nx ny max_iters gpus]
+//
+// Every argument must be a positive decimal integer; anything else exits 2
+// with the usage line.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "sim/stats.hpp"
 #include "solvers/cg.hpp"
+
+namespace {
+
+[[noreturn]] void usage(const char* arg) {
+  std::fprintf(stderr,
+               "cg_solver: invalid argument '%s'\n"
+               "usage: cg_solver [nx ny max_iters gpus] (positive integers)\n",
+               arg);
+  std::exit(2);
+}
+
+/// `arg` as a positive T, or exit 2 with the usage line.
+template <class T>
+T positive(const char* arg) {
+  T v{};
+  const char* end = arg + std::strlen(arg);
+  const auto [ptr, ec] = std::from_chars(arg, end, v);
+  if (ec != std::errc() || ptr != end || v <= 0) usage(arg);
+  return v;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   solvers::CgConfig cfg;
@@ -21,10 +48,11 @@ int main(int argc, char** argv) {
   cfg.max_iterations = 300;
   cfg.tolerance = 1e-12;
   int gpus = 4;
-  if (argc > 1) cfg.nx = std::strtoul(argv[1], nullptr, 10);
-  if (argc > 2) cfg.ny = std::strtoul(argv[2], nullptr, 10);
-  if (argc > 3) cfg.max_iterations = std::atoi(argv[3]);
-  if (argc > 4) gpus = std::atoi(argv[4]);
+  if (argc > 5) usage(argv[5]);
+  if (argc > 1) cfg.nx = positive<std::size_t>(argv[1]);
+  if (argc > 2) cfg.ny = positive<std::size_t>(argv[2]);
+  if (argc > 3) cfg.max_iterations = positive<int>(argv[3]);
+  if (argc > 4) gpus = positive<int>(argv[4]);
 
   std::printf("CG on the %zux%zu 2D Laplacian, tol %.0e, %d virtual A100s\n\n",
               cfg.nx, cfg.ny, cfg.tolerance, gpus);

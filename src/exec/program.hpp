@@ -18,8 +18,8 @@
 // The (launch, comm, sync) Plan machinery composes the hooks: run_program()
 // dispatches on the plan exactly like the old slab-only driver did, but the
 // problem shape is no longer baked in — run_slab() is now a thin adapter
-// over this driver, and irregular workloads (generalized histogram,
-// sparse CG) plug in beside it.
+// over this driver, and irregular workloads (generalized histogram, the
+// one CG solver) plug in beside it.
 #pragma once
 
 #include <functional>
@@ -43,8 +43,9 @@ namespace exec {
 /// workload must call the matching callback at the end of every iteration of
 /// every group body (comm groups call comm_end with `lead` true for exactly
 /// one group per PE — the group that speaks for the kernel in the two-kernel
-/// handshake). The callbacks are copyable; group bodies must copy them (the
-/// IterationJoin itself lives on the driver's frame).
+/// handshake), with one exception stated on Program::groups. The callbacks
+/// are copyable; group bodies must copy them (the IterationJoin itself lives
+/// on the driver's frame).
 struct IterationJoin {
   std::function<sim::Task(vgpu::KernelCtx&, bool lead, int t)> comm_end;
   std::function<sim::Task(vgpu::KernelCtx&, int t)> inner_end;
@@ -122,6 +123,13 @@ struct Program {
   std::function<bool(int dev)> stop;
 
   /// Persistent compositions: PE `dev`'s block groups under `join`.
+  ///
+  /// A program may omit the join only when it returns one group per PE, has
+  /// no `capture` hook, and runs under the single-kernel plan (kPersistent)
+  /// alone. The join is then a grid.sync() of one group: it orders nothing
+  /// and only charges its latency, and no checkpoint or pair handshake
+  /// hangs off it. Matrix-free CG omits it (its timeline never had a
+  /// per-iteration grid sync); its entry points accept no other plan.
   std::function<ProgramGroups(int dev, vshmem::SignalSet* sig,
                               const IterationJoin& join)>
       groups;

@@ -162,42 +162,65 @@ class StencilWorkload final : public Workload {
   bool checkpointing_;
 };
 
+/// The run options both CG configs share, filled from a job.
+template <class Config>
+Config cg_config(const JobSpec& spec, const Placement& place,
+                 const std::string& label, sim::JobMap* job_map) {
+  Config cfg;
+  cfg.nx = spec.nx;
+  cfg.ny = spec.ny;
+  cfg.max_iterations = spec.iterations;
+  cfg.functional = true;
+  cfg.trace = false;
+  cfg.threads_per_block = spec.threads_per_block;
+  cfg.persistent_blocks = place.blocks_per_device;
+  cfg.job_map = job_map;
+  cfg.job_label = label;
+  return cfg;
+}
+
 /// Device-converged CG on a device slice, verified bitwise against the
-/// partition-shaped serial reference.
+/// partition-shaped serial reference: matrix-free CG over the even split
+/// (kCg), or sparse CG with a deliberately imbalanced row partition
+/// (kSparseCg). The config's type picks the solver's operator.
 class CgWorkload final : public Workload {
  public:
   CgWorkload(vgpu::Machine& machine, const JobSpec& spec,
              const Placement& place, const std::string& label,
              sim::JobMap* job_map)
-      : world_(machine, place.devices, label) {
+      : world_(machine, place.devices, label),
+        kind_(spec.kind),
+        nx_(spec.nx),
+        ny_(spec.ny) {
     world_.set_functional(true);
     world_.set_fault_injection(spec.faulty);
-    cfg_.nx = spec.nx;
-    cfg_.ny = spec.ny;
-    cfg_.max_iterations = spec.iterations;
-    cfg_.functional = true;
-    cfg_.trace = false;
-    cfg_.threads_per_block = spec.threads_per_block;
-    cfg_.persistent_blocks = place.blocks_per_device;
-    cfg_.job_map = job_map;
-    cfg_.job_label = label;
-    job_ = std::make_unique<solvers::CgCpufreeJob>(machine, world_, cfg_);
+    if (spec.kind == JobKind::kCg) {
+      job_ = std::make_unique<solvers::CgCpufreeJob>(
+          machine, world_,
+          cg_config<solvers::CgConfig>(spec, place, label, job_map));
+    } else {
+      auto cfg =
+          cg_config<solvers::SparseCgConfig>(spec, place, label, job_map);
+      cfg.imbalance = spec.imbalance;
+      job_ = std::make_unique<solvers::CgCpufreeJob>(machine, world_, cfg);
+    }
   }
 
   sim::Task task() override { return job_->task(); }
 
   bool verify() override {
-    const solvers::CgResult ref = solvers::cg_reference(cfg_, world_.n_pes());
+    const solvers::CgResult ref = job_->reference();
     return job_->iterations_run() == ref.iterations_run &&
            job_->final_rr() == ref.final_rr &&
            job_->rr_history() == ref.rr_history;
   }
 
   std::string detail() const override {
-    std::string d = "cg ";
-    d += std::to_string(cfg_.nx);
+    std::string d(name(kind_));
+    d += ' ';
+    d += std::to_string(nx_);
     d += 'x';
-    d += std::to_string(cfg_.ny);
+    d += std::to_string(ny_);
     d += ", ";
     d += std::to_string(job_->iterations_run());
     d += " iters";
@@ -206,7 +229,9 @@ class CgWorkload final : public Workload {
 
  private:
   vshmem::World world_;
-  solvers::CgConfig cfg_;
+  JobKind kind_;
+  std::size_t nx_;
+  std::size_t ny_;
   std::unique_ptr<solvers::CgCpufreeJob> job_;
 };
 
@@ -320,57 +345,6 @@ class HistogramWorkload final : public Workload {
   std::unique_ptr<workloads::HistogramCpufreeJob> job_;
 };
 
-/// Sparse SpMV-CG on a device slice with a deliberately imbalanced row
-/// partition, verified bitwise against the CSR-shaped serial reference.
-class SparseCgWorkload final : public Workload {
- public:
-  SparseCgWorkload(vgpu::Machine& machine, const JobSpec& spec,
-                   const Placement& place, const std::string& label,
-                   sim::JobMap* job_map)
-      : world_(machine, place.devices, label) {
-    world_.set_functional(true);
-    world_.set_fault_injection(spec.faulty);
-    cfg_.nx = spec.nx;
-    cfg_.ny = spec.ny;
-    cfg_.max_iterations = spec.iterations;
-    cfg_.imbalance = spec.imbalance;
-    cfg_.functional = true;
-    cfg_.trace = false;
-    cfg_.threads_per_block = spec.threads_per_block;
-    cfg_.persistent_blocks = place.blocks_per_device;
-    cfg_.job_map = job_map;
-    cfg_.job_label = label;
-    job_ =
-        std::make_unique<solvers::SparseCgCpufreeJob>(machine, world_, cfg_);
-  }
-
-  sim::Task task() override { return job_->task(); }
-
-  bool verify() override {
-    const solvers::CgResult ref =
-        solvers::sparse_cg_reference(cfg_, world_.n_pes());
-    return job_->iterations_run() == ref.iterations_run &&
-           job_->final_rr() == ref.final_rr &&
-           job_->rr_history() == ref.rr_history;
-  }
-
-  std::string detail() const override {
-    std::string d = "sparse_cg ";
-    d += std::to_string(cfg_.nx);
-    d += 'x';
-    d += std::to_string(cfg_.ny);
-    d += ", ";
-    d += std::to_string(job_->iterations_run());
-    d += " iters";
-    return d;
-  }
-
- private:
-  vshmem::World world_;
-  solvers::SparseCgConfig cfg_;
-  std::unique_ptr<solvers::SparseCgCpufreeJob> job_;
-};
-
 }  // namespace
 
 std::string validate(const JobSpec& spec) {
@@ -429,6 +403,7 @@ std::unique_ptr<Workload> make_workload(vgpu::Machine& machine,
       return std::make_unique<StencilWorkload>(machine, spec, place, label,
                                                job_map, resume);
     case JobKind::kCg:
+    case JobKind::kSparseCg:
       return std::make_unique<CgWorkload>(machine, spec, place, label,
                                           job_map);
     case JobKind::kDacelite:
@@ -437,9 +412,6 @@ std::unique_ptr<Workload> make_workload(vgpu::Machine& machine,
     case JobKind::kHistogram:
       return std::make_unique<HistogramWorkload>(machine, spec, place, label,
                                                  job_map);
-    case JobKind::kSparseCg:
-      return std::make_unique<SparseCgWorkload>(machine, spec, place, label,
-                                                job_map);
   }
   throw std::invalid_argument("make_workload: unknown job kind");
 }

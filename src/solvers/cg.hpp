@@ -18,6 +18,11 @@
 // boundaries, decomposed in row slabs like the stencil. Distributed runs are
 // verified bit-for-bit against a serial reference that reproduces the same
 // partial-sum reduction order.
+//
+// This is the stencil instance of the one CG solver (sparse_cg.cpp): it
+// shares the sparse solver's setup, reference, persistent body and host
+// loop over the balanced split, and keeps its own term order, 16-byte
+// per-point SpMV cost, names, and persistent iterations with no grid sync.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +46,8 @@ class World;
 }
 
 namespace solvers {
+
+struct SparseCgConfig;
 
 struct CgConfig {
   std::size_t nx = 64;
@@ -74,6 +81,9 @@ struct CgResult {
 
 /// Serial reference with the same partition-shaped reduction order as a
 /// `ranks`-device distributed run (so distributed results match bitwise).
+/// Computed once per process for each (nx, ny, max_iterations, tolerance,
+/// ranks); every call returns its own copy. Throws std::invalid_argument
+/// naming `ranks` when it is below 1.
 [[nodiscard]] CgResult cg_reference(const CgConfig& config, int ranks);
 
 /// CPU-Free persistent-kernel CG.
@@ -89,11 +99,16 @@ struct CgResult {
 /// The world may be a device slice; allocation and initialization happen in
 /// the constructor, the kernels launch when the engine first resumes the
 /// task() coroutine, and the result accessors are valid once it completes.
-/// Results are bitwise-comparable to cg_reference(config, world.n_pes()).
+/// The config's type picks the operator: a CgConfig runs matrix-free CG
+/// (results bitwise-comparable to cg_reference(config, world.n_pes())), a
+/// SparseCgConfig sparse CG (sparse_cg_reference); reference() returns that
+/// reference.
 class CgCpufreeJob {
  public:
   CgCpufreeJob(vgpu::Machine& machine, vshmem::World& world,
                const CgConfig& config);
+  CgCpufreeJob(vgpu::Machine& machine, vshmem::World& world,
+               const SparseCgConfig& config);
   ~CgCpufreeJob();
   CgCpufreeJob(const CgCpufreeJob&) = delete;
   CgCpufreeJob& operator=(const CgCpufreeJob&) = delete;
@@ -105,6 +120,8 @@ class CgCpufreeJob {
   [[nodiscard]] int iterations_run() const;
   [[nodiscard]] double final_rr() const;
   [[nodiscard]] const std::vector<double>& rr_history() const;
+  /// The serial reference of this job's operator, config and PE count.
+  [[nodiscard]] CgResult reference() const;
 
  private:
   struct Impl;

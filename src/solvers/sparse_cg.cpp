@@ -1,6 +1,11 @@
+// The one CG solver. Matrix-free CG (cg.hpp) and sparse CG (sparse_cg.hpp)
+// share its problem setup, serial reference, persistent body, host-loop
+// step and job class; they differ only in the Operator instance below,
+// picked by the public entry point.
 #include "solvers/sparse_cg.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cmath>
@@ -13,14 +18,13 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "cpufree/halo.hpp"
-#include "cpufree/launch.hpp"
 #include "cpufree/metrics.hpp"
 #include "exec/comm.hpp"
-#include "exec/launch.hpp"
 #include "exec/program.hpp"
 #include "exec/sync.hpp"
 #include "hostmpi/comm.hpp"
@@ -34,47 +38,19 @@ namespace solvers {
 
 namespace {
 
-// CSR SpMV traffic: value + column index per nonzero, one q write per row.
-constexpr double kCsrBytesPerNnz = 12.0;
-constexpr double kCsrBytesPerRow = 8.0;
-// Dense phases (same constants as the matrix-free CG).
-constexpr double kDotBytes = 16.0;
-constexpr double kAxpy2Bytes = 48.0;
-constexpr double kPUpdateBytes = 24.0;
+// Dense phases: streaming traffic per point (read + write doubles).
+constexpr double kDotBytes = 16.0;      // read two vectors
+constexpr double kAxpy2Bytes = 48.0;    // read p, q, x, r; write x, r
+constexpr double kPUpdateBytes = 24.0;  // read r, p; write p
 
 double rhs_value(std::size_t gy, std::size_t gx) {
   return static_cast<double>((gy * 53 + gx * 29) % 83) / 83.0;
-}
-
-double spmv_bytes(const CsrSlice& s) {
-  return static_cast<double>(s.nnz) * kCsrBytesPerNnz +
-         s.points() * kCsrBytesPerRow;
 }
 
 /// `v` in the shortest form that reads back as the same double.
 std::string shortest(double v) {
   char buf[32];
   return {buf, std::to_chars(buf, buf + sizeof buf, v).ptr};
-}
-
-/// Halo-extended vector length that fits every rank's slice.
-std::size_t vector_size(const SparseOperator& op, std::size_t nx) {
-  std::size_t rows = 0;
-  for (const CsrSlice& s : op) rows = std::max(rows, s.rows);
-  return (rows + 2) * nx;
-}
-
-void init_vectors(const CsrSlice& s, std::span<double> b,
-                  std::span<double> r, std::span<double> p) {
-  for (std::size_t row = 1; row <= s.rows; ++row) {
-    const std::size_t gy = s.offset + row - 1;
-    for (std::size_t j = 0; j < s.nx; ++j) {
-      const double v = rhs_value(gy, j);
-      b[s.idx(row, j)] = v;
-      r[s.idx(row, j)] = v;  // x0 = 0 -> r0 = b
-      p[s.idx(row, j)] = v;
-    }
-  }
 }
 
 /// Rank-ordered partial combine — the reduction order every variant and the
@@ -89,6 +65,10 @@ double combine(const std::vector<double>& partials) {
 
 std::vector<std::size_t> split_rows_weighted(std::size_t ny, int ranks,
                                              double imbalance) {
+  if (ranks < 1) {
+    throw std::invalid_argument("CG: ranks " + std::to_string(ranks) +
+                                " must be at least 1");
+  }
   if (!std::isfinite(imbalance) || imbalance > kMaxImbalance) {
     throw std::invalid_argument("sparse CG: imbalance " +
                                 shortest(imbalance) +
@@ -97,8 +77,8 @@ std::vector<std::size_t> split_rows_weighted(std::size_t ny, int ranks,
   }
   const auto n = static_cast<std::size_t>(ranks);
   std::vector<std::size_t> rows(n, 0);
-  if (ranks <= 1) {
-    rows.assign(1, ny);
+  if (ranks == 1) {
+    rows[0] = ny;
     return rows;
   }
   const double ratio = std::max(1.0, imbalance);
@@ -195,10 +175,11 @@ std::string csr_overflow(const SparseCgConfig& config, int ranks) {
   return {};
 }
 
-SparseOperator sparse_operator(const SparseCgConfig& config, int ranks) {
-  if (std::string why = csr_overflow(config, ranks); !why.empty()) {
-    throw std::invalid_argument(why);
-  }
+namespace {
+
+/// Every rank's slice under `config`'s weighted split, in O(ranks), with no
+/// layout bound.
+SparseOperator split_slices(const SparseCgConfig& config, int ranks) {
   SparseOperator op;
   std::size_t off = 0;
   for (std::size_t rows :
@@ -210,51 +191,73 @@ SparseOperator sparse_operator(const SparseCgConfig& config, int ranks) {
   return op;
 }
 
+/// q = A p over interior rows 1..rows, returning dot(p, q) accumulated in
+/// the same row order. The two instances add a point's five terms in
+/// different orders, so their bits differ:
+///  * stencil: 4·p − up − down − west − east, an absent neighbour
+///    subtracting 0.0 (the matrix-free CG's order);
+///  * CSR: from 0.0, add −1·up, −1·west, 4·diag, −1·east, −1·down, skipping
+///    absent neighbours (a stored row's column order). Multiplying by −1 and
+///    4 is exact, so q has the bits a stored matrix would give.
+template <bool kStencilTerms>
+double five_point_dot(const CsrSlice& s, std::span<const double> p,
+                      std::span<double> q) {
+  const std::size_t nx = s.nx;
+  double pq = 0.0;
+  for (std::size_t r = 1; r <= s.rows; ++r) {
+    const std::size_t gy = s.offset + r - 1;
+    const bool has_up = gy > 0;
+    const bool has_down = gy + 1 < s.ny;
+    const double* up = p.data() + (r - 1) * nx;
+    const double* mid = up + nx;
+    const double* down = mid + nx;
+    double* qr = q.data() + r * nx;
+    auto point = [&](std::size_t j, bool u, bool w, bool e, bool d) {
+      double acc;
+      if constexpr (kStencilTerms) {
+        acc = 4.0 * mid[j] - (u ? up[j] : 0.0) - (d ? down[j] : 0.0) -
+              (w ? mid[j - 1] : 0.0) - (e ? mid[j + 1] : 0.0);
+      } else {
+        acc = 0.0;
+        if (u) acc += -1.0 * up[j];
+        if (w) acc += -1.0 * mid[j - 1];
+        acc += 4.0 * mid[j];
+        if (e) acc += -1.0 * mid[j + 1];
+        if (d) acc += -1.0 * down[j];
+      }
+      qr[j] = acc;
+      pq += mid[j] * acc;
+    };
+    if (!has_up || !has_down || nx < 3) {
+      for (std::size_t j = 0; j < nx; ++j) {
+        point(j, has_up, j > 0, j + 1 < nx, has_down);
+      }
+      continue;
+    }
+    // Interior points have all five neighbours: constant flags, so the
+    // inlined body has no branches.
+    point(0, true, false, true, true);
+    for (std::size_t j = 1; j + 1 < nx; ++j) point(j, true, true, true, true);
+    point(nx - 1, true, true, false, true);
+  }
+  return pq;
+}
+
+}  // namespace
+
+SparseOperator sparse_operator(const SparseCgConfig& config, int ranks) {
+  if (std::string why = csr_overflow(config, ranks); !why.empty()) {
+    throw std::invalid_argument(why);
+  }
+  return split_slices(config, ranks);
+}
+
 // The kernels walk interior rows 1..rows of the halo-extended layout, which
 // is the flat index range [nx, (rows+1)*nx), and add in that order.
 
 double CsrSlice::spmv_dot(std::span<const double> p,
                           std::span<double> q) const {
-  double pq = 0.0;
-  for (std::size_t r = 1; r <= rows; ++r) {
-    const std::size_t gy = offset + r - 1;
-    const bool has_up = gy > 0;
-    const bool has_down = gy + 1 < ny;
-    const double* up = p.data() + (r - 1) * nx;
-    const double* mid = up + nx;
-    const double* down = mid + nx;
-    double* qr = q.data() + r * nx;
-    // One CSR row's terms in column order. Multiplying by -1 and 4 is exact,
-    // so q and the partial have the bits a stored matrix would give.
-    auto point = [&](std::size_t j) {
-      double acc = 0.0;
-      if (has_up) acc += -1.0 * up[j];
-      if (j > 0) acc += -1.0 * mid[j - 1];
-      acc += 4.0 * mid[j];
-      if (j + 1 < nx) acc += -1.0 * mid[j + 1];
-      if (has_down) acc += -1.0 * down[j];
-      qr[j] = acc;
-      pq += mid[j] * acc;
-    };
-    if (!has_up || !has_down || nx < 3) {
-      for (std::size_t j = 0; j < nx; ++j) point(j);
-      continue;
-    }
-    // Interior points have all five neighbours: same terms, no branches.
-    point(0);
-    for (std::size_t j = 1; j + 1 < nx; ++j) {
-      double acc = 0.0;
-      acc += -1.0 * up[j];
-      acc += -1.0 * mid[j - 1];
-      acc += 4.0 * mid[j];
-      acc += -1.0 * mid[j + 1];
-      acc += -1.0 * down[j];
-      qr[j] = acc;
-      pq += mid[j] * acc;
-    }
-    point(nx - 1);
-  }
-  return pq;
+  return five_point_dot<false>(*this, p, q);
 }
 
 double CsrSlice::axpy2_dot(double alpha, std::span<const double> p,
@@ -283,66 +286,153 @@ void CsrSlice::p_update(double beta, std::span<const double> r,
 
 namespace {
 
-/// sparse_cg_reference without the memo.
-CgResult reference_uncached(const SparseCgConfig& cfg, int ranks) {
-  const SparseOperator states = sparse_operator(cfg, ranks);
-  const int n = ranks;
-  std::vector<std::vector<double>> b(static_cast<std::size_t>(n));
-  std::vector<std::vector<double>> x(static_cast<std::size_t>(n));
-  std::vector<std::vector<double>> r(static_cast<std::size_t>(n));
-  std::vector<std::vector<double>> p(static_cast<std::size_t>(n));
-  std::vector<std::vector<double>> q(static_cast<std::size_t>(n));
-  for (int d = 0; d < n; ++d) {
-    const auto sz = (states[static_cast<std::size_t>(d)].rows + 2) * cfg.nx;
-    b[static_cast<std::size_t>(d)].assign(sz, 0.0);
-    x[static_cast<std::size_t>(d)].assign(sz, 0.0);
-    r[static_cast<std::size_t>(d)].assign(sz, 0.0);
-    p[static_cast<std::size_t>(d)].assign(sz, 0.0);
-    q[static_cast<std::size_t>(d)].assign(sz, 0.0);
-    init_vectors(states[static_cast<std::size_t>(d)],
-                 b[static_cast<std::size_t>(d)], r[static_cast<std::size_t>(d)],
-                 p[static_cast<std::size_t>(d)]);
+/// The solver's operator description. It has exactly two instances:
+/// kStencil serves the matrix-free entry points of cg.hpp, kCsr the sparse
+/// ones. Each field is a difference the two must keep (DESIGN §14).
+struct Operator {
+  /// Term order of the SpMV (five_point_dot's instance). Also the memo key.
+  bool stencil;
+  /// Whether a persistent iteration ends at the plan's join (a grid sync).
+  /// The matrix-free CG never synced per iteration; exec::Program::groups
+  /// states when a program may omit it.
+  bool join;
+  /// Whether the split must fit the simulated device's 32-bit CSR.
+  bool csr_bound;
+  /// SpMV device traffic per nonzero and per point.
+  double bytes_per_nnz;
+  double bytes_per_point;
+  // Names in traces, checker reports and hang reports.
+  std::string_view group;     // persistent block group
+  std::string_view kernel;    // the job's persistent launch
+  std::string_view phase;     // host-loop launches
+  std::string_view spmv;      // persistent SpMV phase
+  std::string_view spmv_dot;  // host-loop SpMV + dot(p, q) launch phase
+  std::array<std::string_view, 7> allocs;  // p, x, r, q, b, pq/rr slots
+
+  [[nodiscard]] SparseOperator slices(const SparseCgConfig& cfg,
+                                      int ranks) const {
+    return csr_bound ? sparse_operator(cfg, ranks) : split_slices(cfg, ranks);
   }
-  auto exchange_halos = [&] {
-    for (int d = 0; d < n; ++d) {
-      const auto& s = states[static_cast<std::size_t>(d)];
-      if (d > 0) {
-        const auto& up = states[static_cast<std::size_t>(d - 1)];
-        for (std::size_t j = 0; j < cfg.nx; ++j) {
-          p[static_cast<std::size_t>(d)][s.idx(0, j)] =
-              p[static_cast<std::size_t>(d - 1)][up.idx(up.rows, j)];
-        }
-      }
-      if (d + 1 < n) {
-        const auto& down = states[static_cast<std::size_t>(d + 1)];
-        for (std::size_t j = 0; j < cfg.nx; ++j) {
-          p[static_cast<std::size_t>(d)][s.idx(s.rows + 1, j)] =
-              p[static_cast<std::size_t>(d + 1)][down.idx(1, j)];
-        }
-      }
+  [[nodiscard]] double apply(const CsrSlice& s, std::span<const double> p,
+                             std::span<double> q) const {
+    return stencil ? five_point_dot<true>(s, p, q) : s.spmv_dot(p, q);
+  }
+  [[nodiscard]] double spmv_bytes(const CsrSlice& s) const {
+    return static_cast<double>(s.nnz) * bytes_per_nnz +
+           s.points() * bytes_per_point;
+  }
+};
+
+constexpr Operator kStencil{
+    .stencil = true,
+    .join = false,
+    .csr_bound = false,
+    // Matrix-free: read p (cached halo rows), write q.
+    .bytes_per_nnz = 0.0,
+    .bytes_per_point = 16.0,
+    .group = "cg",
+    .kernel = "cg_cpufree",
+    .phase = "cg_phase",
+    .spmv = "spmv",
+    .spmv_dot = "spmv+dot",
+    .allocs = {"p", "x", "r", "q", "b", "pq_slots", "rr_slots"}};
+
+constexpr Operator kCsr{
+    .stencil = false,
+    .join = true,
+    .csr_bound = true,
+    // 32-bit CSR: value + column index per nonzero, one q write per row.
+    .bytes_per_nnz = 12.0,
+    .bytes_per_point = 8.0,
+    .group = "sparse_cg",
+    .kernel = "sparse_cg_cpufree",
+    .phase = "sparse_cg_phase",
+    .spmv = "spmv_csr",
+    .spmv_dot = "spmv_csr+dot",
+    .allocs = {"sp_p", "sp_x", "sp_r", "sp_q", "sp_b", "sp_pq", "sp_rr"}};
+
+/// The matrix-free problem in the shared config: imbalance 1 is the even
+/// split.
+SparseCgConfig as_sparse(const CgConfig& c) {
+  SparseCgConfig s;
+  s.nx = c.nx;
+  s.ny = c.ny;
+  s.max_iterations = c.max_iterations;
+  s.tolerance = c.tolerance;
+  s.functional = c.functional;
+  s.trace = c.trace;
+  s.threads_per_block = c.threads_per_block;
+  s.persistent_blocks = c.persistent_blocks;
+  s.observer = c.observer;
+  s.job_map = c.job_map;
+  s.job_label = c.job_label;
+  return s;
+}
+
+void init_vectors(const CsrSlice& s, std::span<double> b,
+                  std::span<double> r, std::span<double> p) {
+  for (std::size_t row = 1; row <= s.rows; ++row) {
+    const std::size_t gy = s.offset + row - 1;
+    for (std::size_t j = 0; j < s.nx; ++j) {
+      const double v = rhs_value(gy, j);
+      b[s.idx(row, j)] = v;
+      r[s.idx(row, j)] = v;  // x0 = 0 -> r0 = b
+      p[s.idx(row, j)] = v;
     }
-  };
+  }
+}
+
+/// Copies every rank's boundary rows of p into its neighbours' halo rows;
+/// `p(d)` is rank d's halo-extended vector.
+template <class Vec>
+void fill_halos(const SparseOperator& slices, Vec&& p) {
+  for (std::size_t d = 0; d < slices.size(); ++d) {
+    const CsrSlice& s = slices[d];
+    if (d > 0) {
+      const CsrSlice& up = slices[d - 1];
+      std::copy_n(p(d - 1).data() + up.idx(up.rows, 0), s.nx,
+                  p(d).data() + s.idx(0, 0));
+    }
+    if (d + 1 < slices.size()) {
+      std::copy_n(p(d + 1).data() + slices[d + 1].idx(1, 0), s.nx,
+                  p(d).data() + s.idx(s.rows + 1, 0));
+    }
+  }
+}
+
+/// The reference without the memo: the distributed runs' accumulation and
+/// rank-ordered reduction, serially.
+CgResult reference_uncached(const Operator& op, const SparseCgConfig& cfg,
+                            int ranks) {
+  const SparseOperator states = op.slices(cfg, ranks);
+  const auto n = static_cast<std::size_t>(ranks);
+  std::vector<std::vector<double>> b(n), x(n), r(n), p(n), q(n);
+  for (std::size_t d = 0; d < n; ++d) {
+    const auto sz = (states[d].rows + 2) * cfg.nx;
+    b[d].assign(sz, 0.0);
+    x[d].assign(sz, 0.0);
+    r[d].assign(sz, 0.0);
+    p[d].assign(sz, 0.0);
+    q[d].assign(sz, 0.0);
+    init_vectors(states[d], b[d], r[d], p[d]);
+  }
   auto reduce = [&](auto&& fn) {
     std::vector<double> partials;
-    for (int d = 0; d < n; ++d) partials.push_back(fn(d));
+    for (std::size_t d = 0; d < n; ++d) partials.push_back(fn(d));
     return combine(partials);
   };
 
   CgResult res;
-  double rz = reduce([&](int d) {
-    const auto& s = states[static_cast<std::size_t>(d)];
-    return s.dot(r[static_cast<std::size_t>(d)], r[static_cast<std::size_t>(d)]);
-  });
+  double rz = reduce([&](std::size_t d) { return states[d].dot(r[d], r[d]); });
   for (int t = 1; t <= cfg.max_iterations; ++t) {
-    exchange_halos();
-    const double pq = reduce([&](int d) {
-      const auto i = static_cast<std::size_t>(d);
-      return states[i].spmv_dot(p[i], q[i]);
+    fill_halos(states, [&p](std::size_t d) -> std::vector<double>& {
+      return p[d];
     });
+    const double pq = reduce(
+        [&](std::size_t d) { return op.apply(states[d], p[d], q[d]); });
     const double alpha = rz / pq;
-    const double rr = reduce([&](int d) {
-      const auto i = static_cast<std::size_t>(d);
-      return states[i].axpy2_dot(alpha, p[i], q[i], x[i], r[i]);
+    const double rr = reduce([&](std::size_t d) {
+      return states[d].axpy2_dot(alpha, p[d], q[d], x[d], r[d]);
     });
     res.rr_history.push_back(rr);
     res.iterations_run = t;
@@ -350,18 +440,16 @@ CgResult reference_uncached(const SparseCgConfig& cfg, int ranks) {
     if (rr < cfg.tolerance) break;
     const double beta = rr / rz;
     rz = rr;
-    for (int d = 0; d < n; ++d) {
-      const auto& s = states[static_cast<std::size_t>(d)];
-      s.p_update(beta, r[static_cast<std::size_t>(d)],
-                 p[static_cast<std::size_t>(d)]);
-    }
+    for (std::size_t d = 0; d < n; ++d) states[d].p_update(beta, r[d], p[d]);
   }
   return res;
 }
 
-/// Exactly the config fields the reference reads, plus the rank count.
-/// Doubles are keyed by bit pattern so the key order stays total.
+/// Exactly what the reference reads: the operator, the config fields and
+/// the rank count. Doubles are keyed by bit pattern so the key order stays
+/// total.
 struct ReferenceKey {
+  bool stencil;
   std::size_t nx;
   std::size_t ny;
   int max_iterations;
@@ -372,11 +460,12 @@ struct ReferenceKey {
   auto operator<=>(const ReferenceKey&) const = default;
 };
 
-}  // namespace
-
-CgResult sparse_cg_reference(const SparseCgConfig& cfg, int ranks) {
+/// The reference, computed once per process for each key; every call
+/// returns its own copy.
+CgResult reference(const Operator& op, const SparseCgConfig& cfg, int ranks) {
   static sim::Memo<ReferenceKey, CgResult> memo;
-  const ReferenceKey key{cfg.nx,
+  const ReferenceKey key{op.stencil,
+                         cfg.nx,
                          cfg.ny,
                          cfg.max_iterations,
                          std::bit_cast<std::uint64_t>(cfg.tolerance),
@@ -392,133 +481,132 @@ CgResult sparse_cg_reference(const SparseCgConfig& cfg, int ranks) {
     keyed.max_iterations = key.max_iterations;
     keyed.tolerance = std::bit_cast<double>(key.tolerance);
     keyed.imbalance = std::bit_cast<double>(key.imbalance);
-    return reference_uncached(keyed, key.ranks);
+    return reference_uncached(key.stencil ? kStencil : kCsr, keyed, key.ranks);
   });
 }
 
-// --- Shared distributed core --------------------------------------------------
+/// The problem on `world` (the whole machine or a device slice): each
+/// rank's slice and the halo-extended p, x, r, q, b, one element each when
+/// timing-only, with x0 = 0 and r0 = p0 = b. Throws std::invalid_argument
+/// for a split the operator rejects, before allocating anything
+/// problem-sized.
+struct Problem {
+  Problem(const Operator& o, vshmem::World& w, const SparseCgConfig& c)
+      : op(&o),
+        cfg(c),
+        world(&w),
+        n(w.n_pes()),
+        slices(o.slices(c, w.n_pes())) {
+    std::size_t rows = 0;
+    for (const CsrSlice& s : slices) rows = std::max(rows, s.rows);
+    const std::size_t size = cfg.functional ? (rows + 2) * cfg.nx : 1;
+    p = w.alloc<double>(size, op->allocs[0]);
+    x = w.alloc<double>(size, op->allocs[1]);
+    r = w.alloc<double>(size, op->allocs[2]);
+    q = w.alloc<double>(size, op->allocs[3]);
+    b = w.alloc<double>(size, op->allocs[4]);
+  }
 
-namespace {
+  /// Fills b, r and p, and returns r0·r0 combined in rank order (1 when
+  /// timing-only).
+  double init() {
+    if (!cfg.functional) return 1.0;
+    std::vector<double> partials;
+    for (int d = 0; d < n; ++d) {
+      const CsrSlice& s = slices[static_cast<std::size_t>(d)];
+      init_vectors(s, b.on(d), r.on(d), p.on(d));
+      partials.push_back(s.dot(r.on(d), r.on(d)));
+    }
+    return combine(partials);
+  }
 
-/// Everything the distributed bodies dereference, heap-held so the
-/// externally-driven job can outlive the building frame. Signal layout as
-/// cg.cpp: reduction flags channel*n + peer, halo flags 2n/2n+1 (preset 1).
-struct SparseCgCore {
+  /// PE 0's record of iteration t's residual.
+  void publish(int dev, int t, double rr) {
+    if (dev != 0) return;
+    if (cfg.functional) history.push_back(rr);
+    iterations_run = t;
+    final_rr = rr;
+  }
+
+  CgResult result(vgpu::Machine& machine) const {
+    CgResult res;
+    res.metrics = cpufree::analyze_run(machine.trace(), machine.engine().now(),
+                                       iterations_run);
+    cpufree::apply_fault_stats(res.metrics, machine.faults().stats());
+    res.iterations_run = iterations_run;
+    res.final_rr = final_rr;
+    res.rr_history = history;
+    return res;
+  }
+
+  const Operator* op;
   SparseCgConfig cfg;
-  vshmem::World* world = nullptr;
-  int n = 0;
-  int persistent_blocks = 0;
-  SparseOperator op;
-  vshmem::Sym<double> p, x, r, q, b, slots0, slots1;
-  std::unique_ptr<vshmem::SignalSet> sig;
-  std::size_t top_halo = 0;
-  std::size_t bottom_halo = 0;
-  double rz0 = 1.0;
-  // Shared result cells (PE 0 publishes).
-  std::shared_ptr<std::vector<double>> history =
-      std::make_shared<std::vector<double>>();
-  std::shared_ptr<int> iterations_run = std::make_shared<int>(0);
-  std::shared_ptr<double> final_rr = std::make_shared<double>(0.0);
+  vshmem::World* world;
+  int n;
+  SparseOperator slices;
+  vshmem::Sym<double> p, x, r, q, b;
+  std::vector<double> history;
+  int iterations_run = 0;
+  double final_rr = 0.0;
 };
 
-std::unique_ptr<SparseCgCore> make_sparse_core(vshmem::World& world,
-                                               const vgpu::MachineSpec& spec,
-                                               const SparseCgConfig& cfg) {
-  auto core = std::make_unique<SparseCgCore>();
-  core->cfg = cfg;
-  core->world = &world;
-  const int n = world.n_pes();
-  core->n = n;
-  core->persistent_blocks = exec::resolve_persistent_blocks(
-      cfg.persistent_blocks, spec, cfg.threads_per_block);
-  core->op = sparse_operator(cfg, n);
-  const SparseOperator& states = core->op;
-
-  const std::size_t vec_size = cfg.functional ? vector_size(states, cfg.nx) : 1;
-  core->p = world.alloc<double>(vec_size, "sp_p");
-  core->x = world.alloc<double>(vec_size, "sp_x");
-  core->r = world.alloc<double>(vec_size, "sp_r");
-  core->q = world.alloc<double>(vec_size, "sp_q");
-  core->b = world.alloc<double>(vec_size, "sp_b");
-  core->slots0 = world.alloc<double>(static_cast<std::size_t>(n), "sp_pq");
-  core->slots1 = world.alloc<double>(static_cast<std::size_t>(n), "sp_rr");
-  core->sig = world.alloc_signals(2 * static_cast<std::size_t>(n) + 2);
-  core->top_halo = 2 * static_cast<std::size_t>(n);
-  core->bottom_halo = core->top_halo + 1;
-  for (int pe = 0; pe < n; ++pe) {
-    core->sig->at(pe, core->top_halo).set(1);
-    core->sig->at(pe, core->bottom_halo).set(1);
-  }
-
-  vshmem::Sym<double>& p = core->p;
-  if (cfg.functional) {
-    for (int d = 0; d < n; ++d) {
-      init_vectors(states[static_cast<std::size_t>(d)], core->b.on(d),
-                   core->r.on(d), p.on(d));
+/// The persistent composition's state: the problem plus the allreduce slots
+/// and the signals. Signal layout: reduction flags channel*n + peer
+/// (channel 0 = p·q, 1 = r·r), halo flags 2n and 2n+1, preset to 1.
+struct Core : Problem {
+  Core(const Operator& o, vshmem::World& w, const vgpu::MachineSpec& spec,
+       const SparseCgConfig& c)
+      : Problem(o, w, c),
+        persistent_blocks(exec::resolve_persistent_blocks(
+            c.persistent_blocks, spec, c.threads_per_block)),
+        slots0(w.alloc<double>(static_cast<std::size_t>(n), o.allocs[5])),
+        slots1(w.alloc<double>(static_cast<std::size_t>(n), o.allocs[6])),
+        sig(w.alloc_signals(2 * static_cast<std::size_t>(n) + 2)),
+        top_halo(2 * static_cast<std::size_t>(n)),
+        bottom_halo(top_halo + 1) {
+    for (int pe = 0; pe < n; ++pe) {
+      sig->at(pe, top_halo).set(1);
+      sig->at(pe, bottom_halo).set(1);
     }
+    rz0 = init();
     // Iteration 1's halo flags are pre-signaled: the initial neighbour
     // boundaries must already be in the halos.
-    for (int d = 0; d < n; ++d) {
-      const auto& s = states[static_cast<std::size_t>(d)];
-      if (d > 0) {
-        const auto& up = states[static_cast<std::size_t>(d - 1)];
-        for (std::size_t j = 0; j < cfg.nx; ++j) {
-          p.on(d)[s.idx(0, j)] = p.on(d - 1)[up.idx(up.rows, j)];
-        }
-      }
-      if (d + 1 < n) {
-        const auto& down = states[static_cast<std::size_t>(d + 1)];
-        for (std::size_t j = 0; j < cfg.nx; ++j) {
-          p.on(d)[s.idx(s.rows + 1, j)] = p.on(d + 1)[down.idx(1, j)];
-        }
-      }
+    if (cfg.functional) {
+      fill_halos(slices,
+                 [this](std::size_t d) { return p.on(static_cast<int>(d)); });
     }
   }
 
-  std::vector<double> rz0_partials;
-  if (cfg.functional) {
-    for (int d = 0; d < n; ++d) {
-      rz0_partials.push_back(states[static_cast<std::size_t>(d)].dot(
-          core->r.on(d), core->r.on(d)));
-    }
-  }
-  core->rz0 = cfg.functional ? combine(rz0_partials) : 1.0;
-  return core;
-}
+  int persistent_blocks;
+  vshmem::Sym<double> slots0, slots1;
+  std::unique_ptr<vshmem::SignalSet> sig;
+  std::size_t top_halo;
+  std::size_t bottom_halo;
+  double rz0 = 1.0;
+};
 
-/// PE `dev`'s persistent body under the generic driver's join. One comm
-/// group per device; the join's comm_end (grid sync) closes each iteration.
-exec::ProgramGroups build_sparse_groups(SparseCgCore& core, int dev,
-                                        const exec::IterationJoin& join) {
-  vshmem::World& world = *core.world;
-  const SparseCgConfig& cfg = core.cfg;
-  const int n = core.n;
-  const SparseOperator& states = core.op;
-  vshmem::Sym<double>& p = core.p;
-  vshmem::Sym<double>& x = core.x;
-  vshmem::Sym<double>& r = core.r;
-  vshmem::Sym<double>& q = core.q;
-  vshmem::Sym<double>& slots0 = core.slots0;
-  vshmem::Sym<double>& slots1 = core.slots1;
-  const std::size_t kTopHalo = core.top_halo;
-  const std::size_t kBottomHalo = core.bottom_halo;
-  const double rz0 = core.rz0;
-  auto history = core.history;
-  auto iterations_run = core.iterations_run;
-  auto final_rr = core.final_rr;
-
-  const CsrSlice* st = &states[static_cast<std::size_t>(dev)];
-  const std::size_t up_rows =
-      dev > 0 ? states[static_cast<std::size_t>(dev - 1)].rows : 0;
-  auto body = [&world, &cfg, st, dev, n, up_rows, &p, &x, &r, &q, &slots0,
-               &slots1, sigp = core.sig.get(), kTopHalo, kBottomHalo, rz0,
-               history, iterations_run, final_rr,
+/// PE `dev`'s persistent body: one comm group per device. The CSR instance
+/// closes each iteration at the join's comm_end (grid sync); the stencil
+/// instance omits it, as exec::Program::groups allows for this shape.
+exec::ProgramGroups persistent_groups(Core& core, int dev,
+                                      const exec::IterationJoin& join) {
+  auto body = [&core, dev,
                comm_end = join.comm_end](vgpu::KernelCtx& k) -> sim::Task {
+    const Operator& op = *core.op;
+    const SparseCgConfig& cfg = core.cfg;
+    vshmem::World& world = *core.world;
+    const int n = core.n;
+    const CsrSlice* st = &core.slices[static_cast<std::size_t>(dev)];
+    // The top neighbour's bottom-halo row index depends on ITS row count.
+    const std::size_t up_rows =
+        dev > 0 ? core.slices[static_cast<std::size_t>(dev - 1)].rows : 0;
+    vshmem::Sym<double>& p = core.p;
     const double pts = st->points();
-    const std::size_t halo_count = st->nx;
-    double rz = rz0;
+    double rz = core.rz0;
 
-    cpufree::IterationProtocol proto(world, *sigp);
+    // Halo flags and reduction flags both follow the iteration-number
+    // semaphore protocol.
+    cpufree::IterationProtocol proto(world, *core.sig);
     auto sum_slots = [&](vshmem::Sym<double>& slots) {
       double acc = 0.0;
       for (int pe = 0; pe < n; ++pe) {
@@ -528,12 +616,14 @@ exec::ProgramGroups build_sparse_groups(SparseCgCore& core, int dev,
     };
 
     for (int t = 1; t <= cfg.max_iterations; ++t) {
+      // Wait for this iteration's p halos (initial values pre-signaled).
       if (dev > 0) {
-        co_await proto.wait_iteration(k, kTopHalo, t);
+        co_await proto.wait_iteration(k, core.top_halo, t);
       }
       if (dev + 1 < n) {
-        co_await proto.wait_iteration(k, kBottomHalo, t);
+        co_await proto.wait_iteration(k, core.bottom_halo, t);
       }
+      // The SpMV's halo-row reads are only safe after those waits.
       if (k.engine().observer() != nullptr) {
         if (dev > 0) {
           k.obs_access(sim::MemRange::of(p.on(dev), st->idx(0, 0), st->nx),
@@ -550,50 +640,47 @@ exec::ProgramGroups build_sparse_groups(SparseCgCore& core, int dev,
       double pq_local = 0.0;
       std::function<void()> f_spmv;
       if (cfg.functional) {
-        f_spmv = [st, &p, &q, dev, &pq_local] {
-          pq_local = st->spmv_dot(p.on(dev), q.on(dev));
+        f_spmv = [&core, st, dev, &pq_local] {
+          pq_local = core.op->apply(*st, core.p.on(dev), core.q.on(dev));
         };
       }
-      // The nnz-proportional cost is where the weighted partition bites:
-      // heavy ranks stream more CSR entries every iteration.
-      co_await k.compute(spmv_bytes(*st), 1.0, "spmv_csr", std::move(f_spmv));
+      // The CSR cost is nnz-proportional, which is where the weighted
+      // partition bites: heavy ranks stream more entries every iteration.
+      co_await k.compute(op.spmv_bytes(*st), 1.0, op.spmv, std::move(f_spmv));
       co_await k.compute(pts * kDotBytes, 1.0, "dot_pq", {});
-      CO_AWAIT(exec::allreduce_put_wait(world, k, slots0, *sigp,
+      CO_AWAIT(exec::allreduce_put_wait(world, k, core.slots0, *core.sig,
                                         /*flag_base=*/0, dev, n, t, pq_local,
                                         cfg.functional));
-      const double pq = cfg.functional ? sum_slots(slots0) : 1.0;
+      const double pq = cfg.functional ? sum_slots(core.slots0) : 1.0;
       const double alpha = cfg.functional ? rz / pq : 0.0;
 
       double rr_local = 0.0;
       std::function<void()> f_axpy;
       if (cfg.functional) {
-        f_axpy = [st, alpha, &p, &q, &x, &r, dev, &rr_local] {
-          rr_local =
-              st->axpy2_dot(alpha, p.on(dev), q.on(dev), x.on(dev), r.on(dev));
+        f_axpy = [&core, st, alpha, dev, &rr_local] {
+          rr_local = st->axpy2_dot(alpha, core.p.on(dev), core.q.on(dev),
+                                   core.x.on(dev), core.r.on(dev));
         };
       }
       co_await k.compute(pts * kAxpy2Bytes, 1.0, "axpy", std::move(f_axpy));
       co_await k.compute(pts * kDotBytes, 1.0, "dot_rr", {});
       CO_AWAIT(exec::allreduce_put_wait(
-          world, k, slots1, *sigp,
+          world, k, core.slots1, *core.sig,
           /*flag_base=*/static_cast<std::size_t>(n), dev, n, t, rr_local,
           cfg.functional));
-      const double rr = cfg.functional ? sum_slots(slots1) : 1.0;
+      const double rr = cfg.functional ? sum_slots(core.slots1) : 1.0;
 
-      if (dev == 0) {
-        if (cfg.functional) history->push_back(rr);
-        *iterations_run = t;
-        *final_rr = rr;
-      }
-      // Device-side convergence: all PEs computed the same rr.
+      core.publish(dev, t, rr);
+      // The convergence decision happens ON the devices; the host never
+      // polls a residual. All PEs computed the same rr.
       if (cfg.functional && rr < cfg.tolerance) co_return;
 
       const double beta = cfg.functional ? rr / rz : 0.0;
       if (cfg.functional) rz = rr;
       std::function<void()> f_pup;
       if (cfg.functional) {
-        f_pup = [st, beta, &r, &p, dev] {
-          st->p_update(beta, r.on(dev), p.on(dev));
+        f_pup = [&core, st, beta, dev] {
+          st->p_update(beta, core.r.on(dev), core.p.on(dev));
         };
       }
       co_await k.compute(pts * kPUpdateBytes, 1.0, "p_update",
@@ -602,37 +689,265 @@ exec::ProgramGroups build_sparse_groups(SparseCgCore& core, int dev,
       // Publish next iteration's p boundary rows.
       if (dev > 0) {
         co_await proto.put_and_signal(k, p, st->idx(1, 0),
-                                      (up_rows + 1) * st->nx, halo_count,
-                                      kBottomHalo, t + 1, dev - 1);
+                                      (up_rows + 1) * st->nx, st->nx,
+                                      core.bottom_halo, t + 1, dev - 1);
       }
       if (dev + 1 < n) {
         co_await proto.put_and_signal(k, p, st->idx(st->rows, 0),
-                                      st->idx(0, 0), halo_count, kTopHalo,
+                                      st->idx(0, 0), st->nx, core.top_halo,
                                       t + 1, dev + 1);
       }
-      CO_AWAIT(comm_end(k, /*lead=*/true, t));
+      if (op.join) CO_AWAIT(comm_end(k, /*lead=*/true, t));
     }
   };
 
   exec::ProgramGroups pg;
-  pg.comm.push_back(vgpu::BlockGroup{"sparse_cg", core.persistent_blocks,
+  pg.comm.push_back(vgpu::BlockGroup{core.op->group, core.persistent_blocks,
                                      std::move(body)});
   return pg;
 }
 
 /// The persistent composition as an exec::Program (groups hook only; the
 /// core owns its SignalSet, so Program::signals stays null).
-exec::Program make_sparse_program(SparseCgCore& core) {
+exec::Program persistent_program(Core& core) {
   exec::Program prog;
   prog.machine = &core.world->machine();
   prog.world = core.world;
   prog.n_pes = core.n;
   prog.groups = [&core](int dev, vshmem::SignalSet*,
                         const exec::IterationJoin& join) {
-    return build_sparse_groups(core, dev, join);
+    return persistent_groups(core, dev, join);
   };
   return prog;
 }
+
+exec::ProgramExecParams exec_params(const SparseCgConfig& cfg) {
+  exec::ProgramExecParams prm;
+  prm.iterations = cfg.max_iterations;
+  prm.threads_per_block = cfg.threads_per_block;
+  return prm;
+}
+
+/// The CPU-controlled loop's per-rank state across host steps.
+struct HostLoop {
+  explicit HostLoop(Problem& problem)
+      : prob(&problem),
+        pq_box(std::make_shared<std::vector<double>>(
+            static_cast<std::size_t>(problem.n), 0.0)),
+        rr_box(std::make_shared<std::vector<double>>(
+            static_cast<std::size_t>(problem.n), 0.0)),
+        pq_partials(static_cast<std::size_t>(problem.n), 0.0),
+        rr_partials(static_cast<std::size_t>(problem.n), 0.0),
+        converged(static_cast<std::size_t>(problem.n), 0) {
+    rz.assign(static_cast<std::size_t>(problem.n), problem.init());
+  }
+
+  Problem* prob;
+  // Each rank's allreduce deliver writes its own slot in everyone's box: the
+  // shared box stands in for the n per-rank receive buffers.
+  std::shared_ptr<std::vector<double>> pq_box, rr_box;
+  std::vector<double> pq_partials, rr_partials;
+  std::vector<double> rz;
+  // The data-dependent termination test: a converged rank skips the
+  // remaining steps of the host loop.
+  std::vector<char> converged;
+};
+
+/// One step of the CPU-controlled loop on device `dev`: halo exchange of p
+/// by host-issued memcpys and a host barrier, then SpMV + dot(p, q),
+/// AXPYs + dot(r, r) and the p update as discrete launches, with a stream
+/// sync and an MPI allreduce for each scalar the host needs.
+sim::Task host_step(HostLoop& loop, hostmpi::Comm& comm, vgpu::HostCtx& h,
+                    int dev, int t, vgpu::Stream& stream) {
+  Problem& prob = *loop.prob;
+  const Operator& op = *prob.op;
+  const SparseCgConfig& cfg = prob.cfg;
+  const int n = prob.n;
+  const SparseOperator& states = prob.slices;
+  vshmem::Sym<double>& p = prob.p;
+  const CsrSlice* st = &states[static_cast<std::size_t>(dev)];
+  const double pts = st->points();
+  const int blocks =
+      std::max(1, static_cast<int>(pts / cfg.threads_per_block) + 1);
+  vgpu::LaunchConfig lc;
+  lc.threads_per_block = cfg.threads_per_block;
+  lc.name = op.phase;
+  double* pq_partial = &loop.pq_partials[static_cast<std::size_t>(dev)];
+  double* rr_partial = &loop.rr_partials[static_cast<std::size_t>(dev)];
+  double& rz = loop.rz[static_cast<std::size_t>(dev)];
+  vgpu::Stream* const step_streams[] = {&stream};
+
+  // Checker-facing byte ranges of the p halo pushes.
+  exec::HaloRangeFn p_ranges;
+  if (h.machine().engine().observer() != nullptr) {
+    p_ranges = [&states, &p, st,
+                dev](bool to_top) -> std::pair<sim::MemRange, sim::MemRange> {
+      if (to_top) {
+        const CsrSlice* up = &states[static_cast<std::size_t>(dev - 1)];
+        return {sim::MemRange::of(p.on(dev), st->idx(1, 0), st->nx),
+                sim::MemRange::of(p.on(dev - 1), up->idx(up->rows + 1, 0),
+                                  st->nx)};
+      }
+      const CsrSlice* down = &states[static_cast<std::size_t>(dev + 1)];
+      return {sim::MemRange::of(p.on(dev), st->idx(st->rows, 0), st->nx),
+              sim::MemRange::of(p.on(dev + 1), down->idx(0, 0), st->nx)};
+    };
+  }
+  CO_AWAIT(exec::staged_halo_exchange(
+      h, stream, dev, n, static_cast<double>(st->nx) * 8.0,
+      [&states, &p, st, dev,
+       functional = cfg.functional](bool to_top) -> std::function<void()> {
+        if (!functional) return {};
+        if (to_top) {
+          const CsrSlice* up = &states[static_cast<std::size_t>(dev - 1)];
+          return [&p, st, up, dev] {
+            auto dst = p.on(dev - 1);
+            auto src = p.on(dev);
+            for (std::size_t j = 0; j < st->nx; ++j) {
+              dst[up->idx(up->rows + 1, j)] = src[st->idx(1, j)];
+            }
+          };
+        }
+        const CsrSlice* down = &states[static_cast<std::size_t>(dev + 1)];
+        return [&p, st, down, dev] {
+          auto dst = p.on(dev + 1);
+          auto src = p.on(dev);
+          for (std::size_t j = 0; j < st->nx; ++j) {
+            dst[down->idx(0, j)] = src[st->idx(st->rows, j)];
+          }
+        };
+      },
+      p_ranges));
+  co_await exec::end_host_step(h, exec::SyncPolicy::kHostBarrier,
+                               step_streams);
+
+  // SpMV + dot(p, q); the host needs the scalar: stream sync after.
+  std::function<void()> f1;
+  if (cfg.functional) {
+    f1 = [&prob, st, dev, pq_partial] {
+      *pq_partial = prob.op->apply(*st, prob.p.on(dev), prob.q.on(dev));
+    };
+  }
+  {
+    auto body = [st, bytes = op.spmv_bytes(*st) + pts * kDotBytes,
+                 name = op.spmv_dot, f = std::move(f1), &p, dev,
+                 n](vgpu::KernelCtx& k) -> sim::Task {
+      if (k.engine().observer() != nullptr) {
+        if (dev > 0) {
+          k.obs_access(sim::MemRange::of(p.on(dev), st->idx(0, 0), st->nx),
+                       /*is_write=*/false, "p_halo_read");
+        }
+        if (dev + 1 < n) {
+          k.obs_access(
+              sim::MemRange::of(p.on(dev), st->idx(st->rows + 1, 0), st->nx),
+              /*is_write=*/false, "p_halo_read");
+        }
+      }
+      std::function<void()> fn = f;
+      co_await k.compute(bytes, 1.0, name, std::move(fn));
+    };
+    std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
+    CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body_fn)));
+  }
+  CO_AWAIT(h.sync_stream(stream));
+  co_await h.api("memcpy_dtoh_scalar");
+  CO_AWAIT(exec::host_allreduce(comm, h, dev, n, /*tag=*/0, *pq_partial,
+                                loop.pq_box, cfg.functional));
+  const double pq = cfg.functional ? combine(*loop.pq_box) : 1.0;
+  const double alpha = cfg.functional ? rz / pq : 0.0;
+
+  // AXPY updates + dot(r, r); sync again for the scalar.
+  std::function<void()> f2;
+  if (cfg.functional) {
+    f2 = [&prob, st, alpha, dev, rr_partial] {
+      *rr_partial = st->axpy2_dot(alpha, prob.p.on(dev), prob.q.on(dev),
+                                  prob.x.on(dev), prob.r.on(dev));
+    };
+  }
+  {
+    auto body = [pts, f = std::move(f2)](vgpu::KernelCtx& k) -> sim::Task {
+      std::function<void()> fn = f;
+      co_await k.compute(pts * (kAxpy2Bytes + kDotBytes), 1.0, "axpy+dot",
+                         std::move(fn));
+    };
+    std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
+    CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body_fn)));
+  }
+  CO_AWAIT(h.sync_stream(stream));
+  co_await h.api("memcpy_dtoh_scalar");
+  CO_AWAIT(exec::host_allreduce(comm, h, dev, n, /*tag=*/1, *rr_partial,
+                                loop.rr_box, cfg.functional));
+  const double rr = cfg.functional ? combine(*loop.rr_box) : 1.0;
+
+  prob.publish(dev, t, rr);
+  if (cfg.functional && rr < cfg.tolerance) {
+    loop.converged[static_cast<std::size_t>(dev)] = 1;
+    co_return;
+  }
+
+  const double beta = cfg.functional ? rr / rz : 0.0;
+  if (cfg.functional) rz = rr;
+  std::function<void()> f3;
+  if (cfg.functional) {
+    f3 = [&prob, st, beta, dev] {
+      st->p_update(beta, prob.r.on(dev), prob.p.on(dev));
+    };
+  }
+  {
+    auto body = [pts, f = std::move(f3)](vgpu::KernelCtx& k) -> sim::Task {
+      std::function<void()> fn = f;
+      co_await k.compute(pts * kPUpdateBytes, 1.0, "p_update", std::move(fn));
+    };
+    std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
+    CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body_fn)));
+  }
+  co_await exec::end_host_step(h, exec::SyncPolicy::kHostBarrier,
+                               step_streams);
+}
+
+/// Runs `op`'s problem under `plan` on a fresh machine: the persistent
+/// composition or the host-loop/staged-copy one (the caller checked which).
+CgResult run(const Operator& op, const vgpu::MachineSpec& spec,
+             const SparseCgConfig& cfg, const exec::Plan& plan) {
+  vgpu::Machine machine(spec);
+  machine.engine().set_observer(cfg.observer);
+  vshmem::World world(machine);
+  world.set_functional(cfg.functional);
+  machine.trace().set_enabled(cfg.trace);
+
+  if (plan.launch == exec::LaunchPolicy::kPersistent) {
+    Core core(op, world, spec, cfg);
+    exec::run_program(persistent_program(core), plan, exec_params(cfg));
+    return core.result(machine);
+  }
+
+  hostmpi::Comm comm(machine);
+  Problem prob(op, world, cfg);
+  HostLoop loop(prob);
+  exec::Program prog;
+  prog.machine = &machine;
+  prog.world = &world;
+  prog.n_pes = prob.n;
+  prog.streams_per_device = 1;
+  prog.stop = [&loop](int dev) {
+    return loop.converged[static_cast<std::size_t>(dev)] != 0;
+  };
+  prog.host_step = [&loop, &comm](vgpu::HostCtx& h, int dev, int t,
+                                  std::span<vgpu::Stream* const> streams,
+                                  vshmem::SignalSet*) {
+    return host_step(loop, comm, h, dev, t, *streams[0]);
+  };
+  exec::run_program(prog, plan, exec_params(cfg));
+  return prob.result(machine);
+}
+
+constexpr exec::Plan kCpuFreePlan{exec::LaunchPolicy::kPersistent,
+                                  exec::CommPolicy::kSignaledPut,
+                                  exec::SyncPolicy::kIterationFlags,
+                                  "cg_cpufree"};
+constexpr exec::Plan kBaselinePlan{exec::LaunchPolicy::kHostLoop,
+                                   exec::CommPolicy::kStagedCopy,
+                                   exec::SyncPolicy::kHostBarrier, "cg"};
 
 [[noreturn]] void throw_unsupported(const exec::Plan& plan) {
   if (!exec::valid(plan)) {
@@ -648,298 +963,88 @@ exec::Program make_sparse_program(SparseCgCore& core) {
   throw std::invalid_argument(msg);
 }
 
-CgResult finish_run(vgpu::Machine& machine, int iters_run, double final_rr,
-                    const std::vector<double>& history) {
-  CgResult res;
-  res.metrics = cpufree::analyze_run(machine.trace(), machine.engine().now(),
-                                     iters_run);
-  cpufree::apply_fault_stats(res.metrics, machine.faults().stats());
-  res.iterations_run = iters_run;
-  res.final_rr = final_rr;
-  res.rr_history = history;
-  return res;
-}
-
 }  // namespace
 
+CgResult cg_reference(const CgConfig& config, int ranks) {
+  return reference(kStencil, as_sparse(config), ranks);
+}
+
+CgResult sparse_cg_reference(const SparseCgConfig& config, int ranks) {
+  return reference(kCsr, config, ranks);
+}
+
+CgResult run_cg_cpufree(const vgpu::MachineSpec& spec,
+                        const CgConfig& config) {
+  return run(kStencil, spec, as_sparse(config), kCpuFreePlan);
+}
+
+CgResult run_cg_baseline(const vgpu::MachineSpec& spec,
+                         const CgConfig& config) {
+  return run(kStencil, spec, as_sparse(config), kBaselinePlan);
+}
+
 CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
-                       const SparseCgConfig& cfg, const exec::Plan& plan) {
+                       const SparseCgConfig& config, const exec::Plan& plan) {
   const bool persistent = plan.launch == exec::LaunchPolicy::kPersistent &&
                           exec::valid(plan);
   const bool host_staged = plan.launch == exec::LaunchPolicy::kHostLoop &&
                            plan.comm == exec::CommPolicy::kStagedCopy &&
                            exec::valid(plan);
   if (!persistent && !host_staged) throw_unsupported(plan);
-
-  vgpu::Machine machine(spec);
-  machine.engine().set_observer(cfg.observer);
-  vshmem::World world(machine);
-  world.set_functional(cfg.functional);
-  machine.trace().set_enabled(cfg.trace);
-
-  if (persistent) {
-    auto core = make_sparse_core(world, spec, cfg);
-    const exec::Program prog = make_sparse_program(*core);
-    exec::ProgramExecParams prm;
-    prm.iterations = cfg.max_iterations;
-    prm.threads_per_block = cfg.threads_per_block;
-    exec::run_program(prog, plan, prm);
-    return finish_run(machine, *core->iterations_run, *core->final_rr,
-                      *core->history);
-  }
-
-  // --- Baseline CPU-controlled loop through the generic host driver ---
-  hostmpi::Comm comm(machine);
-  const int n = machine.num_devices();
-  const SparseOperator states = sparse_operator(cfg, n);
-  const std::size_t vec_size = cfg.functional ? vector_size(states, cfg.nx) : 1;
-  vshmem::Sym<double> p = world.alloc<double>(vec_size, "sp_p");
-  vshmem::Sym<double> x = world.alloc<double>(vec_size, "sp_x");
-  vshmem::Sym<double> r = world.alloc<double>(vec_size, "sp_r");
-  vshmem::Sym<double> q = world.alloc<double>(vec_size, "sp_q");
-  vshmem::Sym<double> b = world.alloc<double>(vec_size, "sp_b");
-  if (cfg.functional) {
-    for (int d = 0; d < n; ++d) {
-      init_vectors(states[static_cast<std::size_t>(d)], b.on(d), r.on(d),
-                   p.on(d));
-    }
-  }
-  std::vector<double> rz0_partials;
-  if (cfg.functional) {
-    for (int d = 0; d < n; ++d) {
-      rz0_partials.push_back(
-          states[static_cast<std::size_t>(d)].dot(r.on(d), r.on(d)));
-    }
-  }
-  const double rz0 = cfg.functional ? combine(rz0_partials) : 1.0;
-
-  auto history = std::make_shared<std::vector<double>>();
-  auto iterations_run = std::make_shared<int>(0);
-  auto final_rr = std::make_shared<double>(0.0);
-  auto pq_box = std::make_shared<std::vector<double>>(
-      static_cast<std::size_t>(n), 0.0);
-  auto rr_box = std::make_shared<std::vector<double>>(
-      static_cast<std::size_t>(n), 0.0);
-  std::vector<double> rz_state(static_cast<std::size_t>(n), rz0);
-  std::vector<std::shared_ptr<double>> pq_partials, rr_partials;
-  for (int d = 0; d < n; ++d) {
-    pq_partials.push_back(std::make_shared<double>(0.0));
-    rr_partials.push_back(std::make_shared<double>(0.0));
-  }
-  std::vector<char> converged(static_cast<std::size_t>(n), 0);
-
-  exec::Program prog;
-  prog.machine = &machine;
-  prog.world = &world;
-  prog.n_pes = n;
-  prog.streams_per_device = 1;
-  prog.stop = [&converged](int dev) {
-    return converged[static_cast<std::size_t>(dev)] != 0;
-  };
-  prog.host_step = [&](vgpu::HostCtx& h, int dev, int t,
-                       std::span<vgpu::Stream* const> streams,
-                       vshmem::SignalSet*) -> sim::Task {
-    vgpu::Stream& stream = *streams[0];
-    const CsrSlice* st = &states[static_cast<std::size_t>(dev)];
-    const double pts = st->points();
-    const int blocks =
-        std::max(1, static_cast<int>(pts / cfg.threads_per_block) + 1);
-    vgpu::LaunchConfig lc;
-    lc.threads_per_block = cfg.threads_per_block;
-    lc.name = "sparse_cg_phase";
-    auto pq_partial = pq_partials[static_cast<std::size_t>(dev)];
-    auto rr_partial = rr_partials[static_cast<std::size_t>(dev)];
-    vgpu::Stream* const step_streams[] = {&stream};
-
-    exec::HaloRangeFn p_ranges;
-    if (machine.engine().observer() != nullptr) {
-      p_ranges = [&states, &p, st,
-                  dev](bool to_top) -> std::pair<sim::MemRange,
-                                                 sim::MemRange> {
-        if (to_top) {
-          const CsrSlice* up = &states[static_cast<std::size_t>(dev - 1)];
-          return {sim::MemRange::of(p.on(dev), st->idx(1, 0), st->nx),
-                  sim::MemRange::of(p.on(dev - 1), up->idx(up->rows + 1, 0),
-                                    st->nx)};
-        }
-        const CsrSlice* down = &states[static_cast<std::size_t>(dev + 1)];
-        return {sim::MemRange::of(p.on(dev), st->idx(st->rows, 0), st->nx),
-                sim::MemRange::of(p.on(dev + 1), down->idx(0, 0), st->nx)};
-      };
-    }
-    CO_AWAIT(exec::staged_halo_exchange(
-        h, stream, dev, n, static_cast<double>(st->nx) * 8.0,
-        [&states, &p, st, dev,
-         functional = cfg.functional](bool to_top) -> std::function<void()> {
-          if (!functional) return {};
-          if (to_top) {
-            const CsrSlice* up = &states[static_cast<std::size_t>(dev - 1)];
-            return [&p, st, up, dev] {
-              auto dst = p.on(dev - 1);
-              auto src = p.on(dev);
-              for (std::size_t j = 0; j < st->nx; ++j) {
-                dst[up->idx(up->rows + 1, j)] = src[st->idx(1, j)];
-              }
-            };
-          }
-          const CsrSlice* down = &states[static_cast<std::size_t>(dev + 1)];
-          return [&p, st, down, dev] {
-            auto dst = p.on(dev + 1);
-            auto src = p.on(dev);
-            for (std::size_t j = 0; j < st->nx; ++j) {
-              dst[down->idx(0, j)] = src[st->idx(st->rows, j)];
-            }
-          };
-        },
-        p_ranges));
-    co_await exec::end_host_step(h, exec::SyncPolicy::kHostBarrier,
-                                 step_streams);
-
-    // CSR SpMV + dot(p, q); the host needs the scalar: stream sync after.
-    std::function<void()> f1;
-    if (cfg.functional) {
-      f1 = [st, &p, &q, dev, pq_partial] {
-        *pq_partial = st->spmv_dot(p.on(dev), q.on(dev));
-      };
-    }
-    {
-      auto body = [st, pts, f = std::move(f1), &p, dev,
-                   n](vgpu::KernelCtx& k) -> sim::Task {
-        if (k.engine().observer() != nullptr) {
-          if (dev > 0) {
-            k.obs_access(sim::MemRange::of(p.on(dev), st->idx(0, 0), st->nx),
-                         /*is_write=*/false, "p_halo_read");
-          }
-          if (dev + 1 < n) {
-            k.obs_access(
-                sim::MemRange::of(p.on(dev), st->idx(st->rows + 1, 0),
-                                  st->nx),
-                /*is_write=*/false, "p_halo_read");
-          }
-        }
-        std::function<void()> fn = f;
-        co_await k.compute(spmv_bytes(*st) + pts * kDotBytes, 1.0,
-                           "spmv_csr+dot", std::move(fn));
-      };
-      std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
-      CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body_fn)));
-    }
-    CO_AWAIT(h.sync_stream(stream));
-    co_await h.api("memcpy_dtoh_scalar");
-    CO_AWAIT(exec::host_allreduce(comm, h, dev, n, /*tag=*/0, *pq_partial,
-                                  pq_box, cfg.functional));
-    const double pq = cfg.functional ? combine(*pq_box) : 1.0;
-    const double alpha =
-        cfg.functional ? rz_state[static_cast<std::size_t>(dev)] / pq : 0.0;
-
-    std::function<void()> f2;
-    if (cfg.functional) {
-      f2 = [st, alpha, &p, &q, &x, &r, dev, rr_partial] {
-        *rr_partial =
-            st->axpy2_dot(alpha, p.on(dev), q.on(dev), x.on(dev), r.on(dev));
-      };
-    }
-    {
-      auto body = [pts, f = std::move(f2)](vgpu::KernelCtx& k) -> sim::Task {
-        std::function<void()> fn = f;
-        co_await k.compute(pts * (kAxpy2Bytes + kDotBytes), 1.0, "axpy+dot",
-                           std::move(fn));
-      };
-      std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
-      CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body_fn)));
-    }
-    CO_AWAIT(h.sync_stream(stream));
-    co_await h.api("memcpy_dtoh_scalar");
-    CO_AWAIT(exec::host_allreduce(comm, h, dev, n, /*tag=*/1, *rr_partial,
-                                  rr_box, cfg.functional));
-    const double rr = cfg.functional ? combine(*rr_box) : 1.0;
-
-    if (dev == 0) {
-      if (cfg.functional) history->push_back(rr);
-      *iterations_run = t;
-      *final_rr = rr;
-    }
-    if (cfg.functional && rr < cfg.tolerance) {
-      converged[static_cast<std::size_t>(dev)] = 1;
-      co_return;
-    }
-
-    const double beta =
-        cfg.functional ? rr / rz_state[static_cast<std::size_t>(dev)] : 0.0;
-    if (cfg.functional) rz_state[static_cast<std::size_t>(dev)] = rr;
-    std::function<void()> f3;
-    if (cfg.functional) {
-      f3 = [st, beta, &r, &p, dev] {
-        st->p_update(beta, r.on(dev), p.on(dev));
-      };
-    }
-    {
-      auto body = [pts, f = std::move(f3)](vgpu::KernelCtx& k) -> sim::Task {
-        std::function<void()> fn = f;
-        co_await k.compute(pts * kPUpdateBytes, 1.0, "p_update",
-                           std::move(fn));
-      };
-      std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
-      CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body_fn)));
-    }
-    co_await exec::end_host_step(h, exec::SyncPolicy::kHostBarrier,
-                                 step_streams);
-  };
-
-  exec::ProgramExecParams prm;
-  prm.iterations = cfg.max_iterations;
-  prm.threads_per_block = cfg.threads_per_block;
-  exec::run_program(prog, plan, prm);
-  return finish_run(machine, *iterations_run, *final_rr, *history);
+  return run(kCsr, spec, config, plan);
 }
 
-// --- Externally-driven sparse CG job (multi-tenant serve) ---------------------
+// --- Externally-driven job (multi-tenant serve) --------------------------------
 
-struct SparseCgCpufreeJob::Impl {
-  vgpu::Machine* machine = nullptr;
-  std::unique_ptr<SparseCgCore> core;
+struct CgCpufreeJob::Impl {
+  Impl(const Operator& op, vgpu::Machine& machine, vshmem::World& world,
+       const SparseCgConfig& cfg)
+      : core(op, world, machine.spec(), cfg),
+        program(persistent_program(core)),
+        plan{exec::LaunchPolicy::kPersistent, exec::CommPolicy::kSignaledPut,
+             exec::SyncPolicy::kIterationFlags, op.kernel},
+        params(exec_params(cfg)) {
+    params.job_map = cfg.job_map;
+    params.job_label = cfg.job_label;
+  }
+
+  Core core;
   exec::Program program;
   exec::Plan plan;
   exec::ProgramExecParams params;
 };
 
-SparseCgCpufreeJob::SparseCgCpufreeJob(vgpu::Machine& machine,
-                                       vshmem::World& world,
-                                       const SparseCgConfig& config)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->machine = &machine;
-  impl_->core = make_sparse_core(world, machine.spec(), config);
-  impl_->plan =
-      exec::Plan{exec::LaunchPolicy::kPersistent, exec::CommPolicy::kSignaledPut,
-                 exec::SyncPolicy::kIterationFlags, "sparse_cg_cpufree"};
-  impl_->program = make_sparse_program(*impl_->core);
-  impl_->params.iterations = config.max_iterations;
-  impl_->params.threads_per_block = config.threads_per_block;
-  impl_->params.job_map = config.job_map;
-  impl_->params.job_label = config.job_label;
-}
+CgCpufreeJob::CgCpufreeJob(vgpu::Machine& machine, vshmem::World& world,
+                           const CgConfig& config)
+    : impl_(std::make_unique<Impl>(kStencil, machine, world,
+                                   as_sparse(config))) {}
 
-SparseCgCpufreeJob::~SparseCgCpufreeJob() = default;
+CgCpufreeJob::CgCpufreeJob(vgpu::Machine& machine, vshmem::World& world,
+                           const SparseCgConfig& config)
+    : impl_(std::make_unique<Impl>(kCsr, machine, world, config)) {}
 
-sim::Task SparseCgCpufreeJob::task() {
+CgCpufreeJob::~CgCpufreeJob() = default;
+
+sim::Task CgCpufreeJob::task() {
   // Members, not temporaries: the lazy coroutine keeps its const& parameters
   // alive only as references.
   return exec::run_program_persistent_task(impl_->program, impl_->plan,
                                            impl_->params);
 }
 
-int SparseCgCpufreeJob::iterations_run() const {
-  return *impl_->core->iterations_run;
+int CgCpufreeJob::iterations_run() const {
+  return impl_->core.iterations_run;
 }
 
-double SparseCgCpufreeJob::final_rr() const { return *impl_->core->final_rr; }
+double CgCpufreeJob::final_rr() const { return impl_->core.final_rr; }
 
-const std::vector<double>& SparseCgCpufreeJob::rr_history() const {
-  return *impl_->core->history;
+const std::vector<double>& CgCpufreeJob::rr_history() const {
+  return impl_->core.history;
 }
 
-double SparseCgCpufreeJob::imbalance() const {
-  return sparse_partition_imbalance(impl_->core->cfg, impl_->core->n);
+CgResult CgCpufreeJob::reference() const {
+  const Core& core = impl_->core;
+  return solvers::reference(*core.op, core.cfg, core.n);
 }
 
 }  // namespace solvers

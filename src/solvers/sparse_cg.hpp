@@ -24,16 +24,18 @@
 // reproducing the same accumulation and reduction order. The host numerics
 // never store the matrix: the kernels apply the operator matrix-free, adding
 // each row's terms in the CSR column order a device would stream them.
+//
+// This is the CSR instance of the one CG solver; matrix-free CG (cg.hpp) is
+// its stencil instance over the balanced split, and CgCpufreeJob serves
+// both.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "exec/policy.hpp"
-#include "sim/task.hpp"
 #include "solvers/cg.hpp"
 #include "vgpu/costmodel.hpp"
 
@@ -71,9 +73,11 @@ inline constexpr double kMaxImbalance = 1e288;
 
 /// Weighted row split: rank r's weight tapers linearly from `imbalance`
 /// (r = 0) to 1 (r = ranks-1); rows are apportioned by largest remainder
-/// and every rank keeps at least two rows (stolen from the largest).
-/// Throws std::invalid_argument naming `imbalance` if it is not finite or
-/// exceeds kMaxImbalance; every sparse CG entry point splits through here
+/// and every rank keeps at least two rows (stolen from the largest). At
+/// imbalance 1 it is the even slab split: the first ny % ranks ranks take
+/// one extra row. Throws std::invalid_argument naming `ranks` if it is
+/// below 1, or `imbalance` if that is not finite or exceeds kMaxImbalance;
+/// every CG entry point, matrix-free ones included, splits through here
 /// first. Exposed for tests and the bench drivers' imbalance tagging.
 [[nodiscard]] std::vector<std::size_t> split_rows_weighted(std::size_t ny,
                                                            int ranks,
@@ -151,7 +155,8 @@ using SparseOperator = std::vector<CsrSlice>;
 /// Serial reference with the distributed variants' accumulation and
 /// rank-ordered reduction, so `ranks`-device runs match bitwise. Computed
 /// once per process for each (nx, ny, max_iterations, tolerance, imbalance,
-/// ranks); every call returns its own copy.
+/// ranks) in the memo cg_reference shares, which keys the operator too;
+/// every call returns its own copy.
 [[nodiscard]] CgResult sparse_cg_reference(const SparseCgConfig& config,
                                            int ranks);
 
@@ -162,31 +167,5 @@ using SparseOperator = std::vector<CsrSlice>;
 [[nodiscard]] CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
                                      const SparseCgConfig& config,
                                      const exec::Plan& plan);
-
-/// CPU-Free sparse CG bound to an existing machine + world whose engine is
-/// driven EXTERNALLY (the multi-tenant job server's building block). The
-/// world may be a device slice. Results are bitwise comparable to
-/// sparse_cg_reference(config, world.n_pes()).
-class SparseCgCpufreeJob {
- public:
-  SparseCgCpufreeJob(vgpu::Machine& machine, vshmem::World& world,
-                     const SparseCgConfig& config);
-  ~SparseCgCpufreeJob();
-  SparseCgCpufreeJob(const SparseCgCpufreeJob&) = delete;
-  SparseCgCpufreeJob& operator=(const SparseCgCpufreeJob&) = delete;
-
-  /// Spawnable: completes when every PE's persistent kernel has drained.
-  /// Call at most once.
-  [[nodiscard]] sim::Task task();
-
-  [[nodiscard]] int iterations_run() const;
-  [[nodiscard]] double final_rr() const;
-  [[nodiscard]] const std::vector<double>& rr_history() const;
-  [[nodiscard]] double imbalance() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace solvers

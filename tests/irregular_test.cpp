@@ -320,16 +320,46 @@ TEST(WeightedSplit, RejectsImbalanceNoSplitCanWeight) {
           (void)solvers::run_sparse_cg(spec, cfg, plan);
         });
       }
-      expect_invalid("SparseCgCpufreeJob", named, [&] {
+      expect_invalid("CgCpufreeJob", named, [&] {
         vgpu::Machine machine(spec);
         vshmem::World world(machine);
-        solvers::SparseCgCpufreeJob job(machine, world, cfg);
+        solvers::CgCpufreeJob job(machine, world, cfg);
       });
       cfg.functional = false;
       expect_invalid("run_sparse_cg timing-only", named, [&] {
         (void)solvers::run_sparse_cg(spec, cfg, sparse_cpufree_plan());
       });
     }
+  }
+}
+
+TEST(WeightedSplit, RejectsFewerThanOneRank) {
+  // Zero ranks used to split into one slab (the reference then reported
+  // convergence after one iteration with rr 0) and -1 into a vector of
+  // SIZE_MAX rows. Every CG entry point the split serves now names the
+  // count instead, the matrix-free reference included.
+  for (int ranks : {0, -1}) {
+    const std::vector<std::string> named{"ranks " + std::to_string(ranks) +
+                                         " must be at least 1"};
+    const solvers::SparseCgConfig cfg = small_sparse(1.0);
+    expect_invalid("split_rows_weighted", named, [&] {
+      (void)solvers::split_rows_weighted(cfg.ny, ranks, 1.0);
+    });
+    expect_invalid("csr_overflow", named,
+                   [&] { (void)solvers::csr_overflow(cfg, ranks); });
+    expect_invalid("sparse_partition_imbalance", named, [&] {
+      (void)solvers::sparse_partition_imbalance(cfg, ranks);
+    });
+    expect_invalid("sparse_operator", named,
+                   [&] { (void)solvers::sparse_operator(cfg, ranks); });
+    expect_invalid("sparse_cg_reference", named, [&] {
+      (void)solvers::sparse_cg_reference(cfg, ranks);
+    });
+    solvers::CgConfig stencil;
+    stencil.nx = cfg.nx;
+    stencil.ny = cfg.ny;
+    expect_invalid("cg_reference", named,
+                   [&] { (void)solvers::cg_reference(stencil, ranks); });
   }
 }
 
@@ -721,10 +751,10 @@ TEST(SparseCg, RejectsSlicesThatOverflow32BitCsr) {
     (void)solvers::run_sparse_cg(MachineSpec::hgx_a100(1), cfg,
                                  sparse_cpufree_plan());
   });
-  expect_csr_overflow("SparseCgCpufreeJob", [&] {
+  expect_csr_overflow("CgCpufreeJob", [&] {
     vgpu::Machine machine(MachineSpec::hgx_a100(1));
     vshmem::World world(machine);
-    solvers::SparseCgCpufreeJob job(machine, world, cfg);
+    solvers::CgCpufreeJob job(machine, world, cfg);
   });
 }
 

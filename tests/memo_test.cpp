@@ -2,7 +2,8 @@
 // once per process even when sweep workers ask for it concurrently, never
 // caches a failure, and hands out independent copies; the histogram and
 // sparse-CG references and the shared histogram edge table key on exactly
-// the fields they read plus the rank count.
+// the fields they read plus the rank count, and the CG reference keys its
+// operator too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +18,9 @@
 
 #include "sim/memo.hpp"
 #include "sim/observe.hpp"
+#include "solvers/cg.hpp"
 #include "solvers/sparse_cg.hpp"
+#include "vgpu/costmodel.hpp"
 #include "workloads/histogram/histogram.hpp"
 
 namespace {
@@ -201,6 +204,52 @@ TEST(ReferenceMemo, SparseRunOptionsLeaveTheReferenceIdentical) {
     Cfg cfg = base_sparse();
     e.apply(cfg);
     EXPECT_TRUE(same(solvers::sparse_cg_reference(cfg, 4), ref)) << e.field;
+  }
+}
+
+TEST(ReferenceMemo, StencilAndCsrReferencesKeyTheOperator) {
+  // At imbalance 1 the matrix-free and the CSR reference share every other
+  // keyed field, yet their bits differ: the two operators add the same five
+  // terms in different orders. Whichever is computed first, each must equal
+  // its own uncached computation, a distributed run that never reads the
+  // memo.
+  const exec::Plan csr_plan{exec::LaunchPolicy::kPersistent,
+                            exec::CommPolicy::kSignaledPut,
+                            exec::SyncPolicy::kIterationFlags,
+                            "sparse_cg_cpufree"};
+  for (const bool stencil_first : {true, false}) {
+    const int ranks = stencil_first ? 2 : 3;
+    solvers::CgConfig stencil;
+    stencil.nx = 24;
+    stencil.ny = 24;
+    stencil.max_iterations = 40;
+    stencil.tolerance = 1e-10;
+    stencil.persistent_blocks = 12;
+    solvers::SparseCgConfig csr;
+    csr.nx = stencil.nx;
+    csr.ny = stencil.ny;
+    csr.max_iterations = stencil.max_iterations;
+    csr.tolerance = stencil.tolerance;
+    csr.persistent_blocks = stencil.persistent_blocks;
+    csr.imbalance = 1.0;
+    solvers::CgResult stencil_ref, csr_ref;
+    if (stencil_first) {
+      stencil_ref = solvers::cg_reference(stencil, ranks);
+      csr_ref = solvers::sparse_cg_reference(csr, ranks);
+    } else {
+      csr_ref = solvers::sparse_cg_reference(csr, ranks);
+      stencil_ref = solvers::cg_reference(stencil, ranks);
+    }
+    const vgpu::MachineSpec spec = vgpu::MachineSpec::hgx_a100(ranks);
+    EXPECT_TRUE(same(stencil_ref, solvers::run_cg_cpufree(spec, stencil)))
+        << "ranks " << ranks;
+    EXPECT_TRUE(same(csr_ref, solvers::run_sparse_cg(spec, csr, csr_plan)))
+        << "ranks " << ranks;
+    EXPECT_NE(stencil_ref.final_rr, csr_ref.final_rr) << "ranks " << ranks;
+    if (ranks == 2) {
+      EXPECT_EQ(stencil_ref.final_rr, 5.3087353361933845e-05);
+      EXPECT_EQ(csr_ref.final_rr, 5.3087353361933561e-05);
+    }
   }
 }
 
