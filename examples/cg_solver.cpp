@@ -11,49 +11,15 @@
 //
 // Every argument must be a positive decimal integer; anything else exits 2
 // with the usage line.
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "args.hpp"
 #include "sim/stats.hpp"
 #include "solvers/cg.hpp"
 
 namespace {
 
-[[noreturn]] void usage(const char* arg) {
-  std::fprintf(stderr,
-               "cg_solver: invalid argument '%s'\n"
-               "usage: cg_solver [nx ny max_iters gpus] (positive integers)\n",
-               arg);
-  std::exit(2);
-}
-
-/// `arg` as a positive T, or exit 2 with the usage line.
-template <class T>
-T positive(const char* arg) {
-  T v{};
-  const char* end = arg + std::strlen(arg);
-  const auto [ptr, ec] = std::from_chars(arg, end, v);
-  if (ec != std::errc() || ptr != end || v <= 0) usage(arg);
-  return v;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  solvers::CgConfig cfg;
-  cfg.nx = 128;
-  cfg.ny = 128;
-  cfg.max_iterations = 300;
-  cfg.tolerance = 1e-12;
-  int gpus = 4;
-  if (argc > 5) usage(argv[5]);
-  if (argc > 1) cfg.nx = positive<std::size_t>(argv[1]);
-  if (argc > 2) cfg.ny = positive<std::size_t>(argv[2]);
-  if (argc > 3) cfg.max_iterations = positive<int>(argv[3]);
-  if (argc > 4) gpus = positive<int>(argv[4]);
-
+int solve(const solvers::CgConfig& cfg, int gpus) {
   std::printf("CG on the %zux%zu 2D Laplacian, tol %.0e, %d virtual A100s\n\n",
               cfg.nx, cfg.ny, cfg.tolerance, gpus);
 
@@ -83,4 +49,22 @@ int main(int argc, char** argv) {
               "MPI reductions) — all absent in CPU-Free\n",
               sim::to_msec(baseline.metrics.host_api));
   return free_ok && base_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  solvers::CgConfig cfg;
+  cfg.nx = 128;
+  cfg.ny = 128;
+  cfg.max_iterations = 300;
+  cfg.tolerance = 1e-12;
+  int gpus = 4;
+  const example::Usage usage{"cg_solver", "[nx ny max_iters gpus] (positive integers)"};
+  if (argc > 5) usage.fail(argv[5]);
+  if (argc > 1) cfg.nx = usage.positive<std::size_t>(argv[1]);
+  if (argc > 2) cfg.ny = usage.positive<std::size_t>(argv[2]);
+  if (argc > 3) cfg.max_iterations = usage.positive<int>(argv[3]);
+  if (argc > 4) gpus = usage.positive<int>(argv[4]);
+  return usage.run([&] { return solve(cfg, gpus); });
 }

@@ -5,10 +5,14 @@
 // CPU-Free program, verify each against the serial reference, and compare.
 //
 //   $ ./dacelite_jacobi [grid ranks iterations]
+//
+// Every argument must be a positive decimal integer, and the grid must
+// divide by the process grid; anything else exits 2. A verification
+// failure exits 1.
 #include <cstdio>
-#include <cstdlib>
 #include <variant>
 
+#include "args.hpp"
 #include "dacelite/exec.hpp"
 #include "sim/stats.hpp"
 #include "dacelite/frontend.hpp"
@@ -44,16 +48,7 @@ bool matches(const std::vector<double>& a, const std::vector<double>& b) {
   return a == b;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::size_t grid = 128;
-  int ranks = 4;
-  int iters = 20;
-  if (argc > 1) grid = std::strtoul(argv[1], nullptr, 10);
-  if (argc > 2) ranks = std::atoi(argv[2]);
-  if (argc > 3) iters = std::atoi(argv[3]);
-
+int walkthrough(std::size_t grid, int ranks, int iters) {
   std::printf("=== 1. Frontend: distributed 2D Jacobi with MPI nodes ===\n");
   auto baseline = dacelite::make_jacobi2d(grid, ranks, iters);
   const dacelite::Recipe base_recipe = dacelite::Recipe::gpu_baseline();
@@ -63,6 +58,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== 2. Execute the discrete (CPU-controlled) baseline ===\n");
   double baseline_ms = 0.0;
+  bool verified = true;
   {
     vgpu::Machine m(vgpu::MachineSpec::hgx_a100(ranks));
     vshmem::World w(m);
@@ -72,6 +68,7 @@ int main(int argc, char** argv) {
                                               dacelite::ExecOptions{});
     baseline_ms = r.metrics.total_ms();
     const bool ok = matches(baseline.gather(data), baseline.reference(iters));
+    verified = verified && ok;
     std::printf("total %.3f ms, non-compute %.0f%%, verified: %s\n",
                 baseline_ms, r.metrics.noncompute_fraction * 100.0,
                 ok ? "bitwise" : "FAILED");
@@ -97,11 +94,26 @@ int main(int argc, char** argv) {
     const auto r = dacelite::execute_persistent(m, w, data, ported.sdfg,
                                                 dacelite::exec_options(recipe));
     const bool ok = matches(ported.gather(data), ported.reference(iters));
+    verified = verified && ok;
     std::printf("total %.3f ms, verified: %s  (put expansion: %s, %d blocks)\n",
                 r.metrics.total_ms(), ok ? "bitwise" : "FAILED",
                 r.put_expansion.c_str(), r.persistent_blocks);
     std::printf("\nimprovement over the MPI baseline: %.1f%%\n",
                 sim::speedup_percent(baseline_ms, r.metrics.total_ms()));
   }
-  return 0;
+  return verified ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::size_t grid = 128;
+  int ranks = 4;
+  int iters = 20;
+  const example::Usage usage{"dacelite_jacobi", "[grid ranks iterations] (positive integers)"};
+  if (argc > 4) usage.fail(argv[4]);
+  if (argc > 1) grid = usage.positive<std::size_t>(argv[1]);
+  if (argc > 2) ranks = usage.positive<int>(argv[2]);
+  if (argc > 3) iters = usage.positive<int>(argv[3]);
+  return usage.run([&] { return walkthrough(grid, ranks, iters); });
 }

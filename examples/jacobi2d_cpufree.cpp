@@ -4,12 +4,16 @@
 // dumps a Chrome-trace timeline of the persistent kernels.
 //
 //   $ ./jacobi2d_cpufree [nx ny iterations gpus] [--trace out.json]
+//
+// Every positional argument must be a positive decimal integer, --trace
+// needs a path, and every device needs two rows; anything else exits 2. A
+// verification failure or a trace that cannot be written exits 1.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 
+#include "args.hpp"
 #include "stencil/problems.hpp"
 #include "sim/stats.hpp"
 #include "stencil/runner.hpp"
@@ -17,31 +21,10 @@
 #include "stencil/variants.hpp"
 #include "vshmem/world.hpp"
 
-int main(int argc, char** argv) {
-  stencil::Jacobi2D prob;
-  prob.nx = 512;
-  prob.ny = 512;
-  stencil::StencilConfig cfg;
-  cfg.iterations = 100;
-  int gpus = 4;
-  std::string trace_path;
+namespace {
 
-  int pos = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-      continue;
-    }
-    const auto v = std::strtoul(argv[i], nullptr, 10);
-    switch (pos++) {
-      case 0: prob.nx = v; break;
-      case 1: prob.ny = v; break;
-      case 2: cfg.iterations = static_cast<int>(v); break;
-      case 3: gpus = static_cast<int>(v); break;
-      default: break;
-    }
-  }
-
+int solve(const stencil::Jacobi2D& prob, const stencil::StencilConfig& cfg,
+          int gpus, const std::string& trace_path) {
   std::printf("2D Jacobi %zux%zu, %d iterations, %d virtual A100s\n\n", prob.nx,
               prob.ny, cfg.iterations, gpus);
 
@@ -81,9 +64,44 @@ int main(int argc, char** argv) {
     stencil::SlabStencil<stencil::Jacobi2D> s(world, prob, tcfg);
     stencil::run_variant(s, stencil::Variant::kCpuFree);
     std::ofstream f(trace_path);
-    f << machine.trace().to_chrome_json();
+    if (!(f << machine.trace().to_chrome_json())) {
+      std::fprintf(stderr, "jacobi2d_cpufree: cannot write %s\n",
+                   trace_path.c_str());
+      return 1;
+    }
     std::printf("\n5-iteration timeline written to %s\n", trace_path.c_str());
     std::printf("%s", machine.trace().summary(machine.engine().now()).c_str());
   }
   return cpu_free.verified && baseline.verified ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  stencil::Jacobi2D prob;
+  prob.nx = 512;
+  prob.ny = 512;
+  stencil::StencilConfig cfg;
+  cfg.iterations = 100;
+  int gpus = 4;
+  std::string trace_path;
+  const example::Usage usage{"jacobi2d_cpufree",
+                             "[nx ny iterations gpus] [--trace out.json] "
+                             "(positive integers)"};
+  int pos = 0;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--trace") == 0) {
+      if (i + 1 == argc) usage.fail(argv[i]);
+      trace_path = argv[++i];
+      continue;
+    }
+    switch (pos++) {
+      case 0: prob.nx = usage.positive<std::size_t>(argv[i]); break;
+      case 1: prob.ny = usage.positive<std::size_t>(argv[i]); break;
+      case 2: cfg.iterations = usage.positive<int>(argv[i]); break;
+      case 3: gpus = usage.positive<int>(argv[i]); break;
+      default: usage.fail(argv[i]);
+    }
+  }
+  return usage.run([&] { return solve(prob, cfg, gpus, trace_path); });
 }

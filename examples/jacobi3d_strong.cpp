@@ -5,33 +5,18 @@
 // stays flat.
 //
 //   $ ./jacobi3d_strong [nx ny nz iterations] > strong_scaling.csv
+//
+// Every argument must be a positive decimal integer, and nz must give every
+// device of the 8-GPU point two slabs; anything else exits 2.
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "stencil/problems.hpp"
 #include "stencil/runner.hpp"
 
-int main(int argc, char** argv) {
-  stencil::Jacobi3D prob;
-  prob.nx = 256;
-  prob.ny = 256;
-  prob.nz = 128;
-  stencil::StencilConfig cfg;
-  cfg.iterations = 50;
-  cfg.functional = false;  // timing-only sweep
+namespace {
 
-  int pos = 0;
-  for (int i = 1; i < argc; ++i) {
-    const auto v = std::strtoul(argv[i], nullptr, 10);
-    switch (pos++) {
-      case 0: prob.nx = v; break;
-      case 1: prob.ny = v; break;
-      case 2: prob.nz = v; break;
-      case 3: cfg.iterations = static_cast<int>(v); break;
-      default: break;
-    }
-  }
-
+int sweep(const stencil::Jacobi3D& prob, const stencil::StencilConfig& cfg) {
   std::fprintf(stderr, "3D Jacobi strong scaling on %zux%zux%zu, %d iters\n",
                prob.nx, prob.ny, prob.nz, cfg.iterations);
   std::printf("gpus,variant,per_iteration_us,comm_us,noncompute_pct\n");
@@ -47,4 +32,23 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  stencil::Jacobi3D prob;
+  prob.nx = 256;
+  prob.ny = 256;
+  prob.nz = 128;
+  stencil::StencilConfig cfg;
+  cfg.iterations = 50;
+  cfg.functional = false;  // timing-only sweep
+  const example::Usage usage{"jacobi3d_strong", "[nx ny nz iterations] (positive integers)"};
+  if (argc > 5) usage.fail(argv[5]);
+  if (argc > 1) prob.nx = usage.positive<std::size_t>(argv[1]);
+  if (argc > 2) prob.ny = usage.positive<std::size_t>(argv[2]);
+  if (argc > 3) prob.nz = usage.positive<std::size_t>(argv[3]);
+  if (argc > 4) cfg.iterations = usage.positive<int>(argv[4]);
+  return usage.run([&] { return sweep(prob, cfg); });
 }

@@ -7,8 +7,12 @@
 // prints how little the CPU did.
 //
 //   $ ./quickstart
+//
+// It takes no arguments (any argument exits 2) and exits 1 if the token
+// did not make every round.
 #include <cstdio>
 
+#include "args.hpp"
 #include "cpufree/launch.hpp"
 #include "vgpu/machine.hpp"
 #include "vshmem/world.hpp"
@@ -17,7 +21,8 @@ using sim::Task;
 using vgpu::BlockGroup;
 using vgpu::KernelCtx;
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) example::Usage{"quickstart", "(no arguments)"}.fail(argv[1]);
   // A virtual HGX node with 4 A100s, all-to-all NVLink.
   vgpu::Machine machine(vgpu::MachineSpec::hgx_a100(4));
   // NVSHMEM-like PGAS world: one PE per device, symmetric allocations.
@@ -69,5 +74,5 @@ int main() {
   std::printf("\nThe CPU's entire job was %d kernel launches. Everything else "
               "happened on the devices.\n",
               machine.num_devices());
-  return 0;
+  return token.on(0)[0] == kRounds * 4 + 1 ? 0 : 1;
 }

@@ -5,11 +5,10 @@
 #include <vector>
 
 #include "cpufree/halo.hpp"
-#include "cpufree/launch.hpp"
 #include "cpufree/perks.hpp"
 #include "dacelite/transforms.hpp"
-#include "exec/launch.hpp"
 #include "exec/policy.hpp"
+#include "exec/program.hpp"
 #include "vgpu/host.hpp"
 #include "vgpu/kernel.hpp"
 
@@ -466,12 +465,29 @@ sim::Task run_device_persistent(vshmem::World& w, ProgramData& data,
   }
 }
 
-/// Runs setup states functionally (initialization only) and builds the
-/// per-PE persistent block groups. Ranks are PE indices of `world`, which
-/// may be a device slice of the machine.
-std::vector<cpufree::DeviceGroups> prepare_persistent_groups(
-    vshmem::World& world, ProgramData& data, const Sdfg& sdfg,
-    const ExecOptions& options, int iters) {
+/// The persistent backend's prologue, shared by both entry points: checks
+/// the SDFG, resolves the iteration count and the co-resident blocks into
+/// `options` (the software-tiling model reads persistent_blocks for the
+/// resident-thread count), runs the setup states functionally
+/// (initialization only) and fills `r`'s fields known before the launch.
+/// Returns the backend as an exec::Program: one `sdfg` group per PE running
+/// the whole time loop, with no `signals` hook (ProgramData owns the
+/// signals) and no join (one group per PE under the single-kernel plan; the
+/// SDFG places its own grid barriers). Ranks are PE indices of `world`,
+/// which may be a device slice.
+exec::Program prepare_persistent(std::string_view fn, vgpu::Machine& machine,
+                                 vshmem::World& world, ProgramData& data,
+                                 const Sdfg& sdfg, ExecOptions& options,
+                                 ExecResult& r) {
+  sdfg.validate();
+  if (!sdfg.persistent) {
+    std::string msg(fn);
+    msg += " requires apply_persistent (GPUPersistentKernel)";
+    throw ValidationError(msg);
+  }
+  options.iterations = resolve_iterations(sdfg, options);
+  options.persistent_blocks = exec::resolve_persistent_blocks(
+      options.persistent_blocks, machine.spec(), options.threads_per_block);
   const int n = world.n_pes();
   for (const State& st : sdfg.setup) {
     for (const Node& node : st.nodes) {
@@ -485,49 +501,46 @@ std::vector<cpufree::DeviceGroups> prepare_persistent_groups(
       }
     }
   }
+  r.iterations = options.iterations;
+  r.persistent_blocks = options.persistent_blocks;
+  r.put_expansion = describe_put_expansions(sdfg, options, n);
 
-  std::vector<cpufree::DeviceGroups> groups(static_cast<std::size_t>(n));
-  for (int rank = 0; rank < n; ++rank) {
-    vshmem::World* wp = &world;
-    ProgramData* dp = &data;
-    const Sdfg* sp = &sdfg;
-    auto body = [wp, dp, sp, rank, iters,
-                 options](vgpu::KernelCtx& k) -> sim::Task {
-      CO_AWAIT(run_device_persistent(*wp, *dp, *sp, k, rank, iters, options));
+  exec::Program prog;
+  prog.machine = &machine;
+  prog.world = &world;
+  prog.n_pes = n;
+  prog.groups = [wp = &world, dp = &data, sp = &sdfg, options](
+                    int rank, vshmem::SignalSet*, const exec::IterationJoin&) {
+    auto body = [wp, dp, sp, rank, options](vgpu::KernelCtx& k) -> sim::Task {
+      CO_AWAIT(run_device_persistent(*wp, *dp, *sp, k, rank,
+                                     options.iterations, options));
     };
-    groups[static_cast<std::size_t>(rank)].push_back(
+    exec::ProgramGroups pg;
+    pg.comm.push_back(
         vgpu::BlockGroup{"sdfg", options.persistent_blocks, std::move(body)});
-  }
-  return groups;
+    return pg;
+  };
+  return prog;
 }
+
+constexpr exec::Plan kPersistentPlan{
+    exec::LaunchPolicy::kPersistent, exec::CommPolicy::kSignaledPut,
+    exec::SyncPolicy::kIterationFlags, "dacelite_persistent"};
 
 }  // namespace
 
 ExecResult execute_persistent(vgpu::Machine& machine, vshmem::World& world,
                               ProgramData& data, const Sdfg& sdfg,
                               ExecOptions options) {
-  sdfg.validate();
-  if (!sdfg.persistent) {
-    throw ValidationError(
-        "execute_persistent requires apply_persistent (GPUPersistentKernel)");
-  }
-  machine.trace().set_enabled(options.trace);
-  const int iters = resolve_iterations(sdfg, options);
-  // Resolve before the kernel bodies capture `options`: the software-tiling
-  // model reads persistent_blocks for the resident-thread count.
-  options.persistent_blocks = exec::resolve_persistent_blocks(
-      options.persistent_blocks, machine.spec(), options.threads_per_block);
-
-  auto groups = prepare_persistent_groups(world, data, sdfg, options, iters);
-  exec::persistent_launch(machine, std::move(groups), options.threads_per_block,
-                          "dacelite_persistent");
-
   ExecResult r;
-  r.iterations = iters;
-  r.persistent_blocks = options.persistent_blocks;
-  r.put_expansion = describe_put_expansions(sdfg, options, world.n_pes());
+  const exec::Program prog = prepare_persistent(
+      "execute_persistent", machine, world, data, sdfg, options, r);
+  machine.trace().set_enabled(options.trace);
+  exec::run_program(prog, kPersistentPlan,
+                    {.iterations = r.iterations,
+                     .threads_per_block = options.threads_per_block});
   r.metrics = cpufree::analyze_run(machine.trace(), machine.engine().now(),
-                                   iters);
+                                   r.iterations);
   cpufree::apply_fault_stats(r.metrics, machine.faults().stats());
   return r;
 }
@@ -535,33 +548,15 @@ ExecResult execute_persistent(vgpu::Machine& machine, vshmem::World& world,
 sim::Task execute_persistent_task(vgpu::Machine& machine, vshmem::World& world,
                                   ProgramData& data, const Sdfg& sdfg,
                                   ExecOptions options, ExecResult* result) {
-  sdfg.validate();
-  if (!sdfg.persistent) {
-    throw ValidationError(
-        "execute_persistent_task requires apply_persistent "
-        "(GPUPersistentKernel)");
-  }
-  const int iters = resolve_iterations(sdfg, options);
-  options.persistent_blocks = exec::resolve_persistent_blocks(
-      options.persistent_blocks, machine.spec(), options.threads_per_block);
-  if (result != nullptr) {
-    result->iterations = iters;
-    result->persistent_blocks = options.persistent_blocks;
-    result->put_expansion = describe_put_expansions(sdfg, options, world.n_pes());
-  }
-  auto groups = prepare_persistent_groups(world, data, sdfg, options, iters);
-  std::vector<int> devices;
-  devices.reserve(static_cast<std::size_t>(world.n_pes()));
-  for (int pe = 0; pe < world.n_pes(); ++pe) {
-    devices.push_back(world.device_of(pe));
-  }
-  cpufree::PersistentConfig pc;
-  pc.threads_per_block = options.threads_per_block;
-  pc.name = "dacelite_persistent";
-  pc.job_map = options.job_map;
-  pc.job_label = options.job_label;
-  co_await cpufree::persistent_launch_task(machine, std::move(devices),
-                                           std::move(groups), pc);
+  ExecResult r;
+  // On this frame: the launch task below holds references to both.
+  const exec::Program prog = prepare_persistent(
+      "execute_persistent_task", machine, world, data, sdfg, options, r);
+  const exec::ProgramExecParams params{
+      .iterations = r.iterations,
+      .threads_per_block = options.threads_per_block};
+  if (result != nullptr) *result = std::move(r);
+  co_await exec::run_program_persistent_task(prog, kPersistentPlan, params);
 }
 
 }  // namespace dacelite

@@ -21,7 +21,6 @@
 #include "dacelite/ir.hpp"
 #include "dacelite/pass.hpp"
 #include "hostmpi/comm.hpp"
-#include "sim/observe.hpp"
 #include "sim/task.hpp"
 #include "vgpu/machine.hpp"
 #include "vshmem/world.hpp"
@@ -51,11 +50,6 @@ struct ExecOptions {
   /// Tunable override of the §5.3.1 put-expansion selection; kAuto (the
   /// default) reproduces select_expansion bit-for-bit.
   ExpansionChoice expansion = ExpansionChoice::kAuto;
-  /// Multi-tenant attribution (execute_persistent_task only): streams the
-  /// launch creates are bound (device, lane) -> job_label in this map so
-  /// checker and hang reports can name the owning job. Must outlive the run.
-  sim::JobMap* job_map = nullptr;
-  std::string job_label;
 };
 
 /// ExecOptions carrying a Recipe's execution parameters (everything else —
@@ -124,10 +118,11 @@ ExecResult execute_persistent(vgpu::Machine& machine, vshmem::World& world,
 /// Spawnable variant of execute_persistent for an externally-driven engine
 /// (the multi-tenant job server): same setup pass and kernel bodies, but it
 /// never touches the machine-wide trace and completes when every PE's
-/// persistent kernel drains instead of driving the engine itself. `world`
-/// may be a device slice. `data`, `sdfg`, and `*result` must outlive the
-/// task. Fills result->iterations / persistent_blocks / put_expansion;
-/// result->metrics stays empty (per-job timing is the caller's concern).
+/// persistent kernel drains instead of driving the engine itself. In both
+/// forms `world` may be a device slice. `data`, `sdfg`, and `*result` must
+/// outlive the task. Fills result->iterations / persistent_blocks /
+/// put_expansion; result->metrics stays empty (per-job timing is the
+/// caller's concern).
 sim::Task execute_persistent_task(vgpu::Machine& machine, vshmem::World& world,
                                   ProgramData& data, const Sdfg& sdfg,
                                   ExecOptions options,

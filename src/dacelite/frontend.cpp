@@ -2,13 +2,29 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "dacelite/pass.hpp"
 #include "dacelite/transforms.hpp"
 
 namespace dacelite {
 
+namespace {
+
+/// Every frontend needs at least one rank: its shapes divide by the count.
+void require_ranks(int ranks, const char* fn) {
+  if (ranks < 1) {
+    std::string msg(fn);
+    msg += ": ranks must be >= 1, got ";
+    msg += std::to_string(ranks);
+    throw std::invalid_argument(msg);
+  }
+}
+
+}  // namespace
+
 std::pair<int, int> grid_dims(int ranks) {
+  require_ranks(ranks, "grid_dims");
   int px = static_cast<int>(std::sqrt(static_cast<double>(ranks)));
   while (px > 1 && ranks % px != 0) --px;
   return {px, ranks / px};  // px <= py
@@ -42,6 +58,7 @@ void jacobi1d_step(std::span<const double> src, std::span<double> dst,
 }  // namespace
 
 Jacobi1DProgram make_jacobi1d(std::size_t global_n, int ranks, int iterations) {
+  require_ranks(ranks, "jacobi1d");
   if (global_n % static_cast<std::size_t>(ranks) != 0) {
     throw std::invalid_argument("jacobi1d: global_n must divide by ranks");
   }
@@ -182,6 +199,7 @@ double init2d(std::size_t gy, std::size_t gx) {
 
 Jacobi2DProgram make_jacobi2d(std::size_t gx, std::size_t gy, int ranks,
                               int iterations, int force_px) {
+  require_ranks(ranks, "jacobi2d");
   Jacobi2DProgram prog;
   prog.gx = gx;
   prog.gy = gy;

@@ -19,7 +19,8 @@
 
 namespace dacelite {
 
-/// Rectangular process grid: px*py == ranks, px <= py, px maximal.
+/// Rectangular process grid: px*py == ranks, px <= py, px maximal. This and
+/// both builders throw std::invalid_argument for ranks < 1.
 [[nodiscard]] std::pair<int, int> grid_dims(int ranks);
 
 struct Jacobi1DProgram {

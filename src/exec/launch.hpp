@@ -3,16 +3,17 @@
 //  * host_loop          — one host thread per device runs a per-step body
 //    for t = 1..iterations (the discrete baselines and the DaCe-generated
 //    host program share this skeleton);
-//  * persistent_launch  — the whole CPU-Free host program: one cooperative
-//    kernel launch per device, one sync at the very end (§3.1.1);
 //  * discrete_blocks    — grid size of a discrete launch covering N points.
+//
+// The persistent policies have one launcher, cpufree::spawn_persistent
+// (the whole CPU-Free host program: one cooperative launch per kernel per
+// device, one sync at the very end, §3.1.1); exec::run_program composes it.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <vector>
 
-#include "cpufree/launch.hpp"
 #include "sim/intmath.hpp"
 #include "sim/task.hpp"
 #include "vgpu/host.hpp"
@@ -47,18 +48,6 @@ inline void host_loop(vgpu::Machine& machine, int iterations, HostStepFn step,
           CO_AWAIT(step(h, dev, t));
         }
       });
-}
-
-/// LaunchPolicy::kPersistent: one cooperative kernel per device (device i
-/// runs groups[i]), launched and awaited by otherwise-idle host threads.
-inline void persistent_launch(vgpu::Machine& machine,
-                              std::vector<cpufree::DeviceGroups> groups,
-                              int threads_per_block,
-                              std::string_view kernel_name) {
-  cpufree::PersistentConfig pc;
-  pc.threads_per_block = threads_per_block;
-  pc.name = kernel_name;
-  cpufree::launch_persistent_all(machine, std::move(groups), pc);
 }
 
 }  // namespace exec

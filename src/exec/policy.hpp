@@ -8,8 +8,8 @@
 // enums below name the mechanisms; an exec::Plan composes them; the
 // primitives in launch.hpp / comm.hpp / sync.hpp implement them; and the
 // slab driver (slab.hpp) runs a stencil-shaped problem under any valid
-// composition. CG and the dacelite persistent backend build on the same
-// primitives directly.
+// composition. CG, the histogram and the dacelite persistent backend are
+// exec::Programs (program.hpp) over the same primitives.
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,13 @@
 // run_program(): the workload-agnostic composition driver. Owns everything
 // the (launch, comm, sync) Plan implies — peer-access enablement, signal
-// allocation, stream creation, the host loop or the persistent launches,
-// and the per-iteration join protocol — in the exact resource-creation
-// order the pre-refactor slab driver used, so adapting run_slab() onto this
-// driver keeps every metric trace byte-identical.
+// allocation, the host loop or the persistent kernels (launched by
+// cpufree::spawn_persistent, the one persistent launcher), and the
+// per-iteration join protocol — in the exact resource-creation order the
+// pre-refactor slab driver used, so adapting run_slab() onto this driver
+// keeps every metric trace byte-identical.
 #include "exec/program.hpp"
 
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -74,21 +74,104 @@ IterationJoin checkpointing_join(const Program& P,
   return join;
 }
 
-/// Per-PE groups of the single-kernel composition: comm groups first, then
-/// inner groups, concatenated into one cooperative launch.
-std::vector<cpufree::DeviceGroups> build_single_kernel_groups(
-    const Program& P, vshmem::SignalSet* sigp,
+/// The single-kernel composition: each PE's comm groups, then its inner
+/// groups, in one cooperative kernel joined by grid.sync().
+std::vector<cpufree::DeviceKernels> single_kernels(
+    const Program& P, const Plan& plan, vshmem::SignalSet* sigp,
     const ProgramExecParams& prm) {
   const IterationJoin join = checkpointing_join(P, prm);
-  std::vector<cpufree::DeviceGroups> groups(
+  std::vector<cpufree::DeviceKernels> kernels(
       static_cast<std::size_t>(P.n_pes));
-  for (int dev = 0; dev < P.n_pes; ++dev) {
-    ProgramGroups pg = P.groups(dev, sigp, join);
-    auto& dg = groups[static_cast<std::size_t>(dev)];
-    for (auto& g : pg.comm) dg.push_back(std::move(g));
-    for (auto& g : pg.inner) dg.push_back(std::move(g));
+  for (int pe = 0; pe < P.n_pes; ++pe) {
+    ProgramGroups pg = P.groups(pe, sigp, join);
+    cpufree::PersistentKernel& k =
+        kernels[static_cast<std::size_t>(pe)].emplace_back();
+    k.name = plan.kernel_name;
+    k.groups = std::move(pg.comm);
+    for (auto& g : pg.inner) k.groups.push_back(std::move(g));
   }
-  return groups;
+  return kernels;
+}
+
+/// One PE's local iteration counters of the two-kernel composition
+/// (device memory, one per kernel).
+struct PairFlags {
+  explicit PairFlags(sim::Engine& e) : inner_done(e, 0), comm_done(e, 0) {}
+  sim::Flag inner_done;
+  sim::Flag comm_done;
+};
+
+/// The two-kernel composition: each PE's comm groups and inner groups as
+/// two co-resident kernels in separate streams, synchronizing once per
+/// iteration via local device-memory flags (the paper's "extra sync point
+/// between the local pairs of streams"). The join callbacks own the flags:
+/// the launch returns before the kernels run.
+std::vector<cpufree::DeviceKernels> pair_kernels(const Program& P,
+                                                 vshmem::SignalSet* sigp) {
+  sim::Engine& eng = P.machine->engine();
+  // Named for hang reports unconditionally, and for an attached checker.
+  const auto name = [&eng](const sim::Flag& f, const std::string& nm) {
+    eng.name_flag(&f, nm);
+    if (sim::Observer* o = eng.observer()) o->on_flag_name(&f, nm);
+  };
+  std::vector<std::shared_ptr<PairFlags>> flags;
+  for (int pe = 0; pe < P.n_pes; ++pe) {
+    const std::string id = std::to_string(pe);
+    flags.push_back(std::make_shared<PairFlags>(eng));
+    name(flags.back()->inner_done, "inner_done@pe" + id);
+    name(flags.back()->comm_done, "comm_done@pe" + id);
+  }
+  std::vector<cpufree::DeviceKernels> kernels(
+      static_cast<std::size_t>(P.n_pes));
+  for (int pe = 0; pe < P.n_pes; ++pe) {
+    const std::shared_ptr<PairFlags>& f = flags[static_cast<std::size_t>(pe)];
+    // Comm groups join with grid.sync(), the lead group publishes "comm
+    // done" for the kernel, then all handshake with the local inner kernel.
+    IterationJoin join;
+    join.comm_end = [f](vgpu::KernelCtx& k, bool lead, int t) -> sim::Task {
+      co_await k.grid_sync();
+      if (lead) {
+        f->comm_done.set(t);
+        if (sim::Observer* o = k.engine().observer()) {
+          o->on_signal_update(k.obs_actor(), &f->comm_done, t, "comm_done");
+        }
+      }
+      co_await local_pair_handshake(k, f->inner_done, t, "inner_done");
+    };
+    // The inner kernel publishes "inner done" and handshakes back.
+    join.inner_end = [f](vgpu::KernelCtx& k, int t) -> sim::Task {
+      f->inner_done.set(t);
+      if (sim::Observer* o = k.engine().observer()) {
+        o->on_signal_update(k.obs_actor(), &f->inner_done, t, "inner_done");
+      }
+      co_await local_pair_handshake(k, f->comm_done, t, "comm_done");
+    };
+    ProgramGroups pg = P.groups(pe, sigp, join);
+    cpufree::DeviceKernels& dk = kernels[static_cast<std::size_t>(pe)];
+    dk.push_back(cpufree::PersistentKernel{"cpu_free_comm", std::move(pg.comm)});
+    dk.push_back(
+        cpufree::PersistentKernel{"cpu_free_inner", std::move(pg.inner)});
+  }
+  return kernels;
+}
+
+/// Both persistent compositions, in resource-creation order: signals (kept
+/// by the world, since a final put_signal may still be in flight when the
+/// kernels sync), then every PE's kernels, then the launch on the world's
+/// devices. Returns the launch's count of finished devices.
+std::shared_ptr<sim::Flag> spawn_program(const Program& P, const Plan& plan,
+                                         const ProgramExecParams& prm) {
+  vshmem::World& w = *P.world;
+  vshmem::SignalSet* sigp =
+      P.signals ? w.retain_signals(P.signals(w)) : nullptr;
+  std::vector<cpufree::DeviceKernels> kernels =
+      plan.launch == LaunchPolicy::kPersistentPair
+          ? pair_kernels(P, sigp)
+          : single_kernels(P, plan, sigp, prm);
+  std::vector<int> devices;
+  for (int pe = 0; pe < P.n_pes; ++pe) devices.push_back(w.device_of(pe));
+  return cpufree::spawn_persistent(*P.machine, devices, w.label(),
+                                   std::move(kernels), prm.threads_per_block);
 }
 
 /// All kHostLoop compositions: allocate signals (signaled-put only), create
@@ -122,111 +205,6 @@ void run_host_driven(const Program& P, const Plan& plan,
             P.stop);
 }
 
-/// (kPersistent, kSignaledPut, kIterationFlags): one persistent cooperative
-/// kernel per device for the entire run, groups joined by grid.sync().
-void run_persistent_single(const Program& P, const Plan& plan,
-                           const ProgramExecParams& prm) {
-  std::unique_ptr<vshmem::SignalSet> sig;
-  if (P.signals) sig = P.signals(*P.world);
-  auto groups = build_single_kernel_groups(P, sig.get(), prm);
-  persistent_launch(*P.machine, std::move(groups), prm.threads_per_block,
-                    plan.kernel_name);
-}
-
-/// (kPersistentPair, kSignaledPut, kIterationFlags): two co-resident
-/// persistent kernels per device in separate streams, synchronizing once
-/// per iteration via local device-memory flags (the paper's "extra sync
-/// point between the local pairs of streams").
-void run_persistent_pair(const Program& P, const Plan& plan,
-                         const ProgramExecParams& prm) {
-  vgpu::Machine& m = *P.machine;
-  vshmem::World& w = *P.world;
-  const int n = P.n_pes;
-  std::unique_ptr<vshmem::SignalSet> sig;
-  if (P.signals) sig = P.signals(w);
-  vshmem::SignalSet* sigp = sig.get();
-
-  // Local per-device flags (device memory): iteration counters.
-  std::deque<sim::Flag> inner_done;
-  std::deque<sim::Flag> comm_done;
-  // Named for hang reports unconditionally, and for an attached checker.
-  const auto name = [&m](const sim::Flag& f, const std::string& nm) {
-    m.engine().name_flag(&f, nm);
-    if (sim::Observer* o = m.engine().observer()) o->on_flag_name(&f, nm);
-  };
-  for (int d = 0; d < n; ++d) {
-    const std::string pe = std::to_string(d);
-    name(inner_done.emplace_back(m.engine(), 0), "inner_done@pe" + pe);
-    name(comm_done.emplace_back(m.engine(), 0), "comm_done@pe" + pe);
-  }
-
-  std::vector<vgpu::Stream*> comm_streams, comp_streams;
-  for (int d = 0; d < n; ++d) {
-    comm_streams.push_back(&m.device(w.device_of(d)).create_stream());
-    comp_streams.push_back(&m.device(w.device_of(d)).create_stream());
-  }
-
-  m.run_host_threads([&P, &plan, &prm, &m, &w, sigp, &inner_done, &comm_done,
-                      &comm_streams, &comp_streams](int dev) -> sim::Task {
-    vgpu::HostCtx h(m, dev);
-    sim::Flag* my_inner_done = &inner_done[static_cast<std::size_t>(dev)];
-    sim::Flag* my_comm_done = &comm_done[static_cast<std::size_t>(dev)];
-
-    // Comm groups join with grid.sync(), the lead group publishes "comm
-    // done" for the kernel, then all handshake with the local inner kernel.
-    IterationJoin join;
-    join.comm_end = [my_inner_done, my_comm_done](
-                        vgpu::KernelCtx& k, bool lead, int t) -> sim::Task {
-      co_await k.grid_sync();
-      if (lead) {
-        my_comm_done->set(t);
-        if (sim::Observer* o = k.engine().observer()) {
-          o->on_signal_update(k.obs_actor(), my_comm_done, t, "comm_done");
-        }
-      }
-      co_await local_pair_handshake(k, *my_inner_done, t, "inner_done");
-    };
-    // The inner kernel publishes "inner done" and handshakes back.
-    join.inner_end = [my_inner_done, my_comm_done](vgpu::KernelCtx& k,
-                                                   int t) -> sim::Task {
-      my_inner_done->set(t);
-      if (sim::Observer* o = k.engine().observer()) {
-        o->on_signal_update(k.obs_actor(), my_inner_done, t, "inner_done");
-      }
-      co_await local_pair_handshake(k, *my_comm_done, t, "comm_done");
-    };
-
-    ProgramGroups pg = P.groups(dev, sigp, join);
-    // Both kernels must be co-resident simultaneously.
-    const vgpu::DeviceSpec& dev_spec = m.device(w.device_of(dev)).spec();
-    const int limit = dev_spec.max_cooperative_blocks(prm.threads_per_block);
-    const int total =
-        vgpu::total_blocks(pg.comm) + vgpu::total_blocks(pg.inner);
-    if (total > limit) {
-      throw vgpu::CooperativeLaunchError(total, limit);
-    }
-
-    vgpu::LaunchConfig lc_comm;
-    lc_comm.threads_per_block = prm.threads_per_block;
-    lc_comm.cooperative = true;
-    lc_comm.name = "cpu_free_comm";
-    CO_AWAIT(h.launch(*comm_streams[static_cast<std::size_t>(dev)], lc_comm,
-                      std::move(pg.comm)));
-
-    vgpu::LaunchConfig lc_inner;
-    lc_inner.threads_per_block = prm.threads_per_block;
-    lc_inner.cooperative = true;
-    lc_inner.name = "cpu_free_inner";
-    CO_AWAIT(h.launch(*comp_streams[static_cast<std::size_t>(dev)], lc_inner,
-                      std::move(pg.inner)));
-
-    vgpu::Stream* const streams[] = {
-        comm_streams[static_cast<std::size_t>(dev)],
-        comp_streams[static_cast<std::size_t>(dev)]};
-    co_await end_host_step(h, plan.sync, streams);
-  });
-}
-
 }  // namespace
 
 void run_program(const Program& program, const Plan& plan,
@@ -234,17 +212,12 @@ void run_program(const Program& program, const Plan& plan,
   if (!valid(plan)) {
     throw std::invalid_argument(invalid_plan_message("run_program", plan));
   }
-  switch (plan.launch) {
-    case LaunchPolicy::kHostLoop:
-      run_host_driven(program, plan, params);
-      break;
-    case LaunchPolicy::kPersistent:
-      run_persistent_single(program, plan, params);
-      break;
-    case LaunchPolicy::kPersistentPair:
-      run_persistent_pair(program, plan, params);
-      break;
+  if (plan.launch == LaunchPolicy::kHostLoop) {
+    run_host_driven(program, plan, params);
+    return;
   }
+  static_cast<void>(spawn_program(program, plan, params));
+  program.machine->engine().run();
 }
 
 sim::Task run_program_persistent_task(const Program& program, const Plan& plan,
@@ -253,35 +226,13 @@ sim::Task run_program_persistent_task(const Program& program, const Plan& plan,
     throw std::invalid_argument(
         invalid_plan_message("run_program_persistent_task", plan));
   }
-  if (plan.launch != LaunchPolicy::kPersistent) {
-    std::string msg =
-        "run_program_persistent_task: launch: plan must be a kPersistent "
-        "composition (got ";
-    msg += name(plan.launch);
-    msg += ')';
-    throw std::invalid_argument(msg);
+  if (plan.launch == LaunchPolicy::kHostLoop) {
+    throw std::invalid_argument(
+        "run_program_persistent_task: launch: host_loop plans drive the "
+        "engine themselves and cannot be spawned");
   }
-  vshmem::World& w = *program.world;
-  // World-owned, not frame-owned: signaled-put protocols typically signal
-  // iteration t+1 after their last step, so the final put_signal is still
-  // in flight (unconsumed) when the kernels sync and this coroutine's frame
-  // dies. Its delivery callback must find live flags.
-  vshmem::SignalSet* sigp =
-      program.signals ? w.retain_signals(program.signals(w)) : nullptr;
-  auto groups = build_single_kernel_groups(program, sigp, params);
-  std::vector<int> devices;
-  devices.reserve(static_cast<std::size_t>(program.n_pes));
-  for (int pe = 0; pe < program.n_pes; ++pe) {
-    devices.push_back(w.device_of(pe));
-  }
-  cpufree::PersistentConfig pc;
-  pc.threads_per_block = params.threads_per_block;
-  pc.name = plan.kernel_name;
-  pc.job_map = params.job_map;
-  pc.job_label = params.job_label;
-  co_await cpufree::persistent_launch_task(*program.machine,
-                                           std::move(devices),
-                                           std::move(groups), pc);
+  const std::shared_ptr<sim::Flag> done = spawn_program(program, plan, params);
+  co_await done->wait_geq(program.n_pes);
 }
 
 }  // namespace exec

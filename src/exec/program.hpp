@@ -26,11 +26,9 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "exec/policy.hpp"
-#include "sim/observe.hpp"
 #include "sim/task.hpp"
 #include "vgpu/host.hpp"
 #include "vgpu/kernel.hpp"
@@ -129,7 +127,9 @@ struct Program {
   /// alone. The join is then a grid.sync() of one group: it orders nothing
   /// and only charges its latency, and no checkpoint or pair handshake
   /// hangs off it. Matrix-free CG omits it (its timeline never had a
-  /// per-iteration grid sync); its entry points accept no other plan.
+  /// per-iteration grid sync), and so does the dacelite persistent backend
+  /// (the SDFG places its own grid barriers); neither's entry points accept
+  /// another plan.
   std::function<ProgramGroups(int dev, vshmem::SignalSet* sig,
                               const IterationJoin& join)>
       groups;
@@ -145,11 +145,6 @@ struct Program {
 struct ProgramExecParams {
   int iterations = 1;
   int threads_per_block = 1024;
-  /// Multi-tenant attribution (persistent task variant only): streams the
-  /// launch creates are bound (device, lane) -> job_label in this map so
-  /// checker/hang reports can name the owning job. Must outlive the run.
-  sim::JobMap* job_map = nullptr;
-  std::string job_label;
   /// Persistent compositions: snapshot every N iterations into
   /// `checkpoint_store` via the program's capture hook (0 = off). The store
   /// must outlive the run.
@@ -160,18 +155,19 @@ struct ProgramExecParams {
 /// Runs `program` under `plan`, driving the machine to completion. Throws
 /// std::invalid_argument (naming the offending policy component) for plans
 /// that fail exec::valid(), and vgpu::CooperativeLaunchError when a
-/// persistent composition exceeds the co-residency limit.
+/// persistent composition exceeds the co-residency limit. A persistent
+/// composition is run_program_persistent_task's launch plus engine.run():
+/// both run on the program's world, which may be a device slice.
 void run_program(const Program& program, const Plan& plan,
                  const ProgramExecParams& params);
 
-/// Spawnable variant of the single-kernel persistent composition: builds the
-/// groups and co_awaits completion of every device's cooperative launch
-/// WITHOUT driving the engine — the caller (e.g. the multi-tenant job
-/// server) owns the engine. Only kPersistent plans are accepted. The
-/// program's world may be a device slice; launches go to the world's
-/// physical devices. A `signals` hook's SignalSet is handed to
-/// World::retain_signals so in-flight final puts outlive this coroutine.
-/// The program, plan and params must outlive the returned task.
+/// Spawnable form of either persistent composition: builds the kernels,
+/// launches them on the world's physical devices and co_awaits every
+/// device's final sync WITHOUT driving the engine — the caller (e.g. the
+/// multi-tenant job server) owns the engine. A `signals` hook's SignalSet
+/// is handed to World::retain_signals (in either form) so in-flight final
+/// puts outlive the launch. The program, plan and params must outlive the
+/// returned task.
 sim::Task run_program_persistent_task(const Program& program, const Plan& plan,
                                       const ProgramExecParams& params);
 

@@ -494,38 +494,14 @@ Program make_slab_program(const SlabProgram& program, const Plan& plan,
   return prog;
 }
 
-ProgramExecParams make_exec_params(const SlabExecParams& params) {
-  ProgramExecParams prm;
-  prm.iterations = params.iterations;
-  prm.threads_per_block = params.threads_per_block;
-  prm.job_map = params.job_map;
-  prm.job_label = params.job_label;
-  prm.checkpoint_every = params.checkpoint_every;
-  prm.checkpoint_store = params.checkpoint_store;
-  return prm;
-}
-
 }  // namespace
 
 sim::Task run_slab_persistent_task(const SlabProgram& program,
                                    const Plan& plan,
                                    const SlabExecParams& params) {
-  if (!valid(plan)) {
-    throw std::invalid_argument(
-        invalid_plan_message("run_slab_persistent_task", plan));
-  }
-  if (plan.launch != LaunchPolicy::kPersistent) {
-    std::string msg =
-        "run_slab_persistent_task: launch: plan must be a kPersistent "
-        "composition (got ";
-    msg += name(plan.launch);
-    msg += ')';
-    throw std::invalid_argument(msg);
-  }
   // The adapter Program lives on this frame, which outlives the inner task.
   const Program prog = make_slab_program(program, plan, params);
-  const ProgramExecParams prm = make_exec_params(params);
-  co_await run_program_persistent_task(prog, plan, prm);
+  co_await run_program_persistent_task(prog, plan, params);
 }
 
 void run_slab(const SlabProgram& program, const Plan& plan,
@@ -534,7 +510,7 @@ void run_slab(const SlabProgram& program, const Plan& plan,
     throw std::invalid_argument(invalid_plan_message("run_slab", plan));
   }
   const Program prog = make_slab_program(program, plan, params);
-  run_program(prog, plan, make_exec_params(params));
+  run_program(prog, plan, params);
 }
 
 }  // namespace exec

@@ -10,18 +10,15 @@
 
 #include <cstddef>
 #include <functional>
-#include <string_view>
 
 #include "cpufree/partition.hpp"
 #include "exec/policy.hpp"
-#include "sim/observe.hpp"
+#include "exec/program.hpp"
 #include "sim/task.hpp"
 #include "vgpu/machine.hpp"
 #include "vshmem/world.hpp"
 
 namespace exec {
-
-struct CheckpointStore;  // exec/program.hpp
 
 /// Type-erased view of a slab-decomposed iterative problem: geometry, cost
 /// helpers and functional bodies. All hooks must stay valid for the run.
@@ -61,10 +58,9 @@ struct InnerModel {
   double tiling_efficiency = 1.0;
 };
 
-/// Knobs of a composition that are problem- or benchmark-config-driven.
-struct SlabExecParams {
-  int iterations = 1;
-  int threads_per_block = 1024;
+/// Knobs of a composition that are problem- or benchmark-config-driven: the
+/// run's (iterations, block size, checkpointing) plus the slab-only ones.
+struct SlabExecParams : ProgramExecParams {
   /// Co-resident blocks for persistent launches; 0 derives from the machine
   /// (resolve_persistent_blocks).
   int persistent_blocks = 0;
@@ -74,16 +70,6 @@ struct SlabExecParams {
   std::function<cpufree::TbPartition(int dev, int tb_total)> partition;
   /// Inner-kernel cost model for persistent launches.
   std::function<InnerModel(int dev, int inner_resident_threads)> inner_model;
-  /// Multi-tenant attribution (persistent task variant only): streams the
-  /// launch creates are bound (device, lane) -> job_label in this map so
-  /// checker/hang reports can name the owning job. Must outlive the run.
-  sim::JobMap* job_map = nullptr;
-  std::string job_label;
-  /// Persistent compositions: snapshot each PE's owned interior every N
-  /// iterations into `checkpoint_store` (0 = off). The store must outlive
-  /// the run; see exec::CheckpointStore for the determinism contract.
-  int checkpoint_every = 0;
-  CheckpointStore* checkpoint_store = nullptr;
 };
 
 /// Runs `program` under `plan`. Throws std::invalid_argument for plans that
@@ -92,12 +78,11 @@ struct SlabExecParams {
 void run_slab(const SlabProgram& program, const Plan& plan,
               const SlabExecParams& params);
 
-/// Spawnable variant of the persistent composition: builds the kernel groups
-/// and co_awaits completion of every device's cooperative launch WITHOUT
+/// Spawnable form of either persistent composition (see
+/// run_program_persistent_task): co_awaits every device's final sync WITHOUT
 /// driving the engine — the caller (e.g. the multi-tenant job server) owns
-/// the engine and may run many such tasks concurrently on one machine. Only
-/// kPersistent plans are accepted. The program's world may be a device slice;
-/// launches go to the world's physical devices.
+/// the engine and may run many such tasks concurrently on one machine. The
+/// program's world may be a device slice, in this form and in run_slab.
 sim::Task run_slab_persistent_task(const SlabProgram& program, const Plan& plan,
                                    const SlabExecParams& params);
 

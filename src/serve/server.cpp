@@ -189,7 +189,6 @@ class Server {
     js.out.first_device = js.place.devices.front();
     js.out.blocks_per_device = js.place.blocks_per_device;
     js.work = make_workload(machine_, js.spec, js.place, attempt_label(js),
-                            &job_map_,
                             js.resume.iteration > 0 ? &js.resume : nullptr);
     co_await js.work->task();
     if (js.work->aborted()) {
@@ -299,7 +298,7 @@ class Server {
     iso.faulty = false;
     std::string iso_label = "iso:";
     iso_label += js.label;
-    auto work = make_workload(m, iso, js.place, iso_label, nullptr);
+    auto work = make_workload(m, iso, js.place, iso_label);
     m.engine().spawn(work->task());
     m.engine().run();
     const sim::Nanos t = m.engine().now();

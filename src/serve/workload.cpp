@@ -34,7 +34,7 @@ class StencilWorkload final : public Workload {
  public:
   StencilWorkload(vgpu::Machine& machine, const JobSpec& spec,
                   const Placement& place, const std::string& label,
-                  sim::JobMap* job_map, const ResumeState* resume)
+                  const ResumeState* resume)
       : world_(machine, place.devices, label),
         prob_(make_prob(spec)),
         start_iter_(resume ? resume->iteration : 0),
@@ -48,11 +48,9 @@ class StencilWorkload final : public Workload {
       seed_state_ = resume->state;
       S_.load_state(seed_state_);
     }
-    // Same factory as the bench runner (run_variant); only the multi-tenant
-    // attribution is layered on top.
+    // Same factory as the bench runner (run_variant); only checkpointing is
+    // layered on top.
     setup_ = stencil::make_slab_setup(S_, stencil::Variant::kCpuFree);
-    setup_.params.job_map = job_map;
-    setup_.params.job_label = label;
     if (checkpointing_) {
       setup_.params.checkpoint_every = spec.checkpoint_every;
       setup_.params.checkpoint_store = &store_;
@@ -143,7 +141,6 @@ class StencilWorkload final : public Workload {
     stencil::StencilConfig cfg;
     cfg.iterations = spec.iterations - start_iter;
     cfg.functional = true;
-    cfg.trace = false;
     cfg.threads_per_block = spec.threads_per_block;
     cfg.persistent_blocks = place.blocks_per_device;
     return cfg;
@@ -164,18 +161,14 @@ class StencilWorkload final : public Workload {
 
 /// The run options both CG configs share, filled from a job.
 template <class Config>
-Config cg_config(const JobSpec& spec, const Placement& place,
-                 const std::string& label, sim::JobMap* job_map) {
+Config cg_config(const JobSpec& spec, const Placement& place) {
   Config cfg;
   cfg.nx = spec.nx;
   cfg.ny = spec.ny;
   cfg.max_iterations = spec.iterations;
   cfg.functional = true;
-  cfg.trace = false;
   cfg.threads_per_block = spec.threads_per_block;
   cfg.persistent_blocks = place.blocks_per_device;
-  cfg.job_map = job_map;
-  cfg.job_label = label;
   return cfg;
 }
 
@@ -186,8 +179,7 @@ Config cg_config(const JobSpec& spec, const Placement& place,
 class CgWorkload final : public Workload {
  public:
   CgWorkload(vgpu::Machine& machine, const JobSpec& spec,
-             const Placement& place, const std::string& label,
-             sim::JobMap* job_map)
+             const Placement& place, const std::string& label)
       : world_(machine, place.devices, label),
         kind_(spec.kind),
         nx_(spec.nx),
@@ -196,11 +188,9 @@ class CgWorkload final : public Workload {
     world_.set_fault_injection(spec.faulty);
     if (spec.kind == JobKind::kCg) {
       job_ = std::make_unique<solvers::CgCpufreeJob>(
-          machine, world_,
-          cg_config<solvers::CgConfig>(spec, place, label, job_map));
+          machine, world_, cg_config<solvers::CgConfig>(spec, place));
     } else {
-      auto cfg =
-          cg_config<solvers::SparseCgConfig>(spec, place, label, job_map);
+      auto cfg = cg_config<solvers::SparseCgConfig>(spec, place);
       cfg.imbalance = spec.imbalance;
       job_ = std::make_unique<solvers::CgCpufreeJob>(machine, world_, cfg);
     }
@@ -240,8 +230,7 @@ class CgWorkload final : public Workload {
 class DaceliteWorkload final : public Workload {
  public:
   DaceliteWorkload(vgpu::Machine& machine, const JobSpec& spec,
-                   const Placement& place, const std::string& label,
-                   sim::JobMap* job_map)
+                   const Placement& place, const std::string& label)
       : machine_(&machine),
         prog_(make_prog(spec, static_cast<int>(place.devices.size()))),
         world_(machine, place.devices, label),
@@ -251,11 +240,8 @@ class DaceliteWorkload final : public Workload {
     data_ = std::make_unique<dacelite::ProgramData>(world_, prog_.sdfg,
                                                     /*functional=*/true);
     options_.functional = true;
-    options_.trace = false;
     options_.threads_per_block = spec.threads_per_block;
     options_.persistent_blocks = place.blocks_per_device;
-    options_.job_map = job_map;
-    options_.job_label = label;
   }
 
   sim::Task task() override {
@@ -303,8 +289,7 @@ class DaceliteWorkload final : public Workload {
 class HistogramWorkload final : public Workload {
  public:
   HistogramWorkload(vgpu::Machine& machine, const JobSpec& spec,
-                    const Placement& place, const std::string& label,
-                    sim::JobMap* job_map)
+                    const Placement& place, const std::string& label)
       : world_(machine, place.devices, label) {
     world_.set_functional(true);
     world_.set_fault_injection(spec.faulty);
@@ -313,11 +298,8 @@ class HistogramWorkload final : public Workload {
     cfg_.rounds = spec.iterations;
     cfg_.skew = spec.skew;
     cfg_.functional = true;
-    cfg_.trace = false;
     cfg_.threads_per_block = spec.threads_per_block;
     cfg_.persistent_blocks = place.blocks_per_device;
-    cfg_.job_map = job_map;
-    cfg_.job_label = label;
     job_ =
         std::make_unique<workloads::HistogramCpufreeJob>(machine, world_, cfg_);
   }
@@ -396,22 +378,18 @@ std::unique_ptr<Workload> make_workload(vgpu::Machine& machine,
                                         const JobSpec& spec,
                                         const Placement& place,
                                         const std::string& label,
-                                        sim::JobMap* job_map,
                                         const ResumeState* resume) {
   switch (spec.kind) {
     case JobKind::kStencil:
       return std::make_unique<StencilWorkload>(machine, spec, place, label,
-                                               job_map, resume);
+                                               resume);
     case JobKind::kCg:
     case JobKind::kSparseCg:
-      return std::make_unique<CgWorkload>(machine, spec, place, label,
-                                          job_map);
+      return std::make_unique<CgWorkload>(machine, spec, place, label);
     case JobKind::kDacelite:
-      return std::make_unique<DaceliteWorkload>(machine, spec, place, label,
-                                                job_map);
+      return std::make_unique<DaceliteWorkload>(machine, spec, place, label);
     case JobKind::kHistogram:
-      return std::make_unique<HistogramWorkload>(machine, spec, place, label,
-                                                 job_map);
+      return std::make_unique<HistogramWorkload>(machine, spec, place, label);
   }
   throw std::invalid_argument("make_workload: unknown job kind");
 }

@@ -15,7 +15,6 @@
 
 #include "serve/job.hpp"
 #include "serve/placement.hpp"
-#include "sim/observe.hpp"
 #include "sim/task.hpp"
 #include "vgpu/machine.hpp"
 
@@ -67,14 +66,14 @@ class Workload {
 [[nodiscard]] std::string validate(const JobSpec& spec);
 
 /// Builds the adapter for `spec` on the carved `place`. The world slice is
-/// labeled `label` and every stream the launch creates is bound to `label`
-/// in `job_map` (when non-null) for checker/hang attribution. A non-null
+/// labeled `label`; when the machine's engine carries a job map, the launch
+/// binds every stream it creates to that label for checker/hang
+/// attribution. A non-null
 /// `resume` with iteration > 0 restarts a checkpoint-capable workload from
 /// that state, running only the remaining iterations (kinds without restart
 /// support ignore it).
 [[nodiscard]] std::unique_ptr<Workload> make_workload(
     vgpu::Machine& machine, const JobSpec& spec, const Placement& place,
-    const std::string& label, sim::JobMap* job_map,
-    const ResumeState* resume = nullptr);
+    const std::string& label, const ResumeState* resume = nullptr);
 
 }  // namespace serve

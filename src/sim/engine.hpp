@@ -328,10 +328,11 @@ class Engine {
   [[nodiscard]] std::string flag_name(const void* flag) const;
 
   /// Attaches the actor->job label map of an active multi-tenant serve run
-  /// (nullptr detaches). Hang reports then name the owning job of each stuck
-  /// wait. Attribution only; never consulted for scheduling.
-  void set_job_map(const JobMap* jobs) noexcept { job_map_ = jobs; }
-  [[nodiscard]] const JobMap* job_map() const noexcept { return job_map_; }
+  /// (nullptr detaches). Persistent launches bind their streams to their
+  /// World's label in it, and hang reports then name the owning job of each
+  /// stuck wait. Attribution only; never consulted for scheduling.
+  void set_job_map(JobMap* jobs) noexcept { job_map_ = jobs; }
+  [[nodiscard]] JobMap* job_map() const noexcept { return job_map_; }
 
   /// Multi-line description of every open registered wait, in
   /// registration order ("" when none).
@@ -374,7 +375,7 @@ class Engine {
   std::exception_ptr error_;
   Trace trace_;
   Observer* observer_ = nullptr;
-  const JobMap* job_map_ = nullptr;
+  JobMap* job_map_ = nullptr;
   Nanos now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_roots_ = 0;

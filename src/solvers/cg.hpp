@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cpufree/metrics.hpp"
@@ -35,7 +34,6 @@
 #include "vgpu/costmodel.hpp"
 
 namespace sim {
-class JobMap;
 class Observer;
 }
 namespace vgpu {
@@ -64,11 +62,6 @@ struct CgConfig {
   /// Optional execution observer (race/deadlock checker); attached to the
   /// engine before any allocation or launch. Never affects simulated time.
   sim::Observer* observer = nullptr;
-  /// Multi-tenant attribution (CgCpufreeJob only): streams the launch
-  /// creates are bound (device, lane) -> job_label in this map so checker
-  /// and hang reports can name the owning job. Must outlive the run.
-  sim::JobMap* job_map = nullptr;
-  std::string job_label;
 };
 
 struct CgResult {

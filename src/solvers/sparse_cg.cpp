@@ -364,8 +364,6 @@ SparseCgConfig as_sparse(const CgConfig& c) {
   s.threads_per_block = c.threads_per_block;
   s.persistent_blocks = c.persistent_blocks;
   s.observer = c.observer;
-  s.job_map = c.job_map;
-  s.job_label = c.job_label;
   return s;
 }
 
@@ -1003,10 +1001,7 @@ struct CgCpufreeJob::Impl {
         program(persistent_program(core)),
         plan{exec::LaunchPolicy::kPersistent, exec::CommPolicy::kSignaledPut,
              exec::SyncPolicy::kIterationFlags, op.kernel},
-        params(exec_params(cfg)) {
-    params.job_map = cfg.job_map;
-    params.job_label = cfg.job_label;
-  }
+        params(exec_params(cfg)) {}
 
   Core core;
   exec::Program program;

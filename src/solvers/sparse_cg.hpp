@@ -59,10 +59,6 @@ struct SparseCgConfig {
   int persistent_blocks = 0;
   /// Optional execution observer (race/deadlock checker).
   sim::Observer* observer = nullptr;
-  /// Multi-tenant attribution (SparseCgCpufreeJob only). Must outlive the
-  /// run.
-  sim::JobMap* job_map = nullptr;
-  std::string job_label;
 };
 
 /// Largest accepted `imbalance`. A rank's share is ny·weight / total weight

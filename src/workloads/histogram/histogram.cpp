@@ -831,8 +831,6 @@ HistogramCpufreeJob::HistogramCpufreeJob(vgpu::Machine& machine,
   impl_->program = make_hist_program(*impl_->core, impl_->plan);
   impl_->params.iterations = config.rounds;
   impl_->params.threads_per_block = config.threads_per_block;
-  impl_->params.job_map = config.job_map;
-  impl_->params.job_label = config.job_label;
 }
 
 HistogramCpufreeJob::~HistogramCpufreeJob() = default;

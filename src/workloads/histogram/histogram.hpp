@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cpufree/metrics.hpp"
@@ -42,7 +41,6 @@
 #include "vshmem/world.hpp"
 
 namespace sim {
-class JobMap;
 class Observer;
 }
 
@@ -68,9 +66,6 @@ struct HistogramConfig {
   /// Optional execution observer (race/deadlock checker); attached to the
   /// engine before any allocation or launch.
   sim::Observer* observer = nullptr;
-  /// Multi-tenant attribution (HistogramCpufreeJob only).
-  sim::JobMap* job_map = nullptr;
-  std::string job_label;
 };
 
 struct HistogramResult {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "dacelite/exec.hpp"
@@ -286,6 +288,27 @@ TEST(Frontend, GridDims) {
   EXPECT_EQ(dacelite::grid_dims(6), (std::pair<int, int>{2, 3}));
 }
 
+TEST(Frontend, FewerThanOneRankIsRejected) {
+  // Checked before any division: zero ranks divided by zero, and -1 cast
+  // sqrt(-1) to int.
+  const auto expect_rejected = [](auto build, int ranks) {
+    try {
+      static_cast<void>(build(ranks));
+      ADD_FAILURE() << "ranks " << ranks << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ranks"), std::string::npos)
+          << e.what();
+    }
+  };
+  for (int ranks : {0, -1}) {
+    expect_rejected([](int r) { return dacelite::grid_dims(r); }, ranks);
+    expect_rejected([](int r) { return dacelite::make_jacobi1d(48, r, 1); },
+                    ranks);
+    expect_rejected([](int r) { return dacelite::make_jacobi2d(48, r, 1); },
+                    ranks);
+  }
+}
+
 // --- End-to-end: generated code matches serial references --------------------
 
 class Jacobi1dEndToEnd : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -455,6 +478,17 @@ TEST(Exec, SetupStateAndTaskletRunOnce) {
   EXPECT_EQ(setup_runs, 1);
   EXPECT_EQ(tasklet_runs, 4);
   EXPECT_EQ(data.local("A", 0)[0], 9.0);  // 5 + 4 increments
+}
+
+TEST(Exec, PersistentRunsOnADeviceSlice) {
+  // Four ranks on devices 4..7 of an 8-GPU node: PE i lives on device 4+i.
+  auto prog = dacelite::make_jacobi2d(48, 4, 5);
+  dacelite::to_cpu_free(prog.sdfg);
+  vgpu::Machine m(hgx(8));
+  vshmem::World w(m, {4, 5, 6, 7}, "slice.");
+  ProgramData data(w, prog.sdfg, true);
+  dacelite::execute_persistent(m, w, data, prog.sdfg, ExecOptions{});
+  EXPECT_EQ(prog.gather(data), prog.reference(5));
 }
 
 // --- Backend misuse guards ----------------------------------------------------

@@ -145,7 +145,6 @@ TEST(ReferenceMemo, HistogramRunOptionsLeaveTheReferenceIdentical) {
       {"threads_per_block", [](Cfg& c) { c.threads_per_block = 64; }},
       {"persistent_blocks", [](Cfg& c) { c.persistent_blocks = 3; }},
       {"observer", [&observer](Cfg& c) { c.observer = &observer; }},
-      {"job_label", [](Cfg& c) { c.job_label = "j1:t0:histogram"; }},
   };
   for (const Edit<Cfg>& e : edits) {
     Cfg cfg = base_hist();
@@ -198,7 +197,6 @@ TEST(ReferenceMemo, SparseRunOptionsLeaveTheReferenceIdentical) {
       {"threads_per_block", [](Cfg& c) { c.threads_per_block = 128; }},
       {"persistent_blocks", [](Cfg& c) { c.persistent_blocks = 3; }},
       {"observer", [&observer](Cfg& c) { c.observer = &observer; }},
-      {"job_label", [](Cfg& c) { c.job_label = "j2:t1:sparse_cg"; }},
   };
   for (const Edit<Cfg>& e : edits) {
     Cfg cfg = base_sparse();

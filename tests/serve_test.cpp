@@ -409,4 +409,47 @@ TEST(Serve, InfeasibleJobsAreRejectedNotWedged) {
   EXPECT_TRUE(rep.jobs[1].out.verified);
 }
 
+TEST(Serve, EveryServedKindCarriesItsJobLabelInHangReports) {
+  // One job of each kind on a 2-device slice, every signal lost and nothing
+  // retries: each job strands on its first signal wait. The wait's actor is
+  // one of the job's kernel groups, so the report must carry the job's
+  // label as the actor's bracketed suffix. Flag names carry the label too,
+  // so only the suffix shows the launch bound the job's streams.
+  const JobKind kinds[] = {JobKind::kStencil, JobKind::kCg,
+                           JobKind::kDacelite, JobKind::kHistogram,
+                           JobKind::kSparseCg};
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < 5; ++i) {
+    std::string tenant = "t";
+    tenant += std::to_string(i);
+    JobSpec j = job(i, tenant, kinds[i], 2, 48, 4);
+    j.faulty = true;
+    jobs.push_back(j);
+  }
+  ServeConfig cfg;
+  cfg.machine = vgpu::MachineSpec::hgx_a100(8);
+  cfg.machine.faults.seed = 1;
+  cfg.machine.faults.rate = 1.0;
+  cfg.machine.faults.classes = fault::kClassSignalLost;
+  cfg.machine.faults.resilience = fault::Resilience::kNone;
+  cfg.arrival.mode = ArrivalConfig::Mode::kClosed;
+  cfg.arrival.concurrency = 0;
+  cfg.compute_isolated = false;
+  const ServeReport rep = serve::run_serve(cfg, jobs);
+
+  ASSERT_FALSE(rep.hang_report.empty());
+  for (const JobSpec& j : jobs) {
+    std::string suffix = "[j";
+    suffix += std::to_string(j.id);
+    suffix += ':';
+    suffix += j.tenant;
+    suffix += ':';
+    suffix += serve::name(j.kind);
+    suffix += "] blocked on";
+    EXPECT_NE(rep.hang_report.find(suffix), std::string::npos)
+        << suffix << '\n'
+        << rep.hang_report;
+  }
+}
+
 }  // namespace

@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "cpufree/partition.hpp"
 #include "stencil/config.hpp"
 #include "stencil/problems.hpp"
 #include "stencil/runner.hpp"
@@ -203,6 +204,31 @@ TEST(TwoKernel, CombinedCoResidencyEnforced) {
   vgpu::DeviceSpec half = spec.device;
   half.sm_count = spec.device.sm_count / 2;  // cap drops to 108 on device 0
   spec.device_overrides.push_back(half);
+  EXPECT_THROW(static_cast<void>(stencil::run_jacobi2d(
+                   Variant::kCpuFreeTwoKernels, spec, prob, cfg)),
+               vgpu::CooperativeLaunchError);
+}
+
+TEST(TwoKernel, KernelsThatFitAloneMustFitTogether) {
+  // 112 blocks on the half-SM device 0 split into a comm kernel of 8 and an
+  // inner kernel of 104: each fits the cap alone, so only the launcher's
+  // check of both kernels together can reject the pair.
+  Jacobi2D prob;
+  prob.nx = 64;
+  prob.ny = 64;
+  StencilConfig cfg = small_cfg(2);
+  cfg.persistent_blocks = 112;
+  MachineSpec spec = hgx(2);
+  vgpu::DeviceSpec half = spec.device;
+  half.sm_count = spec.device.sm_count / 2;
+  spec.device_overrides.push_back(half);
+  const int cap = half.max_cooperative_blocks(cfg.threads_per_block);
+  // 32 rows per device: two boundary slabs and 30 inner slabs of 64 points.
+  const cpufree::TbPartition part =
+      cpufree::specialize_blocks(cfg.persistent_blocks, 64.0, 30.0 * 64.0);
+  ASSERT_LE(part.num_boundaries * part.boundary_blocks, cap);
+  ASSERT_LE(part.inner_blocks, cap);
+  ASSERT_GT(part.total(), cap);
   EXPECT_THROW(static_cast<void>(stencil::run_jacobi2d(
                    Variant::kCpuFreeTwoKernels, spec, prob, cfg)),
                vgpu::CooperativeLaunchError);
