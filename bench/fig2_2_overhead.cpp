@@ -224,7 +224,11 @@ int main(int argc, char** argv) {
     stencil::SlabStencil<Jacobi2D> s(world, weak_scaled(256, 4), cfg);
     stencil::run_variant(s, Variant::kBaselineOverlap);
     std::ofstream f(args.trace_path);
-    f << machine.trace().to_chrome_json();
+    if (!(f << machine.trace().to_chrome_json())) {
+      std::fprintf(stderr, "fig2_2_overhead: cannot write %s\n",
+                   args.trace_path.c_str());
+      return 1;
+    }
     std::printf("timeline written to %s (open in chrome://tracing)\n",
                 args.trace_path.c_str());
   }

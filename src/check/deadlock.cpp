@@ -23,6 +23,11 @@ void DeadlockAnalyzer::name_flag(const void* flag, std::string_view name) {
   flags_[flag].name = std::string(name);
 }
 
+void DeadlockAnalyzer::forget(const void* object) {
+  flags_.erase(object);
+  barriers_.erase(object);
+}
+
 void DeadlockAnalyzer::record_update(const void* flag,
                                      const sim::Actor& updater,
                                      std::int64_t value,

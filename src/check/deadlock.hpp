@@ -32,6 +32,8 @@ class DeadlockAnalyzer {
   void set_job_map(const sim::JobMap* jobs) noexcept { job_map_ = jobs; }
 
   void name_flag(const void* flag, std::string_view name);
+  /// The flag or barrier at `object` was freed: drop its history.
+  void forget(const void* object);
   void record_update(const void* flag, const sim::Actor& updater,
                      std::int64_t value, std::string_view what);
   void wait_begin(const sim::Actor& actor, const void* flag, sim::Cmp cmp,

@@ -111,6 +111,20 @@ void Detector::on_flag_name(const void* flag, std::string_view name) {
   deadlock_.name_flag(flag, name);
 }
 
+void Detector::on_mem_release(const void* base) {
+  // A freed block, flag or barrier: whatever is allocated at this address
+  // next must not inherit its accesses, clock, barrier generations or
+  // reported race pairs.
+  const auto key = reinterpret_cast<std::uintptr_t>(base);
+  mem_.erase(key);
+  shadow_.erase(key);
+  race_keys_.erase(race_keys_.lower_bound({key, 0, 0, false, false}),
+                   race_keys_.lower_bound({key + 1, 0, 0, false, false}));
+  flag_clock_.erase(base);
+  barriers_.erase(base);
+  deadlock_.forget(base);
+}
+
 // --- actor lifecycle ---------------------------------------------------------
 
 // NOTE: both tids must be resolved BEFORE taking vc() references — tid() can

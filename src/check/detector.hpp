@@ -82,6 +82,7 @@ class Detector final : public sim::Observer {
   void on_mem_block(const void* base, std::size_t bytes,
                     std::string_view name) override;
   void on_flag_name(const void* flag, std::string_view name) override;
+  void on_mem_release(const void* base) override;
   void on_actor_begin(const sim::Actor& actor, const sim::Actor& parent,
                       std::string_view name) override;
   void on_actor_end(const sim::Actor& actor, const sim::Actor& parent) override;

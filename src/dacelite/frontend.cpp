@@ -6,6 +6,7 @@
 
 #include "dacelite/pass.hpp"
 #include "dacelite/transforms.hpp"
+#include "stencil/slab.hpp"
 
 namespace dacelite {
 
@@ -188,14 +189,9 @@ std::vector<double> Jacobi1DProgram::reference(int iterations) const {
 }
 
 // --- Jacobi 2D ----------------------------------------------------------------
-
-namespace {
-
-double init2d(std::size_t gy, std::size_t gx) {
-  return static_cast<double>((gy * 131 + gx * 17) % 97) / 97.0;
-}
-
-}  // namespace
+//
+// The same problem as stencil::Jacobi2D (initial condition and 5-point
+// update), so the serial reference is the stencil library's.
 
 Jacobi2DProgram make_jacobi2d(std::size_t gx, std::size_t gy, int ranks,
                               int iterations, int force_px) {
@@ -241,8 +237,8 @@ Jacobi2DProgram make_jacobi2d(std::size_t gx, std::size_t gy, int ranks,
         px_g >= static_cast<std::ptrdiff_t>(gx)) {
       return 0.0;
     }
-    return init2d(static_cast<std::size_t>(py_g),
-                  static_cast<std::size_t>(px_g));
+    return stencil::Jacobi2D{}.initial(static_cast<std::size_t>(py_g),
+                                       static_cast<std::size_t>(px_g));
   };
   const std::size_t local_size = (lny + 2) * w;
   s.add_array(ArrayDesc{"A", local_size, Storage::kHost, initA});
@@ -408,22 +404,10 @@ std::vector<double> Jacobi2DProgram::gather(ProgramData& data) const {
 }
 
 std::vector<double> Jacobi2DProgram::reference(int iterations) const {
-  std::vector<double> a(gx * gy), b(gx * gy);
-  for (std::size_t row = 0; row < gy; ++row) {
-    for (std::size_t col = 0; col < gx; ++col) {
-      a[row * gx + col] = b[row * gx + col] = init2d(row, col);
-    }
-  }
-  for (int t = 1; t <= iterations; ++t) {
-    for (std::size_t row = 1; row + 1 < gy; ++row) {
-      for (std::size_t col = 1; col + 1 < gx; ++col) {
-        const std::size_t i = row * gx + col;
-        b[i] = 0.25 * (a[i - gx] + a[i + gx] + a[i - 1] + a[i + 1]);
-      }
-    }
-    a = b;
-  }
-  return a;
+  stencil::Jacobi2D problem;
+  problem.nx = gx;
+  problem.ny = gy;
+  return stencil::jacobi2d_reference(problem, iterations);
 }
 
 }  // namespace dacelite

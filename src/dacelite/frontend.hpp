@@ -48,6 +48,8 @@ struct Jacobi2DProgram {
   std::size_t lnx = 0, lny = 0;  // local block size
 
   [[nodiscard]] std::vector<double> gather(ProgramData& data) const;
+  /// Serial reference after `iterations` steps: stencil::Jacobi2D's, memoized
+  /// per (gx, gy, iterations) whatever the process grid.
   [[nodiscard]] std::vector<double> reference(int iterations) const;
 };
 

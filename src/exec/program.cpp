@@ -94,9 +94,18 @@ std::vector<cpufree::DeviceKernels> single_kernels(
 }
 
 /// One PE's local iteration counters of the two-kernel composition
-/// (device memory, one per kernel).
+/// (device memory, one per kernel), forgotten when the last kernel holding
+/// them is gone.
 struct PairFlags {
-  explicit PairFlags(sim::Engine& e) : inner_done(e, 0), comm_done(e, 0) {}
+  explicit PairFlags(sim::Engine& e)
+      : engine(&e), inner_done(e, 0), comm_done(e, 0) {}
+  PairFlags(const PairFlags&) = delete;
+  PairFlags& operator=(const PairFlags&) = delete;
+  ~PairFlags() {
+    engine->forget(&inner_done);
+    engine->forget(&comm_done);
+  }
+  sim::Engine* engine;
   sim::Flag inner_done;
   sim::Flag comm_done;
 };

@@ -156,6 +156,11 @@ struct ServeReport {
   /// deadlock (stuck waits with job labels, plus the engine incident log
   /// naming dead hardware and evicted tenants). Empty on a clean drain.
   std::string hang_report;
+  /// Host-side memory accounting of the shared machine, not part of any
+  /// BENCH record: the most device bytes ever live at once, and the bytes
+  /// still live once every drained job was retired (0 after a clean drain).
+  std::size_t peak_device_bytes = 0;
+  std::size_t live_device_bytes = 0;
 };
 
 }  // namespace serve

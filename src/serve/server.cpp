@@ -76,6 +76,9 @@ class Server {
       // end keep completed=false below.
       hang_report_ = e.what();
     }
+    // After a clean drain every World has drained too; after a hang the
+    // stuck ones stay until the server is destroyed.
+    retire_drained();
     return report();
   }
 
@@ -193,19 +196,31 @@ class Server {
     co_await js.work->task();
     if (js.work->aborted()) {
       handle_abort(i);
-      co_return;
+    } else {
+      js.out.end = eng().now();
+      js.out.completed = true;
+      js.out.verified = js.work->verify();
+      js.out.detail = js.work->detail();
+      admit_.release(js.place);
+      --running_;
+      try_admit();
     }
-    js.out.end = eng().now();
-    js.out.completed = true;
-    js.out.verified = js.work->verify();
-    js.out.detail = js.work->detail();
-    // The workload (and its World) must outlive the shared run: nbi halo
-    // puts from a job's final iteration can still be in flight when the
-    // task completes, and their completion callbacks touch the World.
-    // Workloads are torn down with the server, after the engine drains.
-    admit_.release(js.place);
-    --running_;
-    try_admit();
+    // A re-queued attempt of this job only starts after this coroutine
+    // yields, so js.work is still this attempt's workload here.
+    retiring_.push_back(std::move(js.work));
+    retire_drained();
+  }
+
+  /// Destroys every finished attempt's workload whose World has drained,
+  /// freeing its device memory. Nbi halo puts from a job's final iteration
+  /// (and fault-delayed signals) can still be in flight when its task
+  /// completes, and they touch the World, so a workload retires at the
+  /// first job-completion point after its World drained. The sweep
+  /// schedules nothing: simulated time is untouched.
+  void retire_drained() {
+    std::erase_if(retiring_, [](const std::unique_ptr<Workload>& w) {
+      return w->drained();
+    });
   }
 
   /// Job-level failover. The aborted task already drained cooperatively
@@ -218,10 +233,7 @@ class Server {
     sync_dead_devices();
     admit_.release(js.place);
     --running_;
-    // Keep the dead attempt's workload (and its World) alive until the
-    // server tears down: in-flight nbi puts' completion callbacks touch it.
-    Workload* w = js.work.get();
-    graveyard_.push_back(std::move(js.work));
+    const Workload* w = js.work.get();
 
     // Progress the failure destroyed: everything past the checkpoint the
     // recovery will restore (or everything, when nothing can be restored).
@@ -263,9 +275,8 @@ class Server {
     try_admit();
   }
 
-  /// Isolated baseline: the identical job alone on an idle, fault-free,
-  /// serial copy of the machine model, on the same device tuple (the tuple
-  /// matters on multi-node topologies). Deduplicated by shape + placement.
+  /// Isolated baseline (isolated_runtime), timing-only where that gives
+  /// the same time. Deduplicated by shape + placement.
   sim::Nanos isolated_ns(const JobState& js) {
     std::string key = name(js.spec.kind);
     key += '|';
@@ -289,19 +300,9 @@ class Server {
     }
     auto it = isolated_cache_.find(key);
     if (it != isolated_cache_.end()) return it->second;
-
-    vgpu::MachineSpec spec = cfg_.machine;
-    spec.faults = fault::Config{};
-    vgpu::Machine m(spec);
-    m.trace().set_enabled(false);
-    JobSpec iso = js.spec;
-    iso.faulty = false;
-    std::string iso_label = "iso:";
-    iso_label += js.label;
-    auto work = make_workload(m, iso, js.place, iso_label);
-    m.engine().spawn(work->task());
-    m.engine().run();
-    const sim::Nanos t = m.engine().now();
+    const sim::Nanos t =
+        isolated_runtime(cfg_.machine, js.spec, js.place,
+                         /*functional=*/!timing_is_data_independent(js.spec));
     isolated_cache_.emplace(std::move(key), t);
     return t;
   }
@@ -312,6 +313,8 @@ class Server {
     rep.fleet.fleet_makespan_us = sim::to_usec(eng().now());
     rep.fleet.requeues = requeues_;
     rep.hang_report = hang_report_;
+    rep.peak_device_bytes = machine_.peak_bytes();
+    rep.live_device_bytes = machine_.live_bytes();
     double wait_sum = 0.0;
     int admitted = 0;
     double sd_sum = 0.0, sd_sq = 0.0;
@@ -386,8 +389,9 @@ class Server {
   std::vector<sim::Nanos> arrivals_;
   std::deque<std::size_t> queue_;
   std::map<std::string, sim::Nanos> isolated_cache_;
-  /// Aborted attempts' workloads, kept alive until the engine drains.
-  std::deque<std::unique_ptr<Workload>> graveyard_;
+  /// Finished attempts (completed or aborted) whose World may not have
+  /// drained yet, in completion order.
+  std::deque<std::unique_ptr<Workload>> retiring_;
   std::string hang_report_;
   int requeues_ = 0;
   int running_ = 0;
@@ -395,6 +399,23 @@ class Server {
 };
 
 }  // namespace
+
+sim::Nanos isolated_runtime(const vgpu::MachineSpec& machine,
+                            const JobSpec& spec, const Placement& place,
+                            bool functional) {
+  vgpu::MachineSpec alone = machine;
+  alone.faults = fault::Config{};
+  vgpu::Machine m(alone);
+  m.trace().set_enabled(false);
+  JobSpec iso = spec;
+  iso.faulty = false;
+  std::string label = "iso:";
+  label += job_label(spec);
+  auto work = make_workload(m, iso, place, label, nullptr, functional);
+  m.engine().spawn(work->task());
+  m.engine().run();
+  return m.engine().now();
+}
 
 ServeReport run_serve(const ServeConfig& config, std::vector<JobSpec> jobs) {
   Server server(config, std::move(jobs));

@@ -47,6 +47,16 @@ struct ServeConfig {
   int checkpoint_every = 0;
 };
 
+/// Simulated runtime of `spec` alone on an idle, fault-free copy of
+/// `machine`, on the devices of `place` (the tuple matters on multi-node
+/// topologies): the isolated baseline run_serve compares each job with.
+/// `functional` = false skips the numerics, which gives the same time when
+/// timing_is_data_independent(spec) holds.
+[[nodiscard]] sim::Nanos isolated_runtime(const vgpu::MachineSpec& machine,
+                                          const JobSpec& spec,
+                                          const Placement& place,
+                                          bool functional);
+
 /// Runs `jobs` (submission order = arrival order) to completion and returns
 /// per-job records plus fleet metrics. A deadlock on the shared machine
 /// (e.g. a faulty tenant with no retry budget) is caught: stuck jobs report

@@ -34,11 +34,11 @@ class StencilWorkload final : public Workload {
  public:
   StencilWorkload(vgpu::Machine& machine, const JobSpec& spec,
                   const Placement& place, const std::string& label,
-                  const ResumeState* resume)
+                  const ResumeState* resume, bool functional)
       : world_(machine, place.devices, label),
         prob_(make_prob(spec)),
         start_iter_(resume ? resume->iteration : 0),
-        S_(world_, prob_, make_cfg(spec, place, start_iter_)),
+        S_(world_, prob_, make_cfg(spec, place, start_iter_, functional)),
         store_(static_cast<int>(place.devices.size())),
         iters_(spec.iterations),
         checkpointing_(spec.checkpoint_every > 0) {
@@ -86,6 +86,8 @@ class StencilWorkload final : public Workload {
     }
     return d;
   }
+
+  bool drained() const override { return world_.drained(); }
 
   bool aborted() const override {
     if (world_.hard_stopped()) return true;
@@ -137,10 +139,10 @@ class StencilWorkload final : public Workload {
   }
   static stencil::StencilConfig make_cfg(const JobSpec& spec,
                                          const Placement& place,
-                                         int start_iter) {
+                                         int start_iter, bool functional) {
     stencil::StencilConfig cfg;
     cfg.iterations = spec.iterations - start_iter;
-    cfg.functional = true;
+    cfg.functional = functional;
     cfg.threads_per_block = spec.threads_per_block;
     cfg.persistent_blocks = place.blocks_per_device;
     return cfg;
@@ -217,6 +219,8 @@ class CgWorkload final : public Workload {
     return d;
   }
 
+  bool drained() const override { return world_.drained(); }
+
  private:
   vshmem::World world_;
   JobKind kind_;
@@ -230,16 +234,17 @@ class CgWorkload final : public Workload {
 class DaceliteWorkload final : public Workload {
  public:
   DaceliteWorkload(vgpu::Machine& machine, const JobSpec& spec,
-                   const Placement& place, const std::string& label)
+                   const Placement& place, const std::string& label,
+                   bool functional)
       : machine_(&machine),
         prog_(make_prog(spec, static_cast<int>(place.devices.size()))),
         world_(machine, place.devices, label),
         iters_(spec.iterations) {
-    world_.set_functional(true);
+    world_.set_functional(functional);
     world_.set_fault_injection(spec.faulty);
     data_ = std::make_unique<dacelite::ProgramData>(world_, prog_.sdfg,
-                                                    /*functional=*/true);
-    options_.functional = true;
+                                                    functional);
+    options_.functional = functional;
     options_.threads_per_block = spec.threads_per_block;
     options_.persistent_blocks = place.blocks_per_device;
   }
@@ -266,6 +271,8 @@ class DaceliteWorkload final : public Workload {
     return d;
   }
 
+  bool drained() const override { return world_.drained(); }
+
  private:
   static dacelite::Jacobi2DProgram make_prog(const JobSpec& spec, int ranks) {
     dacelite::Jacobi2DProgram p =
@@ -289,15 +296,16 @@ class DaceliteWorkload final : public Workload {
 class HistogramWorkload final : public Workload {
  public:
   HistogramWorkload(vgpu::Machine& machine, const JobSpec& spec,
-                    const Placement& place, const std::string& label)
+                    const Placement& place, const std::string& label,
+                    bool functional)
       : world_(machine, place.devices, label) {
-    world_.set_functional(true);
+    world_.set_functional(functional);
     world_.set_fault_injection(spec.faulty);
     cfg_.bins = spec.nx;
     cfg_.keys_per_round = spec.ny;
     cfg_.rounds = spec.iterations;
     cfg_.skew = spec.skew;
-    cfg_.functional = true;
+    cfg_.functional = functional;
     cfg_.threads_per_block = spec.threads_per_block;
     cfg_.persistent_blocks = place.blocks_per_device;
     job_ =
@@ -320,6 +328,8 @@ class HistogramWorkload final : public Workload {
     d += std::to_string(cfg_.skew);
     return d;
   }
+
+  bool drained() const override { return world_.drained(); }
 
  private:
   vshmem::World world_;
@@ -374,22 +384,44 @@ std::string validate(const JobSpec& spec) {
   return {};
 }
 
+bool timing_is_data_independent(const JobSpec& spec) {
+  switch (spec.kind) {
+    case JobKind::kStencil:
+      return spec.checkpoint_every == 0;
+    case JobKind::kDacelite:
+    case JobKind::kHistogram:
+      return true;
+    case JobKind::kCg:
+    case JobKind::kSparseCg:
+      return false;
+  }
+  return false;
+}
+
 std::unique_ptr<Workload> make_workload(vgpu::Machine& machine,
                                         const JobSpec& spec,
                                         const Placement& place,
                                         const std::string& label,
-                                        const ResumeState* resume) {
+                                        const ResumeState* resume,
+                                        bool functional) {
+  if (!functional && !timing_is_data_independent(spec)) {
+    throw std::invalid_argument(
+        std::string("make_workload: this ") + name(spec.kind) +
+        " job's timing depends on its data; it cannot run timing-only");
+  }
   switch (spec.kind) {
     case JobKind::kStencil:
       return std::make_unique<StencilWorkload>(machine, spec, place, label,
-                                               resume);
+                                               resume, functional);
     case JobKind::kCg:
     case JobKind::kSparseCg:
       return std::make_unique<CgWorkload>(machine, spec, place, label);
     case JobKind::kDacelite:
-      return std::make_unique<DaceliteWorkload>(machine, spec, place, label);
+      return std::make_unique<DaceliteWorkload>(machine, spec, place, label,
+                                                functional);
     case JobKind::kHistogram:
-      return std::make_unique<HistogramWorkload>(machine, spec, place, label);
+      return std::make_unique<HistogramWorkload>(machine, spec, place, label,
+                                                 functional);
   }
   throw std::invalid_argument("make_workload: unknown job kind");
 }

@@ -42,6 +42,10 @@ class Workload {
   /// One-line result summary for the job record.
   [[nodiscard]] virtual std::string detail() const = 0;
 
+  /// World::drained() of the job's slice: once true, nothing in flight
+  /// touches the workload and it may be destroyed.
+  [[nodiscard]] virtual bool drained() const = 0;
+
   /// Did the run abort under the hard-fault plane (a slice device or link
   /// declared dead)? Only meaningful after task() completed — an aborted
   /// persistent run still completes, because dead/aborted groups skip-join
@@ -65,15 +69,25 @@ class Workload {
 /// empty string = submittable.
 [[nodiscard]] std::string validate(const JobSpec& spec);
 
+/// Does a run of `spec` take the same simulated time without its numerics?
+/// True for stencil, dacelite and histogram jobs, whose costs read no data.
+/// False for CG and sparse CG, which converge on their data (that sets
+/// their iteration count), and for checkpointing stencils, whose snapshots
+/// copy the domain.
+[[nodiscard]] bool timing_is_data_independent(const JobSpec& spec);
+
 /// Builds the adapter for `spec` on the carved `place`. The world slice is
 /// labeled `label`; when the machine's engine carries a job map, the launch
 /// binds every stream it creates to that label for checker/hang
 /// attribution. A non-null
 /// `resume` with iteration > 0 restarts a checkpoint-capable workload from
 /// that state, running only the remaining iterations (kinds without restart
-/// support ignore it).
+/// support ignore it). `functional` = false builds a timing-only run of a
+/// kind whose timing is data-independent: it skips the numerics and
+/// allocates no full-size domain, and verify() must not be called.
 [[nodiscard]] std::unique_ptr<Workload> make_workload(
     vgpu::Machine& machine, const JobSpec& spec, const Placement& place,
-    const std::string& label, const ResumeState* resume = nullptr);
+    const std::string& label, const ResumeState* resume = nullptr,
+    bool functional = true);
 
 }  // namespace serve

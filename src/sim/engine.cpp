@@ -25,6 +25,9 @@ Engine::~Engine() {
   // Destroy still-suspended root frames (e.g. after an exception unwound
   // run()). Finished frames first, then live ones in spawn order. Last,
   // hand this thread's pooled frames back if no other Engine lives here.
+  // Teardown publishes nothing: an attached observer may already be gone
+  // when a destroyed frame releases a flag (Engine::forget).
+  observer_ = nullptr;
   reap_finished();
   for (Task::promise_type* p = first_root_; p != nullptr;) {
     Task::promise_type* const next = p->next_root;
@@ -131,6 +134,11 @@ std::string Engine::flag_name(const void* flag) const {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "<flag@%p>", flag);
   return buf;
+}
+
+void Engine::forget(const void* object) {
+  flag_names_.erase(object);
+  if (observer_ != nullptr) observer_->on_mem_release(object);
 }
 
 std::string Engine::describe_wait_site(const WaitSite& site) const {

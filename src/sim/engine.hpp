@@ -327,6 +327,12 @@ class Engine {
   }
   [[nodiscard]] std::string flag_name(const void* flag) const;
 
+  /// The flag, barrier or device-memory block at `object` is being freed:
+  /// drops its hang-report name and tells an attached observer
+  /// (Observer::on_mem_release), so an object later allocated at the same
+  /// address starts with no history.
+  void forget(const void* object);
+
   /// Attaches the actor->job label map of an active multi-tenant serve run
   /// (nullptr detaches). Persistent launches bind their streams to their
   /// World's label in it, and hang reports then name the owning job of each

@@ -139,6 +139,10 @@ class Observer {
   virtual void on_flag_name(const void* flag, std::string_view name) {
     (void)flag, (void)name;
   }
+  /// The memory block, flag or barrier at `base` is being freed (published
+  /// through Engine::forget). Drop everything keyed by that address: an
+  /// object allocated there later is a new object with no history.
+  virtual void on_mem_release(const void* base) { (void)base; }
 
   // --- actor lifecycle ---
   virtual void on_actor_begin(const Actor& actor, const Actor& parent,

@@ -14,13 +14,50 @@
 #include <functional>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "stencil/config.hpp"
+#include "stencil/problems.hpp"
 #include "vgpu/machine.hpp"
 #include "vshmem/world.hpp"
 
 namespace stencil {
+
+/// Serial reference: `problem`'s update applied `iterations` times to the
+/// undecomposed domain, as a global slabs-by-plane vector.
+template <class Problem>
+[[nodiscard]] std::vector<double> serial_reference(const Problem& problem,
+                                                   int iterations) {
+  const std::size_t s_count = problem.slabs();
+  const std::size_t p = problem.plane();
+  std::vector<double> g[2];
+  g[0].resize(s_count * p);
+  g[1].resize(s_count * p);
+  for (std::size_t s = 0; s < s_count; ++s) {
+    for (std::size_t i = 0; i < p; ++i) {
+      g[0][s * p + i] = g[1][s * p + i] = problem.initial(s, i);
+    }
+  }
+  for (int t = 1; t <= iterations; ++t) {
+    auto& src = g[(t - 1) & 1];
+    auto& dst = g[t & 1];
+    for (std::size_t s = 1; s + 1 < s_count; ++s) {
+      problem.update_slab(
+          std::span<const double>(src).subspan((s - 1) * p, p),
+          std::span<const double>(src).subspan(s * p, p),
+          std::span<const double>(src).subspan((s + 1) * p, p),
+          std::span<double>(dst).subspan(s * p, p), s);
+    }
+  }
+  return g[iterations & 1];
+}
+
+/// Jacobi2D's serial reference, computed once per process for each
+/// (nx, ny, iterations); every call returns its own copy. A job server
+/// verifies many jobs of a few shapes against it.
+[[nodiscard]] std::vector<double> jacobi2d_reference(const Jacobi2D& problem,
+                                                     int iterations);
 
 template <class Problem>
 class SlabStencil {
@@ -197,28 +234,11 @@ class SlabStencil {
 
   /// Serial reference: the same update applied to the undecomposed domain.
   [[nodiscard]] std::vector<double> reference(int iterations) const {
-    const std::size_t s_count = prob_.slabs();
-    const std::size_t p = plane();
-    std::vector<double> g[2];
-    g[0].resize(s_count * p);
-    g[1].resize(s_count * p);
-    for (std::size_t s = 0; s < s_count; ++s) {
-      for (std::size_t i = 0; i < p; ++i) {
-        g[0][s * p + i] = g[1][s * p + i] = prob_.initial(s, i);
-      }
+    if constexpr (std::is_same_v<Problem, Jacobi2D>) {
+      return jacobi2d_reference(prob_, iterations);
+    } else {
+      return serial_reference(prob_, iterations);
     }
-    for (int t = 1; t <= iterations; ++t) {
-      auto& src = g[(t - 1) & 1];
-      auto& dst = g[t & 1];
-      for (std::size_t s = 1; s + 1 < s_count; ++s) {
-        prob_.update_slab(
-            std::span<const double>(src).subspan((s - 1) * p, p),
-            std::span<const double>(src).subspan(s * p, p),
-            std::span<const double>(src).subspan((s + 1) * p, p),
-            std::span<double>(dst).subspan(s * p, p), s);
-      }
-    }
-    return g[iterations & 1];
   }
 
  private:

@@ -172,6 +172,7 @@ sim::Task run_kernel(Machine& machine, Device& device, int lane,
     tasks.push_back(run_group(std::move(ctx), groups[i].fn, groups[i].name));
   }
   co_await sim::when_all(machine.engine(), std::move(tasks));
+  if (grid_barrier) machine.engine().forget(grid_barrier.get());
   machine.trace().record(sim::Cat::kKernel, device.id(), lane, t0,
                          machine.engine().now(), std::string(config.name));
 }

@@ -40,12 +40,29 @@ MemBlock& Machine::alloc_block(int device, std::size_t bytes, std::string name) 
   if (device < 0 || device >= spec_.num_devices) {
     throw std::out_of_range("alloc_block: bad device " + std::to_string(device));
   }
-  blocks_.emplace_back(device, bytes, std::move(name));
-  MemBlock& b = blocks_.back();
+  MemBlock& b = *blocks_.emplace_back(
+      std::make_unique<MemBlock>(device, bytes, std::move(name)));
+  b.slot_ = blocks_.size() - 1;
+  live_bytes_ += bytes;
+  if (live_bytes_ > peak_bytes_) peak_bytes_ = live_bytes_;
   if (sim::Observer* o = engine_.observer()) {
     o->on_mem_block(b.as<std::byte>().data(), bytes, b.name());
   }
   return b;
+}
+
+void Machine::free_block(MemBlock& block) {
+  const std::size_t slot = block.slot_;
+  if (slot >= blocks_.size() || blocks_[slot].get() != &block) {
+    throw std::logic_error("free_block: " + block.name() +
+                           " is not a live block of this machine");
+  }
+  engine_.forget(block.as<std::byte>().data());
+  live_bytes_ -= block.size_bytes();
+  // Swap-remove: the last block takes the freed slot.
+  blocks_[slot] = std::move(blocks_.back());
+  blocks_[slot]->slot_ = slot;
+  blocks_.pop_back();
 }
 
 void Machine::enable_peer_access(int src, int dst) {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -55,9 +54,12 @@ class MemBlock {
   }
 
  private:
+  friend class Machine;
+
   int device_;
   std::string name_;
   std::vector<std::byte> data_;
+  std::size_t slot_ = 0;  // index in the owning Machine's block table
 };
 
 /// Typed handle over a MemBlock.
@@ -130,8 +132,19 @@ class Machine {
   [[nodiscard]] Device& device(int id) { return *devices_.at(static_cast<std::size_t>(id)); }
   [[nodiscard]] sim::Trace& trace() noexcept { return engine_.trace(); }
 
-  /// Allocates `bytes` of device memory on `device`.
+  /// Allocates `bytes` of device memory on `device`. The block lives until
+  /// free_block() or the Machine's destruction.
   MemBlock& alloc_block(int device, std::size_t bytes, std::string name);
+
+  /// Frees a block of this machine (cudaFree / nvshmem_free). Its address
+  /// is forgotten (Engine::forget), so a block later allocated there starts
+  /// with no checker history.
+  void free_block(MemBlock& block);
+
+  /// Device bytes allocated and not yet freed, and the most ever live at
+  /// once. Host-side accounting; never affects simulated time.
+  [[nodiscard]] std::size_t live_bytes() const noexcept { return live_bytes_; }
+  [[nodiscard]] std::size_t peak_bytes() const noexcept { return peak_bytes_; }
 
   template <typename T>
   DeviceArray<T> alloc_array(int device, std::size_t count, std::string name) {
@@ -190,7 +203,9 @@ class Machine {
   sim::Engine engine_;
   fault::Schedule faults_;
   std::vector<std::unique_ptr<Device>> devices_;
-  std::deque<MemBlock> blocks_;
+  std::vector<std::unique_ptr<MemBlock>> blocks_;
+  std::size_t live_bytes_ = 0;
+  std::size_t peak_bytes_ = 0;
   std::vector<std::vector<bool>> peer_;
   topo::Topology topology_;
   std::unique_ptr<topo::Router> router_;

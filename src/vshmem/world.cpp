@@ -40,6 +40,13 @@ World::World(vgpu::Machine& machine, std::vector<int> devices,
   }
 }
 
+World::~World() {
+  sim::Engine& eng = machine_->engine();
+  for (const PeState& st : pe_) eng.forget(st.completed.get());
+  if (barrier_) eng.forget(barrier_.get());
+  for (vgpu::MemBlock* b : blocks_) machine_->free_block(*b);
+}
+
 void World::hard_stop(std::string reason) {
   if (hard_stopped_) return;
   hard_stopped_ = true;
@@ -181,9 +188,11 @@ sim::Task World::signal_op(vgpu::KernelCtx& ctx, SignalSet& sig,
                                    src_pe, pf]() {
     if (pf.lose_signal) return;
     if (pf.delay_signal > 0) {
+      ++self->deferred_;
       self->machine_->engine().schedule_callback(
           [self, sigp, sig_idx, value, op, dst_pe, src_pe] {
             self->apply_signal(*sigp, sig_idx, value, op, dst_pe, src_pe);
+            --self->deferred_;
           },
           pf.delay_signal);
       return;
@@ -283,6 +292,14 @@ sim::Task World::sync_all(vgpu::KernelCtx& ctx) {
 std::int64_t World::outstanding_nbi(int pe) const {
   const PeState& st = pe_.at(static_cast<std::size_t>(pe));
   return st.issued - st.completed->value();
+}
+
+bool World::drained() const {
+  if (deferred_ != 0) return false;
+  for (int pe = 0; pe < n_pes_; ++pe) {
+    if (outstanding_nbi(pe) != 0) return false;
+  }
+  return true;
 }
 
 }  // namespace vshmem

@@ -96,10 +96,11 @@ struct SignalShadow {
 };
 
 /// A symmetric array of signal variables (uint64 semantics), waitable on the
-/// owning PE.
+/// owning PE. Destroying the set forgets its flags (Engine::forget).
 class SignalSet {
  public:
-  SignalSet(sim::Engine& engine, int n_pes, std::size_t count) {
+  SignalSet(sim::Engine& engine, int n_pes, std::size_t count)
+      : engine_(&engine) {
     flags_.resize(static_cast<std::size_t>(n_pes));
     for (auto& per_pe : flags_) {
       for (std::size_t i = 0; i < count; ++i) per_pe.emplace_back(engine, 0);
@@ -109,6 +110,11 @@ class SignalSet {
   }
   SignalSet(const SignalSet&) = delete;
   SignalSet& operator=(const SignalSet&) = delete;
+  ~SignalSet() {
+    for (const auto& per_pe : flags_) {
+      for (const sim::Flag& f : per_pe) engine_->forget(&f);
+    }
+  }
 
   [[nodiscard]] sim::Flag& at(int pe, std::size_t idx) {
     return flags_.at(static_cast<std::size_t>(pe)).at(idx);
@@ -122,12 +128,15 @@ class SignalSet {
   }
 
  private:
+  sim::Engine* engine_;
   std::vector<std::deque<sim::Flag>> flags_;
   std::vector<std::vector<SignalShadow>> shadows_;
 };
 
 /// The PGAS world: one PE per device (nvshmem_init on an 8-GPU node gives
 /// PEs 0..7). Owns the symmetric heap and the nbi-completion bookkeeping.
+/// Destroying a World frees its symmetric heap (nvshmem_free) and forgets
+/// its flags and barrier; do so only once drained() holds.
 ///
 /// A World may also span a *slice* of the machine (the multi-tenant serve
 /// path): PEs 0..k-1 map onto an arbitrary device subset, so every workload
@@ -143,6 +152,7 @@ class World {
   World(vgpu::Machine& machine, std::vector<int> devices, std::string label);
   World(const World&) = delete;
   World& operator=(const World&) = delete;
+  ~World();
 
   [[nodiscard]] vgpu::Machine& machine() noexcept { return *machine_; }
   [[nodiscard]] int n_pes() const noexcept { return n_pes_; }
@@ -192,6 +202,7 @@ class World {
       inst.push_back(machine_->alloc_array<T>(
           device_of(pe), count,
           label_ + std::string(name) + "@pe" + std::to_string(pe)));
+      blocks_.push_back(&inst.back().block());
     }
     return Sym<T>(std::move(inst));
   }
@@ -316,6 +327,13 @@ class World {
   /// overwriting a put's source.
   [[nodiscard]] std::int64_t outstanding_nbi(int pe) const;
 
+  /// True once every nbi op this World issued has completed on every PE and
+  /// no deferred callback it scheduled (a fault-delayed signal apply) is
+  /// still pending: nothing in flight can touch the World, its memory or
+  /// its signals any more, so it may be destroyed. A job whose kernels
+  /// returned may still have its final puts on the wire.
+  [[nodiscard]] bool drained() const;
+
  private:
   struct PeState {
     std::int64_t issued = 0;
@@ -363,6 +381,8 @@ class World {
   std::vector<PeState> pe_;
   std::unique_ptr<sim::Barrier> barrier_;  // lazily created for sync_all
   std::vector<std::unique_ptr<SignalSet>> retained_signals_;
+  std::vector<vgpu::MemBlock*> blocks_;  // the symmetric heap, freed with us
+  std::int64_t deferred_ = 0;  // scheduled delayed-signal applies not yet run
 };
 
 // ---- template implementations ----------------------------------------------
@@ -503,9 +523,11 @@ sim::Task World::putmem_signal_nbi(vgpu::KernelCtx& ctx, Sym<T>& arr,
     }
     if (pf.lose_signal) return;
     if (pf.delay_signal > 0) {
+      ++self->deferred_;
       self->machine_->engine().schedule_callback(
           [self, sigp, sig_idx, sig_val, op, dst_pe, src_pe] {
             self->apply_signal(*sigp, sig_idx, sig_val, op, dst_pe, src_pe);
+            --self->deferred_;
           },
           pf.delay_signal);
       return;

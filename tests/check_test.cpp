@@ -11,6 +11,7 @@
 //     metrics serialize byte-for-byte identically with it on and off.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -239,6 +240,68 @@ TEST(CheckRace, SignaledPartialRowOrdersHistogramMerge) {
 }
 
 // --- seeded bugs: deadlocks ----------------------------------------------------
+
+// --- released addresses --------------------------------------------------------
+//
+// A job server frees each finished job's memory and flags, and the next
+// job's allocations can land at the same addresses. Observer::on_mem_release
+// must make such an address a new object for the checker.
+
+/// Actor A writes a block; the block is released and re-allocated at the
+/// same base (or not released, for the control); then unrelated actor B
+/// reads it.
+Verdict read_after_recycled_block(bool release) {
+  Detector det;
+  alignas(8) static const char storage[64] = {};
+  const void* base = storage;
+  const sim::MemRange range{reinterpret_cast<std::uintptr_t>(base), 0, 8};
+  const sim::Actor a = sim::Actor::group(0, 1, 0);
+  const sim::Actor b = sim::Actor::group(1, 2, 0);
+  det.on_mem_block(base, 64, "j1.u0@pe0");
+  det.on_access(a, range, /*is_write=*/true, "old_job_write");
+  if (release) det.on_mem_release(base);
+  det.on_mem_block(base, 64, "j2.u0@pe0");
+  det.on_access(b, range, /*is_write=*/false, "new_job_read");
+  return det.verdict();
+}
+
+TEST(CheckRelease, RecycledBlockStartsWithoutHistory) {
+  EXPECT_EQ(read_after_recycled_block(/*release=*/true), Verdict::kPass);
+  // Control: without the release hook the dead job's write races the read.
+  EXPECT_EQ(read_after_recycled_block(/*release=*/false), Verdict::kRace);
+}
+
+/// Actor A writes a live block and updates a flag; the flag is released (or
+/// not) and re-named as a new job's flag; actor B completes a wait on it and
+/// reads A's block.
+Verdict read_after_recycled_flag(bool release) {
+  Detector det;
+  alignas(8) static const char storage[64] = {};
+  alignas(8) static const char flag_storage[8] = {};
+  const void* base = storage;
+  const void* flag = flag_storage;
+  const sim::MemRange range{reinterpret_cast<std::uintptr_t>(base), 0, 8};
+  const sim::Actor a = sim::Actor::group(0, 1, 0);
+  const sim::Actor b = sim::Actor::group(1, 2, 0);
+  det.on_mem_block(base, 64, "shared@pe0");
+  det.on_flag_name(flag, "j1.sig0@pe0");
+  det.on_access(a, range, /*is_write=*/true, "old_job_write");
+  det.on_signal_update(a, flag, 1, "old_job_signal");
+  if (release) det.on_mem_release(flag);
+  det.on_flag_name(flag, "j2.sig0@pe0");
+  det.on_signal_wait_begin(b, flag, Cmp::kGe, 0, "new_job_wait");
+  det.on_signal_wait_end(b, flag);
+  det.on_access(b, range, /*is_write=*/false, "new_job_read");
+  return det.verdict();
+}
+
+TEST(CheckRelease, RecycledFlagCarriesNoOldClock) {
+  // The new flag was never signalled by A, so B's wait orders nothing
+  // after A's write: the read races.
+  EXPECT_EQ(read_after_recycled_flag(/*release=*/true), Verdict::kRace);
+  // Control: without the release hook the dead flag's clock hides the race.
+  EXPECT_EQ(read_after_recycled_flag(/*release=*/false), Verdict::kPass);
+}
 
 TEST(CheckDeadlock, MissingBarrierParticipantIsCounted) {
   Machine m(MachineSpec::hgx_a100(3));

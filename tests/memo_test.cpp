@@ -3,7 +3,8 @@
 // caches a failure, and hands out independent copies; the histogram and
 // sparse-CG references and the shared histogram edge table key on exactly
 // the fields they read plus the rank count, and the CG reference keys its
-// operator too.
+// operator too. The Jacobi2D reference, shared by stencil and dacelite
+// jobs, keys on (nx, ny, iterations).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,10 +17,13 @@
 #include <thread>
 #include <vector>
 
+#include "dacelite/frontend.hpp"
 #include "sim/memo.hpp"
 #include "sim/observe.hpp"
 #include "solvers/cg.hpp"
 #include "solvers/sparse_cg.hpp"
+#include "stencil/problems.hpp"
+#include "stencil/slab.hpp"
 #include "vgpu/costmodel.hpp"
 #include "workloads/histogram/histogram.hpp"
 
@@ -313,6 +317,57 @@ TEST(EdgeTableMemo, EveryKeyedFieldReachesTheSharedTable) {
       }
       EXPECT_EQ(workloads::histogram_imbalance(cfg, ranks), naive.imbalance)
           << e.field << " ranks " << ranks;
+    }
+  }
+}
+
+struct Jacobi2DShape {
+  std::size_t nx;
+  std::size_t ny;
+  int iterations;
+};
+
+/// The memoized Jacobi2D reference of each shape, asked in the given order,
+/// equals a fresh serial run. The shapes differ from each other in one
+/// keyed field at a time, so a key that dropped a field would hand one
+/// shape another's cached reference.
+void expect_jacobi2d_memo_matches_fresh(
+    const std::vector<Jacobi2DShape>& shapes) {
+  for (const Jacobi2DShape& s : shapes) {
+    stencil::Jacobi2D p;
+    p.nx = s.nx;
+    p.ny = s.ny;
+    EXPECT_EQ(stencil::jacobi2d_reference(p, s.iterations),
+              stencil::serial_reference(p, s.iterations))
+        << s.nx << 'x' << s.ny << " x" << s.iterations;
+  }
+}
+
+TEST(ReferenceMemo, Jacobi2DMemoMatchesFreshWhicheverShapeComesFirst) {
+  // Two disjoint shape sets, one asked in increasing and one in decreasing
+  // order, so either member of every one-field pair is cached first.
+  expect_jacobi2d_memo_matches_fresh(
+      {{16, 12, 3}, {20, 12, 3}, {20, 14, 3}, {20, 14, 5}});
+  expect_jacobi2d_memo_matches_fresh(
+      {{30, 22, 7}, {30, 22, 4}, {30, 18, 4}, {26, 18, 4}});
+}
+
+TEST(ReferenceMemo, DaceliteJacobi2DSharesTheStencilReference) {
+  // The dacelite program solves stencil::Jacobi2D on its global domain, so
+  // its reference is the stencil one whatever the process grid: fresh
+  // serial runs must match it for every grid and shape.
+  for (const int ranks : {1, 2, 4}) {
+    for (const std::size_t g : {std::size_t{24}, std::size_t{48}}) {
+      for (const int iterations : {2, 6}) {
+        const dacelite::Jacobi2DProgram prog =
+            dacelite::make_jacobi2d(g, ranks, iterations);
+        stencil::Jacobi2D p;
+        p.nx = prog.gx;
+        p.ny = prog.gy;
+        EXPECT_EQ(prog.reference(iterations),
+                  stencil::serial_reference(p, iterations))
+            << g << " on " << ranks << " ranks x" << iterations;
+      }
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -11,8 +12,10 @@
 #include <utility>
 #include <vector>
 
+#include "serve/placement.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "sim/rng.hpp"
 #include "solvers/sparse_cg.hpp"
 #include "vgpu/costmodel.hpp"
 
@@ -213,8 +216,8 @@ TEST(Serve, InFlightFinalPutsSurviveJobTeardown) {
   // Regression: the slab halo protocol signals iteration t+1 after its last
   // step, so a job's final put_signal is still in flight — unconsumed —
   // when its task completes mid-run. The workload (world, flags) must stay
-  // alive until the shared engine drains, or the delivery callback touches
-  // freed memory (caught under ASan). Wide shallow slabs maximise the
+  // alive until its World drains, or the delivery callback touches freed
+  // memory (caught under ASan). Wide shallow slabs maximise the
   // in-flight window; the follow-up jobs reuse the same devices right after
   // the wide job's slot frees.
   std::vector<JobSpec> jobs;
@@ -233,6 +236,103 @@ TEST(Serve, InFlightFinalPutsSurviveJobTeardown) {
 
   ASSERT_EQ(rep.fleet.completed, 4);
   EXPECT_EQ(rep.fleet.verified, 4);
+}
+
+TEST(Serve, DeviceMemoryIsBoundedByRunningJobs) {
+  // Invariant: a finished job's device memory is freed once its World
+  // drains, so a closed loop running one job at a time never holds more
+  // than one job's symmetric heap, however many jobs it serves.
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < 16; ++i) {
+    jobs.push_back(job(i, "t0", JobKind::kStencil, 4, 64, 8));
+  }
+  ServeConfig cfg;
+  cfg.machine = vgpu::MachineSpec::hgx_a100(4);
+  cfg.arrival.mode = ArrivalConfig::Mode::kClosed;
+  cfg.arrival.concurrency = 1;
+  const ServeReport rep = serve::run_serve(cfg, jobs);
+
+  ASSERT_EQ(rep.fleet.verified, 16);
+  // One job: two parities of (16 rows + 2 halo rows) x 64 doubles per PE.
+  const std::size_t footprint = 4 * 2 * (16 + 2) * 64 * sizeof(double);
+  EXPECT_EQ(rep.peak_device_bytes, footprint);
+  EXPECT_EQ(rep.live_device_bytes, 0u);
+}
+
+TEST(Serve, TimingOnlyIsolatedBaselinesMatchFunctional) {
+  // run_serve computes stencil, dacelite and histogram baselines without
+  // their numerics. That is exact only if their simulated time reads no
+  // data: generated shapes and placements on all three machine models,
+  // two-device dacelite included, must time bit-identically both ways.
+  const vgpu::MachineSpec machines[] = {vgpu::MachineSpec::hgx_a100(4),
+                                        vgpu::MachineSpec::dgx_pcie(4),
+                                        vgpu::MachineSpec::multi_node(2, 2)};
+  const std::vector<int> slices[] = {{0},    {3},          {0, 1},
+                                     {1, 2}, {3, 0},       {0, 1, 2, 3},
+                                     {2, 3}, {2, 3, 0, 1}};
+  const JobKind kinds[] = {JobKind::kStencil, JobKind::kDacelite,
+                           JobKind::kHistogram};
+  constexpr std::uint64_t kSalt = 0x150;
+  int two_device_dacelite = 0;
+  for (std::uint64_t i = 0; i < 48; ++i) {
+    const std::uint64_t r = sim::stream_mix(1, kSalt, i, 0);
+    const vgpu::MachineSpec& machine = machines[(r >> 8) % 3];
+    serve::Placement place;
+    place.devices = slices[(r >> 16) % std::size(slices)];
+    JobSpec j;
+    j.id = static_cast<int>(i);
+    j.tenant = "t0";
+    j.kind = kinds[i % 3];
+    j.devices = static_cast<int>(place.devices.size());
+    j.iterations = 2 + static_cast<int>((r >> 24) % 6);
+    switch (j.kind) {
+      case JobKind::kStencil:
+        j.nx = ((r >> 32) & 1) != 0 ? 4096 : 40;
+        j.ny = 8 + 4 * ((r >> 40) % 8);
+        break;
+      case JobKind::kDacelite:
+        j.nx = j.ny = ((r >> 32) & 1) != 0 ? 48 : 24;
+        if (j.devices == 2) ++two_device_dacelite;
+        break;
+      case JobKind::kHistogram:
+        j.nx = 61 + 36 * ((r >> 32) % 4);
+        j.ny = 64 + 64 * ((r >> 40) % 3);
+        j.skew = static_cast<int>((r >> 48) % 4);
+        j.threads_per_block = 128;
+        break;
+      case JobKind::kCg:
+      case JobKind::kSparseCg:
+        break;
+    }
+    ASSERT_EQ(serve::validate(j), "") << i;
+    ASSERT_TRUE(serve::timing_is_data_independent(j));
+    place.blocks_per_device =
+        serve::AdmissionController(machine, serve::PlacePolicy::kFirstFit)
+            .resolve_blocks(j);
+    EXPECT_EQ(serve::isolated_runtime(machine, j, place, /*functional=*/false),
+              serve::isolated_runtime(machine, j, place, /*functional=*/true))
+        << "job " << i << ": " << serve::name(j.kind) << ' ' << j.nx << 'x'
+        << j.ny << " x" << j.iterations << " on " << j.devices << " device(s)";
+  }
+  EXPECT_GT(two_device_dacelite, 0);
+}
+
+TEST(Serve, ConvergingAndCheckpointingJobsStayFunctional) {
+  JobSpec stencil = job(0, "t0", JobKind::kStencil, 2, 48, 6);
+  EXPECT_TRUE(serve::timing_is_data_independent(stencil));
+  stencil.checkpoint_every = 2;  // snapshots copy the domain
+  EXPECT_FALSE(serve::timing_is_data_independent(stencil));
+  const JobSpec cg = job(1, "t0", JobKind::kCg, 2, 32, 8);
+  EXPECT_FALSE(serve::timing_is_data_independent(cg));
+  EXPECT_FALSE(serve::timing_is_data_independent(
+      job(2, "t0", JobKind::kSparseCg, 2, 24, 8)));
+  vgpu::Machine m(vgpu::MachineSpec::hgx_a100(2));
+  serve::Placement place;
+  place.devices = {0, 1};
+  place.blocks_per_device = 1;
+  EXPECT_THROW((void)serve::make_workload(m, cg, place, "cg", nullptr,
+                                          /*functional=*/false),
+               std::invalid_argument);
 }
 
 TEST(Serve, FaultyTenantDoesNotPerturbNeighbors) {

@@ -185,6 +185,63 @@ TEST(PutmemSignal, AddAccumulatesAcrossSenders) {
   EXPECT_EQ(seen_value, 2);
 }
 
+TEST(World, DrainedWaitsForAFaultDelayedSignal) {
+  // The fault plane postpones every signal. The sender's quiet() completes
+  // the payload and its kernel returns, but the delayed signal apply still
+  // touches the World and its flags: only once it has run may the World be
+  // destroyed.
+  MachineSpec s = spec(2);
+  s.faults.seed = 1;
+  s.faults.rate = 1.0;
+  s.faults.classes = fault::kClassSignalDelay;
+  s.faults.signal_delay = 1000;
+  Machine m(s);
+  World w(m);
+  Sym<double> a = w.alloc<double>(8, "a");
+  auto sig = w.alloc_signals(1);
+  EXPECT_TRUE(w.drained());
+  auto sender = [&](KernelCtx& k) -> Task {
+    co_await w.putmem_signal_nbi(k, a, 0, 0, 8, *sig, 0, 1, SignalOp::kSet, 1);
+    co_await w.quiet(k);
+  };
+  bool drained_at_kernel_end = true;
+  std::int64_t signal_at_kernel_end = -1;
+  bool drained_when_signalled = false;
+  auto issuer = [&]() -> Task {
+    std::vector<vgpu::BlockGroup> groups;
+    groups.push_back(vgpu::BlockGroup{"sender", 1, sender});
+    co_await vgpu::run_kernel(m, m.device(0), 0, LaunchConfig{},
+                              std::move(groups));
+    drained_at_kernel_end = w.drained();
+    signal_at_kernel_end = sig->at(1, 0).value();
+  };
+  auto watcher = [&]() -> Task {
+    co_await sig->at(1, 0).wait_geq(1);
+    drained_when_signalled = w.drained();
+  };
+  m.engine().spawn(issuer());
+  m.engine().spawn(watcher());
+  m.engine().run();
+  EXPECT_EQ(w.outstanding_nbi(0), 0);
+  EXPECT_FALSE(drained_at_kernel_end);
+  EXPECT_EQ(signal_at_kernel_end, 0);
+  EXPECT_TRUE(drained_when_signalled);
+  EXPECT_TRUE(w.drained());
+}
+
+TEST(World, DestroyingAWorldFreesItsSymmetricHeap) {
+  Machine m(spec(2));
+  const std::size_t machine_bytes = m.live_bytes();
+  {
+    World w(m);
+    Sym<double> a = w.alloc<double>(16, "a");
+    Sym<int> b = w.alloc<int>(4, "b");
+    EXPECT_EQ(m.live_bytes(), machine_bytes + 2 * (16 * 8 + 4 * 4));
+  }
+  EXPECT_EQ(m.live_bytes(), machine_bytes);
+  EXPECT_EQ(m.peak_bytes(), machine_bytes + 2 * (16 * 8 + 4 * 4));
+}
+
 TEST(SignalOp, RemoteSetWithoutPayload) {
   Machine m(spec(2));
   World w(m);
