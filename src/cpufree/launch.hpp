@@ -12,15 +12,14 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "sim/observe.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "vgpu/host.hpp"
@@ -69,18 +68,22 @@ inline sim::Task persistent_host(vgpu::Machine& machine, int device,
 
 }  // namespace detail
 
+/// Makes a stream for a kernel of the i-th launched device: a World's
+/// create_stream for a world's launch (bound to its job, released with it),
+/// the device's own for a whole-machine one.
+using StreamSource = std::function<vgpu::Stream&(std::size_t i)>;
+
 /// Launches `kernels[i]` on physical device `devices[i]` and returns a flag
 /// that counts the devices whose host has synced every stream; the caller
-/// drives the engine. Streams are created up front in device-major order
-/// (one per kernel), so lanes are assigned deterministically. When the
-/// engine carries a job map, every stream is bound to `label` there, so
-/// checker and hang reports name the owning job. Kernels of one device run
-/// concurrently, so their blocks together must be co-resident: a device
-/// with several kernels is checked against the cooperative cap before any
-/// launch (a lone kernel is checked when it starts).
+/// drives the engine. Streams come from `make_stream` up front in
+/// device-major order (one per kernel), so lanes are assigned
+/// deterministically. Kernels of one device run concurrently, so their
+/// blocks together must be co-resident: a device with several kernels is
+/// checked against the cooperative cap before any launch (a lone kernel is
+/// checked when it starts).
 inline std::shared_ptr<sim::Flag> spawn_persistent(
     vgpu::Machine& machine, std::span<const int> devices,
-    std::string_view label, std::vector<DeviceKernels> kernels,
+    const StreamSource& make_stream, std::vector<DeviceKernels> kernels,
     int threads_per_block) {
   if (devices.size() != kernels.size()) {
     throw std::invalid_argument(
@@ -96,13 +99,10 @@ inline std::shared_ptr<sim::Flag> spawn_persistent(
         threads_per_block);
     if (blocks > limit) throw vgpu::CooperativeLaunchError(blocks, limit);
   }
-  sim::JobMap* const jobs = machine.engine().job_map();
   std::vector<std::vector<vgpu::Stream*>> streams(devices.size());
   for (std::size_t i = 0; i < devices.size(); ++i) {
     for (std::size_t k = 0; k < kernels[i].size(); ++k) {
-      vgpu::Stream& s = machine.device(devices[i]).create_stream();
-      if (jobs != nullptr) jobs->bind(devices[i], s.lane(), std::string(label));
-      streams[i].push_back(&s);
+      streams[i].push_back(&make_stream(i));
     }
   }
   auto done = std::make_shared<sim::Flag>(machine.engine(), 0);
@@ -132,8 +132,12 @@ inline void launch_persistent_all(vgpu::Machine& machine,
     kernels.emplace_back().push_back(PersistentKernel{
         config.name, std::move(groups[static_cast<std::size_t>(d)])});
   }
-  static_cast<void>(spawn_persistent(machine, devices, {}, std::move(kernels),
-                                     config.threads_per_block));
+  static_cast<void>(spawn_persistent(
+      machine, devices,
+      [&machine](std::size_t d) -> vgpu::Stream& {
+        return machine.device(static_cast<int>(d)).create_stream();
+      },
+      std::move(kernels), config.threads_per_block));
   machine.engine().run();
 }
 

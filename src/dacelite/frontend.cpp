@@ -1,8 +1,10 @@
 #include "dacelite/frontend.hpp"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "dacelite/pass.hpp"
 #include "dacelite/transforms.hpp"
@@ -385,29 +387,58 @@ Jacobi2DProgram make_jacobi2d(std::size_t gx, std::size_t gy, int ranks,
   return prog;
 }
 
-std::vector<double> Jacobi2DProgram::gather(ProgramData& data) const {
-  std::vector<double> out(gx * gy);
-  const std::size_t w = lnx + 2;
-  for (int r = 0; r < ranks; ++r) {
-    const int rx = r % px;
-    const int ry = r / px;
+namespace {
+
+/// Calls visit(global index, value) for every rank's interior point of A,
+/// rank by rank, until it returns false; returns whether it never did.
+template <class Visit>
+bool visit_points(const Jacobi2DProgram& p, ProgramData& data, Visit visit) {
+  const std::size_t w = p.lnx + 2;
+  for (int r = 0; r < p.ranks; ++r) {
+    const auto rx = static_cast<std::size_t>(r % p.px);
+    const auto ry = static_cast<std::size_t>(r / p.px);
     auto a = data.local("A", r);
-    for (std::size_t iy = 1; iy <= lny; ++iy) {
-      for (std::size_t ix = 1; ix <= lnx; ++ix) {
-        const std::size_t row_g = static_cast<std::size_t>(ry) * lny + iy - 1;
-        const std::size_t col_g = static_cast<std::size_t>(rx) * lnx + ix - 1;
-        out[row_g * gx + col_g] = a[iy * w + ix];
+    for (std::size_t iy = 1; iy <= p.lny; ++iy) {
+      for (std::size_t ix = 1; ix <= p.lnx; ++ix) {
+        const std::size_t row_g = ry * p.lny + iy - 1;
+        const std::size_t col_g = rx * p.lnx + ix - 1;
+        if (!visit(row_g * p.gx + col_g, a[iy * w + ix])) return false;
       }
     }
   }
+  return true;
+}
+
+std::shared_ptr<const std::vector<double>> shared_reference(
+    const Jacobi2DProgram& p, int iterations) {
+  stencil::Jacobi2D problem;
+  problem.nx = p.gx;
+  problem.ny = p.gy;
+  return stencil::jacobi2d_reference(problem, iterations);
+}
+
+}  // namespace
+
+std::vector<double> Jacobi2DProgram::gather(ProgramData& data) const {
+  std::vector<double> out(gx * gy);
+  visit_points(*this, data, [&out](std::size_t g, double v) {
+    out[g] = v;
+    return true;
+  });
   return out;
 }
 
 std::vector<double> Jacobi2DProgram::reference(int iterations) const {
-  stencil::Jacobi2D problem;
-  problem.nx = gx;
-  problem.ny = gy;
-  return stencil::jacobi2d_reference(problem, iterations);
+  return *shared_reference(*this, iterations);
+}
+
+bool Jacobi2DProgram::matches_reference(ProgramData& data,
+                                        int iterations) const {
+  const std::shared_ptr<const std::vector<double>> ref =
+      shared_reference(*this, iterations);
+  return visit_points(*this, data, [&ref](std::size_t g, double v) {
+    return v == (*ref)[g];
+  });
 }
 
 }  // namespace dacelite

@@ -51,6 +51,10 @@ struct Jacobi2DProgram {
   /// Serial reference after `iterations` steps: stencil::Jacobi2D's, memoized
   /// per (gx, gy, iterations) whatever the process grid.
   [[nodiscard]] std::vector<double> reference(int iterations) const;
+  /// gather(data) == reference(iterations), compared in place: nothing is
+  /// gathered and the memoized reference is not copied.
+  [[nodiscard]] bool matches_reference(ProgramData& data,
+                                       int iterations) const;
 };
 
 /// Builds the MPI-based distributed 2D Jacobi (5-point) SDFG on a gx x gy

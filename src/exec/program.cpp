@@ -179,8 +179,12 @@ std::shared_ptr<sim::Flag> spawn_program(const Program& P, const Plan& plan,
           : single_kernels(P, plan, sigp, prm);
   std::vector<int> devices;
   for (int pe = 0; pe < P.n_pes; ++pe) devices.push_back(w.device_of(pe));
-  return cpufree::spawn_persistent(*P.machine, devices, w.label(),
-                                   std::move(kernels), prm.threads_per_block);
+  return cpufree::spawn_persistent(
+      *P.machine, devices,
+      [&w](std::size_t pe) -> vgpu::Stream& {
+        return w.create_stream(static_cast<int>(pe));
+      },
+      std::move(kernels), prm.threads_per_block);
 }
 
 /// All kHostLoop compositions: allocate signals (signaled-put only), create
@@ -199,7 +203,7 @@ void run_host_driven(const Program& P, const Plan& plan,
   for (int d = 0; d < n; ++d) {
     auto& dst = st[static_cast<std::size_t>(d)];
     for (int s = 0; s < P.streams_per_device; ++s) {
-      dst.push_back(&m.device(P.world->device_of(d)).create_stream());
+      dst.push_back(&P.world->create_stream(d));
     }
   }
   vshmem::SignalSet* sigp = sig.get();

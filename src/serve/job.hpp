@@ -161,6 +161,13 @@ struct ServeReport {
   /// still live once every drained job was retired (0 after a clean drain).
   std::size_t peak_device_bytes = 0;
   std::size_t live_device_bytes = 0;
+  /// Streams and job-map lanes the shared machine still holds at the end,
+  /// like live_device_bytes (0 after a clean drain). Host-side only.
+  std::size_t live_streams = 0;
+  std::size_t live_job_lanes = 0;
+  /// Isolated-baseline simulations run: one per distinct baseline key
+  /// (shape, blocks per device, slice class), not per job. Host-side only.
+  int isolated_runs = 0;
 };
 
 }  // namespace serve

@@ -1,12 +1,15 @@
 #include "serve/server.hpp"
 
+#include <bit>
 #include <cmath>
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "check/detector.hpp"
 #include "serve/workload.hpp"
@@ -25,6 +28,24 @@ struct JobState {
   std::unique_ptr<Workload> work;
   /// Restart seed carried between a job's abort and its recovery attempt.
   ResumeState resume;
+};
+
+/// Everything an isolated baseline depends on: the job's kind and shape
+/// (doubles by bit pattern, so the order is total and no two values share
+/// a key), its blocks per device and the slice class of its devices.
+struct BaselineKey {
+  JobKind kind;
+  std::size_t nx;
+  std::size_t ny;
+  int iterations;
+  int skew;
+  std::uint64_t imbalance;
+  int threads_per_block;
+  int checkpoint_every;
+  int blocks_per_device;
+  std::vector<std::uint64_t> slice;
+
+  auto operator<=>(const BaselineKey&) const = default;
 };
 
 std::string job_label(const JobSpec& spec) {
@@ -276,33 +297,25 @@ class Server {
   }
 
   /// Isolated baseline (isolated_runtime), timing-only where that gives
-  /// the same time. Deduplicated by shape + placement.
+  /// the same time. Run once per BaselineKey: alone on an idle machine, a
+  /// job sees its devices only through its slice class.
   sim::Nanos isolated_ns(const JobState& js) {
-    std::string key = name(js.spec.kind);
-    key += '|';
-    key += std::to_string(js.spec.nx);
-    key += 'x';
-    key += std::to_string(js.spec.ny);
-    key += "|i";
-    key += std::to_string(js.spec.iterations);
-    key += "|s";
-    key += std::to_string(js.spec.skew);
-    key += "|w";
-    key += std::to_string(js.spec.imbalance);
-    key += "|t";
-    key += std::to_string(js.spec.threads_per_block);
-    key += "|b";
-    key += std::to_string(js.place.blocks_per_device);
-    key += "|d";
-    for (int d : js.place.devices) {
-      key += std::to_string(d);
-      key += ',';
-    }
+    const JobSpec& s = js.spec;
+    BaselineKey key{s.kind,
+                    s.nx,
+                    s.ny,
+                    s.iterations,
+                    s.skew,
+                    std::bit_cast<std::uint64_t>(s.imbalance),
+                    s.threads_per_block,
+                    s.checkpoint_every,
+                    js.place.blocks_per_device,
+                    machine_.slice_class(js.place.devices)};
     auto it = isolated_cache_.find(key);
     if (it != isolated_cache_.end()) return it->second;
     const sim::Nanos t =
-        isolated_runtime(cfg_.machine, js.spec, js.place,
-                         /*functional=*/!timing_is_data_independent(js.spec));
+        isolated_runtime(cfg_.machine, s, js.place,
+                         /*functional=*/!timing_is_data_independent(s));
     isolated_cache_.emplace(std::move(key), t);
     return t;
   }
@@ -315,6 +328,10 @@ class Server {
     rep.hang_report = hang_report_;
     rep.peak_device_bytes = machine_.peak_bytes();
     rep.live_device_bytes = machine_.live_bytes();
+    for (int d = 0; d < machine_.num_devices(); ++d) {
+      rep.live_streams += machine_.device(d).stream_count();
+    }
+    rep.live_job_lanes = job_map_.size();
     double wait_sum = 0.0;
     int admitted = 0;
     double sd_sum = 0.0, sd_sq = 0.0;
@@ -371,6 +388,7 @@ class Server {
           sd_sq > 0.0 ? (sd_sum * sd_sum) / (sd_n * sd_sq) : 1.0;
     }
     if (rec_n > 0) rep.fleet.mean_recovery_latency_us = rec_sum / rec_n;
+    rep.isolated_runs = static_cast<int>(isolated_cache_.size());
     // Exact executed-iteration accounting: a recovered job re-runs exactly
     // what the failure destroyed on top of its useful length, so executed
     // work = useful + lost (lost jobs contribute only lost work).
@@ -388,7 +406,7 @@ class Server {
   std::vector<JobState> jobs_;
   std::vector<sim::Nanos> arrivals_;
   std::deque<std::size_t> queue_;
-  std::map<std::string, sim::Nanos> isolated_cache_;
+  std::map<BaselineKey, sim::Nanos> isolated_cache_;  // one entry per run
   /// Finished attempts (completed or aborted) whose World may not have
   /// drained yet, in completion order.
   std::deque<std::unique_ptr<Workload>> retiring_;

@@ -33,8 +33,9 @@ struct ServeConfig {
   PlacePolicy policy = PlacePolicy::kFirstFit;
   /// Re-run every distinct job shape alone on an idle, fault-free copy of
   /// the machine to compute slowdown-vs-isolated and SLO attainment.
-  /// (Baselines are deduplicated by shape + placement, so the extra cost is
-  /// one run per distinct shape, not per job.)
+  /// (Baselines are deduplicated by shape + blocks per device + slice class
+  /// (vgpu::Machine::slice_class), so the extra cost is one run per distinct
+  /// shape and class, not per job; ServeReport::isolated_runs counts them.)
   bool compute_isolated = true;
   /// Optional race/deadlock observer for the SHARED machine; a
   /// check::Detector is additionally wired to the server's job map so its
@@ -48,8 +49,8 @@ struct ServeConfig {
 };
 
 /// Simulated runtime of `spec` alone on an idle, fault-free copy of
-/// `machine`, on the devices of `place` (the tuple matters on multi-node
-/// topologies): the isolated baseline run_serve compares each job with.
+/// `machine`, on the devices of `place` (only their slice class matters):
+/// the isolated baseline run_serve compares each job with.
 /// `functional` = false skips the numerics, which gives the same time when
 /// timing_is_data_independent(spec) holds.
 [[nodiscard]] sim::Nanos isolated_runtime(const vgpu::MachineSpec& machine,

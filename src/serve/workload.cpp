@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "dacelite/exec.hpp"
@@ -68,7 +69,7 @@ class StencilWorkload final : public Workload {
     // A restarted run executed iters_ - start_iter_ iterations, but must
     // land bitwise on the full-run reference from the TRUE initial state.
     const int run = iters_ - start_iter_;
-    return S_.gather(run & 1) == S_.reference(iters_);
+    return S_.matches_reference(run & 1, iters_);
   }
 
   std::string detail() const override {
@@ -161,16 +162,18 @@ class StencilWorkload final : public Workload {
   bool checkpointing_;
 };
 
-/// The run options both CG configs share, filled from a job.
+/// A CG job's solver config. Its problem fields key the reference memo, so
+/// the workload and timing_is_data_independent build it here alike.
 template <class Config>
-Config cg_config(const JobSpec& spec, const Placement& place) {
+Config cg_config(const JobSpec& spec) {
   Config cfg;
   cfg.nx = spec.nx;
   cfg.ny = spec.ny;
   cfg.max_iterations = spec.iterations;
-  cfg.functional = true;
   cfg.threads_per_block = spec.threads_per_block;
-  cfg.persistent_blocks = place.blocks_per_device;
+  if constexpr (std::is_same_v<Config, solvers::SparseCgConfig>) {
+    cfg.imbalance = spec.imbalance;
+  }
   return cfg;
 }
 
@@ -181,20 +184,23 @@ Config cg_config(const JobSpec& spec, const Placement& place) {
 class CgWorkload final : public Workload {
  public:
   CgWorkload(vgpu::Machine& machine, const JobSpec& spec,
-             const Placement& place, const std::string& label)
+             const Placement& place, const std::string& label,
+             bool functional)
       : world_(machine, place.devices, label),
         kind_(spec.kind),
         nx_(spec.nx),
         ny_(spec.ny) {
-    world_.set_functional(true);
+    world_.set_functional(functional);
     world_.set_fault_injection(spec.faulty);
-    if (spec.kind == JobKind::kCg) {
-      job_ = std::make_unique<solvers::CgCpufreeJob>(
-          machine, world_, cg_config<solvers::CgConfig>(spec, place));
-    } else {
-      auto cfg = cg_config<solvers::SparseCgConfig>(spec, place);
-      cfg.imbalance = spec.imbalance;
+    auto make = [&](auto cfg) {
+      cfg.functional = functional;
+      cfg.persistent_blocks = place.blocks_per_device;
       job_ = std::make_unique<solvers::CgCpufreeJob>(machine, world_, cfg);
+    };
+    if (spec.kind == JobKind::kCg) {
+      make(cg_config<solvers::CgConfig>(spec));
+    } else {
+      make(cg_config<solvers::SparseCgConfig>(spec));
     }
   }
 
@@ -255,7 +261,7 @@ class DaceliteWorkload final : public Workload {
   }
 
   bool verify() override {
-    return prog_.gather(*data_) == prog_.reference(iters_);
+    return prog_.matches_reference(*data_, iters_);
   }
 
   std::string detail() const override {
@@ -337,6 +343,19 @@ class HistogramWorkload final : public Workload {
   std::unique_ptr<workloads::HistogramCpufreeJob> job_;
 };
 
+/// Whether `config`'s memoized reference (the one verify() compares with)
+/// ran every iteration without reaching tolerance. The device-side
+/// convergence exit is CG's only data-dependent control flow, so such a run
+/// takes the timing-only run's path; one that converges, even at its last
+/// iteration, skips the rest of that iteration's work.
+template <class Config, class Reference>
+bool runs_every_iteration(const Config& config, Reference reference,
+                          int ranks) {
+  const solvers::CgResult ref = reference(config, ranks);
+  return ref.iterations_run == config.max_iterations &&
+         !(ref.final_rr < config.tolerance);
+}
+
 }  // namespace
 
 std::string validate(const JobSpec& spec) {
@@ -392,8 +411,11 @@ bool timing_is_data_independent(const JobSpec& spec) {
     case JobKind::kHistogram:
       return true;
     case JobKind::kCg:
+      return runs_every_iteration(cg_config<solvers::CgConfig>(spec),
+                                  solvers::cg_reference, spec.devices);
     case JobKind::kSparseCg:
-      return false;
+      return runs_every_iteration(cg_config<solvers::SparseCgConfig>(spec),
+                                  solvers::sparse_cg_reference, spec.devices);
   }
   return false;
 }
@@ -415,7 +437,8 @@ std::unique_ptr<Workload> make_workload(vgpu::Machine& machine,
                                                resume, functional);
     case JobKind::kCg:
     case JobKind::kSparseCg:
-      return std::make_unique<CgWorkload>(machine, spec, place, label);
+      return std::make_unique<CgWorkload>(machine, spec, place, label,
+                                          functional);
     case JobKind::kDacelite:
       return std::make_unique<DaceliteWorkload>(machine, spec, place, label,
                                                 functional);

@@ -70,10 +70,11 @@ class Workload {
 [[nodiscard]] std::string validate(const JobSpec& spec);
 
 /// Does a run of `spec` take the same simulated time without its numerics?
-/// True for stencil, dacelite and histogram jobs, whose costs read no data.
-/// False for CG and sparse CG, which converge on their data (that sets
-/// their iteration count), and for checkpointing stencils, whose snapshots
-/// copy the domain.
+/// True for stencil, dacelite and histogram jobs, whose costs read no data,
+/// but not for checkpointing stencils, whose snapshots copy the domain. CG
+/// and sparse CG stop when they converge on their data, so they qualify
+/// only when their memoized serial reference ran every iteration without
+/// reaching tolerance; that computes the reference if no verify() has.
 [[nodiscard]] bool timing_is_data_independent(const JobSpec& spec);
 
 /// Builds the adapter for `spec` on the carved `place`. The world slice is

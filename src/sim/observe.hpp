@@ -38,15 +38,18 @@ namespace sim {
 ///
 /// Streams and kernel groups are keyed by (device, stream lane): a lane is
 /// created by exactly one job and never reused across jobs within a run, so
-/// the pair identifies the owner. Hosts and wires are shared infrastructure
-/// and stay unattributed. Consulted by the engine's end-of-run hang report
-/// and by check::Detector's attribution strings; it never affects simulated
-/// time.
+/// the pair identifies the owner. A World unbinds its lanes when it is
+/// destroyed, so the map holds the lanes of live jobs only. Hosts and wires
+/// are shared infrastructure and stay unattributed. Consulted by the
+/// engine's end-of-run hang report and by check::Detector's attribution
+/// strings; it never affects simulated time.
 class JobMap {
  public:
   void bind(int device, int lane, std::string label) {
     lanes_[{device, lane}] = std::move(label);
   }
+  /// Forgets the owner of a released lane.
+  void unbind(int device, int lane) { lanes_.erase({device, lane}); }
 
   /// Label of the job owning (device, lane); "" when unbound.
   [[nodiscard]] std::string find_lane(int device, int lane) const {
@@ -69,6 +72,8 @@ class JobMap {
   }
 
   [[nodiscard]] bool empty() const noexcept { return lanes_.empty(); }
+  /// Lanes currently bound.
+  [[nodiscard]] std::size_t size() const noexcept { return lanes_.size(); }
 
  private:
   std::map<std::pair<std::int32_t, std::int32_t>, std::string> lanes_;

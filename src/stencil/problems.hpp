@@ -8,6 +8,7 @@
 // verification generically.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <span>
 
@@ -28,6 +29,24 @@ struct Jacobi2D {
 
   [[nodiscard]] double initial(std::size_t slab_g, std::size_t i) const {
     return static_cast<double>((slab_g * 131 + i * 17) % 97) / 97.0;
+  }
+
+  /// initial(slab_g, i) for every point i of `out`, without a modulo or a
+  /// divide per point: the index steps by 17 mod 97 along the slab, and each
+  /// value comes from a table of k / 97.0, the same doubles.
+  void initial_slab(std::size_t slab_g, std::span<double> out) const {
+    static const std::array<double, 97> kValues = [] {
+      std::array<double, 97> v{};
+      for (std::size_t k = 0; k < v.size(); ++k) {
+        v[k] = static_cast<double>(k) / 97.0;
+      }
+      return v;
+    }();
+    std::size_t k = (slab_g * 131) % 97;
+    for (double& x : out) {
+      x = kValues[k];
+      k = k + 17 < 97 ? k + 17 : k + 17 - 97;
+    }
   }
 
   /// Updates interior points of slab `slab_g` in `dst` from the three source
@@ -59,6 +78,11 @@ struct Jacobi3D {
     const std::size_t y = i / nx;
     const std::size_t x = i % nx;
     return static_cast<double>((slab_g * 113 + y * 31 + x * 7) % 101) / 101.0;
+  }
+
+  /// initial(slab_g, i) for every point i of `out`.
+  void initial_slab(std::size_t slab_g, std::span<double> out) const {
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = initial(slab_g, i);
   }
 
   void update_slab(std::span<const double> prev, std::span<const double> self,

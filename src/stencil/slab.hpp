@@ -10,8 +10,10 @@
 // buffer. Jacobi updates read parity (t-1)%2 and write parity t%2.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -33,12 +35,10 @@ template <class Problem>
   const std::size_t p = problem.plane();
   std::vector<double> g[2];
   g[0].resize(s_count * p);
-  g[1].resize(s_count * p);
   for (std::size_t s = 0; s < s_count; ++s) {
-    for (std::size_t i = 0; i < p; ++i) {
-      g[0][s * p + i] = g[1][s * p + i] = problem.initial(s, i);
-    }
+    problem.initial_slab(s, std::span<double>(g[0]).subspan(s * p, p));
   }
+  g[1] = g[0];
   for (int t = 1; t <= iterations; ++t) {
     auto& src = g[(t - 1) & 1];
     auto& dst = g[t & 1];
@@ -54,10 +54,10 @@ template <class Problem>
 }
 
 /// Jacobi2D's serial reference, computed once per process for each
-/// (nx, ny, iterations); every call returns its own copy. A job server
-/// verifies many jobs of a few shapes against it.
-[[nodiscard]] std::vector<double> jacobi2d_reference(const Jacobi2D& problem,
-                                                     int iterations);
+/// (nx, ny, iterations); every call shares the one memoized vector. A job
+/// server verifies many jobs of a few shapes against it.
+[[nodiscard]] std::shared_ptr<const std::vector<double>> jacobi2d_reference(
+    const Jacobi2D& problem, int iterations);
 
 template <class Problem>
 class SlabStencil {
@@ -235,9 +235,20 @@ class SlabStencil {
   /// Serial reference: the same update applied to the undecomposed domain.
   [[nodiscard]] std::vector<double> reference(int iterations) const {
     if constexpr (std::is_same_v<Problem, Jacobi2D>) {
-      return jacobi2d_reference(prob_, iterations);
+      return *jacobi2d_reference(prob_, iterations);
     } else {
       return serial_reference(prob_, iterations);
+    }
+  }
+
+  /// gather(parity) == reference(iterations), compared slab by slab in
+  /// place: nothing is gathered, and Jacobi2D's memoized reference is not
+  /// copied.
+  [[nodiscard]] bool matches_reference(int parity, int iterations) const {
+    if constexpr (std::is_same_v<Problem, Jacobi2D>) {
+      return matches(parity, *jacobi2d_reference(prob_, iterations));
+    } else {
+      return matches(parity, serial_reference(prob_, iterations));
     }
   }
 
@@ -248,14 +259,30 @@ class SlabStencil {
         const std::ptrdiff_t sg = static_cast<std::ptrdiff_t>(offset(pe)) +
                                   static_cast<std::ptrdiff_t>(r) - 1;
         if (sg < 0 || sg >= static_cast<std::ptrdiff_t>(prob_.slabs())) continue;
-        for (int parity = 0; parity < 2; ++parity) {
-          auto s = slab(pe, parity, r);
-          for (std::size_t i = 0; i < plane(); ++i) {
-            s[i] = prob_.initial(static_cast<std::size_t>(sg), i);
-          }
+        const std::span<double> s0 = slab(pe, 0, r);
+        prob_.initial_slab(static_cast<std::size_t>(sg), s0);
+        std::copy(s0.begin(), s0.end(), slab(pe, 1, r).begin());
+      }
+    }
+  }
+
+  /// Whether every PE's interior at `parity` equals its slabs of `global`.
+  [[nodiscard]] bool matches(int parity,
+                             std::span<const double> global) const {
+    if (!cfg_.functional) {
+      throw std::logic_error("matches() requires a functional run");
+    }
+    for (int pe = 0; pe < n_pes(); ++pe) {
+      for (std::size_t r = 1; r <= rows(pe); ++r) {
+        const auto s = slab(pe, parity, r);
+        if (!std::equal(s.begin(), s.end(),
+                        global.begin() + static_cast<std::ptrdiff_t>(
+                                             (offset(pe) + r - 1) * plane()))) {
+          return false;
         }
       }
     }
+    return true;
   }
 
   vshmem::World* world_;

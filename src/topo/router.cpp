@@ -1,6 +1,7 @@
 #include "topo/router.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <stdexcept>
 #include <string>
@@ -134,6 +135,47 @@ const Route* Router::staging_route(int dev, bool to_host) const {
   const Route& r = to_host ? stage_down_.at(static_cast<std::size_t>(dev))
                            : stage_up_.at(static_cast<std::size_t>(dev));
   return r.reachable() ? &r : nullptr;
+}
+
+std::vector<std::uint64_t> Router::slice_signature(
+    std::span<const int> devices) const {
+  // Pair routes in PE order, then each PE's staging routes. An unreachable
+  // route has no links, and every reachable one has at least one.
+  std::vector<const Route*> routes;
+  for (std::size_t a = 0; a < devices.size(); ++a) {
+    for (std::size_t b = 0; b < devices.size(); ++b) {
+      if (a == b) continue;
+      routes.push_back(&routes_.at(static_cast<std::size_t>(devices[a]) *
+                                       static_cast<std::size_t>(n_) +
+                                   static_cast<std::size_t>(devices[b])));
+    }
+  }
+  for (int d : devices) {
+    routes.push_back(&stage_down_.at(static_cast<std::size_t>(d)));
+    routes.push_back(&stage_up_.at(static_cast<std::size_t>(d)));
+  }
+  std::vector<int> used;
+  for (const Route* r : routes) {
+    used.insert(used.end(), r->links.begin(), r->links.end());
+  }
+  std::sort(used.begin(), used.end());
+  used.erase(std::unique(used.begin(), used.end()), used.end());
+
+  std::vector<std::uint64_t> sig{devices.size()};
+  for (const Route* r : routes) {
+    sig.push_back(r->links.size());
+    for (int li : r->links) {
+      sig.push_back(static_cast<std::uint64_t>(
+          std::lower_bound(used.begin(), used.end(), li) - used.begin()));
+    }
+  }
+  for (int li : used) {
+    const Link& l = topo_->links[static_cast<std::size_t>(li)];
+    sig.push_back(std::bit_cast<std::uint64_t>(l.bw_gbps));
+    sig.push_back(static_cast<std::uint64_t>(l.extra_latency));
+    sig.push_back(static_cast<std::uint64_t>(l.policy));
+  }
+  return sig;
 }
 
 }  // namespace topo

@@ -9,6 +9,8 @@
 // LinkLedger enforces.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -57,6 +59,17 @@ class Router {
   [[nodiscard]] sim::Nanos max_extra_latency() const noexcept {
     return max_extra_latency_;
   }
+
+  /// What a job confined to `devices` (in PE order) sees of the
+  /// interconnect: the route between every ordered pair of them and each
+  /// one's staging routes both ways, with every link renamed by its rank
+  /// among the link ids those routes use, followed by each used link's
+  /// bandwidth (bit pattern), extra latency and policy in rank order. The
+  /// ranking keeps link-id order, which the ledger's tie-breaking follows,
+  /// so two slices with equal signatures present the same links in the same
+  /// relative order with the same parameters.
+  [[nodiscard]] std::vector<std::uint64_t> slice_signature(
+      std::span<const int> devices) const;
 
  private:
   const Topology* topo_;

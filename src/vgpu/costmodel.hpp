@@ -93,6 +93,8 @@ struct DeviceSpec {
   }
 
   [[nodiscard]] static DeviceSpec a100() { return DeviceSpec{}; }
+
+  bool operator==(const DeviceSpec&) const = default;
 };
 
 /// Host-side CUDA runtime / orchestration latencies — the costs the CPU-Free

@@ -1,5 +1,6 @@
 #include "vgpu/machine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "vgpu/stream.hpp"
@@ -7,9 +8,22 @@
 namespace vgpu {
 
 Stream& Device::create_stream() {
-  const int lane = static_cast<int>(streams_.size());
-  streams_.push_back(std::make_unique<Stream>(*this, lane));
+  streams_.push_back(std::make_unique<Stream>(*this, next_lane_++));
   return *streams_.back();
+}
+
+void Device::release_stream(Stream& stream) {
+  const auto it = std::find_if(
+      streams_.begin(), streams_.end(),
+      [&stream](const std::unique_ptr<Stream>& s) { return s.get() == &stream; });
+  if (it == streams_.end()) {
+    throw std::logic_error("release_stream: lane " +
+                           std::to_string(stream.lane()) +
+                           " is not a live stream of device " +
+                           std::to_string(id_));
+  }
+  machine_->engine().forget(&stream.completed());
+  streams_.erase(it);
 }
 
 Machine::Machine(MachineSpec spec) : spec_(spec), faults_(spec_.faults) {
@@ -63,6 +77,17 @@ void Machine::free_block(MemBlock& block) {
   blocks_[slot] = std::move(blocks_.back());
   blocks_[slot]->slot_ = slot;
   blocks_.pop_back();
+}
+
+std::vector<std::uint64_t> Machine::slice_class(
+    std::span<const int> devices) const {
+  std::vector<std::uint64_t> sig = router_->slice_signature(devices);
+  for (int d : devices) {
+    int first = 0;
+    while (spec_.device_spec(first) != spec_.device_spec(d)) ++first;
+    sig.push_back(static_cast<std::uint64_t>(first));
+  }
+  return sig;
 }
 
 void Machine::enable_peer_access(int src, int dst) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -101,8 +102,15 @@ class Device {
   [[nodiscard]] Machine& machine() noexcept { return *machine_; }
 
   /// Creates a new stream on this device (FIFO op queue, like a CUDA stream).
+  /// Lanes are never handed out twice, so a (device, lane) pair names one
+  /// stream for the machine's whole life.
   Stream& create_stream();
 
+  /// Destroys `stream`, a stream of this device with no op left to run, and
+  /// forgets its completion flag (Engine::forget). Its lane stays retired.
+  void release_stream(Stream& stream);
+
+  /// Streams created and not yet released.
   [[nodiscard]] std::size_t stream_count() const noexcept { return streams_.size(); }
 
  private:
@@ -110,6 +118,7 @@ class Device {
   int id_;
   DeviceSpec spec_;
   std::vector<std::unique_ptr<Stream>> streams_;
+  int next_lane_ = 0;
 };
 
 class Machine {
@@ -183,6 +192,13 @@ class Machine {
     return topology_;
   }
   [[nodiscard]] const topo::Router& router() const noexcept { return *router_; }
+
+  /// The slice class of `devices` (in PE order): the router's
+  /// slice_signature, then each PE's DeviceSpec, named by the lowest device
+  /// id with an equal spec. A job alone on an idle copy of this machine
+  /// takes the same simulated time on any two slices of one class.
+  [[nodiscard]] std::vector<std::uint64_t> slice_class(
+      std::span<const int> devices) const;
 
   /// Host-side barrier across the per-device host threads (OpenMP/MPI style);
   /// charges HostApiCosts::host_barrier after the rendezvous.

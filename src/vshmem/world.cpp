@@ -45,6 +45,21 @@ World::~World() {
   for (const PeState& st : pe_) eng.forget(st.completed.get());
   if (barrier_) eng.forget(barrier_.get());
   for (vgpu::MemBlock* b : blocks_) machine_->free_block(*b);
+  for (vgpu::Stream* s : streams_) {
+    if (sim::JobMap* jobs = eng.job_map()) {
+      jobs->unbind(s->device().id(), s->lane());
+    }
+    s->device().release_stream(*s);
+  }
+}
+
+vgpu::Stream& World::create_stream(int pe) {
+  vgpu::Stream& s = machine_->device(device_of(pe)).create_stream();
+  if (sim::JobMap* jobs = machine_->engine().job_map()) {
+    jobs->bind(s.device().id(), s.lane(), label_);
+  }
+  streams_.push_back(&s);
+  return s;
 }
 
 void World::hard_stop(std::string reason) {

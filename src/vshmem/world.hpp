@@ -135,8 +135,9 @@ class SignalSet {
 
 /// The PGAS world: one PE per device (nvshmem_init on an 8-GPU node gives
 /// PEs 0..7). Owns the symmetric heap and the nbi-completion bookkeeping.
-/// Destroying a World frees its symmetric heap (nvshmem_free) and forgets
-/// its flags and barrier; do so only once drained() holds.
+/// Destroying a World frees its symmetric heap (nvshmem_free), releases its
+/// streams and forgets its flags and barrier; do so only once drained()
+/// holds.
 ///
 /// A World may also span a *slice* of the machine (the multi-tenant serve
 /// path): PEs 0..k-1 map onto an arbitrary device subset, so every workload
@@ -236,6 +237,12 @@ class World {
     retained_signals_.push_back(std::move(s));
     return retained_signals_.back().get();
   }
+
+  /// A new stream on PE `pe`'s device for this world's kernels. When the
+  /// engine carries a job map, its lane is bound to the world's label there,
+  /// so hang reports and checker findings name the owning job. The world
+  /// releases the stream and unbinds its lane when destroyed.
+  vgpu::Stream& create_stream(int pe);
 
   // --- Contiguous data movement -------------------------------------------
 
@@ -382,6 +389,7 @@ class World {
   std::unique_ptr<sim::Barrier> barrier_;  // lazily created for sync_all
   std::vector<std::unique_ptr<SignalSet>> retained_signals_;
   std::vector<vgpu::MemBlock*> blocks_;  // the symmetric heap, freed with us
+  std::vector<vgpu::Stream*> streams_;   // released with us
   std::int64_t deferred_ = 0;  // scheduled delayed-signal applies not yet run
 };
 

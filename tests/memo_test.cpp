@@ -337,7 +337,7 @@ void expect_jacobi2d_memo_matches_fresh(
     stencil::Jacobi2D p;
     p.nx = s.nx;
     p.ny = s.ny;
-    EXPECT_EQ(stencil::jacobi2d_reference(p, s.iterations),
+    EXPECT_EQ(*stencil::jacobi2d_reference(p, s.iterations),
               stencil::serial_reference(p, s.iterations))
         << s.nx << 'x' << s.ny << " x" << s.iterations;
   }

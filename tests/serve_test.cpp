@@ -259,11 +259,83 @@ TEST(Serve, DeviceMemoryIsBoundedByRunningJobs) {
   EXPECT_EQ(rep.live_device_bytes, 0u);
 }
 
+TEST(Serve, StreamsAndJobLabelsAreBoundedByRunningJobs) {
+  // Invariant: a retired job releases its streams and unbinds its job-map
+  // lanes, so a machine that served 16 jobs of all five kinds holds neither
+  // once they are done, however many it served.
+  const JobKind kinds[] = {JobKind::kStencil, JobKind::kCg,
+                           JobKind::kDacelite, JobKind::kHistogram,
+                           JobKind::kSparseCg};
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < 16; ++i) {
+    JobSpec j = job(i, "t0", kinds[i % 5], 2, 48, 6);
+    if (j.kind == JobKind::kHistogram) j.threads_per_block = 128;
+    jobs.push_back(j);
+  }
+  ServeConfig cfg;
+  cfg.machine = vgpu::MachineSpec::hgx_a100(4);
+  cfg.arrival.mode = ArrivalConfig::Mode::kClosed;
+  cfg.arrival.concurrency = 1;
+  const ServeReport rep = serve::run_serve(cfg, jobs);
+
+  ASSERT_EQ(rep.fleet.verified, 16);
+  EXPECT_EQ(rep.live_streams, 0u);
+  EXPECT_EQ(rep.live_job_lanes, 0u);
+}
+
+/// `j` alone on `machine`, placed on `devices` with the blocks first-fit
+/// admission would charge.
+sim::Nanos alone(const vgpu::MachineSpec& machine, const JobSpec& j,
+                 std::vector<int> devices, bool functional) {
+  serve::Placement place;
+  place.devices = std::move(devices);
+  place.blocks_per_device =
+      serve::AdmissionController(machine, serve::PlacePolicy::kFirstFit)
+          .resolve_blocks(j);
+  return serve::isolated_runtime(machine, j, place, functional);
+}
+
+/// A generated job of `kind` on `devices` devices, from the draw `r`. CG
+/// shapes may or may not converge within their iterations.
+JobSpec generated_job(JobKind kind, int devices, std::uint64_t r) {
+  JobSpec j;
+  j.tenant = "t0";
+  j.kind = kind;
+  j.devices = devices;
+  j.iterations = 2 + static_cast<int>((r >> 24) % 6);
+  switch (kind) {
+    case JobKind::kStencil:
+      j.nx = ((r >> 32) & 1) != 0 ? 4096 : 40;
+      j.ny = 8 + 4 * ((r >> 40) % 8);
+      break;
+    case JobKind::kDacelite:
+      j.nx = j.ny = ((r >> 32) & 1) != 0 ? 48 : 24;
+      break;
+    case JobKind::kHistogram:
+      j.nx = 61 + 36 * ((r >> 32) % 4);
+      j.ny = 64 + 64 * ((r >> 40) % 3);
+      j.skew = static_cast<int>((r >> 48) % 4);
+      j.threads_per_block = 128;
+      break;
+    case JobKind::kCg:
+      j.nx = j.ny = 8 + 8 * ((r >> 32) % 4);
+      j.iterations = 4 + static_cast<int>((r >> 40) % 24);
+      break;
+    case JobKind::kSparseCg:
+      j.nx = j.ny = 8 + 8 * ((r >> 32) % 3);
+      j.imbalance = 1.0 + static_cast<double>((r >> 40) % 4);
+      j.iterations = 4 + static_cast<int>((r >> 48) % 24);
+      break;
+  }
+  return j;
+}
+
 TEST(Serve, TimingOnlyIsolatedBaselinesMatchFunctional) {
-  // run_serve computes stencil, dacelite and histogram baselines without
-  // their numerics. That is exact only if their simulated time reads no
-  // data: generated shapes and placements on all three machine models,
-  // two-device dacelite included, must time bit-identically both ways.
+  // run_serve computes every baseline that timing_is_data_independent
+  // admits without its numerics. That is exact only if the simulated time
+  // reads no data: generated shapes and placements of all five kinds on all
+  // three machine models, two-device dacelite and CG shapes that run every
+  // iteration included, must time bit-identically both ways.
   const vgpu::MachineSpec machines[] = {vgpu::MachineSpec::hgx_a100(4),
                                         vgpu::MachineSpec::dgx_pcie(4),
                                         vgpu::MachineSpec::multi_node(2, 2)};
@@ -271,50 +343,201 @@ TEST(Serve, TimingOnlyIsolatedBaselinesMatchFunctional) {
                                      {1, 2}, {3, 0},       {0, 1, 2, 3},
                                      {2, 3}, {2, 3, 0, 1}};
   const JobKind kinds[] = {JobKind::kStencil, JobKind::kDacelite,
-                           JobKind::kHistogram};
+                           JobKind::kHistogram, JobKind::kCg,
+                           JobKind::kSparseCg};
   constexpr std::uint64_t kSalt = 0x150;
   int two_device_dacelite = 0;
-  for (std::uint64_t i = 0; i < 48; ++i) {
+  int cg_timing_only = 0;
+  for (std::uint64_t i = 0; i < 80; ++i) {
     const std::uint64_t r = sim::stream_mix(1, kSalt, i, 0);
     const vgpu::MachineSpec& machine = machines[(r >> 8) % 3];
-    serve::Placement place;
-    place.devices = slices[(r >> 16) % std::size(slices)];
-    JobSpec j;
+    const std::vector<int>& devices = slices[(r >> 16) % std::size(slices)];
+    JobSpec j = generated_job(kinds[i % std::size(kinds)],
+                              static_cast<int>(devices.size()), r);
     j.id = static_cast<int>(i);
-    j.tenant = "t0";
-    j.kind = kinds[i % 3];
-    j.devices = static_cast<int>(place.devices.size());
-    j.iterations = 2 + static_cast<int>((r >> 24) % 6);
-    switch (j.kind) {
-      case JobKind::kStencil:
-        j.nx = ((r >> 32) & 1) != 0 ? 4096 : 40;
-        j.ny = 8 + 4 * ((r >> 40) % 8);
-        break;
-      case JobKind::kDacelite:
-        j.nx = j.ny = ((r >> 32) & 1) != 0 ? 48 : 24;
-        if (j.devices == 2) ++two_device_dacelite;
-        break;
-      case JobKind::kHistogram:
-        j.nx = 61 + 36 * ((r >> 32) % 4);
-        j.ny = 64 + 64 * ((r >> 40) % 3);
-        j.skew = static_cast<int>((r >> 48) % 4);
-        j.threads_per_block = 128;
-        break;
-      case JobKind::kCg:
-      case JobKind::kSparseCg:
-        break;
-    }
     ASSERT_EQ(serve::validate(j), "") << i;
-    ASSERT_TRUE(serve::timing_is_data_independent(j));
-    place.blocks_per_device =
-        serve::AdmissionController(machine, serve::PlacePolicy::kFirstFit)
-            .resolve_blocks(j);
-    EXPECT_EQ(serve::isolated_runtime(machine, j, place, /*functional=*/false),
-              serve::isolated_runtime(machine, j, place, /*functional=*/true))
+    if (!serve::timing_is_data_independent(j)) {
+      // Only CG may converge early; every other kind always qualifies.
+      ASSERT_TRUE(j.kind == JobKind::kCg || j.kind == JobKind::kSparseCg);
+      continue;
+    }
+    if (j.kind == JobKind::kDacelite && j.devices == 2) ++two_device_dacelite;
+    if (j.kind == JobKind::kCg || j.kind == JobKind::kSparseCg) {
+      ++cg_timing_only;
+    }
+    EXPECT_EQ(alone(machine, j, devices, /*functional=*/false),
+              alone(machine, j, devices, /*functional=*/true))
         << "job " << i << ": " << serve::name(j.kind) << ' ' << j.nx << 'x'
         << j.ny << " x" << j.iterations << " on " << j.devices << " device(s)";
   }
   EXPECT_GT(two_device_dacelite, 0);
+  EXPECT_GT(cg_timing_only, 4);
+
+  // Every CG and sparse-CG shape the benchmark fleet serves runs every
+  // iteration, so all of its baselines are timing-only.
+  const vgpu::MachineSpec pcie = vgpu::MachineSpec::dgx_pcie(8);
+  const std::vector<int> fleet_slices[] = {{5}, {2, 3}, {2, 3, 4, 5}};
+  for (const std::vector<int>& devices : fleet_slices) {
+    for (int iterations : {8, 12}) {
+      for (std::size_t n : {32u, 48u, 64u}) {
+        JobSpec j = job(0, "t0", JobKind::kCg,
+                        static_cast<int>(devices.size()), n, iterations);
+        ASSERT_TRUE(serve::timing_is_data_independent(j)) << n;
+        EXPECT_EQ(alone(pcie, j, devices, false), alone(pcie, j, devices, true))
+            << "cg " << n << " x" << iterations << " on " << devices.size();
+      }
+    }
+    for (int iterations : {12, 20}) {
+      for (std::size_t n : {16u, 24u, 32u}) {
+        for (double imbalance : {1.0, 4.0}) {
+          JobSpec j = job(0, "t0", JobKind::kSparseCg,
+                          static_cast<int>(devices.size()), n, iterations);
+          j.imbalance = imbalance;
+          ASSERT_TRUE(serve::timing_is_data_independent(j)) << n;
+          EXPECT_EQ(alone(pcie, j, devices, false),
+                    alone(pcie, j, devices, true))
+              << "sparse_cg " << n << " x" << iterations << " w" << imbalance
+              << " on " << devices.size();
+        }
+      }
+    }
+  }
+}
+
+TEST(Serve, IsolatedBaselineDependsOnlyOnSliceClass) {
+  // The baseline cache keys a job's devices by their slice class. That is
+  // exact only if two placements of one class give the same time alone:
+  // generated shapes of all five kinds, each timed on pairs of placements
+  // with equal classes, must match bit for bit.
+  const vgpu::MachineSpec machines[] = {vgpu::MachineSpec::hgx_a100(8),
+                                        vgpu::MachineSpec::dgx_pcie(8),
+                                        vgpu::MachineSpec::multi_node(2, 4)};
+  const std::vector<int> slices[] = {
+      {0},          {3},          {6},          {0, 1},       {1, 2},
+      {2, 3},       {3, 4},       {4, 5},       {6, 7},       {0, 2},
+      {1, 0},       {5, 4},       {0, 1, 2, 3}, {1, 2, 3, 4}, {4, 5, 6, 7},
+      {2, 3, 4, 5}, {3, 4, 5, 6}, {0, 2, 4, 6}};
+  const JobKind kinds[] = {JobKind::kStencil, JobKind::kDacelite,
+                           JobKind::kHistogram, JobKind::kCg,
+                           JobKind::kSparseCg};
+  constexpr std::uint64_t kSalt = 0x151;
+  int compared = 0;
+  int merged_classes = 0;
+  for (std::size_t mi = 0; mi < std::size(machines); ++mi) {
+    const vgpu::MachineSpec& spec = machines[mi];
+    const vgpu::Machine m(spec);
+    // Placements of one size and one class, class by class.
+    std::vector<std::vector<std::vector<int>>> classes;
+    std::vector<std::vector<std::uint64_t>> keys;
+    for (const std::vector<int>& s : slices) {
+      const std::vector<std::uint64_t> key = m.slice_class(s);
+      const auto it = std::find(keys.begin(), keys.end(), key);
+      if (it == keys.end()) {
+        keys.push_back(key);
+        classes.push_back({s});
+      } else {
+        classes[static_cast<std::size_t>(it - keys.begin())].push_back(s);
+      }
+    }
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      const auto& members = classes[c];
+      if (members.size() < 2) continue;
+      ++merged_classes;
+      for (std::uint64_t k = 0; k < 3; ++k) {
+        const std::uint64_t r = sim::stream_mix(1, kSalt, mi * 64 + c, k);
+        const std::vector<int>& a = members[(r >> 4) % members.size()];
+        const std::vector<int>& b =
+            members[((r >> 4) + 1 + (r >> 12) % (members.size() - 1)) %
+                    members.size()];
+        JobSpec j = generated_job(kinds[(r >> 20) % std::size(kinds)],
+                                  static_cast<int>(a.size()), r);
+        ASSERT_EQ(serve::validate(j), "");
+        const bool timing_only = serve::timing_is_data_independent(j);
+        EXPECT_EQ(alone(spec, j, a, !timing_only),
+                  alone(spec, j, b, !timing_only))
+            << serve::name(j.kind) << ' ' << j.nx << 'x' << j.ny << " x"
+            << j.iterations << " on machine " << mi << ", slices starting "
+            << a.front() << " and " << b.front();
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GE(merged_classes, 9);
+  EXPECT_GT(compared, 0);
+
+  // The class sees the interconnect: a pair under one PCIe switch is not a
+  // pair across the root, nor is a pair in one node a pair across the NIC.
+  const vgpu::Machine pcie(vgpu::MachineSpec::dgx_pcie(8));
+  EXPECT_NE(pcie.slice_class(std::vector<int>{0, 1}),
+            pcie.slice_class(std::vector<int>{3, 4}));
+  EXPECT_EQ(pcie.slice_class(std::vector<int>{0, 1}),
+            pcie.slice_class(std::vector<int>{6, 7}));
+  const vgpu::Machine nodes(vgpu::MachineSpec::multi_node(2, 4));
+  EXPECT_NE(nodes.slice_class(std::vector<int>{0, 1}),
+            nodes.slice_class(std::vector<int>{3, 4}));
+  EXPECT_EQ(nodes.slice_class(std::vector<int>{0, 1}),
+            nodes.slice_class(std::vector<int>{5, 6}));
+  // ...and each device's spec.
+  vgpu::MachineSpec mixed = vgpu::MachineSpec::hgx_a100(4);
+  mixed.device_overrides.resize(4, mixed.device);
+  mixed.device_overrides[2].sm_count = 54;
+  const vgpu::Machine hetero(mixed);
+  EXPECT_EQ(hetero.slice_class(std::vector<int>{0, 1}),
+            hetero.slice_class(std::vector<int>{0, 3}));
+  EXPECT_NE(hetero.slice_class(std::vector<int>{0, 1}),
+            hetero.slice_class(std::vector<int>{2, 3}));
+}
+
+TEST(Serve, FirstFitPlacementsOfOneSliceClassShareOneBaseline) {
+  // Four full-capacity two-device jobs fill an 8-device machine side by
+  // side; every slice is of one class, so the four cost one isolated run.
+  for (const vgpu::MachineSpec& machine :
+       {vgpu::MachineSpec::hgx_a100(8), vgpu::MachineSpec::dgx_pcie(8)}) {
+    std::vector<JobSpec> jobs;
+    for (int i = 0; i < 4; ++i) {
+      jobs.push_back(job(i, "t0", JobKind::kStencil, 2, 64, 6));
+      jobs.back().persistent_blocks = 216;
+    }
+    ServeConfig cfg;
+    cfg.machine = machine;
+    cfg.arrival.mode = ArrivalConfig::Mode::kClosed;
+    cfg.arrival.concurrency = 0;
+    const ServeReport rep = serve::run_serve(cfg, jobs);
+    ASSERT_EQ(rep.fleet.verified, 4);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(rep.jobs[static_cast<std::size_t>(i)].out.first_device, 2 * i);
+      EXPECT_EQ(rep.jobs[static_cast<std::size_t>(i)].isolated_us,
+                rep.jobs[0].isolated_us);
+    }
+    EXPECT_EQ(rep.isolated_runs, 1);
+  }
+}
+
+TEST(Serve, JobsServedAloneRunAtTheirIsolatedSpeed) {
+  // Two sparse-CG jobs whose imbalances agree to six decimals but split
+  // their rows differently ([15, 9] and [16, 8]). Served one at a time,
+  // each runs exactly as fast as alone, so each must report slowdown 1:
+  // a baseline key that rounded the imbalance would hand the second job
+  // the first one's baseline.
+  JobSpec a = job(0, "t0", JobKind::kSparseCg, 2, 2048, 10);
+  a.ny = 24;
+  a.imbalance = 1.8235294;
+  JobSpec b = a;
+  b.id = 1;
+  b.imbalance = 1.8235294118;
+  ASSERT_EQ(solvers::split_rows_weighted(a.ny, 2, a.imbalance),
+            (std::vector<std::size_t>{15, 9}));
+  ASSERT_EQ(solvers::split_rows_weighted(b.ny, 2, b.imbalance),
+            (std::vector<std::size_t>{16, 8}));
+  ServeConfig cfg;
+  cfg.machine = vgpu::MachineSpec::hgx_a100(2);
+  cfg.arrival.mode = ArrivalConfig::Mode::kClosed;
+  cfg.arrival.concurrency = 1;
+  const ServeReport rep = serve::run_serve(cfg, {a, b});
+  ASSERT_EQ(rep.fleet.verified, 2);
+  EXPECT_NE(rep.jobs[0].isolated_us, rep.jobs[1].isolated_us);
+  for (const auto& r : rep.jobs) EXPECT_EQ(r.slowdown, 1.0) << r.spec.id;
+  EXPECT_EQ(rep.isolated_runs, 2);
 }
 
 TEST(Serve, ConvergingAndCheckpointingJobsStayFunctional) {
@@ -322,17 +545,27 @@ TEST(Serve, ConvergingAndCheckpointingJobsStayFunctional) {
   EXPECT_TRUE(serve::timing_is_data_independent(stencil));
   stencil.checkpoint_every = 2;  // snapshots copy the domain
   EXPECT_FALSE(serve::timing_is_data_independent(stencil));
-  const JobSpec cg = job(1, "t0", JobKind::kCg, 2, 32, 8);
-  EXPECT_FALSE(serve::timing_is_data_independent(cg));
-  EXPECT_FALSE(serve::timing_is_data_independent(
-      job(2, "t0", JobKind::kSparseCg, 2, 24, 8)));
+  // CG on 8x8 converges at iteration 21: with 64 iterations it stops early,
+  // and with exactly 21 its last iteration skips the p update and halo puts
+  // a timing-only run would still charge. Neither may run timing-only.
   vgpu::Machine m(vgpu::MachineSpec::hgx_a100(2));
   serve::Placement place;
   place.devices = {0, 1};
   place.blocks_per_device = 1;
-  EXPECT_THROW((void)serve::make_workload(m, cg, place, "cg", nullptr,
-                                          /*functional=*/false),
-               std::invalid_argument);
+  for (int iterations : {64, 21}) {
+    const JobSpec cg = job(1, "t0", JobKind::kCg, 2, 8, iterations);
+    solvers::CgConfig c;
+    c.nx = c.ny = 8;
+    c.max_iterations = iterations;
+    const solvers::CgResult ref = solvers::cg_reference(c, 2);
+    EXPECT_EQ(ref.iterations_run, 21);
+    EXPECT_LT(ref.final_rr, c.tolerance);
+    EXPECT_FALSE(serve::timing_is_data_independent(cg)) << iterations;
+    EXPECT_THROW((void)serve::make_workload(m, cg, place, "cg", nullptr,
+                                            /*functional=*/false),
+                 std::invalid_argument)
+        << iterations;
+  }
 }
 
 TEST(Serve, FaultyTenantDoesNotPerturbNeighbors) {

@@ -4,6 +4,8 @@
 // ordering the paper reports.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -31,6 +33,26 @@ StencilConfig small_cfg(int iters) {
   c.iterations = iters;
   c.persistent_blocks = 12;  // small domains in tests need few blocks
   return c;
+}
+
+TEST(Jacobi2D, InitialSlabGivesTheSameDoublesAsInitial) {
+  // The table-driven fill must reproduce initial() bit for bit, across
+  // slab indices past one period of the modulus and rows wider than it.
+  Jacobi2D prob;
+  for (std::size_t nx : {std::size_t{1}, std::size_t{17}, std::size_t{97},
+                         std::size_t{250}}) {
+    prob.nx = nx;
+    std::vector<double> row(nx);
+    for (std::size_t sg : {std::size_t{0}, std::size_t{1}, std::size_t{96},
+                           std::size_t{97}, std::size_t{4099}}) {
+      prob.initial_slab(sg, row);
+      for (std::size_t i = 0; i < nx; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(row[i]),
+                  std::bit_cast<std::uint64_t>(prob.initial(sg, i)))
+            << "slab " << sg << " point " << i << " of " << nx;
+      }
+    }
+  }
 }
 
 TEST(Slab, DecompositionCoversDomainWithoutOverlap) {

@@ -242,6 +242,34 @@ TEST(World, DestroyingAWorldFreesItsSymmetricHeap) {
   EXPECT_EQ(m.peak_bytes(), machine_bytes + 2 * (16 * 8 + 4 * 4));
 }
 
+TEST(World, DestroyingAWorldReleasesItsStreamsAndLanes) {
+  // A world's streams live as long as the world, and so do their job-map
+  // lanes; lane numbers are never handed out again, so actor names stay
+  // unambiguous for the machine's whole life.
+  Machine m(spec(2));
+  sim::JobMap jobs;
+  m.engine().set_job_map(&jobs);
+  int last_lane = -1;
+  {
+    World w(m, {1, 0}, "j0:t0:stencil");
+    vgpu::Stream& a = w.create_stream(0);
+    vgpu::Stream& b = w.create_stream(0);
+    vgpu::Stream& c = w.create_stream(1);
+    EXPECT_EQ(&a.device(), &m.device(1));
+    EXPECT_EQ(&c.device(), &m.device(0));
+    EXPECT_EQ(m.device(1).stream_count(), 2u);
+    EXPECT_EQ(m.device(0).stream_count(), 1u);
+    EXPECT_EQ(jobs.size(), 3u);
+    EXPECT_EQ(jobs.find_lane(1, b.lane()), "j0:t0:stencil");
+    last_lane = b.lane();
+  }
+  EXPECT_EQ(m.device(0).stream_count(), 0u);
+  EXPECT_EQ(m.device(1).stream_count(), 0u);
+  EXPECT_EQ(jobs.size(), 0u);
+  EXPECT_EQ(jobs.find_lane(1, last_lane), "");
+  EXPECT_EQ(m.device(1).create_stream().lane(), last_lane + 1);
+}
+
 TEST(SignalOp, RemoteSetWithoutPayload) {
   Machine m(spec(2));
   World w(m);
