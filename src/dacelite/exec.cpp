@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "cpufree/halo.hpp"
@@ -21,6 +24,20 @@ constexpr double kHostMapBwGbps = 25.0;
 
 int resolve_iterations(const Sdfg& sdfg, const ExecOptions& o) {
   return o.iterations > 0 ? o.iterations : sdfg.default_iterations;
+}
+
+/// The arrays ProgramData allocated decide whether the numerics run, so an
+/// ExecOptions::functional that disagrees would be silently ignored: `fn`
+/// rejects it, naming both values.
+void check_mode(std::string_view fn, const ExecOptions& options,
+                const ProgramData& data) {
+  if (options.functional == data.functional()) return;
+  std::string msg(fn);
+  msg += ": ExecOptions::functional is ";
+  msg += options.functional ? "true" : "false";
+  msg += " but the ProgramData was built with functional ";
+  msg += data.functional() ? "true" : "false";
+  throw std::invalid_argument(msg);
 }
 
 }  // namespace
@@ -252,6 +269,7 @@ sim::Task run_state_discrete(vgpu::Machine& m, hostmpi::Comm& comm,
 ExecResult execute_discrete(vgpu::Machine& machine, hostmpi::Comm& comm,
                             ProgramData& data, const Sdfg& sdfg,
                             ExecOptions options) {
+  check_mode("execute_discrete", options, data);
   sdfg.validate();
   machine.trace().set_enabled(options.trace);
   const int iters = resolve_iterations(sdfg, options);
@@ -479,6 +497,7 @@ exec::Program prepare_persistent(std::string_view fn, vgpu::Machine& machine,
                                  vshmem::World& world, ProgramData& data,
                                  const Sdfg& sdfg, ExecOptions& options,
                                  ExecResult& r) {
+  check_mode(fn, options, data);
   sdfg.validate();
   if (!sdfg.persistent) {
     std::string msg(fn);

@@ -29,6 +29,8 @@ namespace dacelite {
 
 struct ExecOptions {
   int iterations = -1;  // -1: use sdfg.default_iterations
+  /// Must equal the ProgramData's mode, which decides whether the numerics
+  /// run; every entry point throws std::invalid_argument when they differ.
   bool functional = true;
   bool trace = true;
   int threads_per_block = 1024;

@@ -6,10 +6,11 @@
 //   * HOW ranks synchronize a step  — SyncPolicy    (§2.2, §4.1.1),
 // and every evaluated variant is one (launch, comm, sync) triple. The
 // enums below name the mechanisms; an exec::Plan composes them; the
-// primitives in launch.hpp / comm.hpp / sync.hpp implement them; and the
-// slab driver (slab.hpp) runs a stencil-shaped problem under any valid
-// composition. CG, the histogram and the dacelite persistent backend are
-// exec::Programs (program.hpp) over the same primitives.
+// primitives in launch.hpp / comm.hpp / sync.hpp implement them; and
+// run_program (program.hpp) runs any workload lowered to an exec::Program
+// under any valid composition: the stencil variants, CG, the histogram and
+// the dacelite persistent backend. RunOptions are the run options every
+// workload config shares.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,10 @@
 #include <string_view>
 
 #include "vgpu/costmodel.hpp"
+
+namespace sim {
+class Observer;
+}
 
 namespace exec {
 
@@ -163,6 +168,26 @@ struct Plan {
   msg += invalid_plan_detail(p);
   return msg;
 }
+
+/// The run options every workload config shares, declared once: the
+/// stencil, CG, sparse-CG and histogram configs derive from it.
+struct RunOptions {
+  /// false = timing-only mode: skip the numerics, leaving nothing to verify
+  /// (large benchmark domains use it); control flow, synchronization and
+  /// costs are identical.
+  bool functional = true;
+  /// Record trace intervals (needed for comm/overlap metrics).
+  bool trace = true;
+  int threads_per_block = 1024;
+  /// Co-resident blocks for persistent launches. 0 (default) derives "one
+  /// block of 1024 threads on each SM" (§6.1.2) from MachineSpec::sm_count
+  /// at plan-build time (resolve_persistent_blocks); a positive value
+  /// overrides it.
+  int persistent_blocks = 0;
+  /// Optional execution observer (race/deadlock checker); attached to the
+  /// engine before any allocation or launch. Never affects simulated time.
+  sim::Observer* observer = nullptr;
+};
 
 /// Resolves the number of co-resident blocks for persistent launches at
 /// plan-build time: an explicit positive request wins; 0 derives the

@@ -2,9 +2,9 @@
 // the (launch, comm, sync) Plan implies — peer-access enablement, signal
 // allocation, the host loop or the persistent kernels (launched by
 // cpufree::spawn_persistent, the one persistent launcher), and the
-// per-iteration join protocol — in the exact resource-creation order the
-// pre-refactor slab driver used, so adapting run_slab() onto this driver
-// keeps every metric trace byte-identical.
+// per-iteration join protocol — in one fixed resource-creation order
+// (signals, then streams or kernels), which every workload's metric traces
+// depend on.
 #include "exec/program.hpp"
 
 #include <cstddef>

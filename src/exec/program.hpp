@@ -16,10 +16,10 @@
 //    both persistent launch policies.
 //
 // The (launch, comm, sync) Plan machinery composes the hooks: run_program()
-// dispatches on the plan exactly like the old slab-only driver did, but the
-// problem shape is no longer baked in — run_slab() is now a thin adapter
-// over this driver, and irregular workloads (generalized histogram, the
-// one CG solver) plug in beside it.
+// dispatches on the plan, and no problem shape is baked in. Every workload
+// lowers to this one contract: the stencil variants
+// (stencil::make_slab_setup), the generalized histogram, the one CG solver
+// and the dacelite persistent backend.
 #pragma once
 
 #include <functional>

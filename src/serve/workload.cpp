@@ -9,8 +9,8 @@
 #include "dacelite/exec.hpp"
 #include "dacelite/frontend.hpp"
 #include "dacelite/pass.hpp"
+#include "exec/policy.hpp"
 #include "exec/program.hpp"
-#include "exec/slab.hpp"
 #include "solvers/cg.hpp"
 #include "solvers/sparse_cg.hpp"
 #include "stencil/problems.hpp"
@@ -23,6 +23,30 @@ namespace serve {
 
 namespace {
 
+/// What every adapter shares: the job's device-slice World, labelled, in
+/// the job's functional mode and behind its fault-injection gate, and the
+/// run options the job's spec and placement give its config.
+class SliceWorkload : public Workload {
+ public:
+  bool drained() const override { return world_.drained(); }
+
+ protected:
+  SliceWorkload(vgpu::Machine& machine, const JobSpec& spec,
+                const Placement& place, const std::string& label,
+                bool functional)
+      : world_(machine, place.devices, label),
+        run_{.functional = functional,
+             .threads_per_block = spec.threads_per_block,
+             .persistent_blocks = place.blocks_per_device} {
+    world_.set_functional(functional);
+    world_.set_fault_injection(spec.faulty);
+  }
+
+  vshmem::World world_;
+  /// The job's run options, which each adapter assigns into its config.
+  const exec::RunOptions run_;
+};
+
 /// CPU-Free Jacobi2D on a device slice: the standard SlabStencil packaged
 /// through the exec layer's spawnable persistent driver. The only
 /// checkpoint-capable kind: under the hard-fault plane it snapshots its
@@ -31,20 +55,19 @@ namespace {
 /// iterations — bitwise-identical to the unfailed run (Jacobi is a pure
 /// function of the previous state, and load_state() seeds both parities the
 /// way init() does).
-class StencilWorkload final : public Workload {
+class StencilWorkload final : public SliceWorkload {
  public:
   StencilWorkload(vgpu::Machine& machine, const JobSpec& spec,
                   const Placement& place, const std::string& label,
                   const ResumeState* resume, bool functional)
-      : world_(machine, place.devices, label),
+      : SliceWorkload(machine, spec, place, label, functional),
         prob_(make_prob(spec)),
         start_iter_(resume ? resume->iteration : 0),
-        S_(world_, prob_, make_cfg(spec, place, start_iter_, functional)),
+        S_(world_, prob_, make_cfg(spec, start_iter_)),
         store_(static_cast<int>(place.devices.size())),
         iters_(spec.iterations),
         checkpointing_(spec.checkpoint_every > 0) {
     devices_ = place.devices;
-    world_.set_fault_injection(spec.faulty);
     if (start_iter_ > 0) {
       seed_state_ = resume->state;
       S_.load_state(seed_state_);
@@ -61,8 +84,8 @@ class StencilWorkload final : public Workload {
   sim::Task task() override {
     // setup_ is a member: the lazy coroutine keeps its const& parameters
     // alive only as references, so a temporary program/plan would dangle.
-    return exec::run_slab_persistent_task(setup_.program, setup_.plan,
-                                          setup_.params);
+    return exec::run_program_persistent_task(setup_.program, setup_.plan,
+                                             setup_.params);
   }
 
   bool verify() override {
@@ -87,8 +110,6 @@ class StencilWorkload final : public Workload {
     }
     return d;
   }
-
-  bool drained() const override { return world_.drained(); }
 
   bool aborted() const override {
     if (world_.hard_stopped()) return true;
@@ -138,18 +159,13 @@ class StencilWorkload final : public Workload {
     p.ny = spec.ny;
     return p;
   }
-  static stencil::StencilConfig make_cfg(const JobSpec& spec,
-                                         const Placement& place,
-                                         int start_iter, bool functional) {
+  stencil::StencilConfig make_cfg(const JobSpec& spec, int start_iter) const {
     stencil::StencilConfig cfg;
+    static_cast<exec::RunOptions&>(cfg) = run_;
     cfg.iterations = spec.iterations - start_iter;
-    cfg.functional = functional;
-    cfg.threads_per_block = spec.threads_per_block;
-    cfg.persistent_blocks = place.blocks_per_device;
     return cfg;
   }
 
-  vshmem::World world_;
   vgpu::Machine* machine_ = &world_.machine();
   std::vector<int> devices_;
   stencil::Jacobi2D prob_;
@@ -170,7 +186,6 @@ Config cg_config(const JobSpec& spec) {
   cfg.nx = spec.nx;
   cfg.ny = spec.ny;
   cfg.max_iterations = spec.iterations;
-  cfg.threads_per_block = spec.threads_per_block;
   if constexpr (std::is_same_v<Config, solvers::SparseCgConfig>) {
     cfg.imbalance = spec.imbalance;
   }
@@ -181,20 +196,17 @@ Config cg_config(const JobSpec& spec) {
 /// partition-shaped serial reference: matrix-free CG over the even split
 /// (kCg), or sparse CG with a deliberately imbalanced row partition
 /// (kSparseCg). The config's type picks the solver's operator.
-class CgWorkload final : public Workload {
+class CgWorkload final : public SliceWorkload {
  public:
   CgWorkload(vgpu::Machine& machine, const JobSpec& spec,
              const Placement& place, const std::string& label,
              bool functional)
-      : world_(machine, place.devices, label),
+      : SliceWorkload(machine, spec, place, label, functional),
         kind_(spec.kind),
         nx_(spec.nx),
         ny_(spec.ny) {
-    world_.set_functional(functional);
-    world_.set_fault_injection(spec.faulty);
     auto make = [&](auto cfg) {
-      cfg.functional = functional;
-      cfg.persistent_blocks = place.blocks_per_device;
+      static_cast<exec::RunOptions&>(cfg) = run_;
       job_ = std::make_unique<solvers::CgCpufreeJob>(machine, world_, cfg);
     };
     if (spec.kind == JobKind::kCg) {
@@ -225,10 +237,7 @@ class CgWorkload final : public Workload {
     return d;
   }
 
-  bool drained() const override { return world_.drained(); }
-
  private:
-  vshmem::World world_;
   JobKind kind_;
   std::size_t nx_;
   std::size_t ny_;
@@ -237,26 +246,25 @@ class CgWorkload final : public Workload {
 
 /// A dacelite Jacobi2D SDFG compiled through the persistent (CPU-Free)
 /// backend, verified exactly via gather() against the SDFG's reference.
-class DaceliteWorkload final : public Workload {
+class DaceliteWorkload final : public SliceWorkload {
  public:
   DaceliteWorkload(vgpu::Machine& machine, const JobSpec& spec,
                    const Placement& place, const std::string& label,
                    bool functional)
-      : machine_(&machine),
+      : SliceWorkload(machine, spec, place, label, functional),
         prog_(make_prog(spec, static_cast<int>(place.devices.size()))),
-        world_(machine, place.devices, label),
         iters_(spec.iterations) {
-    world_.set_functional(functional);
-    world_.set_fault_injection(spec.faulty);
     data_ = std::make_unique<dacelite::ProgramData>(world_, prog_.sdfg,
                                                     functional);
-    options_.functional = functional;
-    options_.threads_per_block = spec.threads_per_block;
-    options_.persistent_blocks = place.blocks_per_device;
+    // ExecOptions is dacelite's own struct (it takes no observer): copy the
+    // three options it shares.
+    options_.functional = run_.functional;
+    options_.threads_per_block = run_.threads_per_block;
+    options_.persistent_blocks = run_.persistent_blocks;
   }
 
   sim::Task task() override {
-    return dacelite::execute_persistent_task(*machine_, world_, *data_,
+    return dacelite::execute_persistent_task(world_.machine(), world_, *data_,
                                              prog_.sdfg, options_, &result_);
   }
 
@@ -277,8 +285,6 @@ class DaceliteWorkload final : public Workload {
     return d;
   }
 
-  bool drained() const override { return world_.drained(); }
-
  private:
   static dacelite::Jacobi2DProgram make_prog(const JobSpec& spec, int ranks) {
     dacelite::Jacobi2DProgram p =
@@ -287,9 +293,7 @@ class DaceliteWorkload final : public Workload {
     return p;
   }
 
-  vgpu::Machine* machine_;
   dacelite::Jacobi2DProgram prog_;
-  vshmem::World world_;
   std::unique_ptr<dacelite::ProgramData> data_;
   dacelite::ExecOptions options_;
   dacelite::ExecResult result_;
@@ -299,21 +303,17 @@ class DaceliteWorkload final : public Workload {
 /// Generalized histogram on a device slice: data-dependent contended puts
 /// to owner-partitioned bins, verified bitwise against the source-ordered
 /// serial reference.
-class HistogramWorkload final : public Workload {
+class HistogramWorkload final : public SliceWorkload {
  public:
   HistogramWorkload(vgpu::Machine& machine, const JobSpec& spec,
                     const Placement& place, const std::string& label,
                     bool functional)
-      : world_(machine, place.devices, label) {
-    world_.set_functional(functional);
-    world_.set_fault_injection(spec.faulty);
+      : SliceWorkload(machine, spec, place, label, functional) {
+    static_cast<exec::RunOptions&>(cfg_) = run_;
     cfg_.bins = spec.nx;
     cfg_.keys_per_round = spec.ny;
     cfg_.rounds = spec.iterations;
     cfg_.skew = spec.skew;
-    cfg_.functional = functional;
-    cfg_.threads_per_block = spec.threads_per_block;
-    cfg_.persistent_blocks = place.blocks_per_device;
     job_ =
         std::make_unique<workloads::HistogramCpufreeJob>(machine, world_, cfg_);
   }
@@ -335,10 +335,7 @@ class HistogramWorkload final : public Workload {
     return d;
   }
 
-  bool drained() const override { return world_.drained(); }
-
  private:
-  vshmem::World world_;
   workloads::HistogramConfig cfg_;
   std::unique_ptr<workloads::HistogramCpufreeJob> job_;
 };

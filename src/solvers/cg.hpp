@@ -30,12 +30,10 @@
 #include <vector>
 
 #include "cpufree/metrics.hpp"
+#include "exec/policy.hpp"
 #include "sim/task.hpp"
 #include "vgpu/costmodel.hpp"
 
-namespace sim {
-class Observer;
-}
 namespace vgpu {
 class Machine;
 }
@@ -47,21 +45,12 @@ namespace solvers {
 
 struct SparseCgConfig;
 
-struct CgConfig {
+struct CgConfig : exec::RunOptions {
   std::size_t nx = 64;
   std::size_t ny = 64;
   int max_iterations = 100;
   /// Stop when rr (squared residual norm) falls below this.
   double tolerance = 1e-10;
-  bool functional = true;  // false: timing-only (no numerics, no verify)
-  bool trace = true;
-  int threads_per_block = 1024;
-  /// Co-resident blocks for the persistent variant; 0 (default) derives one
-  /// block per SM from MachineSpec::sm_count at plan-build time.
-  int persistent_blocks = 0;
-  /// Optional execution observer (race/deadlock checker); attached to the
-  /// engine before any allocation or launch. Never affects simulated time.
-  sim::Observer* observer = nullptr;
 };
 
 struct CgResult {

@@ -359,11 +359,7 @@ SparseCgConfig as_sparse(const CgConfig& c) {
   s.ny = c.ny;
   s.max_iterations = c.max_iterations;
   s.tolerance = c.tolerance;
-  s.functional = c.functional;
-  s.trace = c.trace;
-  s.threads_per_block = c.threads_per_block;
-  s.persistent_blocks = c.persistent_blocks;
-  s.observer = c.observer;
+  static_cast<exec::RunOptions&>(s) = c;
   return s;
 }
 

@@ -41,7 +41,7 @@
 
 namespace solvers {
 
-struct SparseCgConfig {
+struct SparseCgConfig : exec::RunOptions {
   std::size_t nx = 64;
   std::size_t ny = 64;
   int max_iterations = 100;
@@ -51,14 +51,6 @@ struct SparseCgConfig {
   /// 1.0 reproduces the even slab split; values < 1 are clamped to 1, and
   /// values that are not finite or exceed kMaxImbalance are rejected.
   double imbalance = 1.0;
-  bool functional = true;  // false: timing-only (no numerics, no verify)
-  bool trace = true;
-  int threads_per_block = 1024;
-  /// Co-resident blocks for the persistent variant; 0 derives one block per
-  /// SM at plan-build time.
-  int persistent_blocks = 0;
-  /// Optional execution observer (race/deadlock checker).
-  sim::Observer* observer = nullptr;
 };
 
 /// Largest accepted `imbalance`. A rank's share is ny·weight / total weight

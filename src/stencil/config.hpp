@@ -5,11 +5,8 @@
 #include <string_view>
 
 #include "cpufree/metrics.hpp"
+#include "exec/policy.hpp"
 #include "vshmem/world.hpp"
-
-namespace sim {
-class Observer;
-}
 
 namespace stencil {
 
@@ -57,29 +54,16 @@ enum class TbPolicy : std::uint8_t {
   kEqualSplit,    // one third of the blocks per group
 };
 
-struct StencilConfig {
+struct StencilConfig : exec::RunOptions {
   int iterations = 10;
   /// false = the paper's "no compute" mode (Fig. 2.2a, Fig. 6.2 middle):
   /// full control flow and communication, zero computation cost.
   bool compute_enabled = true;
-  /// false = timing-only mode: skip the numerics (used for large benchmark
-  /// domains); control flow, synchronization and costs are identical.
-  bool functional = true;
-  /// Record trace intervals (needed for comm/overlap metrics).
-  bool trace = true;
-  int threads_per_block = 1024;
-  /// Co-resident blocks for persistent variants. 0 (default) derives "one
-  /// block of 1024 threads on each SM" (§6.1.2) from MachineSpec::sm_count
-  /// at plan-build time; a positive value overrides it.
-  int persistent_blocks = 0;
   /// Boundary/inner thread-block allocation policy (CPU-Free variants).
   TbPolicy tb_policy = TbPolicy::kProportional;
   /// Scope of device-initiated puts: block-cooperative (paper's choice) or
   /// thread-scoped (ablation; what a single thread can sustain).
   vshmem::Scope comm_scope = vshmem::Scope::kBlock;
-  /// Optional execution observer (race/deadlock checker); attached to the
-  /// engine before any allocation or launch. Never affects simulated time.
-  sim::Observer* observer = nullptr;
 };
 
 struct StencilResult {

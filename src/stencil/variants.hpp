@@ -10,19 +10,17 @@
 //  * CPU-Free PERKS    — CPU-Free with the PERKS cached inner kernel
 //  * CPU-Free 2-kernel — (persistent_pair, signaled_put,    iteration_flags)
 //
-// This header only maps a Variant to its exec::Plan and packages the
-// SlabStencil geometry/cost hooks into an exec::SlabProgram; all per-variant
-// loop bodies live in exec::run_slab.
+// This header maps a Variant to its exec::Plan and declares the factory
+// that lowers a SlabStencil to an exec::Program under it; the per-variant
+// step bodies and persistent groups live in variants.cpp, and
+// exec::run_program runs them like every other workload.
 #pragma once
 
-#include <functional>
-
 #include "cpufree/metrics.hpp"
-#include "cpufree/partition.hpp"
-#include "cpufree/perks.hpp"
 #include "exec/policy.hpp"
-#include "exec/slab.hpp"
+#include "exec/program.hpp"
 #include "stencil/config.hpp"
+#include "stencil/problems.hpp"
 #include "stencil/slab.hpp"
 
 namespace stencil {
@@ -58,122 +56,27 @@ namespace stencil {
   return {};
 }
 
-namespace detail {
-
-/// Packages the SlabStencil's geometry, cost and functional hooks as the
-/// type-erased problem view exec::run_slab consumes.
-template <class P>
-exec::SlabProgram make_program(SlabStencil<P>& S) {
-  exec::SlabProgram prog;
-  prog.machine = &S.machine();
-  prog.world = &S.world();
-  prog.n_pes = S.n_pes();
-  prog.plane = S.plane();
-  prog.halo_bytes = S.halo_bytes();
-  prog.rows = [&S](int dev) { return S.rows(dev); };
-  prog.local_points = [&S](int dev) { return S.local_points(dev); };
-  prog.compute_bytes = [&S](double nslabs) { return S.compute_bytes(nslabs); };
-  prog.update_body = [&S](int dev, int t, std::size_t r0, std::size_t r1) {
-    return S.update_body(dev, t, r0, r1);
-  };
-  prog.halo_deliver = [&S](int dev, bool to_top, int t) {
-    return S.halo_deliver(dev, to_top, t);
-  };
-  prog.buffer = [&S](int parity) -> vshmem::Sym<double>& {
-    return S.buffer(parity);
-  };
-  prog.send_offset = [&S](int pe, bool to_top) {
-    return S.send_offset(pe, to_top);
-  };
-  prog.recv_offset = [&S](int neighbor, bool to_top) {
-    return S.recv_offset(neighbor, to_top);
-  };
-  return prog;
-}
-
-/// Boundary/inner block split. The single-kernel CPU-Free variants honour
-/// the configured TbPolicy ablation; the two-kernel design always splits
-/// proportionally (the paper's formula, §4.1.2).
-template <class P>
-std::function<cpufree::TbPartition(int, int)> make_partition(SlabStencil<P>& S,
-                                                             Variant v) {
-  const TbPolicy policy = (v == Variant::kCpuFree || v == Variant::kCpuFreePerks)
-                              ? S.config().tb_policy
-                              : TbPolicy::kProportional;
-  return [&S, policy](int dev, int tb_total) {
-    const std::size_t rows = S.rows(dev);
-    const double inner_slabs = rows > 2 ? static_cast<double>(rows - 2) : 0.0;
-    cpufree::TbPartition part;
-    switch (policy) {
-      case TbPolicy::kProportional:
-        part = cpufree::specialize_blocks(
-            tb_total, static_cast<double>(S.plane()),
-            inner_slabs * static_cast<double>(S.plane()));
-        break;
-      case TbPolicy::kSingleBlock:
-        part.boundary_blocks = 1;
-        part.num_boundaries = 2;
-        part.inner_blocks = tb_total - 2;
-        break;
-      case TbPolicy::kEqualSplit:
-        part.boundary_blocks = tb_total / 3;
-        part.num_boundaries = 2;
-        part.inner_blocks = tb_total - 2 * part.boundary_blocks;
-        break;
-    }
-    return part;
-  };
-}
-
-/// Inner-kernel cost model: PERKS caches the domain and tiles well; the
-/// plain persistent kernel pays the software-tiling penalty (§4.1.4).
-template <class P>
-std::function<exec::InnerModel(int, int)> make_inner_model(SlabStencil<P>& S,
-                                                           Variant v) {
-  const bool perks = v == Variant::kCpuFreePerks;
-  return [&S, perks](int dev, int inner_resident_threads) {
-    exec::InnerModel im;
-    if (perks) {
-      const cpufree::PerksModel perks_model;
-      im.traffic_factor = perks_model.traffic_factor(
-          S.local_points(dev) * 8.0,
-          S.machine().device(S.world().device_of(dev)).spec());
-      im.tiling_efficiency = perks_model.tiling_efficiency;
-    } else {
-      im.tiling_efficiency = cpufree::software_tiling_efficiency(
-          S.local_points(dev), inner_resident_threads);
-    }
-    return im;
-  };
-}
-
-}  // namespace detail
-
-/// A variant's complete exec-layer wiring: the type-erased problem view,
-/// the exec params drawn from the stencil's config, and the plan. One
-/// factory serves both the bench runner (run_variant) and the serve
-/// workload path, so jobs and figures can never drift apart. The setup
-/// captures the SlabStencil by reference — it must outlive every run.
+/// A variant's complete exec-layer wiring: the exec::Program over the
+/// stencil, built for `plan`, the exec params drawn from the stencil's
+/// config, and the plan. One factory serves both the bench runner
+/// (run_variant) and the serve workload path, so jobs and figures can never
+/// drift apart. The program's hooks capture the SlabStencil by reference
+/// (it must outlive every run) and the plan and variant by value, so a
+/// setup may be copied and its params edited (e.g. to layer checkpointing
+/// on).
 struct SlabSetup {
-  exec::SlabProgram program;
-  exec::SlabExecParams params;
+  exec::Program program;
+  exec::ProgramExecParams params;
   exec::Plan plan;
 };
 
+/// Builds `v`'s SlabSetup over `S`. Explicitly instantiated for Jacobi2D
+/// and Jacobi3D in variants.cpp, which holds the compositions.
 template <class P>
-SlabSetup make_slab_setup(SlabStencil<P>& S, Variant v) {
-  const StencilConfig& cfg = S.config();
-  SlabSetup setup;
-  setup.program = detail::make_program(S);
-  setup.params.iterations = cfg.iterations;
-  setup.params.threads_per_block = cfg.threads_per_block;
-  setup.params.persistent_blocks = cfg.persistent_blocks;
-  setup.params.comm_scope = cfg.comm_scope;
-  setup.params.partition = detail::make_partition(S, v);
-  setup.params.inner_model = detail::make_inner_model(S, v);
-  setup.plan = plan_for(v);
-  return setup;
-}
+SlabSetup make_slab_setup(SlabStencil<P>& S, Variant v);
+
+extern template SlabSetup make_slab_setup(SlabStencil<Jacobi2D>& S, Variant v);
+extern template SlabSetup make_slab_setup(SlabStencil<Jacobi3D>& S, Variant v);
 
 /// Runs `variant` over a prepared SlabStencil and returns timing metrics.
 template <class P>
@@ -183,7 +86,7 @@ StencilResult run_variant(SlabStencil<P>& S, Variant v) {
   m.trace().set_enabled(cfg.trace);
 
   const SlabSetup setup = make_slab_setup(S, v);
-  exec::run_slab(setup.program, setup.plan, setup.params);
+  exec::run_program(setup.program, setup.plan, setup.params);
 
   StencilResult r;
   r.metrics = cpufree::analyze_run(m.trace(), m.engine().now(),

@@ -40,13 +40,12 @@
 #include "vgpu/costmodel.hpp"
 #include "vshmem/world.hpp"
 
-namespace sim {
-class Observer;
-}
-
 namespace workloads {
 
-struct HistogramConfig {
+struct HistogramConfig : exec::RunOptions {
+  /// Histogram kernels launch 256 threads per block unless set otherwise.
+  HistogramConfig() { threads_per_block = 256; }
+
   /// Global bin count, owner-partitioned across PEs (slab-style split).
   std::size_t bins = 256;
   /// Keys drawn per PE per round.
@@ -56,16 +55,7 @@ struct HistogramConfig {
   /// bins so the low-bin owner becomes the contended hot spot.
   int skew = 0;
   std::uint64_t seed = 42;
-  bool functional = true;  // false: timing-only (no numerics, no verify)
-  bool trace = true;
-  int threads_per_block = 256;
-  /// Co-resident blocks for the persistent variants; 0 derives one block
-  /// per SM at plan-build time.
-  int persistent_blocks = 0;
   vshmem::Scope comm_scope = vshmem::Scope::kBlock;
-  /// Optional execution observer (race/deadlock checker); attached to the
-  /// engine before any allocation or launch.
-  sim::Observer* observer = nullptr;
 };
 
 struct HistogramResult {

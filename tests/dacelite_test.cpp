@@ -369,6 +369,57 @@ INSTANTIATE_TEST_SUITE_P(
     Grids, Jacobi2dEndToEnd,
     ::testing::Combine(::testing::Values(1, 2, 4, 8), ::testing::Values(1, 4)));
 
+// ExecOptions::functional must agree with the ProgramData's mode, which is
+// what decides whether the numerics run: every entry point rejects a
+// mismatch in either direction, naming both values, instead of ignoring the
+// option. The spawned form raises it from engine.run().
+TEST(ExecMode, EveryEntryPointRejectsAModeMismatch) {
+  for (bool data_functional : {true, false}) {
+    ExecOptions opt;
+    opt.functional = !data_functional;
+    std::string want = ": ExecOptions::functional is ";
+    want += opt.functional ? "true" : "false";
+    want += " but the ProgramData was built with functional ";
+    want += data_functional ? "true" : "false";
+    const auto expect_rejected = [&want](const std::string& fn, auto&& run) {
+      try {
+        run();
+        ADD_FAILURE() << fn << " accepted a mode mismatch";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(fn + want), std::string::npos)
+            << e.what();
+      }
+    };
+    {
+      auto prog = dacelite::make_jacobi1d(48, 2, 2);
+      dacelite::apply_gpu_transform(prog.sdfg);
+      vgpu::Machine m(hgx(2));
+      vshmem::World w(m);
+      hostmpi::Comm comm(m);
+      ProgramData data(w, prog.sdfg, data_functional);
+      expect_rejected("execute_discrete", [&] {
+        (void)dacelite::execute_discrete(m, comm, data, prog.sdfg, opt);
+      });
+    }
+    for (bool spawned : {false, true}) {
+      auto prog = dacelite::make_jacobi1d(48, 2, 2);
+      dacelite::to_cpu_free(prog.sdfg);
+      vgpu::Machine m(hgx(2));
+      vshmem::World w(m);
+      ProgramData data(w, prog.sdfg, data_functional);
+      if (spawned) {
+        m.engine().spawn(
+            dacelite::execute_persistent_task(m, w, data, prog.sdfg, opt));
+        expect_rejected("execute_persistent_task", [&] { m.engine().run(); });
+      } else {
+        expect_rejected("execute_persistent", [&] {
+          (void)dacelite::execute_persistent(m, w, data, prog.sdfg, opt);
+        });
+      }
+    }
+  }
+}
+
 // Functional check of MapFusion: a two-stage pipeline (tmp = 2A; B = tmp+1)
 // computes the same result before and after fusion, and the fused program
 // launches half the kernels.

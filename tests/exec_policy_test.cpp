@@ -172,8 +172,9 @@ TEST(PolicyComposition, AllSevenVariantsProduceBitIdenticalGrids) {
 // ---- Persistent runs on a device slice --------------------------------------
 
 /// A 64x64 Jacobi2D for 6 iterations on devices {2, 3} of a 4-GPU node,
-/// driven to completion by run_slab or spawned as run_slab_persistent_task
-/// on an engine the test runs. Returns the final grid and its reference.
+/// driven to completion by run_program or spawned as
+/// run_program_persistent_task on an engine the test runs. Returns the final
+/// grid and its reference.
 std::pair<std::vector<double>, std::vector<double>> slice_run(Variant v,
                                                               bool spawned) {
   vgpu::Machine m(vgpu::MachineSpec::hgx_a100(4));
@@ -186,11 +187,11 @@ std::pair<std::vector<double>, std::vector<double>> slice_run(Variant v,
   stencil::SlabStencil<stencil::Jacobi2D> S(w, prob, cfg);
   const stencil::SlabSetup setup = stencil::make_slab_setup(S, v);
   if (spawned) {
-    m.engine().spawn(exec::run_slab_persistent_task(setup.program, setup.plan,
-                                                    setup.params));
+    m.engine().spawn(exec::run_program_persistent_task(
+        setup.program, setup.plan, setup.params));
     m.engine().run();
   } else {
-    exec::run_slab(setup.program, setup.plan, setup.params);
+    exec::run_program(setup.program, setup.plan, setup.params);
   }
   return {S.gather(cfg.iterations & 1), S.reference(cfg.iterations)};
 }
@@ -217,9 +218,9 @@ TEST(RunSlab, RejectsInvalidPlan) {
   // Persistent launch with host-barrier sync can never compose.
   const Plan bad{LaunchPolicy::kPersistent, CommPolicy::kSignaledPut,
                  SyncPolicy::kHostBarrier};
-  exec::SlabExecParams params;
-  params.iterations = 1;
-  EXPECT_THROW(exec::run_slab(stencil::detail::make_program(S), bad, params),
+  const stencil::SlabSetup setup =
+      stencil::make_slab_setup(S, Variant::kCpuFree);
+  EXPECT_THROW(exec::run_program(setup.program, bad, setup.params),
                std::invalid_argument);
 }
 
@@ -242,10 +243,10 @@ TEST(RunSlab, PersistentTaskRejectsHostLoopAndInvalidPlans) {
     stencil::StencilConfig cfg;
     cfg.iterations = 1;
     stencil::SlabStencil<stencil::Jacobi2D> S(w, prob, cfg);
-    const exec::SlabProgram program = stencil::detail::make_program(S);
-    exec::SlabExecParams params;
-    params.iterations = 1;
-    m.engine().spawn(exec::run_slab_persistent_task(program, plan, params));
+    const stencil::SlabSetup setup =
+        stencil::make_slab_setup(S, Variant::kCpuFree);
+    m.engine().spawn(
+        exec::run_program_persistent_task(setup.program, plan, setup.params));
     try {
       m.engine().run();
       ADD_FAILURE() << "expected std::invalid_argument (" << why << ')';

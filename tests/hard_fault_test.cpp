@@ -32,7 +32,6 @@
 #include "check/detector.hpp"
 #include "cpufree/metrics.hpp"
 #include "exec/program.hpp"
-#include "exec/slab.hpp"
 #include "fault/schedule.hpp"
 #include "serve/server.hpp"
 #include "sim/rng.hpp"
@@ -146,8 +145,8 @@ std::map<int, std::map<int, std::vector<double>>> ckpt_snapshots() {
   exec::CheckpointStore store(2);
   setup.params.checkpoint_every = 2;
   setup.params.checkpoint_store = &store;
-  m.engine().spawn(
-      exec::run_slab_persistent_task(setup.program, setup.plan, setup.params));
+  m.engine().spawn(exec::run_program_persistent_task(setup.program, setup.plan,
+                                                     setup.params));
   m.engine().run();
   EXPECT_EQ(S.gather(cfg.iterations & 1), S.reference(cfg.iterations));
   EXPECT_EQ(store.last_complete(), 6);  // 2, 4, 6 (never the final iteration)

@@ -1,14 +1,17 @@
 // Tests for the stencil library: slab decomposition, functional correctness
 // of every variant against the serial reference (the core integration test of
 // the whole stack), no-compute mode, timing-only mode, and the performance
-// ordering the paper reports.
+// ordering the paper reports. A digest over generated cases pins every
+// knob a composition reads, byte for byte.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
+#include "cpufree/metrics.hpp"
 #include "cpufree/partition.hpp"
 #include "stencil/config.hpp"
 #include "stencil/problems.hpp"
@@ -455,6 +458,102 @@ INSTANTIATE_TEST_SUITE_P(
                                          Variant::kCpuFreePerks,
                                          Variant::kCpuFreeTwoKernels),
                        ::testing::Values(2, 4, 8)));
+
+/// FNV-1a over a 64-bit word's bytes, low byte first.
+void fnv_word(std::uint64_t& h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 1099511628211ull;
+  }
+}
+
+void fnv_text(std::uint64_t& h, std::string_view text) {
+  for (char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+}
+
+TEST(StencilDigest, GeneratedKnobCasesArePinned) {
+  // Every variant on a small Jacobi2D and Jacobi3D, over 2 and 4 devices,
+  // both block sizes and two persistent grids; then CPU-Free under each
+  // ablation knob (block split, put scope, no-compute mode), the two-kernel
+  // design under a block split it must ignore, and the NVSHMEM baseline
+  // with thread-scoped puts. A discrete launch's block size never
+  // reaches simulated time, so the persistent variants also run a domain
+  // larger than their resident threads, where the software-tiling model
+  // reads it. Each case adds its metrics JSON, final parity and bitwise
+  // verdict.
+  constexpr Variant kSeven[] = {
+      Variant::kBaselineCopy,    Variant::kBaselineOverlap,
+      Variant::kBaselineP2P,     Variant::kBaselineNvshmem,
+      Variant::kCpuFree,         Variant::kCpuFreePerks,
+      Variant::kCpuFreeTwoKernels};
+  Jacobi2D p2;
+  p2.nx = 32;
+  p2.ny = 32;
+  Jacobi3D p3;
+  p3.nx = 8;
+  p3.ny = 8;
+  p3.nz = 8;
+  Jacobi2D tiled;
+  tiled.nx = 128;
+  tiled.ny = 128;
+  std::uint64_t h = 1469598103934665603ull;
+  int cases = 0;
+  int verified = 0;
+  const auto add = [&](const RunOutput& out) {
+    fnv_text(h, cpufree::to_json(out.result.metrics));
+    fnv_word(h, static_cast<std::uint64_t>(out.result.final_parity));
+    fnv_word(h, out.verified ? 1 : 0);
+    ++cases;
+    if (out.verified) ++verified;
+  };
+  for (bool three_d : {false, true}) {
+    for (int devices : {2, 4}) {
+      const auto run = [&](Variant v, const StencilConfig& cfg) {
+        add(three_d ? stencil::run_jacobi3d(v, hgx(devices), p3, cfg)
+                    : stencil::run_jacobi2d(v, hgx(devices), p2, cfg));
+      };
+      for (Variant v : kSeven) {
+        for (int tpb : {256, 1024}) {
+          for (int pb : {4, 12}) {
+            StencilConfig cfg = small_cfg(5);
+            cfg.threads_per_block = tpb;
+            cfg.persistent_blocks = pb;
+            run(v, cfg);
+          }
+        }
+      }
+      StencilConfig single = small_cfg(5);
+      single.tb_policy = stencil::TbPolicy::kSingleBlock;
+      run(Variant::kCpuFree, single);
+      run(Variant::kCpuFreeTwoKernels, single);  // ignores the ablation
+      StencilConfig equal = small_cfg(5);
+      equal.tb_policy = stencil::TbPolicy::kEqualSplit;
+      run(Variant::kCpuFree, equal);
+      StencilConfig thread = small_cfg(5);
+      thread.comm_scope = vshmem::Scope::kThread;
+      run(Variant::kCpuFree, thread);
+      run(Variant::kBaselineNvshmem, thread);
+      StencilConfig no_compute = small_cfg(5);
+      no_compute.compute_enabled = false;
+      run(Variant::kCpuFree, no_compute);
+    }
+  }
+  for (Variant v : {Variant::kCpuFree, Variant::kCpuFreePerks,
+                    Variant::kCpuFreeTwoKernels}) {
+    for (int tpb : {256, 1024}) {
+      StencilConfig cfg = small_cfg(3);
+      cfg.threads_per_block = tpb;
+      cfg.persistent_blocks = 4;
+      add(stencil::run_jacobi2d(v, hgx(2), tiled, cfg));
+    }
+  }
+  EXPECT_EQ(cases, 142);
+  EXPECT_EQ(verified, 138);  // all but the four no-compute cases
+  EXPECT_EQ(h, 0x6752a45f80ae902ull);
+}
 
 TEST(Determinism, RepeatedRunsIdentical) {
   Jacobi2D prob;
