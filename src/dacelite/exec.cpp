@@ -10,6 +10,7 @@
 #include "cpufree/halo.hpp"
 #include "cpufree/perks.hpp"
 #include "dacelite/transforms.hpp"
+#include "exec/launch.hpp"
 #include "exec/policy.hpp"
 #include "exec/program.hpp"
 #include "vgpu/host.hpp"
@@ -100,7 +101,7 @@ std::string describe_put_expansions(const Sdfg& sdfg,
 
 ProgramData::ProgramData(vshmem::World& world, const Sdfg& sdfg,
                          bool functional)
-    : functional_(functional) {
+    : world_(&world), functional_(functional) {
   world.set_functional(functional);
   for (const auto& [name, desc] : sdfg.arrays) {
     const std::size_t n = functional ? desc.size : 1;
@@ -146,22 +147,17 @@ namespace {
 
 /// Runs one state on one rank's host thread: discrete kernels for GPU maps,
 /// MPI library nodes with the stream syncs and staging copies the DaCe
-/// baseline generates around them (Fig. 5.1).
-sim::Task run_state_discrete(vgpu::Machine& m, hostmpi::Comm& comm,
+/// baseline generates around them (Fig. 5.1). `reqs` holds the rank's
+/// outstanding MPI requests.
+sim::Task run_state_discrete(vgpu::HostCtx& h, hostmpi::Comm& comm,
                              ProgramData& data, const State& state,
                              vgpu::Stream& stream, int rank, int t,
-                             const ExecOptions& opt,
                              std::vector<hostmpi::Request>& reqs) {
-  vgpu::HostCtx h(m, rank);
-  const int size = m.num_devices();
+  const int size = data.world().n_pes();
   for (const Node& node : state.nodes) {
     if (const auto* map = std::get_if<MapNode>(&node)) {
       const double bytes = map->points * map->bytes_per_point;
       if (map->schedule == Schedule::kGpuDevice) {
-        const int blocks = std::max(
-            1, static_cast<int>(map->points /
-                                static_cast<double>(opt.threads_per_block)) +
-                   1);
         std::function<void()> fnl;
         if (data.functional() && map->body) {
           fnl = [&data, map, rank, size, t] {
@@ -169,15 +165,8 @@ sim::Task run_state_discrete(vgpu::Machine& m, hostmpi::Comm& comm,
             map->body(c);
           };
         }
-        vgpu::LaunchConfig lc;
-        lc.threads_per_block = opt.threads_per_block;
-        lc.name = "map";
-        std::function<sim::Task(vgpu::KernelCtx&)> body =
-            [bytes, fnl = std::move(fnl)](vgpu::KernelCtx& k) -> sim::Task {
-          std::function<void()> f = fnl;
-          co_await k.compute(bytes, 1.0, "map", std::move(f));
-        };
-        CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body)));
+        CO_AWAIT(exec::launch_compute(h, stream, "map", "map", bytes,
+                                      std::move(fnl)));
       } else {
         // CPU-scheduled map: runs on the host thread.
         if (data.functional() && map->body) {
@@ -264,6 +253,10 @@ sim::Task run_state_discrete(vgpu::Machine& m, hostmpi::Comm& comm,
   CO_AWAIT(h.sync_stream(stream));
 }
 
+constexpr exec::Plan kDiscretePlan{
+    exec::LaunchPolicy::kHostLoop, exec::CommPolicy::kStagedCopy,
+    exec::SyncPolicy::kHostBarrier, "dacelite_discrete"};
+
 }  // namespace
 
 ExecResult execute_discrete(vgpu::Machine& machine, hostmpi::Comm& comm,
@@ -273,27 +266,35 @@ ExecResult execute_discrete(vgpu::Machine& machine, hostmpi::Comm& comm,
   sdfg.validate();
   machine.trace().set_enabled(options.trace);
   const int iters = resolve_iterations(sdfg, options);
-  std::vector<vgpu::Stream*> streams;
-  for (int d = 0; d < machine.num_devices(); ++d) {
-    streams.push_back(&machine.device(d).create_stream());
-  }
-  machine.run_host_threads([&machine, &comm, &data, &sdfg, &streams, &options,
-                            iters](int rank) -> sim::Task {
-    vgpu::HostCtx h(machine, rank);
-    std::vector<hostmpi::Request> reqs;
-    vgpu::Stream& stream = *streams[static_cast<std::size_t>(rank)];
-    for (const State& st : sdfg.setup) {
-      CO_AWAIT(run_state_discrete(machine, comm, data, st, stream, rank, 0,
-                                  options, reqs));
-    }
-    for (int t = 1; t <= iters; ++t) {
-      for (const State& st : sdfg.body) {
-        CO_AWAIT(run_state_discrete(machine, comm, data, st, stream, rank, t,
-                                    options, reqs));
+  vshmem::World& world = data.world();
+  // Each rank's outstanding MPI requests, kept across steps.
+  std::vector<std::vector<hostmpi::Request>> reqs(
+      static_cast<std::size_t>(world.n_pes()));
+  exec::Program prog;
+  prog.machine = &machine;
+  prog.world = &world;
+  prog.n_pes = world.n_pes();
+  // Rank `rank`'s step t: the setup states (as iteration 0) at the top of
+  // step 1, every body state, and the closing stream sync after the last.
+  prog.host_step = [&comm, &data, &sdfg, &reqs, iters](
+                       vgpu::HostCtx& h, int rank, int t,
+                       std::span<vgpu::Stream* const> streams,
+                       vshmem::SignalSet*) -> sim::Task {
+    vgpu::Stream& stream = *streams[0];
+    auto& rank_reqs = reqs[static_cast<std::size_t>(rank)];
+    if (t == 1) {
+      for (const State& st : sdfg.setup) {
+        CO_AWAIT(run_state_discrete(h, comm, data, st, stream, rank, 0,
+                                    rank_reqs));
       }
     }
-    CO_AWAIT(h.sync_stream(stream));
-  });
+    for (const State& st : sdfg.body) {
+      CO_AWAIT(
+          run_state_discrete(h, comm, data, st, stream, rank, t, rank_reqs));
+    }
+    if (t == iters) CO_AWAIT(h.sync_stream(stream));
+  };
+  exec::run_program(prog, kDiscretePlan, {.iterations = iters});
   ExecResult r;
   r.iterations = iters;
   r.put_expansion = "mpi";

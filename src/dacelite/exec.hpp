@@ -4,7 +4,8 @@
 //  * execute_discrete  — the existing DaCe distributed workflow: per
 //    iteration, per state, the host launches discrete kernels for GPU maps
 //    and drives MPI library nodes with stream synchronizations and staging
-//    copies in between (Fig. 5.1).
+//    copies in between (Fig. 5.1). It lowers to an exec::Program host step
+//    under the (host_loop, staged_copy, host_barrier) plan.
 //  * execute_persistent — the CPU-Free workflow this work adds: one
 //    cooperative persistent kernel per device; NVSHMEM library nodes expand
 //    in-kernel with the §5.3.1 shape-based specialization, conservatively
@@ -33,6 +34,9 @@ struct ExecOptions {
   /// run; every entry point throws std::invalid_argument when they differ.
   bool functional = true;
   bool trace = true;
+  /// Threads per block of the persistent backend's cooperative launch: it
+  /// caps the co-resident blocks and sizes the software-tiling model. A
+  /// discrete launch has no grid size, so the discrete backend ignores it.
   int threads_per_block = 1024;
   /// Co-resident blocks per device for the persistent backend; 0 (default)
   /// derives one block per SM from MachineSpec::sm_count at launch time.
@@ -92,6 +96,8 @@ class ProgramData {
     return arrays_.at(array);
   }
   [[nodiscard]] vshmem::SignalSet& signals() { return *signals_; }
+  /// The world the arrays live in.
+  [[nodiscard]] vshmem::World& world() { return *world_; }
   [[nodiscard]] bool functional() const { return functional_; }
 
   /// ExecCtx for functional node bodies on `rank` at iteration `t`.
@@ -100,6 +106,7 @@ class ProgramData {
  private:
   std::map<std::string, vshmem::Sym<double>> arrays_;
   std::unique_ptr<vshmem::SignalSet> signals_;
+  vshmem::World* world_;
   bool functional_;
 };
 

@@ -14,12 +14,15 @@ namespace dacelite {
 
 namespace {
 
-/// Every frontend needs at least one rank: its shapes divide by the count.
-void require_ranks(int ranks, const char* fn) {
-  if (ranks < 1) {
+/// Rejects `value` < 1 for the count `what`. Every frontend needs at least
+/// one rank (its shapes divide by the count) and one iteration.
+void require_positive(int value, const char* what, const char* fn) {
+  if (value < 1) {
     std::string msg(fn);
-    msg += ": ranks must be >= 1, got ";
-    msg += std::to_string(ranks);
+    msg += ": ";
+    msg += what;
+    msg += " must be >= 1, got ";
+    msg += std::to_string(value);
     throw std::invalid_argument(msg);
   }
 }
@@ -27,7 +30,7 @@ void require_ranks(int ranks, const char* fn) {
 }  // namespace
 
 std::pair<int, int> grid_dims(int ranks) {
-  require_ranks(ranks, "grid_dims");
+  require_positive(ranks, "ranks", "grid_dims");
   int px = static_cast<int>(std::sqrt(static_cast<double>(ranks)));
   while (px > 1 && ranks % px != 0) --px;
   return {px, ranks / px};  // px <= py
@@ -61,7 +64,8 @@ void jacobi1d_step(std::span<const double> src, std::span<double> dst,
 }  // namespace
 
 Jacobi1DProgram make_jacobi1d(std::size_t global_n, int ranks, int iterations) {
-  require_ranks(ranks, "jacobi1d");
+  require_positive(ranks, "ranks", "jacobi1d");
+  require_positive(iterations, "iterations", "jacobi1d");
   if (global_n % static_cast<std::size_t>(ranks) != 0) {
     throw std::invalid_argument("jacobi1d: global_n must divide by ranks");
   }
@@ -197,7 +201,8 @@ std::vector<double> Jacobi1DProgram::reference(int iterations) const {
 
 Jacobi2DProgram make_jacobi2d(std::size_t gx, std::size_t gy, int ranks,
                               int iterations, int force_px) {
-  require_ranks(ranks, "jacobi2d");
+  require_positive(ranks, "ranks", "jacobi2d");
+  require_positive(iterations, "iterations", "jacobi2d");
   Jacobi2DProgram prog;
   prog.gx = gx;
   prog.gy = gy;

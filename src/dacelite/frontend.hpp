@@ -20,7 +20,8 @@
 namespace dacelite {
 
 /// Rectangular process grid: px*py == ranks, px <= py, px maximal. This and
-/// both builders throw std::invalid_argument for ranks < 1.
+/// both builders throw std::invalid_argument for ranks < 1; the builders
+/// also for iterations < 1.
 [[nodiscard]] std::pair<int, int> grid_dims(int ranks);
 
 struct Jacobi1DProgram {

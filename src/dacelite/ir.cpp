@@ -96,6 +96,10 @@ void Sdfg::validate() const {
       check_array(e.array, st.name + " memlet");
     }
   };
+  if (default_iterations < 1) {
+    throw ValidationError("default_iterations must be >= 1, got " +
+                          std::to_string(default_iterations));
+  }
   for (const State& st : setup) check_state(st);
   for (const State& st : body) check_state(st);
   if (persistent && !gpu) {

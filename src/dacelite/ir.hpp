@@ -230,9 +230,10 @@ struct Sdfg {
     return body.back();
   }
 
-  /// Structural validation: every referenced array exists, memlet endpoints
-  /// are in range, NVSHMEM data nodes touch symmetric storage (after the
-  /// NVSHMEMArray transformation), and persistent SDFGs are GPU-scheduled.
+  /// Structural validation: the loop runs at least one iteration, every
+  /// referenced array exists, memlet endpoints are in range, NVSHMEM data
+  /// nodes touch symmetric storage (after the NVSHMEMArray transformation),
+  /// and persistent SDFGs are GPU-scheduled.
   void validate() const;
 };
 

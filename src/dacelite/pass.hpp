@@ -70,6 +70,8 @@ struct Recipe {
   /// Co-resident blocks per device; 0 derives from sm_count (clamped to the
   /// cooperative-launch cap by exec::resolve_persistent_blocks).
   int persistent_blocks = 0;
+  /// Threads per block of the persistent backend's cooperative launch; a
+  /// discrete launch has no grid size.
   int threads_per_block = 1024;
   /// Put-expansion override for NVSHMEM signaled puts (kAuto = §5.3.1).
   ExpansionChoice expansion = ExpansionChoice::kAuto;

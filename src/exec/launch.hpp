@@ -1,52 +1,43 @@
-// LaunchPolicy primitives: who drives the time loop.
+// The discrete launch primitive. A discrete kernel has no grid size: the
+// simulator charges what its body does, so a launch states only a stream,
+// a name and a body (vgpu::HostCtx::launch_single). launch_compute is the
+// shape most discrete kernels take: publish the phase's accesses, run the
+// numerics, charge one compute phase.
 //
-//  * host_loop          — one host thread per device runs a per-step body
-//    for t = 1..iterations (the discrete baselines and the DaCe-generated
-//    host program share this skeleton);
-//  * discrete_blocks    — grid size of a discrete launch covering N points.
-//
-// The persistent policies have one launcher, cpufree::spawn_persistent
-// (the whole CPU-Free host program: one cooperative launch per kernel per
-// device, one sync at the very end, §3.1.1); exec::run_program composes it.
+// The host loop issuing these launches belongs to exec::run_program
+// (LaunchPolicy::kHostLoop). The persistent policies have one launcher,
+// cpufree::spawn_persistent (the whole CPU-Free host program: one
+// cooperative launch per kernel per device, one sync at the very end,
+// §3.1.1); exec::run_program composes it.
 #pragma once
 
-#include <cstddef>
 #include <functional>
-#include <vector>
+#include <string_view>
+#include <utility>
 
-#include "sim/intmath.hpp"
 #include "sim/task.hpp"
 #include "vgpu/host.hpp"
-#include "vgpu/machine.hpp"
+#include "vgpu/kernel.hpp"
 
 namespace exec {
 
-/// Blocks for a discrete (non-cooperative) launch covering `points` points:
-/// exact integer ceil-div (sim::ceil_div), at least one block.
-[[nodiscard]] constexpr int discrete_blocks(std::size_t points,
-                                            int threads_per_block) {
-  const std::size_t blocks =
-      sim::ceil_div(points, static_cast<std::size_t>(threads_per_block));
-  return blocks < 1 ? 1 : static_cast<int>(blocks);
-}
-
-/// One step of a host-driven discrete loop on one device's host thread.
-using HostStepFn = std::function<sim::Task(vgpu::HostCtx&, int dev, int t)>;
-
-/// LaunchPolicy::kHostLoop: every device gets a host thread that runs
-/// `step(h, dev, t)` for t = 1..iterations. Streams and per-device state
-/// belong to the caller (captured inside `step`). The optional `stop`
-/// predicate is consulted before each step — a data-dependent termination
-/// test (CG convergence) sets it from inside the step.
-inline void host_loop(vgpu::Machine& machine, int iterations, HostStepFn step,
-                      std::function<bool(int dev)> stop = {}) {
-  machine.run_host_threads(
-      [&machine, iterations, &step, &stop](int dev) -> sim::Task {
-        vgpu::HostCtx h(machine, dev);
-        for (int t = 1; t <= iterations; ++t) {
-          if (stop && stop(dev)) co_return;
-          CO_AWAIT(step(h, dev, t));
-        }
+/// Launches discrete kernel `kernel` on `stream`: one compute phase named
+/// `phase` that streams `bytes` through device memory at full bandwidth,
+/// running `numerics` (the functional body; may be empty) at phase start.
+/// `observe` (nullable) first publishes the phase's accesses to an attached
+/// checker. Both names are views that must outlive the run. A plain
+/// function returning launch_single's task, so a launch adds no frame.
+inline sim::Task launch_compute(
+    vgpu::HostCtx& h, vgpu::Stream& stream, std::string_view kernel,
+    std::string_view phase, double bytes, std::function<void()> numerics,
+    std::function<void(vgpu::KernelCtx&)> observe = {}) {
+  return h.launch_single(
+      stream, kernel,
+      [phase, bytes, numerics = std::move(numerics),
+       observe = std::move(observe)](vgpu::KernelCtx& k) -> sim::Task {
+        if (observe && k.engine().observer() != nullptr) observe(k);
+        std::function<void()> f = numerics;
+        co_await k.compute(bytes, 1.0, phase, std::move(f));
       });
 }
 

@@ -178,6 +178,9 @@ struct RunOptions {
   bool functional = true;
   /// Record trace intervals (needed for comm/overlap metrics).
   bool trace = true;
+  /// Threads per block of a persistent (cooperative) launch: it caps the
+  /// co-resident blocks and sizes the persistent tiling models. A discrete
+  /// launch has no grid size and ignores it.
   int threads_per_block = 1024;
   /// Co-resident blocks for persistent launches. 0 (default) derives "one
   /// block of 1024 threads on each SM" (§6.1.2) from MachineSpec::sm_count

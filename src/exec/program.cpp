@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "cpufree/launch.hpp"
-#include "exec/launch.hpp"
 #include "exec/sync.hpp"
 #include "sim/sync.hpp"
 
@@ -188,8 +187,9 @@ std::shared_ptr<sim::Flag> spawn_program(const Program& P, const Plan& plan,
 }
 
 /// All kHostLoop compositions: allocate signals (signaled-put only), create
-/// the per-device streams in device-major order, then drive the discrete
-/// loop with the workload's step hook.
+/// the per-device streams in device-major order, then run one host thread
+/// per device that issues the workload's step for t = 1..iterations. The
+/// optional `stop` hook is consulted before each step.
 void run_host_driven(const Program& P, const Plan& plan,
                      const ProgramExecParams& prm) {
   vgpu::Machine& m = *P.machine;
@@ -207,15 +207,15 @@ void run_host_driven(const Program& P, const Plan& plan,
     }
   }
   vshmem::SignalSet* sigp = sig.get();
-  host_loop(m, prm.iterations,
-            [&P, &st, sigp](vgpu::HostCtx& h, int dev, int t) -> sim::Task {
-              return P.host_step(
-                  h, dev, t,
-                  std::span<vgpu::Stream* const>(
-                      st[static_cast<std::size_t>(dev)]),
-                  sigp);
-            },
-            P.stop);
+  m.run_host_threads([&m, &P, &prm, &st, sigp](int dev) -> sim::Task {
+    vgpu::HostCtx h(m, dev);
+    const std::span<vgpu::Stream* const> streams(
+        st[static_cast<std::size_t>(dev)]);
+    for (int t = 1; t <= prm.iterations; ++t) {
+      if (P.stop && P.stop(dev)) co_return;
+      CO_AWAIT(P.host_step(h, dev, t, streams, sigp));
+    }
+  });
 }
 
 }  // namespace
@@ -226,6 +226,18 @@ void run_program(const Program& program, const Plan& plan,
     throw std::invalid_argument(invalid_plan_message("run_program", plan));
   }
   if (plan.launch == LaunchPolicy::kHostLoop) {
+    // One host thread per machine device drives the PE of the same index.
+    const int n = program.machine->num_devices();
+    bool whole = program.n_pes == n;
+    for (int pe = 0; whole && pe < n; ++pe) {
+      whole = program.world->device_of(pe) == pe;
+    }
+    if (!whole) {
+      throw std::invalid_argument(
+          "run_program: launch: host_loop needs the whole-machine world, PE "
+          "i on device i (got " + std::to_string(program.n_pes) +
+          " PEs on " + std::to_string(n) + " devices)");
+    }
     run_host_driven(program, plan, params);
     return;
   }

@@ -19,7 +19,7 @@
 // dispatches on the plan, and no problem shape is baked in. Every workload
 // lowers to this one contract: the stencil variants
 // (stencil::make_slab_setup), the generalized histogram, the one CG solver
-// and the dacelite persistent backend.
+// and both dacelite backends.
 #pragma once
 
 #include <functional>
@@ -111,8 +111,9 @@ struct Program {
   int streams_per_device = 1;
   /// One step of the host-driven loop on device `dev` at iteration `t`.
   /// `sig` is the driver-allocated SignalSet (null unless `signals` ran).
-  /// Host-loop compositions require a whole-machine world (one host thread
-  /// per device, like every discrete baseline).
+  /// Host-loop compositions require a whole-machine world with PE i on
+  /// device i (one host thread per device, like every discrete baseline);
+  /// run_program rejects any other.
   std::function<sim::Task(vgpu::HostCtx&, int dev, int t,
                           std::span<vgpu::Stream* const> streams,
                           vshmem::SignalSet* sig)>
@@ -153,11 +154,13 @@ struct ProgramExecParams {
 };
 
 /// Runs `program` under `plan`, driving the machine to completion. Throws
-/// std::invalid_argument (naming the offending policy component) for plans
-/// that fail exec::valid(), and vgpu::CooperativeLaunchError when a
-/// persistent composition exceeds the co-residency limit. A persistent
-/// composition is run_program_persistent_task's launch plus engine.run():
-/// both run on the program's world, which may be a device slice.
+/// std::invalid_argument (naming the offending policy component), before
+/// creating anything, for plans that fail exec::valid() and for a host-loop
+/// plan on any world but the whole machine; and
+/// vgpu::CooperativeLaunchError when a persistent composition exceeds the
+/// co-residency limit. A persistent composition is
+/// run_program_persistent_task's launch plus engine.run(): both run on the
+/// program's world, which may be a device slice.
 void run_program(const Program& program, const Plan& plan,
                  const ProgramExecParams& params);
 

@@ -1,8 +1,8 @@
 // Shared integer/rounding helpers for cost arithmetic.
 //
-// Every layer that turns "work over capacity" into discrete units (blocks
-// per launch, nanoseconds per transfer, rounds per barrier) must round the
-// same way; a stray double round-trip or truncating cast silently misprices
+// Every layer that turns "work over capacity" into discrete units (PCIe
+// switches per tree, nanoseconds per transfer, rounds per barrier) must round
+// the same way; a stray double round-trip or truncating cast silently misprices
 // huge domains and sub-nanosecond transfers. The one definition of each rule
 // lives here.
 #pragma once

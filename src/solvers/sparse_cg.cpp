@@ -25,6 +25,7 @@
 #include "cpufree/halo.hpp"
 #include "cpufree/metrics.hpp"
 #include "exec/comm.hpp"
+#include "exec/launch.hpp"
 #include "exec/program.hpp"
 #include "exec/sync.hpp"
 #include "hostmpi/comm.hpp"
@@ -761,11 +762,6 @@ sim::Task host_step(HostLoop& loop, hostmpi::Comm& comm, vgpu::HostCtx& h,
   vshmem::Sym<double>& p = prob.p;
   const CsrSlice* st = &states[static_cast<std::size_t>(dev)];
   const double pts = st->points();
-  const int blocks =
-      std::max(1, static_cast<int>(pts / cfg.threads_per_block) + 1);
-  vgpu::LaunchConfig lc;
-  lc.threads_per_block = cfg.threads_per_block;
-  lc.name = op.phase;
   double* pq_partial = &loop.pq_partials[static_cast<std::size_t>(dev)];
   double* rr_partial = &loop.rr_partials[static_cast<std::size_t>(dev)];
   double& rz = loop.rz[static_cast<std::size_t>(dev)];
@@ -822,27 +818,23 @@ sim::Task host_step(HostLoop& loop, hostmpi::Comm& comm, vgpu::HostCtx& h,
       *pq_partial = prob.op->apply(*st, prob.p.on(dev), prob.q.on(dev));
     };
   }
-  {
-    auto body = [st, bytes = op.spmv_bytes(*st) + pts * kDotBytes,
-                 name = op.spmv_dot, f = std::move(f1), &p, dev,
-                 n](vgpu::KernelCtx& k) -> sim::Task {
-      if (k.engine().observer() != nullptr) {
-        if (dev > 0) {
-          k.obs_access(sim::MemRange::of(p.on(dev), st->idx(0, 0), st->nx),
-                       /*is_write=*/false, "p_halo_read");
-        }
-        if (dev + 1 < n) {
-          k.obs_access(
-              sim::MemRange::of(p.on(dev), st->idx(st->rows + 1, 0), st->nx),
-              /*is_write=*/false, "p_halo_read");
-        }
+  std::function<void(vgpu::KernelCtx&)> observe_halo_reads;
+  if (h.machine().engine().observer() != nullptr) {
+    observe_halo_reads = [st, &p, dev, n](vgpu::KernelCtx& k) {
+      if (dev > 0) {
+        k.obs_access(sim::MemRange::of(p.on(dev), st->idx(0, 0), st->nx),
+                     /*is_write=*/false, "p_halo_read");
       }
-      std::function<void()> fn = f;
-      co_await k.compute(bytes, 1.0, name, std::move(fn));
+      if (dev + 1 < n) {
+        k.obs_access(
+            sim::MemRange::of(p.on(dev), st->idx(st->rows + 1, 0), st->nx),
+            /*is_write=*/false, "p_halo_read");
+      }
     };
-    std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
-    CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body_fn)));
   }
+  CO_AWAIT(exec::launch_compute(h, stream, op.phase, op.spmv_dot,
+                                op.spmv_bytes(*st) + pts * kDotBytes,
+                                std::move(f1), std::move(observe_halo_reads)));
   CO_AWAIT(h.sync_stream(stream));
   co_await h.api("memcpy_dtoh_scalar");
   CO_AWAIT(exec::host_allreduce(comm, h, dev, n, /*tag=*/0, *pq_partial,
@@ -858,15 +850,9 @@ sim::Task host_step(HostLoop& loop, hostmpi::Comm& comm, vgpu::HostCtx& h,
                                   prob.x.on(dev), prob.r.on(dev));
     };
   }
-  {
-    auto body = [pts, f = std::move(f2)](vgpu::KernelCtx& k) -> sim::Task {
-      std::function<void()> fn = f;
-      co_await k.compute(pts * (kAxpy2Bytes + kDotBytes), 1.0, "axpy+dot",
-                         std::move(fn));
-    };
-    std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
-    CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body_fn)));
-  }
+  CO_AWAIT(exec::launch_compute(h, stream, op.phase, "axpy+dot",
+                                pts * (kAxpy2Bytes + kDotBytes),
+                                std::move(f2)));
   CO_AWAIT(h.sync_stream(stream));
   co_await h.api("memcpy_dtoh_scalar");
   CO_AWAIT(exec::host_allreduce(comm, h, dev, n, /*tag=*/1, *rr_partial,
@@ -887,14 +873,8 @@ sim::Task host_step(HostLoop& loop, hostmpi::Comm& comm, vgpu::HostCtx& h,
       st->p_update(beta, prob.r.on(dev), prob.p.on(dev));
     };
   }
-  {
-    auto body = [pts, f = std::move(f3)](vgpu::KernelCtx& k) -> sim::Task {
-      std::function<void()> fn = f;
-      co_await k.compute(pts * kPUpdateBytes, 1.0, "p_update", std::move(fn));
-    };
-    std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
-    CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body_fn)));
-  }
+  CO_AWAIT(exec::launch_compute(h, stream, op.phase, "p_update",
+                                pts * kPUpdateBytes, std::move(f3)));
   co_await exec::end_host_step(h, exec::SyncPolicy::kHostBarrier,
                                step_streams);
 }

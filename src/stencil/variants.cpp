@@ -15,7 +15,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,21 +31,6 @@
 namespace stencil {
 
 namespace {
-
-/// Kernel body: one compute phase of `bytes` DRAM traffic at `bw_fraction`,
-/// running `fnl` (the functional numerics) at phase start. `observe`
-/// (nullable) publishes the phase's checker-visible accesses first.
-std::function<sim::Task(vgpu::KernelCtx&)> compute_only_body(
-    double bytes, double bw_fraction, const char* label,
-    std::function<void()> fnl,
-    std::function<void(vgpu::KernelCtx&)> observe = {}) {
-  return [bytes, bw_fraction, label, fnl = std::move(fnl),
-          observe = std::move(observe)](vgpu::KernelCtx& k) -> sim::Task {
-    if (observe) observe(k);
-    std::function<void()> body = fnl;
-    co_await k.compute(bytes, bw_fraction, label, std::move(body));
-  };
-}
 
 /// Publishes the halo-protocol accesses of updating `dev`'s `top_side`
 /// boundary slab at iteration `t`: the read of the neighbour-owned halo slab
@@ -65,16 +49,12 @@ void observe_boundary_update(SlabStencil<P>& S, vgpu::KernelCtx& k, int dev,
                /*is_write=*/true, "boundary_write");
 }
 
-/// Checker hook publishing both sides' boundary updates (null when no
-/// checker is attached, so disabled runs build nothing).
+/// Publishes both sides' boundary updates of `dev` at iteration `t`.
 template <class P>
-std::function<void(vgpu::KernelCtx&)> observe_both_sides(SlabStencil<P>& S,
-                                                         int dev, int t) {
-  if (S.machine().engine().observer() == nullptr) return {};
-  return [&S, dev, t](vgpu::KernelCtx& k) {
-    observe_boundary_update(S, k, dev, /*top_side=*/true, t);
-    observe_boundary_update(S, k, dev, /*top_side=*/false, t);
-  };
+void observe_both_sides(SlabStencil<P>& S, vgpu::KernelCtx& k, int dev,
+                        int t) {
+  observe_boundary_update(S, k, dev, /*top_side=*/true, t);
+  observe_boundary_update(S, k, dev, /*top_side=*/false, t);
 }
 
 /// Checker-facing byte ranges of `dev`'s iteration-`t` halo pushes for the
@@ -110,35 +90,17 @@ std::unique_ptr<vshmem::SignalSet> alloc_halo_signals(vshmem::World& w,
   return sig;
 }
 
-/// Launch configuration of a discrete stencil kernel named `name`.
-template <class P>
-vgpu::LaunchConfig discrete_launch(const SlabStencil<P>& S,
-                                   std::string_view name) {
-  vgpu::LaunchConfig lc;
-  lc.threads_per_block = S.config().threads_per_block;
-  lc.name = name;
-  return lc;
-}
-
-/// Blocks of a discrete launch over `dev`'s whole interior.
-template <class P>
-int interior_blocks(const SlabStencil<P>& S, int dev) {
-  return exec::discrete_blocks(static_cast<std::size_t>(S.local_points(dev)),
-                               S.config().threads_per_block);
-}
-
 /// (kHostLoop, kStagedCopy, kHostBarrier) step: one kernel, halo memcpys in
 /// the same stream, stream sync + host barrier.
 template <class P>
 sim::Task staged_step(SlabStencil<P>& S, exec::Plan plan, vgpu::HostCtx& h,
                       int dev, int t, vgpu::Stream& stream) {
   const std::size_t rows = S.rows(dev);
-  auto fnl = S.update_body(dev, t, 1, rows + 1);
-  auto body = compute_only_body(S.compute_bytes(static_cast<double>(rows)),
-                                1.0, "stencil", std::move(fnl),
-                                observe_both_sides(S, dev, t));
-  CO_AWAIT(h.launch_single(stream, discrete_launch(S, plan.kernel_name),
-                           interior_blocks(S, dev), std::move(body)));
+  CO_AWAIT(exec::launch_compute(
+      h, stream, plan.kernel_name, "stencil",
+      S.compute_bytes(static_cast<double>(rows)),
+      S.update_body(dev, t, 1, rows + 1),
+      [&S, dev, t](vgpu::KernelCtx& k) { observe_both_sides(S, k, dev, t); }));
   CO_AWAIT(exec::staged_halo_exchange(h, stream, dev, S.n_pes(),
                                       S.halo_bytes(), halo_deliver(S, dev, t),
                                       make_halo_ranges(S, dev, t)));
@@ -154,8 +116,6 @@ sim::Task overlap_step(SlabStencil<P>& S, exec::Plan plan, vgpu::HostCtx& h,
                        int dev, int t, vgpu::Stream& comp_s,
                        vgpu::Stream& comm_s) {
   const std::size_t rows = S.rows(dev);
-  const int bnd_blocks =
-      exec::discrete_blocks(2 * S.plane(), S.config().threads_per_block);
   // Boundary rows + halo pushes in the comm stream...
   auto fnl_top = S.update_body(dev, t, 1, 2);
   auto fnl_bot = S.update_body(dev, t, rows, rows + 1);
@@ -163,18 +123,15 @@ sim::Task overlap_step(SlabStencil<P>& S, exec::Plan plan, vgpu::HostCtx& h,
     if (f1) f1();
     if (f2) f2();
   };
-  auto bnd_body =
-      compute_only_body(S.compute_bytes(2.0), 1.0, "boundary",
-                        std::move(fnl_bnd), observe_both_sides(S, dev, t));
-  CO_AWAIT(h.launch_single(comm_s, discrete_launch(S, "boundary"), bnd_blocks,
-                           std::move(bnd_body)));
+  CO_AWAIT(exec::launch_compute(
+      h, comm_s, "boundary", "boundary", S.compute_bytes(2.0),
+      std::move(fnl_bnd),
+      [&S, dev, t](vgpu::KernelCtx& k) { observe_both_sides(S, k, dev, t); }));
   // ...overlapped with the inner kernel in the comp stream.
-  auto fnl_in = S.update_body(dev, t, 2, rows);
-  auto in_body =
-      compute_only_body(S.compute_bytes(static_cast<double>(rows) - 2.0), 1.0,
-                        "inner", std::move(fnl_in));
-  CO_AWAIT(h.launch_single(comp_s, discrete_launch(S, "inner"),
-                           interior_blocks(S, dev), std::move(in_body)));
+  CO_AWAIT(exec::launch_compute(
+      h, comp_s, "inner", "inner",
+      S.compute_bytes(static_cast<double>(rows) - 2.0),
+      S.update_body(dev, t, 2, rows)));
   CO_AWAIT(exec::staged_halo_exchange(h, comm_s, dev, S.n_pes(),
                                       S.halo_bytes(), halo_deliver(S, dev, t),
                                       make_halo_ranges(S, dev, t)));
@@ -192,10 +149,7 @@ sim::Task peer_store_step(SlabStencil<P>& S, exec::Plan plan,
   auto fnl = S.update_body(dev, t, 1, rows + 1);
   auto body = [&S, dev, t, rows,
                fnl = std::move(fnl)](vgpu::KernelCtx& k) -> sim::Task {
-    if (k.engine().observer() != nullptr) {
-      observe_boundary_update(S, k, dev, /*top_side=*/true, t);
-      observe_boundary_update(S, k, dev, /*top_side=*/false, t);
-    }
+    if (k.engine().observer() != nullptr) observe_both_sides(S, k, dev, t);
     std::function<void()> f = fnl;
     co_await k.compute(S.compute_bytes(static_cast<double>(rows)), 1.0,
                        "stencil", std::move(f));
@@ -204,9 +158,7 @@ sim::Task peer_store_step(SlabStencil<P>& S, exec::Plan plan,
                                     halo_deliver(S, dev, t),
                                     make_halo_ranges(S, dev, t)));
   };
-  std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
-  CO_AWAIT(h.launch_single(stream, discrete_launch(S, plan.kernel_name),
-                           interior_blocks(S, dev), std::move(body_fn)));
+  CO_AWAIT(h.launch_single(stream, plan.kernel_name, std::move(body)));
   vgpu::Stream* const streams[] = {&stream};
   co_await exec::end_host_step(h, plan.sync, streams);
 }
@@ -221,17 +173,11 @@ sim::Task signaled_step(SlabStencil<P>& S, exec::Plan plan, vgpu::HostCtx& h,
                         vshmem::SignalSet* sigp) {
   vshmem::World& w = S.world();
   const int n = S.n_pes();
-  vgpu::LaunchConfig lsync;
-  lsync.threads_per_block = 32;
-  lsync.name = "neighbor_sync";
   auto fnl = S.update_body(dev, t, 1, S.rows(dev) + 1);
   auto body = [&S, &w, sigp, dev, t, n,
                fnl = std::move(fnl)](vgpu::KernelCtx& k) -> sim::Task {
     cpufree::IterationProtocol proto(w, *sigp);
-    if (k.engine().observer() != nullptr) {
-      observe_boundary_update(S, k, dev, /*top_side=*/true, t);
-      observe_boundary_update(S, k, dev, /*top_side=*/false, t);
-    }
+    if (k.engine().observer() != nullptr) observe_both_sides(S, k, dev, t);
     std::function<void()> f = fnl;
     co_await k.compute(S.compute_bytes(static_cast<double>(S.rows(dev))), 1.0,
                        "stencil", std::move(f));
@@ -250,9 +196,7 @@ sim::Task signaled_step(SlabStencil<P>& S, exec::Plan plan, vgpu::HostCtx& h,
           t + 1, dev + 1, scope);
     }
   };
-  std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
-  CO_AWAIT(h.launch_single(stream, discrete_launch(S, plan.kernel_name),
-                           interior_blocks(S, dev), std::move(body_fn)));
+  CO_AWAIT(h.launch_single(stream, plan.kernel_name, std::move(body)));
   // Dedicated kernel that synchronizes with the two neighbours only
   // (avoids redundantly synchronizing all PEs, §6.1.1).
   auto sync_body = [&w, sigp, dev, t, n](vgpu::KernelCtx& k) -> sim::Task {
@@ -265,8 +209,7 @@ sim::Task signaled_step(SlabStencil<P>& S, exec::Plan plan, vgpu::HostCtx& h,
     }
     co_await w.quiet(k);
   };
-  std::function<sim::Task(vgpu::KernelCtx&)> sync_fn = std::move(sync_body);
-  CO_AWAIT(h.launch_single(stream, lsync, 1, std::move(sync_fn)));
+  CO_AWAIT(h.launch_single(stream, "neighbor_sync", std::move(sync_body)));
   vgpu::Stream* const streams[] = {&stream};
   co_await exec::end_host_step(h, plan.sync, streams);
 }

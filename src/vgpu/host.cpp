@@ -58,11 +58,11 @@ sim::Task HostCtx::launch(Stream& stream, LaunchConfig config,
   });
 }
 
-sim::Task HostCtx::launch_single(Stream& stream, LaunchConfig config, int blocks,
-                                 std::function<sim::Task(KernelCtx&)> fn) {
+sim::Task HostCtx::launch_single(Stream& stream, std::string_view name,
+                                 std::function<sim::Task(KernelCtx&)> body) {
   std::vector<BlockGroup> groups;
-  groups.push_back(BlockGroup{config.name, blocks, std::move(fn)});
-  CO_AWAIT(launch(stream, config, std::move(groups)));
+  groups.push_back(BlockGroup{name, 1, std::move(body)});
+  return launch(stream, LaunchConfig{.name = name}, std::move(groups));
 }
 
 sim::Task HostCtx::memcpy_peer_async(Stream& stream, int dst_device,

@@ -42,9 +42,12 @@ class HostCtx {
   sim::Task launch(Stream& stream, LaunchConfig config,
                    std::vector<BlockGroup> groups);
 
-  /// Convenience for single-group (conventional) kernels.
-  sim::Task launch_single(Stream& stream, LaunchConfig config, int blocks,
-                          std::function<sim::Task(KernelCtx&)> fn);
+  /// A discrete (non-cooperative) kernel of one block group, both named
+  /// `name` (a view: must outlive the run). A discrete launch has no grid
+  /// size: the simulator charges what `body` does, and a block count only
+  /// meets the co-residency cap of a cooperative launch.
+  sim::Task launch_single(Stream& stream, std::string_view name,
+                          std::function<sim::Task(KernelCtx&)> body);
 
   /// cudaMemcpyPeerAsync: host issues, stream executes, the interconnect
   /// charges host-initiated latency; `deliver` runs at payload arrival.

@@ -26,6 +26,8 @@ namespace vgpu {
 class KernelCtx;
 
 struct LaunchConfig {
+  /// Block size of a cooperative launch: with the block count it meets the
+  /// device's co-residency cap. A discrete launch reads neither.
   int threads_per_block = 1024;
   bool cooperative = false;
   /// Display name. A view so LaunchConfig stays trivially destructible (see

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cpufree/halo.hpp"
-#include "cpufree/launch.hpp"
 #include "exec/launch.hpp"
 #include "exec/program.hpp"
 #include "exec/sync.hpp"
@@ -348,25 +347,14 @@ sim::Task flush_rows_staged(HistCore& core, vgpu::HostCtx& h,
 /// contributions are on-device (barrier- or signal-paced by the caller).
 sim::Task launch_merge_kernel(HistCore& core, vgpu::HostCtx& h,
                               vgpu::Stream& stream, int dev, int t) {
-  vgpu::LaunchConfig lc;
-  lc.threads_per_block = core.cfg.threads_per_block;
-  lc.name = "hist_merge";
-  const int blocks = exec::discrete_blocks(
-      core.part.count[static_cast<std::size_t>(dev)],
-      core.cfg.threads_per_block);
   std::function<void()> fnl;
   if (core.cfg.functional) {
     fnl = [&core, dev, t] { merge_round(core, dev, t); };
   }
-  auto body = [&core, dev, t,
-               fnl = std::move(fnl)](vgpu::KernelCtx& k) -> sim::Task {
-    if (k.engine().observer() != nullptr) observe_merge(core, k, dev, t);
-    std::function<void()> f = fnl;
-    co_await k.compute(merge_bytes(core, dev, t), 1.0, "hist_merge",
-                       std::move(f));
-  };
-  std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
-  CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body_fn)));
+  return exec::launch_compute(
+      h, stream, "hist_merge", "hist_merge", merge_bytes(core, dev, t),
+      std::move(fnl),
+      [&core, dev, t](vgpu::KernelCtx& k) { observe_merge(core, k, dev, t); });
 }
 
 /// (kHostLoop, kStagedCopy, kHostBarrier) step: local kernel, host-staged
@@ -374,27 +362,16 @@ sim::Task launch_merge_kernel(HistCore& core, vgpu::HostCtx& h,
 sim::Task staged_step(HistCore& core, const exec::Plan& plan,
                       vgpu::HostCtx& h, int dev, int t,
                       vgpu::Stream& stream) {
-  vgpu::LaunchConfig lc;
-  lc.threads_per_block = core.cfg.threads_per_block;
-  lc.name = plan.kernel_name;
-  const int blocks = exec::discrete_blocks(core.cfg.keys_per_round,
-                                           core.cfg.threads_per_block);
   std::function<void()> fnl;
   if (core.cfg.functional) {
     fnl = [&core, dev, t] { accumulate_partials(core, dev, t, false, false); };
   }
-  auto body = [&core, dev, t,
-               fnl = std::move(fnl)](vgpu::KernelCtx& k) -> sim::Task {
-    if (k.engine().observer() != nullptr) {
-      observe_partial_writes(core, k, dev, t, false, false);
-    }
-    std::function<void()> f = fnl;
-    co_await k.compute(
-        static_cast<double>(core.cfg.keys_per_round) * kKeyBytes, 1.0,
-        "hist_local", std::move(f));
-  };
-  std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
-  CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body_fn)));
+  CO_AWAIT(exec::launch_compute(
+      h, stream, plan.kernel_name, "hist_local",
+      static_cast<double>(core.cfg.keys_per_round) * kKeyBytes, std::move(fnl),
+      [&core, dev, t](vgpu::KernelCtx& k) {
+        observe_partial_writes(core, k, dev, t, false, false);
+      }));
   CO_AWAIT(flush_rows_staged(core, h, stream, dev, t));
   vgpu::Stream* const streams[] = {&stream};
   // Fence every PE's flushes before any owner merges...
@@ -414,13 +391,6 @@ sim::Task overlap_step(HistCore& core, const exec::Plan& plan,
   const std::size_t remote =
       core.cfg.keys_per_round - core.edges->at(t, dev, dev).keys;
   const std::size_t self = core.cfg.keys_per_round - remote;
-  vgpu::LaunchConfig lcr;
-  lcr.threads_per_block = core.cfg.threads_per_block;
-  lcr.name = "hist_remote";
-  vgpu::LaunchConfig lcs;
-  lcs.threads_per_block = core.cfg.threads_per_block;
-  lcs.name = "hist_self";
-
   std::function<void()> fnl_remote, fnl_self;
   if (core.cfg.functional) {
     fnl_remote = [&core, dev, t] {
@@ -430,39 +400,18 @@ sim::Task overlap_step(HistCore& core, const exec::Plan& plan,
       accumulate_partials(core, dev, t, false, /*self_only=*/true);
     };
   }
-  auto remote_body = [&core, dev, t, remote,
-                      fnl = std::move(fnl_remote)](
-                         vgpu::KernelCtx& k) -> sim::Task {
-    if (k.engine().observer() != nullptr) {
-      observe_partial_writes(core, k, dev, t, /*remote_only=*/true, false);
-    }
-    std::function<void()> f = fnl;
-    co_await k.compute(static_cast<double>(remote) * kKeyBytes, 1.0,
-                       "hist_remote", std::move(f));
-  };
-  std::function<sim::Task(vgpu::KernelCtx&)> remote_fn =
-      std::move(remote_body);
-  CO_AWAIT(h.launch_single(
-      comm_s, lcr,
-      exec::discrete_blocks(std::max<std::size_t>(remote, 1),
-                            core.cfg.threads_per_block),
-      std::move(remote_fn)));
-
-  auto self_body = [&core, dev, t, self, fnl = std::move(fnl_self)](
-                       vgpu::KernelCtx& k) -> sim::Task {
-    if (k.engine().observer() != nullptr) {
-      observe_partial_writes(core, k, dev, t, false, /*self_only=*/true);
-    }
-    std::function<void()> f = fnl;
-    co_await k.compute(static_cast<double>(self) * kKeyBytes, 1.0,
-                       "hist_self", std::move(f));
-  };
-  std::function<sim::Task(vgpu::KernelCtx&)> self_fn = std::move(self_body);
-  CO_AWAIT(h.launch_single(
-      comp_s, lcs,
-      exec::discrete_blocks(std::max<std::size_t>(self, 1),
-                            core.cfg.threads_per_block),
-      std::move(self_fn)));
+  CO_AWAIT(exec::launch_compute(
+      h, comm_s, "hist_remote", "hist_remote",
+      static_cast<double>(remote) * kKeyBytes, std::move(fnl_remote),
+      [&core, dev, t](vgpu::KernelCtx& k) {
+        observe_partial_writes(core, k, dev, t, /*remote_only=*/true, false);
+      }));
+  CO_AWAIT(exec::launch_compute(
+      h, comp_s, "hist_self", "hist_self",
+      static_cast<double>(self) * kKeyBytes, std::move(fnl_self),
+      [&core, dev, t](vgpu::KernelCtx& k) {
+        observe_partial_writes(core, k, dev, t, false, /*self_only=*/true);
+      }));
 
   CO_AWAIT(flush_rows_staged(core, h, comm_s, dev, t));
   vgpu::Stream* const streams[] = {&comm_s, &comp_s};
@@ -477,11 +426,6 @@ sim::Task peer_store_step(HistCore& core, const exec::Plan& plan,
                           vgpu::HostCtx& h, int dev, int t,
                           vgpu::Stream& stream) {
   vshmem::World& w = *core.world;
-  vgpu::LaunchConfig lc;
-  lc.threads_per_block = core.cfg.threads_per_block;
-  lc.name = plan.kernel_name;
-  const int blocks = exec::discrete_blocks(core.cfg.keys_per_round,
-                                           core.cfg.threads_per_block);
   std::function<void()> fnl;
   if (core.cfg.functional) {
     fnl = [&core, dev, t] { accumulate_partials(core, dev, t, false, false); };
@@ -521,8 +465,7 @@ sim::Task peer_store_step(HistCore& core, const exec::Plan& plan,
                           std::move(deliver), rd, wr));
     }
   };
-  std::function<sim::Task(vgpu::KernelCtx&)> body_fn = std::move(body);
-  CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(body_fn)));
+  CO_AWAIT(h.launch_single(stream, plan.kernel_name, std::move(body)));
   vgpu::Stream* const streams[] = {&stream};
   co_await exec::end_host_step(h, plan.sync, streams);
   CO_AWAIT(launch_merge_kernel(core, h, stream, dev, t));
@@ -602,30 +545,15 @@ sim::Task signaled_step(HistCore& core, const exec::Plan& plan,
                         vgpu::HostCtx& h, int dev, int t,
                         vgpu::Stream& stream) {
   vshmem::World& w = *core.world;
-  vgpu::LaunchConfig lc;
-  lc.threads_per_block = core.cfg.threads_per_block;
-  lc.name = plan.kernel_name;
-  const int blocks = exec::discrete_blocks(core.cfg.keys_per_round,
-                                           core.cfg.threads_per_block);
   auto local_body = [&core, dev, t](vgpu::KernelCtx& k) -> sim::Task {
     co_await signaled_local_phase(core, k, dev, t, 1.0);
   };
-  std::function<sim::Task(vgpu::KernelCtx&)> local_fn = std::move(local_body);
-  CO_AWAIT(h.launch_single(stream, lc, blocks, std::move(local_fn)));
-
-  vgpu::LaunchConfig lm;
-  lm.threads_per_block = core.cfg.threads_per_block;
-  lm.name = "hist_merge";
+  CO_AWAIT(h.launch_single(stream, plan.kernel_name, std::move(local_body)));
   auto merge_body = [&core, &w, dev, t](vgpu::KernelCtx& k) -> sim::Task {
     co_await signaled_merge_phase(core, k, dev, t, 1.0);
     co_await w.quiet(k);
   };
-  std::function<sim::Task(vgpu::KernelCtx&)> merge_fn = std::move(merge_body);
-  CO_AWAIT(h.launch_single(
-      stream, lm,
-      exec::discrete_blocks(core.part.count[static_cast<std::size_t>(dev)],
-                            core.cfg.threads_per_block),
-      std::move(merge_fn)));
+  CO_AWAIT(h.launch_single(stream, "hist_merge", std::move(merge_body)));
   vgpu::Stream* const streams[] = {&stream};
   co_await exec::end_host_step(h, plan.sync, streams);
 }
@@ -685,36 +613,21 @@ exec::Program make_hist_program(HistCore& core, const exec::Plan& plan) {
   prog.n_pes = core.n;
   prog.streams_per_device =
       plan.comm == exec::CommPolicy::kOverlapStreams ? 2 : 1;
-  switch (plan.comm) {
-    case exec::CommPolicy::kStagedCopy:
-      prog.host_step = [&core, plan](vgpu::HostCtx& h, int dev, int t,
-                                     std::span<vgpu::Stream* const> streams,
-                                     vshmem::SignalSet*) {
+  prog.host_step = [&core, plan](vgpu::HostCtx& h, int dev, int t,
+                                 std::span<vgpu::Stream* const> streams,
+                                 vshmem::SignalSet*) {
+    switch (plan.comm) {
+      case exec::CommPolicy::kStagedCopy:
         return staged_step(core, plan, h, dev, t, *streams[0]);
-      };
-      break;
-    case exec::CommPolicy::kOverlapStreams:
-      prog.host_step = [&core, plan](vgpu::HostCtx& h, int dev, int t,
-                                     std::span<vgpu::Stream* const> streams,
-                                     vshmem::SignalSet*) {
+      case exec::CommPolicy::kOverlapStreams:
         return overlap_step(core, plan, h, dev, t, *streams[0], *streams[1]);
-      };
-      break;
-    case exec::CommPolicy::kPeerStore:
-      prog.host_step = [&core, plan](vgpu::HostCtx& h, int dev, int t,
-                                     std::span<vgpu::Stream* const> streams,
-                                     vshmem::SignalSet*) {
+      case exec::CommPolicy::kPeerStore:
         return peer_store_step(core, plan, h, dev, t, *streams[0]);
-      };
-      break;
-    case exec::CommPolicy::kSignaledPut:
-      prog.host_step = [&core, plan](vgpu::HostCtx& h, int dev, int t,
-                                     std::span<vgpu::Stream* const> streams,
-                                     vshmem::SignalSet*) {
-        return signaled_step(core, plan, h, dev, t, *streams[0]);
-      };
-      break;
-  }
+      case exec::CommPolicy::kSignaledPut:
+        break;
+    }
+    return signaled_step(core, plan, h, dev, t, *streams[0]);
+  };
   prog.groups = [&core](int dev, vshmem::SignalSet*,
                         const exec::IterationJoin& join) {
     return build_hist_groups(core, dev, join);

@@ -5,11 +5,16 @@
 // references in both backends.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <vector>
 
+#include "cpufree/metrics.hpp"
 #include "dacelite/exec.hpp"
 #include "dacelite/frontend.hpp"
 #include "dacelite/ir.hpp"
@@ -306,6 +311,29 @@ TEST(Frontend, FewerThanOneRankIsRejected) {
                     ranks);
     expect_rejected([](int r) { return dacelite::make_jacobi2d(48, r, 1); },
                     ranks);
+  }
+}
+
+TEST(Frontend, FewerThanOneIterationIsRejected) {
+  // A discrete run is a host loop of `iterations` steps whose first step
+  // runs the setup states, so zero iterations has no step to run them in:
+  // the builders reject it like a rank count, and so does validate() for a
+  // hand-built SDFG.
+  for (int iterations : {0, -1}) {
+    const auto expect_rejected = [iterations](auto build) {
+      try {
+        static_cast<void>(build(iterations));
+        ADD_FAILURE() << "iterations " << iterations << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("iterations"), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_rejected([](int it) { return dacelite::make_jacobi1d(48, 2, it); });
+    expect_rejected([](int it) { return dacelite::make_jacobi2d(48, 2, it); });
+    Sdfg s;
+    s.default_iterations = iterations;
+    EXPECT_THROW(s.validate(), ValidationError);
   }
 }
 
@@ -660,6 +688,97 @@ TEST(Determinism, GeneratedProgramsAreReproducible) {
     return r.metrics.total;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// --- Pinned digest -----------------------------------------------------------
+
+/// FNV-1a over a 64-bit word's bytes, low byte first.
+void fnv_word(std::uint64_t& h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 1099511628211ull;
+  }
+}
+
+void fnv_text(std::uint64_t& h, std::string_view text) {
+  for (char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+}
+
+TEST(DaceliteDigest, GeneratedCasesArePinned) {
+  // Both backends on Jacobi1D and Jacobi2D over 1-4 ranks, 1 and 3
+  // iterations, functional and timing-only runs and both block sizes (a
+  // discrete launch's block size never reaches simulated time; the
+  // persistent backend's caps its resident blocks); then the persistent
+  // ablations: conservative barriers, blocking puts, mapped p and each
+  // forced expansion. Each case adds its metrics JSON, put expansion,
+  // resolved persistent blocks and, when functional, the gathered result.
+  std::uint64_t h = 1469598103934665603ull;
+  int cases = 0;
+  const auto run = [&](auto prog, bool persistent, const ExecOptions& opt) {
+    dacelite::ExecResult r;
+    std::vector<double> got;
+    if (persistent) {
+      dacelite::to_cpu_free(prog.sdfg);
+      vgpu::Machine m(hgx(prog.ranks));
+      vshmem::World w(m);
+      ProgramData data(w, prog.sdfg, opt.functional);
+      r = dacelite::execute_persistent(m, w, data, prog.sdfg, opt);
+      if (opt.functional) got = prog.gather(data);
+    } else {
+      dacelite::apply_gpu_transform(prog.sdfg);
+      vgpu::Machine m(hgx(prog.ranks));
+      vshmem::World w(m);
+      hostmpi::Comm comm(m);
+      ProgramData data(w, prog.sdfg, opt.functional);
+      r = dacelite::execute_discrete(m, comm, data, prog.sdfg, opt);
+      if (opt.functional) got = prog.gather(data);
+    }
+    fnv_text(h, cpufree::to_json(r.metrics));
+    fnv_text(h, r.put_expansion);
+    fnv_word(h, static_cast<std::uint64_t>(r.persistent_blocks));
+    fnv_word(h, got.size());
+    for (double v : got) fnv_word(h, std::bit_cast<std::uint64_t>(v));
+    ++cases;
+  };
+  const auto both = [&](bool two_d, int ranks, int iters, bool persistent,
+                        const ExecOptions& opt) {
+    if (two_d) {
+      run(dacelite::make_jacobi2d(24, ranks, iters), persistent, opt);
+    } else {
+      run(dacelite::make_jacobi1d(48, ranks, iters), persistent, opt);
+    }
+  };
+  for (bool two_d : {false, true}) {
+    for (int ranks = 1; ranks <= 4; ++ranks) {
+      for (int iters : {1, 3}) {
+        for (bool functional : {true, false}) {
+          for (int tpb : {256, 1024}) {
+            for (bool persistent : {false, true}) {
+              ExecOptions opt;
+              opt.functional = functional;
+              opt.threads_per_block = tpb;
+              both(two_d, ranks, iters, persistent, opt);
+            }
+          }
+        }
+      }
+      std::vector<ExecOptions> ablations(6);
+      ablations[0].conservative_barriers = true;
+      ablations[1].blocking_puts = true;
+      ablations[2].mapped_p_expansion = true;
+      ablations[3].expansion = dacelite::ExpansionChoice::kContiguousSignal;
+      ablations[4].expansion = dacelite::ExpansionChoice::kStridedIputSignal;
+      ablations[5].expansion = dacelite::ExpansionChoice::kSingleElementP;
+      for (const ExecOptions& opt : ablations) {
+        both(two_d, ranks, 3, /*persistent=*/true, opt);
+      }
+    }
+  }
+  EXPECT_EQ(cases, 176);
+  EXPECT_EQ(h, 0x8279530f64f9739cull);
 }
 
 }  // namespace

@@ -1,18 +1,20 @@
 // Tests for the execution-policy layer: the plan vocabulary (validity rules,
-// variant mapping, persistent-block resolution, discrete grid sizing) and the
-// end-to-end guarantee the refactor rests on — every stencil variant is a
-// policy composition over the SAME numerics, so all seven produce
-// bit-identical grids on the same problem.
+// variant mapping, persistent-block resolution) and the end-to-end guarantee
+// the refactor rests on — every stencil variant is a policy composition over
+// the SAME numerics, so all seven produce bit-identical grids on the same
+// problem.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "exec/launch.hpp"
 #include "exec/policy.hpp"
+#include "exec/program.hpp"
+#include "sim/observe.hpp"
 #include "stencil/problems.hpp"
 #include "stencil/slab.hpp"
 #include "stencil/variants.hpp"
@@ -31,18 +33,6 @@ constexpr Variant kAllSeven[] = {
     Variant::kBaselineP2P,     Variant::kBaselineNvshmem,
     Variant::kCpuFree,         Variant::kCpuFreePerks,
     Variant::kCpuFreeTwoKernels};
-
-TEST(DiscreteBlocks, ExactIntegerCeilDiv) {
-  EXPECT_EQ(exec::discrete_blocks(0, 1024), 1);
-  EXPECT_EQ(exec::discrete_blocks(1, 1024), 1);
-  EXPECT_EQ(exec::discrete_blocks(1023, 1024), 1);
-  EXPECT_EQ(exec::discrete_blocks(1024, 1024), 1);
-  EXPECT_EQ(exec::discrete_blocks(1025, 1024), 2);
-  EXPECT_EQ(exec::discrete_blocks(7, 1), 7);
-  // Large domain: stays exact where a double round-trip could misround.
-  const std::size_t big = (std::size_t{1} << 40) + 1;
-  EXPECT_EQ(exec::discrete_blocks(big, 1024), (1 << 30) + 1);
-}
 
 TEST(ResolvePersistentBlocks, ExplicitWinsDefaultDerivesFromSmCount) {
   const vgpu::MachineSpec spec = vgpu::MachineSpec::hgx_a100(4);
@@ -202,6 +192,51 @@ TEST(PersistentSlice, BothPlansRunOnADeviceSliceBothWays) {
       const auto [got, ref] = slice_run(v, spawned);
       EXPECT_EQ(got, ref) << stencil::variant_name(v)
                           << (spawned ? " spawned" : " run to completion");
+    }
+  }
+}
+
+/// Counts the flags and memory blocks created while it is attached.
+struct CreationCounter : sim::Observer {
+  void on_mem_block(const void*, std::size_t, std::string_view) override {
+    ++created;
+  }
+  void on_flag_name(const void*, std::string_view) override { ++created; }
+  int created = 0;
+};
+
+TEST(HostLoopSlice, RejectedBeforeAnythingIsCreated) {
+  // A host loop runs one host thread per machine device, so on devices
+  // {0, 1} of a 4-GPU node it would index past the slice's PEs. run_program
+  // rejects every host-loop variant there, naming the launch policy, before
+  // it allocates a signal or creates a stream.
+  for (Variant v : {Variant::kBaselineCopy, Variant::kBaselineOverlap,
+                    Variant::kBaselineP2P, Variant::kBaselineNvshmem}) {
+    vgpu::Machine m(vgpu::MachineSpec::hgx_a100(4));
+    vshmem::World w(m, {0, 1}, "slice.");
+    stencil::Jacobi2D prob;
+    prob.nx = 64;
+    prob.ny = 64;
+    stencil::StencilConfig cfg;
+    cfg.iterations = 2;
+    stencil::SlabStencil<stencil::Jacobi2D> S(w, prob, cfg);
+    const stencil::SlabSetup setup = stencil::make_slab_setup(S, v);
+    CreationCounter counter;
+    m.engine().set_observer(&counter);
+    const std::size_t bytes = m.live_bytes();
+    try {
+      exec::run_program(setup.program, setup.plan, setup.params);
+      ADD_FAILURE() << stencil::variant_name(v) << " ran on a slice";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("run_program: launch: host_loop"),
+                std::string::npos)
+          << e.what();
+    }
+    m.engine().set_observer(nullptr);
+    EXPECT_EQ(counter.created, 0) << stencil::variant_name(v);
+    EXPECT_EQ(m.live_bytes(), bytes) << stencil::variant_name(v);
+    for (int d = 0; d < m.num_devices(); ++d) {
+      EXPECT_EQ(m.device(d).stream_count(), 0u) << stencil::variant_name(v);
     }
   }
 }

@@ -10,15 +10,19 @@
 #include <cstdint>
 #include <latch>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "cpufree/metrics.hpp"
 #include "exec/policy.hpp"
 #include "fault/schedule.hpp"
+#include "sim/observe.hpp"
 #include "sim/rng.hpp"
 #include "solvers/sparse_cg.hpp"
 #include "vgpu/costmodel.hpp"
@@ -875,6 +879,81 @@ TEST(SparseCg, RejectsUnsupportedPlansNamingTheComponent) {
     // Invalid triple: the generic validity message names the comm component.
     EXPECT_NE(std::string(e.what()).find("comm"), std::string::npos);
   }
+}
+
+// --- Pinned histogram digest -------------------------------------------------
+
+void fnv_text(std::uint64_t& h, std::string_view text) {
+  for (char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+}
+
+/// Folds every checker-visible access into a digest in publication order,
+/// naming each range by its allocation (addresses differ between runs).
+class AccessDigest : public sim::Observer {
+ public:
+  void on_mem_block(const void* base, std::size_t, std::string_view name)
+      override {
+    names_[base] = std::string(name);
+  }
+  void on_access(const sim::Actor& actor, const sim::MemRange& range,
+                 bool is_write, std::string_view what) override {
+    fnv_text(h, actor.str());
+    const auto it = names_.find(reinterpret_cast<const void*>(range.base));
+    fnv_text(h, it == names_.end() ? std::string_view("?") : it->second);
+    for (std::size_t v : {range.lo, range.hi, range.stride, range.elem,
+                          range.count}) {
+      fnv_word(h, v);
+    }
+    fnv_word(h, is_write ? 1 : 0);
+    fnv_text(h, what);
+    ++accesses;
+  }
+
+  std::uint64_t h = 1469598103934665603ull;
+  int accesses = 0;
+
+ private:
+  std::map<const void*, std::string> names_;
+};
+
+TEST(HistogramDigest, GeneratedCasesArePinned) {
+  // Every valid triple over uniform and skewed keys, 1-4 ranks and both
+  // block sizes, each adding its bins, imbalance and metrics JSON; then one
+  // observed run per triple adds its checker-visible accesses in order.
+  std::uint64_t h = 1469598103934665603ull;
+  int cases = 0;
+  for (const Plan& plan : hist_plans()) {
+    for (int skew : {0, 2}) {
+      for (int ranks = 1; ranks <= 4; ++ranks) {
+        for (int tpb : {256, 1024}) {
+          HistogramConfig cfg = small_hist();
+          cfg.skew = skew;
+          cfg.threads_per_block = tpb;
+          const HistogramResult r = workloads::run_histogram(
+              MachineSpec::hgx_a100(ranks), cfg, plan);
+          fnv_word(h, r.bins.size());
+          for (double b : r.bins) fnv_word(h, std::bit_cast<std::uint64_t>(b));
+          fnv_word(h, std::bit_cast<std::uint64_t>(r.imbalance));
+          fnv_text(h, cpufree::to_json(r.metrics));
+          ++cases;
+        }
+      }
+    }
+    AccessDigest observed;
+    HistogramConfig cfg = small_hist();
+    cfg.skew = 2;
+    cfg.observer = &observed;
+    static_cast<void>(
+        workloads::run_histogram(MachineSpec::hgx_a100(3), cfg, plan));
+    EXPECT_GT(observed.accesses, 0) << exec::name(plan.comm);
+    fnv_word(h, observed.h);
+    fnv_word(h, static_cast<std::uint64_t>(observed.accesses));
+  }
+  EXPECT_EQ(cases, 96);
+  EXPECT_EQ(h, 0x1ceccfdde0c2f200ull);
 }
 
 }  // namespace

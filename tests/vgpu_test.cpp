@@ -355,11 +355,10 @@ TEST(Kernel, LaunchChargesHostAndStartLatency) {
   Nanos host_after_launch = -1;
   m.run_host_threads([&](int) -> Task {
     HostCtx h(m, 0);
-    CO_AWAIT(h.launch_single(s, LaunchConfig{.name = "k"}, 4,
-                             [&](KernelCtx& k) -> Task {
-                               kernel_started = k.now();
-                               co_await k.busy(10, sim::Cat::kCompute, "c");
-                             }));
+    CO_AWAIT(h.launch_single(s, "k", [&](KernelCtx& k) -> Task {
+      kernel_started = k.now();
+      co_await k.busy(10, sim::Cat::kCompute, "c");
+    }));
     host_after_launch = m.engine().now();
     co_await h.sync_stream(s);
   });
@@ -374,9 +373,12 @@ TEST(Kernel, CooperativeOverSubscriptionThrows) {
   EXPECT_THROW(
       m.run_host_threads([&](int) -> Task {
         HostCtx h(m, 0);
-        CO_AWAIT(h.launch_single(
+        std::vector<BlockGroup> groups;
+        groups.push_back(BlockGroup{"k", limit + 1,
+                                    [](KernelCtx&) -> Task { co_return; }});
+        CO_AWAIT(h.launch(
             s, LaunchConfig{.threads_per_block = 1024, .cooperative = true},
-            limit + 1, [](KernelCtx&) -> Task { co_return; }));
+            std::move(groups)));
         co_await h.sync_stream(s);
       }),
       vgpu::CooperativeLaunchError);
@@ -389,12 +391,14 @@ TEST(Kernel, NonCooperativeAllowsOversubscription) {
   bool ran = false;
   m.run_host_threads([&](int) -> Task {
     HostCtx h(m, 0);
-    CO_AWAIT(h.launch_single(s, LaunchConfig{.threads_per_block = 1024}, limit * 4,
-                             [&](KernelCtx& k) -> Task {
-                               ran = true;
-                               EXPECT_EQ(k.blocks(), limit * 4);
-                               co_return;
-                             }));
+    std::vector<BlockGroup> groups;
+    groups.push_back(BlockGroup{"k", limit * 4, [&](KernelCtx& k) -> Task {
+                                  ran = true;
+                                  EXPECT_EQ(k.blocks(), limit * 4);
+                                  co_return;
+                                }});
+    CO_AWAIT(h.launch(s, LaunchConfig{.threads_per_block = 1024},
+                      std::move(groups)));
     co_await h.sync_stream(s);
   });
   EXPECT_TRUE(ran);
@@ -431,7 +435,7 @@ TEST(Kernel, GridSyncOutsideCooperativeLaunchThrows) {
   Stream& s = m.device(0).create_stream();
   EXPECT_THROW(m.run_host_threads([&](int) -> Task {
                  HostCtx h(m, 0);
-                 CO_AWAIT(h.launch_single(s, LaunchConfig{}, 1,
+                 CO_AWAIT(h.launch_single(s, "kernel",
                                           [](KernelCtx& k) -> Task {
                                             co_await k.grid_sync();
                                           }));
@@ -451,7 +455,7 @@ TEST(Kernel, SpinWaitObservesFlagAfterPoll) {
       co_await mm.engine().delay(40);
       f.set(1);
     }(m, flag));
-    CO_AWAIT(h.launch_single(s, LaunchConfig{}, 1, [&](KernelCtx& k) -> Task {
+    CO_AWAIT(h.launch_single(s, "kernel", [&](KernelCtx& k) -> Task {
       co_await k.spin_wait(flag, sim::Cmp::kGe, 1, "wait");
       resumed = k.now();
     }));
@@ -467,7 +471,7 @@ TEST(Kernel, ComputeRunsFunctionalBodyAndChargesDram) {
   Nanos end = -1;
   m.run_host_threads([&](int) -> Task {
     HostCtx h(m, 0);
-    CO_AWAIT(h.launch_single(s, LaunchConfig{}, 1, [&](KernelCtx& k) -> Task {
+    CO_AWAIT(h.launch_single(s, "kernel", [&](KernelCtx& k) -> Task {
       // 200 bytes at 2 GB/s -> 100 ns.
       co_await k.compute(200.0, 1.0, "c", [&] { data[0] = 3.0; });
       end = k.now();
@@ -483,10 +487,9 @@ TEST(Kernel, EnvelopeRecordedInTrace) {
   Stream& s = m.device(0).create_stream();
   m.run_host_threads([&](int) -> Task {
     HostCtx h(m, 0);
-    CO_AWAIT(h.launch_single(s, LaunchConfig{.name = "env"}, 1,
-                             [](KernelCtx& k) -> Task {
-                               co_await k.busy(10, sim::Cat::kCompute, "c");
-                             }));
+    CO_AWAIT(h.launch_single(s, "env", [](KernelCtx& k) -> Task {
+      co_await k.busy(10, sim::Cat::kCompute, "c");
+    }));
     co_await h.sync_stream(s);
   });
   bool found = false;
@@ -503,7 +506,7 @@ TEST(Kernel, HostApiIntervalsAttributedToHostTimeline) {
   Stream& s = m.device(0).create_stream();
   m.run_host_threads([&](int) -> Task {
     HostCtx h(m, 0);
-    CO_AWAIT(h.launch_single(s, LaunchConfig{}, 1,
+    CO_AWAIT(h.launch_single(s, "kernel",
                              [](KernelCtx&) -> Task { co_return; }));
     co_await h.sync_stream(s);
   });
