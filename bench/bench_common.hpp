@@ -4,8 +4,8 @@
 // chapter: it sweeps the same parameters, runs the same code variants on the
 // simulated HGX node, and prints the series the figure plots. The simulator
 // is deterministic, so the paper's "minimum of 5 consecutive runs" protocol
-// is satisfied by a single run (all 5 would be identical); each harness
-// still exposes --repeats to demonstrate that.
+// is satisfied by a single run (all 5 would be identical); the drivers that
+// read --repeats (Reads::repeats) demonstrate that.
 #pragma once
 
 #include <algorithm>
@@ -328,21 +328,24 @@ inline fault::Config parse_faults(std::string_view s) {
 /// Parses the strict --hard-faults payload "kill_device=D,at_iter=K[,ckpt=N]"
 /// into a permanent device fail-stop appended to `cfg.hard`: device D is
 /// declared dead the first time a resident persistent kernel reaches
-/// iteration K (it completes 1..K-1 and never executes K). ckpt=N sets the
-/// recovery checkpoint interval for drivers that fail over (fig_failover);
-/// drivers without a recovery path ignore it. Exits 2 with the canonical
-/// usage message on malformed input — hard faults kill hardware, so a typo
-/// must never half-parse into a different kill.
+/// iteration K (it completes 1..K-1 and never executes K). ckpt=N sets
+/// `*checkpoint_every`, the recovery checkpoint interval of a driver that
+/// fails over (fig_failover); for any other driver `checkpoint_every` is
+/// null and ckpt is rejected. Exits 2 with the canonical usage message on
+/// malformed input — hard faults kill hardware, so a typo must never
+/// half-parse into a different kill.
 inline void parse_hard_faults(std::string_view s, fault::Config& cfg,
-                              int& checkpoint_every) {
-  constexpr std::string_view kExpected =
-      "kill_device=D (D>=0),at_iter=K (K>=1)[,ckpt=N (N>=1)]";
+                              int* checkpoint_every) {
+  const std::string_view expected =
+      checkpoint_every != nullptr
+          ? "kill_device=D (D>=0),at_iter=K (K>=1)[,ckpt=N (N>=1)]"
+          : "kill_device=D (D>=0),at_iter=K (K>=1)";
   fault::HardFault h;
   h.kind = fault::HardFault::Kind::kDevice;
   bool have_device = false;
   bool have_iter = false;
   parse_kv_flag(
-      "--hard-faults", kExpected, s,
+      "--hard-faults", expected, s,
       [&](std::string_view key, const std::string& value) {
         if (key == "kill_device") {
           have_device = parse_int_strict(value, h.device) && h.device >= 0;
@@ -354,21 +357,31 @@ inline void parse_hard_faults(std::string_view s, fault::Config& cfg,
           h.at = k;
           return have_iter;
         }
-        if (key == "ckpt") {
-          return parse_int_strict(value, checkpoint_every) &&
-                 checkpoint_every >= 1;
+        if (key == "ckpt" && checkpoint_every != nullptr) {
+          return parse_int_strict(value, *checkpoint_every) &&
+                 *checkpoint_every >= 1;
         }
         return false;
       });
-  if (!have_device || !have_iter) flag_usage_error("--hard-faults", kExpected, s);
+  if (!have_device || !have_iter) flag_usage_error("--hard-faults", expected, s);
   cfg.hard.push_back(h);
   cfg.classes |= fault::kClassDeviceDead;
 }
 
-/// Parses the flags every bench driver shares. Operands are given as
-/// "--flag V" or "--flag=V"; numeric ones are parsed strictly. An unknown
-/// flag, a flag missing its operand or a malformed operand exits 2 with
-/// usage.
+/// The shared flags only some drivers read. Each driver names the ones it
+/// reads; for any other driver they exit 2 with usage, like an unknown flag.
+struct Reads {
+  bool trace = false;        ///< --trace [PATH]
+  bool tune = false;         ///< --tune
+  bool tune_budget = false;  ///< --tune-budget N
+  bool repeats = false;      ///< --repeats N
+  bool checkpoint = false;   ///< ckpt=N in --hard-faults
+};
+
+/// Parses the flags bench drivers share. Operands are given as "--flag V"
+/// or "--flag=V"; numeric ones are parsed strictly. An unknown flag, a
+/// shared flag the driver does not read, a flag missing its operand or a
+/// malformed operand exits 2 with usage.
 struct Args {
   int repeats = 1;
   /// Sweep worker threads; 0 = all hardware threads, 1 = sequential.
@@ -388,8 +401,8 @@ struct Args {
   /// machine runs under. Default (rate 0) is structurally inert.
   fault::Config faults;
   /// --hard-faults kill_device=D,at_iter=K[,ckpt=N]: permanent device
-  /// fail-stop layered onto `faults` (repeatable). ckpt lands here; only
-  /// recovery-capable drivers consume it.
+  /// fail-stop layered onto `faults` (repeatable). ckpt lands here, and only
+  /// a recovery-capable driver (Reads::checkpoint) accepts it.
   int hard_checkpoint_every = 0;
   /// --tune: skip the sweep; run the recipe autotuner (src/tune/) on the
   /// driver's tunable workloads and report predicted vs measured times.
@@ -397,10 +410,11 @@ struct Args {
   /// --tune-budget N: cap the enumerated candidate space (0 = full space).
   int tune_budget = 0;
 
+  /// `reads` names the optional shared flags the driver reads.
   /// `driver_flags` names the flags a driver parses itself, each taking one
   /// operand as "--flag V": they are skipped here (a trailing one exits 2)
   /// and validated by the driver's own parser.
-  static Args parse(int argc, char** argv,
+  static Args parse(int argc, char** argv, Reads reads = {},
                     std::initializer_list<std::string_view> driver_flags = {}) {
     Args a;
     for (int i = 1; i < argc; ++i) {
@@ -419,11 +433,11 @@ struct Args {
         if (v.empty()) flag_usage_error(s, expected, v);
         return v;
       };
-      if (s == "--repeats") {
+      if (s == "--repeats" && reads.repeats) {
         parse_repeats(operand("an integer >= 1"), a.repeats);
       } else if (s == "--threads") {
         parse_threads(operand("an integer >= 0 (0 = all cores)"), a.threads);
-      } else if (s == "--tune-budget") {
+      } else if (s == "--tune-budget" && reads.tune_budget) {
         const std::string v = operand("an integer >= 0");
         if (!parse_int_strict(v, a.tune_budget) || a.tune_budget < 0) {
           flag_usage_error("--tune-budget", "an integer >= 0", v);
@@ -431,13 +445,15 @@ struct Args {
       } else if (s == "--faults") {
         a.faults = parse_faults(operand("seed=S,rate=R[,...]"));
       } else if (s == "--hard-faults") {
-        parse_hard_faults(operand("kill_device=D,at_iter=K[,ckpt=N]"),
-                          a.faults, a.hard_checkpoint_every);
+        parse_hard_faults(
+            operand(reads.checkpoint ? "kill_device=D,at_iter=K[,ckpt=N]"
+                                     : "kill_device=D,at_iter=K"),
+            a.faults, reads.checkpoint ? &a.hard_checkpoint_every : nullptr);
       } else if (s == "--out") {
         a.out_json = operand("a path");
       } else if (s == "--csv") {
         a.out_csv = operand("a path");
-      } else if (s == "--trace") {
+      } else if (s == "--trace" && reads.trace) {
         a.trace_dump = true;
         if (has_inline) {
           a.trace_path = operand("a path");
@@ -448,7 +464,7 @@ struct Args {
         a.progress = false;
       } else if (arg == "--check") {
         a.check = true;
-      } else if (arg == "--tune") {
+      } else if (arg == "--tune" && reads.tune) {
         a.tune = true;
       } else if (arg == "--topo") {
         a.topo = true;
@@ -457,9 +473,12 @@ struct Args {
         (void)operand("an operand");
       } else {
         std::string usage =
-            "one of --repeats N, --threads N, --quiet, --check, --topo, "
-            "--tune, --tune-budget N, --faults SPEC, --hard-faults SPEC, "
-            "--out PATH, --csv PATH, --trace [PATH]";
+            "one of --threads N, --quiet, --check, --topo, --faults SPEC, "
+            "--hard-faults SPEC, --out PATH, --csv PATH";
+        if (reads.repeats) usage += ", --repeats N";
+        if (reads.tune) usage += ", --tune";
+        if (reads.tune_budget) usage += ", --tune-budget N";
+        if (reads.trace) usage += ", --trace [PATH]";
         for (std::string_view f : driver_flags) {
           usage += ", ";
           usage += f;

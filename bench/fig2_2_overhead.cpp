@@ -55,7 +55,8 @@ std::vector<sweep::Param> params(const char* part, Variant v, int g) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(
+      argc, argv, {.trace = true, .repeats = true});
   if (args.topo) {
     bench::print_topology(vgpu::MachineSpec::hgx_a100(8), "hgx_a100(8)");
     return 0;

@@ -55,7 +55,7 @@ constexpr DomainClass kClasses[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, {.repeats = true});
   if (args.topo) {
     bench::print_topology(vgpu::MachineSpec::hgx_a100(8), "hgx_a100(8)");
     return 0;

@@ -129,7 +129,8 @@ std::pair<std::size_t, std::size_t> weak_2d(std::size_t base, int ranks) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(
+      argc, argv, {.tune = true, .tune_budget = true});
   if (args.topo) {
     bench::print_topology(vgpu::MachineSpec::hgx_a100(8), "hgx_a100(8)");
     return 0;

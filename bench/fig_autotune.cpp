@@ -74,7 +74,8 @@ void check_candidate(dacelite::ExpansionChoice expansion,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args =
+      bench::Args::parse(argc, argv, {.tune_budget = true});
   if (args.topo) {
     for (const MachineCfg& m : machines()) {
       bench::print_topology(m.spec, m.name);

@@ -160,7 +160,8 @@ sweep::RunResult run_cell(const FailoverArgs& fargs, const Cell& cell,
 
 int main(int argc, char** argv) {
   const bench::Args args =
-      bench::Args::parse(argc, argv, {"--tenants", "--serve"});
+      bench::Args::parse(argc, argv, {.checkpoint = true},
+                         {"--tenants", "--serve"});
   const FailoverArgs fargs = FailoverArgs::parse(argc, argv);
   if (args.topo) {
     bench::print_topology(vgpu::MachineSpec::multi_node(2, 4), "multi_node");

@@ -286,7 +286,8 @@ double job_imbalance(const serve::JobSpec& s) {
 
 int main(int argc, char** argv) {
   const bench::Args args =
-      bench::Args::parse(argc, argv, {"--tenants", "--serve", "--arrival"});
+      bench::Args::parse(argc, argv, {},
+                         {"--tenants", "--serve", "--arrival"});
   const ServeArgs sargs = ServeArgs::parse(argc, argv);
   if (args.topo) {
     for (const MachineDef& m : kMachines) {

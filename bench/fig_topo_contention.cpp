@@ -66,7 +66,7 @@ constexpr int kSweepIters = 30;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, {.repeats = true});
   std::vector<TopoClass> topos = topo_classes();
   for (TopoClass& tc : topos) {
     tc.sweep_spec = args.with_faults(tc.sweep_spec);

@@ -81,7 +81,7 @@ sweep::RunResult measure(std::string_view name, int repeats,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, {.repeats = true});
   if (args.topo) {
     bench::print_topology(vgpu::MachineSpec::hgx_a100(4), "hgx_a100(4)");
     return 0;

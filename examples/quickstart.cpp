@@ -1,8 +1,9 @@
 // Quickstart: the CPU-Free execution model in ~80 lines.
 //
-// Builds a 4-GPU virtual machine, launches ONE persistent cooperative kernel
-// per device (the only host involvement), and lets the devices run a ring
-// token-passing loop entirely on their own: device-initiated puts with
+// Builds a 4-GPU virtual machine, describes a ring token-passing loop as an
+// exec::Program and runs it under the CPU-Free plan: ONE persistent
+// cooperative kernel per device (the only host involvement), after which the
+// devices run the loop entirely on their own: device-initiated puts with
 // signals, device-side waits, and an in-kernel time loop. At the end it
 // prints how little the CPU did.
 //
@@ -13,7 +14,8 @@
 #include <cstdio>
 
 #include "args.hpp"
-#include "cpufree/launch.hpp"
+#include "exec/policy.hpp"
+#include "exec/program.hpp"
 #include "vgpu/machine.hpp"
 #include "vshmem/world.hpp"
 
@@ -34,10 +36,14 @@ int main(int argc, char** argv) {
   token.on(0)[0] = 1.0;  // PE 0 holds the token initially
 
   // One persistent kernel per device: wait for the token, increment it,
-  // pass it right. No CPU involvement after the launch.
-  std::vector<cpufree::DeviceGroups> groups(4);
-  for (int pe = 0; pe < 4; ++pe) {
-    auto body = [&world, &token, sig = signals.get(), pe](KernelCtx& k) -> Task {
+  // pass it right. No CPU involvement after the launch. The ring is one
+  // group per PE that orders itself by signals, so it needs no per-round
+  // join.
+  exec::Program ring;
+  ring.world = &world;
+  ring.groups = [&world, &token, sig = signals.get()](
+                    int pe, const exec::IterationJoin&) {
+    auto body = [&world, &token, sig, pe](KernelCtx& k) -> Task {
       const int right = (pe + 1) % 4;
       for (int round = 0; round < kRounds; ++round) {
         const std::int64_t my_turn = round * 4 + pe + 1;
@@ -51,13 +57,15 @@ int main(int argc, char** argv) {
                                          vshmem::SignalOp::kSet, right);
       }
     };
-    groups[static_cast<std::size_t>(pe)].push_back(
-        BlockGroup{"ring", 1, std::move(body)});
-  }
-
-  cpufree::PersistentConfig cfg;
-  cfg.name = "quickstart_ring";
-  cpufree::launch_persistent_all(machine, std::move(groups), cfg);
+    exec::ProgramGroups pg;
+    pg.comm.push_back(BlockGroup{"ring", 1, std::move(body)});
+    return pg;
+  };
+  exec::run_program(ring,
+                    {exec::LaunchPolicy::kPersistent,
+                     exec::CommPolicy::kSignaledPut,
+                     exec::SyncPolicy::kIterationFlags, "quickstart_ring"},
+                    {});
 
   const auto& tr = machine.trace();
   std::printf("simulated time: %.2f us\n", sim::to_usec(machine.engine().now()));

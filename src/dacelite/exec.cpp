@@ -41,6 +41,22 @@ void check_mode(std::string_view fn, const ExecOptions& options,
   throw std::invalid_argument(msg);
 }
 
+/// The SDFG's arrays and signals live in the ProgramData's World, so every
+/// backend runs there: `fn` rejects a machine, or a World (when given), that
+/// is not the ProgramData's.
+void check_world(std::string_view fn, const vgpu::Machine& machine,
+                 const vshmem::World* world, ProgramData& data) {
+  std::string msg(fn);
+  if (world != nullptr && world != &data.world()) {
+    msg += ": the World is not the ProgramData's World";
+  } else if (&machine != &data.world().machine()) {
+    msg += ": the machine is not the ProgramData's World's machine";
+  } else {
+    return;
+  }
+  throw std::invalid_argument(msg);
+}
+
 }  // namespace
 
 ExecOptions exec_options(const Recipe& recipe) {
@@ -263,6 +279,7 @@ ExecResult execute_discrete(vgpu::Machine& machine, hostmpi::Comm& comm,
                             ProgramData& data, const Sdfg& sdfg,
                             ExecOptions options) {
   check_mode("execute_discrete", options, data);
+  check_world("execute_discrete", machine, nullptr, data);
   sdfg.validate();
   machine.trace().set_enabled(options.trace);
   const int iters = resolve_iterations(sdfg, options);
@@ -271,15 +288,12 @@ ExecResult execute_discrete(vgpu::Machine& machine, hostmpi::Comm& comm,
   std::vector<std::vector<hostmpi::Request>> reqs(
       static_cast<std::size_t>(world.n_pes()));
   exec::Program prog;
-  prog.machine = &machine;
   prog.world = &world;
-  prog.n_pes = world.n_pes();
   // Rank `rank`'s step t: the setup states (as iteration 0) at the top of
   // step 1, every body state, and the closing stream sync after the last.
   prog.host_step = [&comm, &data, &sdfg, &reqs, iters](
                        vgpu::HostCtx& h, int rank, int t,
-                       std::span<vgpu::Stream* const> streams,
-                       vshmem::SignalSet*) -> sim::Task {
+                       std::span<vgpu::Stream* const> streams) -> sim::Task {
     vgpu::Stream& stream = *streams[0];
     auto& rank_reqs = reqs[static_cast<std::size_t>(rank)];
     if (t == 1) {
@@ -489,26 +503,29 @@ sim::Task run_device_persistent(vshmem::World& w, ProgramData& data,
 /// `options` (the software-tiling model reads persistent_blocks for the
 /// resident-thread count), runs the setup states functionally
 /// (initialization only) and fills `r`'s fields known before the launch.
-/// Returns the backend as an exec::Program: one `sdfg` group per PE running
-/// the whole time loop, with no `signals` hook (ProgramData owns the
-/// signals) and no join (one group per PE under the single-kernel plan; the
-/// SDFG places its own grid barriers). Ranks are PE indices of `world`,
-/// which may be a device slice.
-exec::Program prepare_persistent(std::string_view fn, vgpu::Machine& machine,
-                                 vshmem::World& world, ProgramData& data,
+/// Returns the backend as an exec::Program on the ProgramData's World: one
+/// `sdfg` group per PE running the whole time loop, with no join (one group
+/// per PE under the single-kernel plan; the SDFG places its own grid
+/// barriers). ProgramData owns the signals. Ranks are PE indices of the
+/// World, which may be a device slice.
+exec::Program prepare_persistent(std::string_view fn,
+                                 const vgpu::Machine& machine,
+                                 const vshmem::World& world, ProgramData& data,
                                  const Sdfg& sdfg, ExecOptions& options,
                                  ExecResult& r) {
   check_mode(fn, options, data);
+  check_world(fn, machine, &world, data);
   sdfg.validate();
   if (!sdfg.persistent) {
     std::string msg(fn);
     msg += " requires apply_persistent (GPUPersistentKernel)";
     throw ValidationError(msg);
   }
+  vshmem::World& w = data.world();
   options.iterations = resolve_iterations(sdfg, options);
   options.persistent_blocks = exec::resolve_persistent_blocks(
-      options.persistent_blocks, machine.spec(), options.threads_per_block);
-  const int n = world.n_pes();
+      options.persistent_blocks, w.machine().spec(), options.threads_per_block);
+  const int n = w.n_pes();
   for (const State& st : sdfg.setup) {
     for (const Node& node : st.nodes) {
       if (const auto* map = std::get_if<MapNode>(&node)) {
@@ -526,11 +543,9 @@ exec::Program prepare_persistent(std::string_view fn, vgpu::Machine& machine,
   r.put_expansion = describe_put_expansions(sdfg, options, n);
 
   exec::Program prog;
-  prog.machine = &machine;
-  prog.world = &world;
-  prog.n_pes = n;
-  prog.groups = [wp = &world, dp = &data, sp = &sdfg, options](
-                    int rank, vshmem::SignalSet*, const exec::IterationJoin&) {
+  prog.world = &w;
+  prog.groups = [wp = &w, dp = &data, sp = &sdfg, options](
+                    int rank, const exec::IterationJoin&) {
     auto body = [wp, dp, sp, rank, options](vgpu::KernelCtx& k) -> sim::Task {
       CO_AWAIT(run_device_persistent(*wp, *dp, *sp, k, rank,
                                      options.iterations, options));

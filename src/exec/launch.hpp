@@ -5,10 +5,10 @@
 // numerics, charge one compute phase.
 //
 // The host loop issuing these launches belongs to exec::run_program
-// (LaunchPolicy::kHostLoop). The persistent policies have one launcher,
-// cpufree::spawn_persistent (the whole CPU-Free host program: one
-// cooperative launch per kernel per device, one sync at the very end,
-// §3.1.1); exec::run_program composes it.
+// (LaunchPolicy::kHostLoop), and so does the one persistent launcher, a
+// private function of exec/program.cpp (the whole CPU-Free host program:
+// one cooperative launch per kernel per device, one sync at the very end,
+// §3.1.1).
 #pragma once
 
 #include <functional>

@@ -1,26 +1,55 @@
 // run_program(): the workload-agnostic composition driver. Owns everything
-// the (launch, comm, sync) Plan implies — peer-access enablement, signal
-// allocation, the host loop or the persistent kernels (launched by
-// cpufree::spawn_persistent, the one persistent launcher), and the
-// per-iteration join protocol — in one fixed resource-creation order
-// (signals, then streams or kernels), which every workload's metric traces
-// depend on.
+// the (launch, comm, sync) Plan implies — peer-access enablement, the host
+// loop and its streams, the one persistent launcher (one cooperative launch
+// per kernel per device, one sync at the end: the whole CPU-Free host
+// program, §3.1.1), and the per-iteration join protocol — in one fixed
+// resource-creation order (pair flags, then streams, then launches), which
+// every workload's metric traces depend on. Workloads that signal allocate
+// their signals before any of it.
 #include "exec/program.hpp"
 
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "cpufree/launch.hpp"
 #include "exec/sync.hpp"
 #include "sim/sync.hpp"
 
 namespace exec {
 
 namespace {
+
+/// One cooperative kernel of a persistent launch. `name` labels it in
+/// traces (a view: must outlive the run).
+struct PersistentKernel {
+  std::string_view name;
+  std::vector<vgpu::BlockGroup> groups;
+};
+
+/// The kernels one PE runs, launched in this order, one stream each.
+using PeKernels = std::vector<PersistentKernel>;
+
+/// One device's host thread: launch every kernel, then sync every stream
+/// once — the CPU is free in between — and count the device as finished.
+sim::Task persistent_host(vgpu::Machine& machine, int device,
+                          std::vector<vgpu::Stream*> streams,
+                          PeKernels kernels, int threads_per_block,
+                          std::shared_ptr<sim::Flag> done) {
+  vgpu::HostCtx host(machine, device);
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    vgpu::LaunchConfig lc;
+    lc.threads_per_block = threads_per_block;
+    lc.cooperative = true;
+    lc.name = kernels[i].name;
+    CO_AWAIT(host.launch(*streams[i], lc, std::move(kernels[i].groups)));
+  }
+  for (vgpu::Stream* s : streams) co_await host.sync_stream(*s);
+  done->add(1);
+}
 
 /// The single-kernel persistent join: every group meets at grid.sync().
 IterationJoin grid_only_join() {
@@ -75,16 +104,14 @@ IterationJoin checkpointing_join(const Program& P,
 
 /// The single-kernel composition: each PE's comm groups, then its inner
 /// groups, in one cooperative kernel joined by grid.sync().
-std::vector<cpufree::DeviceKernels> single_kernels(
-    const Program& P, const Plan& plan, vshmem::SignalSet* sigp,
-    const ProgramExecParams& prm) {
+std::vector<PeKernels> single_kernels(const Program& P, const Plan& plan,
+                                      const ProgramExecParams& prm) {
   const IterationJoin join = checkpointing_join(P, prm);
-  std::vector<cpufree::DeviceKernels> kernels(
-      static_cast<std::size_t>(P.n_pes));
-  for (int pe = 0; pe < P.n_pes; ++pe) {
-    ProgramGroups pg = P.groups(pe, sigp, join);
-    cpufree::PersistentKernel& k =
-        kernels[static_cast<std::size_t>(pe)].emplace_back();
+  const int n = P.world->n_pes();
+  std::vector<PeKernels> kernels(static_cast<std::size_t>(n));
+  for (int pe = 0; pe < n; ++pe) {
+    ProgramGroups pg = P.groups(pe, join);
+    PersistentKernel& k = kernels[static_cast<std::size_t>(pe)].emplace_back();
     k.name = plan.kernel_name;
     k.groups = std::move(pg.comm);
     for (auto& g : pg.inner) k.groups.push_back(std::move(g));
@@ -114,24 +141,18 @@ struct PairFlags {
 /// iteration via local device-memory flags (the paper's "extra sync point
 /// between the local pairs of streams"). The join callbacks own the flags:
 /// the launch returns before the kernels run.
-std::vector<cpufree::DeviceKernels> pair_kernels(const Program& P,
-                                                 vshmem::SignalSet* sigp) {
-  sim::Engine& eng = P.machine->engine();
-  // Named for hang reports unconditionally, and for an attached checker.
-  const auto name = [&eng](const sim::Flag& f, const std::string& nm) {
-    eng.name_flag(&f, nm);
-    if (sim::Observer* o = eng.observer()) o->on_flag_name(&f, nm);
-  };
+std::vector<PeKernels> pair_kernels(const Program& P) {
+  sim::Engine& eng = P.world->machine().engine();
+  const int n = P.world->n_pes();
   std::vector<std::shared_ptr<PairFlags>> flags;
-  for (int pe = 0; pe < P.n_pes; ++pe) {
+  for (int pe = 0; pe < n; ++pe) {
     const std::string id = std::to_string(pe);
     flags.push_back(std::make_shared<PairFlags>(eng));
-    name(flags.back()->inner_done, "inner_done@pe" + id);
-    name(flags.back()->comm_done, "comm_done@pe" + id);
+    eng.name_flag(&flags.back()->inner_done, "inner_done@pe" + id);
+    eng.name_flag(&flags.back()->comm_done, "comm_done@pe" + id);
   }
-  std::vector<cpufree::DeviceKernels> kernels(
-      static_cast<std::size_t>(P.n_pes));
-  for (int pe = 0; pe < P.n_pes; ++pe) {
+  std::vector<PeKernels> kernels(static_cast<std::size_t>(n));
+  for (int pe = 0; pe < n; ++pe) {
     const std::shared_ptr<PairFlags>& f = flags[static_cast<std::size_t>(pe)];
     // Comm groups join with grid.sync(), the lead group publishes "comm
     // done" for the kernel, then all handshake with the local inner kernel.
@@ -154,66 +175,81 @@ std::vector<cpufree::DeviceKernels> pair_kernels(const Program& P,
       }
       co_await local_pair_handshake(k, f->comm_done, t, "comm_done");
     };
-    ProgramGroups pg = P.groups(pe, sigp, join);
-    cpufree::DeviceKernels& dk = kernels[static_cast<std::size_t>(pe)];
-    dk.push_back(cpufree::PersistentKernel{"cpu_free_comm", std::move(pg.comm)});
-    dk.push_back(
-        cpufree::PersistentKernel{"cpu_free_inner", std::move(pg.inner)});
+    ProgramGroups pg = P.groups(pe, join);
+    PeKernels& pk = kernels[static_cast<std::size_t>(pe)];
+    pk.push_back(PersistentKernel{"cpu_free_comm", std::move(pg.comm)});
+    pk.push_back(PersistentKernel{"cpu_free_inner", std::move(pg.inner)});
   }
   return kernels;
 }
 
-/// Both persistent compositions, in resource-creation order: signals (kept
-/// by the world, since a final put_signal may still be in flight when the
-/// kernels sync), then every PE's kernels, then the launch on the world's
-/// devices. Returns the launch's count of finished devices.
+/// The one persistent launcher, behind both persistent compositions. It
+/// builds every PE's kernels (pair flags first), takes one stream per
+/// kernel from World::create_stream up front in PE-major order, so lanes
+/// are assigned deterministically and the world releases them, and spawns
+/// one host coroutine per device. Kernels of one device run concurrently,
+/// so their blocks together must be co-resident: a device with several
+/// kernels is checked against the cooperative cap before any launch (a
+/// lone kernel is checked when it starts). Returns a flag counting the
+/// devices whose host has synced every stream; the caller drives the engine
+/// or awaits the flag.
 std::shared_ptr<sim::Flag> spawn_program(const Program& P, const Plan& plan,
                                          const ProgramExecParams& prm) {
   vshmem::World& w = *P.world;
-  vshmem::SignalSet* sigp =
-      P.signals ? w.retain_signals(P.signals(w)) : nullptr;
-  std::vector<cpufree::DeviceKernels> kernels =
-      plan.launch == LaunchPolicy::kPersistentPair
-          ? pair_kernels(P, sigp)
-          : single_kernels(P, plan, sigp, prm);
-  std::vector<int> devices;
-  for (int pe = 0; pe < P.n_pes; ++pe) devices.push_back(w.device_of(pe));
-  return cpufree::spawn_persistent(
-      *P.machine, devices,
-      [&w](std::size_t pe) -> vgpu::Stream& {
-        return w.create_stream(static_cast<int>(pe));
-      },
-      std::move(kernels), prm.threads_per_block);
+  vgpu::Machine& m = w.machine();
+  const auto n = static_cast<std::size_t>(w.n_pes());
+  std::vector<PeKernels> kernels = plan.launch == LaunchPolicy::kPersistentPair
+                                       ? pair_kernels(P)
+                                       : single_kernels(P, plan, prm);
+  for (std::size_t pe = 0; pe < n; ++pe) {
+    if (kernels[pe].size() < 2) continue;
+    int blocks = 0;
+    for (const PersistentKernel& k : kernels[pe]) {
+      blocks += vgpu::total_blocks(k.groups);
+    }
+    const int limit = m.device(w.device_of(static_cast<int>(pe)))
+                          .spec()
+                          .max_cooperative_blocks(prm.threads_per_block);
+    if (blocks > limit) throw vgpu::CooperativeLaunchError(blocks, limit);
+  }
+  std::vector<std::vector<vgpu::Stream*>> streams(n);
+  for (std::size_t pe = 0; pe < n; ++pe) {
+    for (std::size_t k = 0; k < kernels[pe].size(); ++k) {
+      streams[pe].push_back(&w.create_stream(static_cast<int>(pe)));
+    }
+  }
+  auto done = std::make_shared<sim::Flag>(m.engine(), 0);
+  for (std::size_t pe = 0; pe < n; ++pe) {
+    m.engine().spawn(persistent_host(
+        m, w.device_of(static_cast<int>(pe)), std::move(streams[pe]),
+        std::move(kernels[pe]), prm.threads_per_block, done));
+  }
+  return done;
 }
 
-/// All kHostLoop compositions: allocate signals (signaled-put only), create
-/// the per-device streams in device-major order, then run one host thread
-/// per device that issues the workload's step for t = 1..iterations. The
-/// optional `stop` hook is consulted before each step.
+/// All kHostLoop compositions: create the per-device streams in
+/// device-major order (two under kOverlapStreams, else one), then run one
+/// host thread per device that issues the workload's step for
+/// t = 1..iterations.
 void run_host_driven(const Program& P, const Plan& plan,
                      const ProgramExecParams& prm) {
-  vgpu::Machine& m = *P.machine;
-  const int n = P.n_pes;
+  vgpu::Machine& m = P.world->machine();
+  const int n = P.world->n_pes();
   if (plan.comm == CommPolicy::kPeerStore) m.enable_all_peer_access();
-  std::unique_ptr<vshmem::SignalSet> sig;
-  if (plan.comm == CommPolicy::kSignaledPut && P.signals) {
-    sig = P.signals(*P.world);
-  }
+  const int per_device = plan.comm == CommPolicy::kOverlapStreams ? 2 : 1;
   std::vector<std::vector<vgpu::Stream*>> st(static_cast<std::size_t>(n));
   for (int d = 0; d < n; ++d) {
     auto& dst = st[static_cast<std::size_t>(d)];
-    for (int s = 0; s < P.streams_per_device; ++s) {
+    for (int s = 0; s < per_device; ++s) {
       dst.push_back(&P.world->create_stream(d));
     }
   }
-  vshmem::SignalSet* sigp = sig.get();
-  m.run_host_threads([&m, &P, &prm, &st, sigp](int dev) -> sim::Task {
+  m.run_host_threads([&m, &P, &prm, &st](int dev) -> sim::Task {
     vgpu::HostCtx h(m, dev);
     const std::span<vgpu::Stream* const> streams(
         st[static_cast<std::size_t>(dev)]);
     for (int t = 1; t <= prm.iterations; ++t) {
-      if (P.stop && P.stop(dev)) co_return;
-      CO_AWAIT(P.host_step(h, dev, t, streams, sigp));
+      CO_AWAIT(P.host_step(h, dev, t, streams));
     }
   });
 }
@@ -225,24 +261,23 @@ void run_program(const Program& program, const Plan& plan,
   if (!valid(plan)) {
     throw std::invalid_argument(invalid_plan_message("run_program", plan));
   }
+  vshmem::World& w = *program.world;
   if (plan.launch == LaunchPolicy::kHostLoop) {
     // One host thread per machine device drives the PE of the same index.
-    const int n = program.machine->num_devices();
-    bool whole = program.n_pes == n;
-    for (int pe = 0; whole && pe < n; ++pe) {
-      whole = program.world->device_of(pe) == pe;
-    }
+    const int n = w.machine().num_devices();
+    bool whole = w.n_pes() == n;
+    for (int pe = 0; whole && pe < n; ++pe) whole = w.device_of(pe) == pe;
     if (!whole) {
       throw std::invalid_argument(
           "run_program: launch: host_loop needs the whole-machine world, PE "
-          "i on device i (got " + std::to_string(program.n_pes) +
-          " PEs on " + std::to_string(n) + " devices)");
+          "i on device i (got " + std::to_string(w.n_pes()) + " PEs on " +
+          std::to_string(n) + " devices)");
     }
     run_host_driven(program, plan, params);
     return;
   }
   static_cast<void>(spawn_program(program, plan, params));
-  program.machine->engine().run();
+  w.machine().engine().run();
 }
 
 sim::Task run_program_persistent_task(const Program& program, const Plan& plan,
@@ -257,7 +292,7 @@ sim::Task run_program_persistent_task(const Program& program, const Plan& plan,
         "engine themselves and cannot be spawned");
   }
   const std::shared_ptr<sim::Flag> done = spawn_program(program, plan, params);
-  co_await done->wait_geq(program.n_pes);
+  co_await done->wait_geq(program.world->n_pes());
 }
 
 }  // namespace exec

@@ -6,14 +6,15 @@
 // packaged as two kinds of hooks:
 //
 //  * `host_step`  — one step of a host-driven discrete loop (the kHostLoop
-//    compositions). The driver owns stream creation, signal allocation and
-//    the loop; the workload only issues the step's launches/copies/waits.
+//    compositions). The driver owns stream creation and the loop; the
+//    workload only issues the step's launches/copies/waits.
 //  * `groups`     — the per-PE persistent block groups (the kPersistent /
-//    kPersistentPair compositions). The driver owns the per-iteration JOIN
-//    protocol (grid.sync() alone for the single-kernel design; grid.sync()
-//    plus the local pair handshake for the two-kernel design) and hands it
-//    to the workload as an IterationJoin, so the same group builder serves
-//    both persistent launch policies.
+//    kPersistentPair compositions). The driver owns the launch (one
+//    cooperative launch per kernel per device, one sync at the end) and the
+//    per-iteration JOIN protocol (grid.sync() alone for the single-kernel
+//    design; grid.sync() plus the local pair handshake for the two-kernel
+//    design), handed to the workload as an IterationJoin, so the same group
+//    builder serves both persistent launch policies.
 //
 // The (launch, comm, sync) Plan machinery composes the hooks: run_program()
 // dispatches on the plan, and no problem shape is baked in. Every workload
@@ -24,7 +25,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -32,7 +32,6 @@
 #include "sim/task.hpp"
 #include "vgpu/host.hpp"
 #include "vgpu/kernel.hpp"
-#include "vgpu/machine.hpp"
 #include "vshmem/world.hpp"
 
 namespace exec {
@@ -94,32 +93,32 @@ struct ProgramGroups {
 /// Type-erased view of an iterative multi-GPU workload. All hooks must stay
 /// valid for the run; hooks a composition does not use may be null (e.g. a
 /// persistent-only workload needs no host_step).
+///
+/// Two rules hold for every program:
+///  * A program runs under the plan it was built for. Its hooks may capture
+///    that plan and switch on it (the stencil's and the histogram's host
+///    steps do); run_program validates the plan it is given before it calls
+///    any hook, but cannot tell which plan a program was built for.
+///  * A workload that signals owns its SignalSet. It allocates the set when
+///    it builds the program, before run_program creates any stream, and
+///    keeps it alive at least as long as the world (World::retain_signals,
+///    or a member of the workload's own state), since a final fire-and-forget
+///    put_signal may land after the kernels synced.
 struct Program {
-  vgpu::Machine* machine = nullptr;
+  /// The PEs the program runs on: the whole machine, or a device slice for
+  /// persistent compositions. The machine and the PE count come from it.
   vshmem::World* world = nullptr;
-  int n_pes = 0;
 
-  /// Signal variables backing the workload's signaled-put protocol,
-  /// allocated by the driver BEFORE any stream exists (deterministic
-  /// resource-creation order) and only for compositions that signal
-  /// (kSignaledPut comm / persistent launches). Null when the workload
-  /// manages its own SignalSet lifetime (CG-style cores).
-  std::function<std::unique_ptr<vshmem::SignalSet>(vshmem::World&)> signals;
-
-  /// kHostLoop: streams the driver creates per device, in creation order
-  /// (index 0 first). The slab convention: [0] = compute, [1] = comm.
-  int streams_per_device = 1;
   /// One step of the host-driven loop on device `dev` at iteration `t`.
-  /// `sig` is the driver-allocated SignalSet (null unless `signals` ran).
-  /// Host-loop compositions require a whole-machine world with PE i on
-  /// device i (one host thread per device, like every discrete baseline);
-  /// run_program rejects any other.
+  /// run_program creates `streams` per device in creation order (index 0
+  /// first): two under kOverlapStreams ([0] = compute, [1] = comm), one
+  /// otherwise. A step that has nothing left to do (e.g. a converged rank)
+  /// returns at its top. Host-loop compositions require a whole-machine
+  /// world with PE i on device i (one host thread per device, like every
+  /// discrete baseline); run_program rejects any other.
   std::function<sim::Task(vgpu::HostCtx&, int dev, int t,
-                          std::span<vgpu::Stream* const> streams,
-                          vshmem::SignalSet* sig)>
+                          std::span<vgpu::Stream* const> streams)>
       host_step;
-  /// Optional data-dependent termination, consulted before each host step.
-  std::function<bool(int dev)> stop;
 
   /// Persistent compositions: PE `dev`'s block groups under `join`.
   ///
@@ -131,9 +130,7 @@ struct Program {
   /// per-iteration grid sync), and so does the dacelite persistent backend
   /// (the SDFG places its own grid barriers); neither's entry points accept
   /// another plan.
-  std::function<ProgramGroups(int dev, vshmem::SignalSet* sig,
-                              const IterationJoin& join)>
-      groups;
+  std::function<ProgramGroups(int dev, const IterationJoin& join)> groups;
 
   /// Checkpoint hook (nullable): PE `pe`'s owned state at the end of
   /// iteration `t`, read under the capture-safety window described on
@@ -155,8 +152,8 @@ struct ProgramExecParams {
 
 /// Runs `program` under `plan`, driving the machine to completion. Throws
 /// std::invalid_argument (naming the offending policy component), before
-/// creating anything, for plans that fail exec::valid() and for a host-loop
-/// plan on any world but the whole machine; and
+/// calling any hook or creating anything, for plans that fail exec::valid()
+/// and for a host-loop plan on any world but the whole machine; and
 /// vgpu::CooperativeLaunchError when a persistent composition exceeds the
 /// co-residency limit. A persistent composition is
 /// run_program_persistent_task's launch plus engine.run(): both run on the
@@ -167,10 +164,8 @@ void run_program(const Program& program, const Plan& plan,
 /// Spawnable form of either persistent composition: builds the kernels,
 /// launches them on the world's physical devices and co_awaits every
 /// device's final sync WITHOUT driving the engine — the caller (e.g. the
-/// multi-tenant job server) owns the engine. A `signals` hook's SignalSet
-/// is handed to World::retain_signals (in either form) so in-flight final
-/// puts outlive the launch. The program, plan and params must outlive the
-/// returned task.
+/// multi-tenant job server) owns the engine. The program, plan and params
+/// must outlive the returned task.
 sim::Task run_program_persistent_task(const Program& program, const Plan& plan,
                                       const ProgramExecParams& params);
 

@@ -136,6 +136,11 @@ std::string Engine::flag_name(const void* flag) const {
   return buf;
 }
 
+void Engine::name_flag(const void* flag, std::string name) {
+  if (observer_ != nullptr) observer_->on_flag_name(flag, name);
+  flag_names_[flag] = std::move(name);
+}
+
 void Engine::forget(const void* object) {
   flag_names_.erase(object);
   if (observer_ != nullptr) observer_->on_mem_release(object);

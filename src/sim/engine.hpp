@@ -319,12 +319,10 @@ class Engine {
   [[nodiscard]] WaitToken note_wait_begin(const WaitSite& site);
   void note_wait_end(WaitToken token);
 
-  /// Names a flag for hang reports (the registry-side twin of
-  /// Observer::on_flag_name; filled in unconditionally by the allocating
-  /// layers).
-  void name_flag(const void* flag, std::string name) {
-    flag_names_[flag] = std::move(name);
-  }
+  /// Names a flag for hang reports, and for an attached observer
+  /// (Observer::on_flag_name). The allocating layers name every flag they
+  /// create, whether or not an observer is attached.
+  void name_flag(const void* flag, std::string name);
   [[nodiscard]] std::string flag_name(const void* flag) const;
 
   /// The flag, barrier or device-memory block at `object` is being freed:

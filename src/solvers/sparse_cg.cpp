@@ -703,14 +703,11 @@ exec::ProgramGroups persistent_groups(Core& core, int dev,
 }
 
 /// The persistent composition as an exec::Program (groups hook only; the
-/// core owns its SignalSet, so Program::signals stays null).
+/// core owns its SignalSet).
 exec::Program persistent_program(Core& core) {
   exec::Program prog;
-  prog.machine = &core.world->machine();
   prog.world = core.world;
-  prog.n_pes = core.n;
-  prog.groups = [&core](int dev, vshmem::SignalSet*,
-                        const exec::IterationJoin& join) {
+  prog.groups = [&core](int dev, const exec::IterationJoin& join) {
     return persistent_groups(core, dev, join);
   };
   return prog;
@@ -743,17 +740,19 @@ struct HostLoop {
   std::shared_ptr<std::vector<double>> pq_box, rr_box;
   std::vector<double> pq_partials, rr_partials;
   std::vector<double> rz;
-  // The data-dependent termination test: a converged rank skips the
-  // remaining steps of the host loop.
+  // The data-dependent termination test: a converged rank's remaining host
+  // steps return at their top.
   std::vector<char> converged;
 };
 
 /// One step of the CPU-controlled loop on device `dev`: halo exchange of p
 /// by host-issued memcpys and a host barrier, then SpMV + dot(p, q),
 /// AXPYs + dot(r, r) and the p update as discrete launches, with a stream
-/// sync and an MPI allreduce for each scalar the host needs.
+/// sync and an MPI allreduce for each scalar the host needs. Returns at its
+/// top once the rank has converged.
 sim::Task host_step(HostLoop& loop, hostmpi::Comm& comm, vgpu::HostCtx& h,
                     int dev, int t, vgpu::Stream& stream) {
+  if (loop.converged[static_cast<std::size_t>(dev)] != 0) co_return;
   Problem& prob = *loop.prob;
   const Operator& op = *prob.op;
   const SparseCgConfig& cfg = prob.cfg;
@@ -899,16 +898,9 @@ CgResult run(const Operator& op, const vgpu::MachineSpec& spec,
   Problem prob(op, world, cfg);
   HostLoop loop(prob);
   exec::Program prog;
-  prog.machine = &machine;
   prog.world = &world;
-  prog.n_pes = prob.n;
-  prog.streams_per_device = 1;
-  prog.stop = [&loop](int dev) {
-    return loop.converged[static_cast<std::size_t>(dev)] != 0;
-  };
   prog.host_step = [&loop, &comm](vgpu::HostCtx& h, int dev, int t,
-                                  std::span<vgpu::Stream* const> streams,
-                                  vshmem::SignalSet*) {
+                                  std::span<vgpu::Stream* const> streams) {
     return host_step(loop, comm, h, dev, t, *streams[0]);
   };
   exec::run_program(prog, plan, exec_params(cfg));

@@ -1,18 +1,19 @@
 // The seven evaluated variants (§6.1.1) as exec::Programs over a
-// SlabStencil: halo signal presets, the per-step host bodies of every
-// discrete baseline, and the specialized persistent block groups with their
-// block split and inner-kernel cost model. Who creates streams, allocates
-// signals, drives the loop, or joins persistent iterations is
-// exec::run_program()'s job. Each composition issues exactly the event
-// sequence the paper's variants describe (§6.1.1, Listing 4.1).
+// SlabStencil: the halo signals (allocated with the program when its plan
+// signals), the per-step host bodies of every discrete baseline, and the
+// specialized persistent block groups with their block split and
+// inner-kernel cost model. Who creates streams, drives the loop, launches
+// the persistent kernels or joins their iterations is exec::run_program()'s
+// job. Each composition issues exactly the event sequence the paper's
+// variants describe (§6.1.1, Listing 4.1).
 //
-// Every hook captures the SlabStencil by reference and the plan and variant
-// by value, so a SlabSetup may be copied; the stencil must outlive each run.
+// Every hook captures the SlabStencil by reference and the plan, variant and
+// signals by value, so a SlabSetup may be copied; the stencil must outlive
+// each run.
 #include "stencil/variants.hpp"
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -78,12 +79,13 @@ exec::HaloDeliverFn halo_deliver(SlabStencil<P>& S, int dev, int t) {
   return [&S, dev, t](bool to_top) { return S.halo_deliver(dev, to_top, t); };
 }
 
-/// Presets the halo-ready flags to "iteration 0 delivered" so the first
-/// wait of every signaled-put composition passes (§4.1.1).
-std::unique_ptr<vshmem::SignalSet> alloc_halo_signals(vshmem::World& w,
-                                                      int n_pes) {
-  auto sig = w.alloc_signals(4);
-  for (int pe = 0; pe < n_pes; ++pe) {
+/// Allocates the halo signals, kept by the world (a persistent run's final
+/// put_signal may still be in flight when its kernels sync), and presets the
+/// halo-ready flags to "iteration 0 delivered" so the first wait of every
+/// signaled-put composition passes (§4.1.1).
+vshmem::SignalSet* alloc_halo_signals(vshmem::World& w) {
+  vshmem::SignalSet* sig = w.retain_signals(w.alloc_signals(4));
+  for (int pe = 0; pe < w.n_pes(); ++pe) {
     sig->at(pe, cpufree::kTopHaloReady).set(1);
     sig->at(pe, cpufree::kBottomHaloReady).set(1);
   }
@@ -419,17 +421,12 @@ SlabSetup make_slab_setup(SlabStencil<P>& S, Variant v) {
 
   const exec::Plan plan = setup.plan;
   exec::Program& prog = setup.program;
-  prog.machine = &S.machine();
   prog.world = &S.world();
-  prog.n_pes = S.n_pes();
-  prog.signals = [&S](vshmem::World& w) {
-    return alloc_halo_signals(w, S.n_pes());
-  };
-  prog.streams_per_device =
-      plan.comm == exec::CommPolicy::kOverlapStreams ? 2 : 1;
-  prog.host_step = [&S, plan](vgpu::HostCtx& h, int dev, int t,
-                              std::span<vgpu::Stream* const> streams,
-                              vshmem::SignalSet* sigp) {
+  vshmem::SignalSet* const sigp = plan.comm == exec::CommPolicy::kSignaledPut
+                                      ? alloc_halo_signals(S.world())
+                                      : nullptr;
+  prog.host_step = [&S, plan, sigp](vgpu::HostCtx& h, int dev, int t,
+                                    std::span<vgpu::Stream* const> streams) {
     switch (plan.comm) {
       case exec::CommPolicy::kStagedCopy:
         return staged_step(S, plan, h, dev, t, *streams[0]);
@@ -442,8 +439,7 @@ SlabSetup make_slab_setup(SlabStencil<P>& S, Variant v) {
     }
     return signaled_step(S, plan, h, dev, t, *streams[0], sigp);
   };
-  prog.groups = [&S, v](int dev, vshmem::SignalSet* sigp,
-                        const exec::IterationJoin& join) {
+  prog.groups = [&S, v, sigp](int dev, const exec::IterationJoin& join) {
     return build_groups(S, v, dev, sigp, join);
   };
   // Checkpoint capture: PE `pe`'s owned interior rows 1..rows of the parity

@@ -60,8 +60,10 @@ namespace stencil {
 /// stencil, built for `plan`, the exec params drawn from the stencil's
 /// config, and the plan. One factory serves both the bench runner
 /// (run_variant) and the serve workload path, so jobs and figures can never
-/// drift apart. The program's hooks capture the SlabStencil by reference
-/// (it must outlive every run) and the plan and variant by value, so a
+/// drift apart. Building a setup whose plan signals allocates the halo
+/// SignalSet and hands it to the stencil's World (World::retain_signals).
+/// The program's hooks capture the SlabStencil by reference (it must
+/// outlive every run) and the plan, variant and signals by value, so a
 /// setup may be copied and its params edited (e.g. to layer checkpointing
 /// on).
 struct SlabSetup {

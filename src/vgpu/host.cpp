@@ -52,9 +52,8 @@ sim::Task HostCtx::launch(Stream& stream, LaunchConfig config,
   const int lane = stream.lane();
   stream.enqueue([m, dev, lane, start_latency, config, shared_groups]() -> sim::Task {
     co_await m->engine().delay(start_latency);
-    // shared_groups (and the lambda object itself) live in the stream op's
-    // frame for the duration of this await; the vector is passed as a copy.
-    CO_AWAIT(run_kernel(*m, *dev, lane, config, *shared_groups));
+    // A stream op runs once, so the kernel takes the groups over.
+    CO_AWAIT(run_kernel(*m, *dev, lane, config, std::move(*shared_groups)));
   });
 }
 
@@ -87,9 +86,10 @@ sim::Task HostCtx::memcpy_peer_async(Stream& stream, int dst_device,
   auto shared_deliver = std::make_shared<std::function<void()>>(std::move(deliver));
   stream.enqueue([m, dst_device, src_device, bytes, lane, name, obs,
                   shared_deliver]() -> sim::Task {
-    co_await m->transfer(src_device, dst_device, bytes,
+    // A stream op runs once, so the transfer takes the payload over.
+    CO_AWAIT(m->transfer(src_device, dst_device, bytes,
                          TransferKind::kHostInitiated, lane, name,
-                         *shared_deliver, sim::Cat::kComm, obs);
+                         std::move(*shared_deliver), sim::Cat::kComm, obs));
   });
 }
 

@@ -169,7 +169,8 @@ sim::Task run_kernel(Machine& machine, Device& device, int lane,
     auto ctx = std::make_shared<KernelCtx>(machine, device, lane,
                                            static_cast<int>(i), groups[i].blocks,
                                            blocks, grid_barrier.get());
-    tasks.push_back(run_group(std::move(ctx), groups[i].fn, groups[i].name));
+    tasks.push_back(
+        run_group(std::move(ctx), std::move(groups[i].fn), groups[i].name));
   }
   co_await sim::when_all(machine.engine(), std::move(tasks));
   if (grid_barrier) machine.engine().forget(grid_barrier.get());

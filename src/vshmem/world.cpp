@@ -31,12 +31,11 @@ World::World(vgpu::Machine& machine, std::vector<int> devices,
   // nvshmem_init establishes the all-to-all PGAS domain over NVLink.
   machine_->enable_all_peer_access();
   pe_.resize(static_cast<std::size_t>(n_pes_));
-  sim::Observer* const o = machine_->engine().observer();
   for (std::size_t i = 0; i < pe_.size(); ++i) {
     pe_[i].completed = std::make_unique<sim::Flag>(machine_->engine(), 0);
-    std::string nm = label_ + "nbi_completed@pe" + std::to_string(i);
-    machine_->engine().name_flag(pe_[i].completed.get(), nm);
-    if (o != nullptr) o->on_flag_name(pe_[i].completed.get(), nm);
+    machine_->engine().name_flag(pe_[i].completed.get(),
+                                 label_ + "nbi_completed@pe" +
+                                     std::to_string(i));
   }
 }
 

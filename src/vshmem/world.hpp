@@ -213,15 +213,12 @@ class World {
   [[nodiscard]] std::unique_ptr<SignalSet> alloc_signals(
       std::size_t count, std::string_view name = "sig") {
     auto s = std::make_unique<SignalSet>(machine_->engine(), n_pes_, count);
-    sim::Observer* const o = machine_->engine().observer();
     for (int pe = 0; pe < n_pes_; ++pe) {
       for (std::size_t i = 0; i < count; ++i) {
-        std::string nm = label_ + std::string(name) + std::to_string(i) +
-                         "@pe" + std::to_string(pe);
-        // Registered unconditionally with the engine so an end-of-run hang
-        // report can name the flag even without an attached checker.
-        machine_->engine().name_flag(&s->at(pe, i), nm);
-        if (o != nullptr) o->on_flag_name(&s->at(pe, i), nm);
+        machine_->engine().name_flag(&s->at(pe, i),
+                                     label_ + std::string(name) +
+                                         std::to_string(i) + "@pe" +
+                                         std::to_string(pe));
       }
     }
     return s;

@@ -603,19 +603,14 @@ exec::ProgramGroups build_hist_groups(HistCore& core, int dev,
   return pg;
 }
 
-/// Wraps the histogram core as an exec::Program. The core owns its signals
-/// (they must outlive externally-driven jobs), so Program::signals stays
-/// null and every body reaches the SignalSet through the core.
+/// Wraps the histogram core as an exec::Program built for `plan`. The core
+/// owns its signals (they must outlive externally-driven jobs), and every
+/// body reaches the SignalSet through the core.
 exec::Program make_hist_program(HistCore& core, const exec::Plan& plan) {
   exec::Program prog;
-  prog.machine = &core.world->machine();
   prog.world = core.world;
-  prog.n_pes = core.n;
-  prog.streams_per_device =
-      plan.comm == exec::CommPolicy::kOverlapStreams ? 2 : 1;
   prog.host_step = [&core, plan](vgpu::HostCtx& h, int dev, int t,
-                                 std::span<vgpu::Stream* const> streams,
-                                 vshmem::SignalSet*) {
+                                 std::span<vgpu::Stream* const> streams) {
     switch (plan.comm) {
       case exec::CommPolicy::kStagedCopy:
         return staged_step(core, plan, h, dev, t, *streams[0]);
@@ -628,8 +623,7 @@ exec::Program make_hist_program(HistCore& core, const exec::Plan& plan) {
     }
     return signaled_step(core, plan, h, dev, t, *streams[0]);
   };
-  prog.groups = [&core](int dev, vshmem::SignalSet*,
-                        const exec::IterationJoin& join) {
+  prog.groups = [&core](int dev, const exec::IterationJoin& join) {
     return build_hist_groups(core, dev, join);
   };
   return prog;

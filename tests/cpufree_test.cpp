@@ -1,6 +1,7 @@
 // Unit tests for the CPU-Free core library: thread-block specialization
 // formula, PERKS cache/tiling model, halo plan topology, the iteration-flag
-// protocol, the persistent multi-GPU launcher, and run metrics.
+// protocol, the persistent multi-GPU launch (through exec::run_program), and
+// run metrics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,10 +12,11 @@
 #include <vector>
 
 #include "cpufree/halo.hpp"
-#include "cpufree/launch.hpp"
 #include "cpufree/metrics.hpp"
 #include "cpufree/partition.hpp"
 #include "cpufree/perks.hpp"
+#include "exec/policy.hpp"
+#include "exec/program.hpp"
 #include "sim/rng.hpp"
 #include "test_machines.hpp"
 #include "vgpu/machine.hpp"
@@ -195,31 +197,41 @@ TEST(IterationProtocol, PairwiseExchangeDeliversEveryIteration) {
   }
 }
 
+/// The single-kernel CPU-Free plan the launch tests run under.
+constexpr exec::Plan kPersistentPlan{
+    exec::LaunchPolicy::kPersistent, exec::CommPolicy::kSignaledPut,
+    exec::SyncPolicy::kIterationFlags, "persistent"};
+
 TEST(PersistentLaunch, RunsOneKernelPerDeviceWithSingleLaunchCost) {
   MachineSpec s = spec(3);
   s.host.kernel_launch = 20;
   s.host.launch_to_start = 30;
   s.host.stream_sync = 1;
   Machine m(s);
+  vshmem::World w(m);
   std::vector<int> iterations_done(3, 0);
-  std::vector<cpufree::DeviceGroups> groups(3);
-  for (int d = 0; d < 3; ++d) {
-    auto body = [&iterations_done, d](KernelCtx& k) -> Task {
-      for (int t = 0; t < 10; ++t) {
+  exec::Program prog;
+  prog.world = &w;
+  prog.groups = [&iterations_done](int d, const exec::IterationJoin& join) {
+    auto body = [&iterations_done, d,
+                 comm_end = join.comm_end](KernelCtx& k) -> Task {
+      for (int t = 1; t <= 10; ++t) {
         co_await k.busy(100, sim::Cat::kCompute, "iter");
-        co_await k.grid_sync();
+        CO_AWAIT(comm_end(k, /*lead=*/true, t));
         ++iterations_done[static_cast<std::size_t>(d)];
       }
     };
-    groups[static_cast<std::size_t>(d)].push_back(BlockGroup{"main", 2, body});
-    auto body2 = [](KernelCtx& k) -> Task {
-      for (int t = 0; t < 10; ++t) {
-        co_await k.grid_sync();
+    auto body2 = [inner_end = join.inner_end](KernelCtx& k) -> Task {
+      for (int t = 1; t <= 10; ++t) {
+        CO_AWAIT(inner_end(k, t));
       }
     };
-    groups[static_cast<std::size_t>(d)].push_back(BlockGroup{"aux", 1, body2});
-  }
-  cpufree::launch_persistent_all(m, std::move(groups));
+    exec::ProgramGroups pg;
+    pg.comm.push_back(BlockGroup{"main", 2, body});
+    pg.inner.push_back(BlockGroup{"aux", 1, body2});
+    return pg;
+  };
+  exec::run_program(prog, kPersistentPlan, {.iterations = 10});
   for (int d = 0; d < 3; ++d) {
     EXPECT_EQ(iterations_done[static_cast<std::size_t>(d)], 10);
   }
@@ -238,19 +250,18 @@ TEST(PersistentLaunch, RunsOneKernelPerDeviceWithSingleLaunchCost) {
 
 TEST(PersistentLaunch, EnforcesCoResidency) {
   Machine m(spec(1));
+  vshmem::World w(m);
   const int limit = m.device(0).spec().max_cooperative_blocks(1024);
-  std::vector<cpufree::DeviceGroups> groups(1);
-  groups[0].push_back(BlockGroup{"too_big", limit + 1,
+  exec::Program prog;
+  prog.world = &w;
+  prog.groups = [limit](int, const exec::IterationJoin&) {
+    exec::ProgramGroups pg;
+    pg.comm.push_back(BlockGroup{"too_big", limit + 1,
                                  [](KernelCtx&) -> Task { co_return; }});
-  EXPECT_THROW(cpufree::launch_persistent_all(m, std::move(groups)),
+    return pg;
+  };
+  EXPECT_THROW(exec::run_program(prog, kPersistentPlan, {}),
                vgpu::CooperativeLaunchError);
-}
-
-TEST(PersistentLaunch, WrongGroupCountThrows) {
-  Machine m(spec(2));
-  std::vector<cpufree::DeviceGroups> groups(1);
-  EXPECT_THROW(cpufree::launch_persistent_all(m, std::move(groups)),
-               std::invalid_argument);
 }
 
 TEST(Metrics, AnalyzeRunDerivesRatios) {

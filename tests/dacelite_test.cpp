@@ -448,6 +448,62 @@ TEST(ExecMode, EveryEntryPointRejectsAModeMismatch) {
   }
 }
 
+TEST(ExecWorld, EveryEntryPointRejectsAForeignMachineOrWorld) {
+  // The SDFG's arrays and signals live in the ProgramData's World, so each
+  // entry point runs there and throws, naming itself, when the machine or
+  // World it is handed besides is another one. The spawned form throws
+  // from engine.run(), like its mode check.
+  const auto expect_rejected = [](const std::string& fn,
+                                  const std::string& what, auto&& run) {
+    try {
+      run();
+      ADD_FAILURE() << fn << " accepted a foreign " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(fn + ": the " + what + " is not"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  {
+    auto prog = dacelite::make_jacobi1d(48, 2, 2);
+    dacelite::apply_gpu_transform(prog.sdfg);
+    vgpu::Machine m(hgx(2));
+    vgpu::Machine other(hgx(2));
+    vshmem::World w(m);
+    hostmpi::Comm comm(other);
+    ProgramData data(w, prog.sdfg, true);
+    expect_rejected("execute_discrete", "machine", [&] {
+      (void)dacelite::execute_discrete(other, comm, data, prog.sdfg, {});
+    });
+  }
+  for (bool spawned : {false, true}) {
+    for (bool foreign_world : {false, true}) {
+      auto prog = dacelite::make_jacobi1d(48, 2, 2);
+      dacelite::to_cpu_free(prog.sdfg);
+      vgpu::Machine m(hgx(2));
+      vgpu::Machine other(hgx(2));
+      vshmem::World w(m);
+      vshmem::World slice(m, {0, 1}, "other.");
+      ProgramData data(w, prog.sdfg, true);
+      // Either the World on the right machine, or the right World with
+      // another machine.
+      vgpu::Machine& mm = foreign_world ? m : other;
+      vshmem::World& ww = foreign_world ? slice : w;
+      const std::string what = foreign_world ? "World" : "machine";
+      if (spawned) {
+        mm.engine().spawn(
+            dacelite::execute_persistent_task(mm, ww, data, prog.sdfg, {}));
+        expect_rejected("execute_persistent_task", what,
+                        [&] { mm.engine().run(); });
+      } else {
+        expect_rejected("execute_persistent", what, [&] {
+          (void)dacelite::execute_persistent(mm, ww, data, prog.sdfg, {});
+        });
+      }
+    }
+  }
+}
+
 // Functional check of MapFusion: a two-stage pipeline (tmp = 2A; B = tmp+1)
 // computes the same result before and after fusion, and the fused program
 // launches half the kernels.

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -19,6 +22,7 @@
 #include "stencil/slab.hpp"
 #include "stencil/variants.hpp"
 #include "vshmem/world.hpp"
+#include "workloads/histogram/histogram.hpp"
 
 namespace {
 
@@ -209,7 +213,7 @@ TEST(HostLoopSlice, RejectedBeforeAnythingIsCreated) {
   // A host loop runs one host thread per machine device, so on devices
   // {0, 1} of a 4-GPU node it would index past the slice's PEs. run_program
   // rejects every host-loop variant there, naming the launch policy, before
-  // it allocates a signal or creates a stream.
+  // it names a flag, allocates device memory or creates a stream.
   for (Variant v : {Variant::kBaselineCopy, Variant::kBaselineOverlap,
                     Variant::kBaselineP2P, Variant::kBaselineNvshmem}) {
     vgpu::Machine m(vgpu::MachineSpec::hgx_a100(4));
@@ -238,6 +242,197 @@ TEST(HostLoopSlice, RejectedBeforeAnythingIsCreated) {
     for (int d = 0; d < m.num_devices(); ++d) {
       EXPECT_EQ(m.device(d).stream_count(), 0u) << stencil::variant_name(v);
     }
+  }
+}
+
+// ---- Resource creation order --------------------------------------------------
+
+/// Records, in order, the flag and memory-block names published while it is
+/// attached, and the streams each device enqueued work on. Given the
+/// machine, it marks a name published after a stream exists.
+struct CreationLog : sim::Observer {
+  void on_mem_block(const void*, std::size_t, std::string_view name) override {
+    names.push_back("mem " + std::string(name) + after_streams());
+  }
+  void on_flag_name(const void*, std::string_view name) override {
+    names.push_back("flag " + std::string(name) + after_streams());
+  }
+  void on_stream_enqueue(const sim::Actor&, const sim::Actor& stream,
+                         std::int64_t) override {
+    lanes.emplace(stream.a, stream.b);
+  }
+  std::string after_streams() const {
+    if (machine == nullptr) return {};
+    for (int d = 0; d < machine->num_devices(); ++d) {
+      if (machine->device(d).stream_count() != 0) return " (after a stream)";
+    }
+    return {};
+  }
+  vgpu::Machine* machine = nullptr;
+  std::vector<std::string> names;
+  std::set<std::pair<std::int32_t, std::int32_t>> lanes;  // (device, lane)
+};
+
+/// `kind label+name@pe<i>` for every PE i < n.
+void append_per_pe(std::vector<std::string>& out, std::string_view kind,
+                   const std::string& name, int n) {
+  for (int pe = 0; pe < n; ++pe) {
+    out.push_back(std::string(kind) + ' ' + name + "@pe" + std::to_string(pe));
+  }
+}
+
+/// The names World::alloc_signals gives `count` signals on n PEs, PE-major.
+void append_signals(std::vector<std::string>& out, const std::string& label,
+                    int count, int n) {
+  for (int pe = 0; pe < n; ++pe) {
+    for (int i = 0; i < count; ++i) {
+      out.push_back("flag " + label + "sig" + std::to_string(i) + "@pe" +
+                    std::to_string(pe));
+    }
+  }
+}
+
+/// The two-kernel composition's local iteration counters, named per PE.
+void append_pair_flags(std::vector<std::string>& out, int n) {
+  for (int pe = 0; pe < n; ++pe) {
+    out.push_back("flag inner_done@pe" + std::to_string(pe));
+    out.push_back("flag comm_done@pe" + std::to_string(pe));
+  }
+}
+
+/// What a 64x64 Jacobi2D names, in creation order, from its World through
+/// the run: the nbi-completion flags, the two slab buffers, the four halo
+/// signals per PE when the plan signals, and the two-kernel design's pair
+/// flags.
+std::vector<std::string> stencil_names(Variant v, const std::string& label,
+                                       int n) {
+  const Plan plan = stencil::plan_for(v);
+  std::vector<std::string> e;
+  append_per_pe(e, "flag", label + "nbi_completed", n);
+  append_per_pe(e, "mem", label + "u0", n);
+  append_per_pe(e, "mem", label + "u1", n);
+  if (plan.comm == CommPolicy::kSignaledPut) append_signals(e, label, 4, n);
+  if (plan.launch == LaunchPolicy::kPersistentPair) append_pair_flags(e, n);
+  return e;
+}
+
+struct Creation {
+  std::vector<std::string> names;
+  std::vector<std::size_t> streams;  // per device, read while the World lives
+};
+
+/// Builds and runs `v` with a CreationLog attached before its World exists:
+/// on the whole of hgx_a100(4) through run_program, or spawned on devices
+/// {2, 3}.
+Creation stencil_creation(Variant v, bool slice) {
+  CreationLog log;
+  vgpu::Machine m(vgpu::MachineSpec::hgx_a100(4));
+  log.machine = &m;
+  m.engine().set_observer(&log);
+  const auto w = slice ? std::make_unique<vshmem::World>(
+                             m, std::vector<int>{2, 3}, "slice.")
+                       : std::make_unique<vshmem::World>(m);
+  stencil::Jacobi2D prob;
+  prob.nx = 64;
+  prob.ny = 64;
+  stencil::StencilConfig cfg;
+  cfg.iterations = 2;
+  cfg.persistent_blocks = 12;
+  stencil::SlabStencil<stencil::Jacobi2D> S(*w, prob, cfg);
+  const stencil::SlabSetup setup = stencil::make_slab_setup(S, v);
+  if (slice) {
+    m.engine().spawn(exec::run_program_persistent_task(
+        setup.program, setup.plan, setup.params));
+    m.engine().run();
+  } else {
+    exec::run_program(setup.program, setup.plan, setup.params);
+  }
+  Creation c{log.names, {}};
+  for (int d = 0; d < m.num_devices(); ++d) {
+    c.streams.push_back(m.device(d).stream_count());
+  }
+  return c;
+}
+
+/// Streams per device a plan runs on: two for overlapping copies or a
+/// kernel pair, else one.
+std::size_t streams_for(const Plan& plan) {
+  return plan.comm == CommPolicy::kOverlapStreams ||
+                 plan.launch == LaunchPolicy::kPersistentPair
+             ? 2
+             : 1;
+}
+
+TEST(CreationOrder, StencilVariantsOnTheWholeMachine) {
+  for (Variant v : kAllSeven) {
+    const Creation c = stencil_creation(v, /*slice=*/false);
+    EXPECT_EQ(c.names, stencil_names(v, "", 4)) << stencil::variant_name(v);
+    const std::vector<std::size_t> want(4, streams_for(stencil::plan_for(v)));
+    EXPECT_EQ(c.streams, want) << stencil::variant_name(v);
+  }
+}
+
+TEST(CreationOrder, PersistentVariantsSpawnedOnASlice) {
+  for (Variant v : {Variant::kCpuFree, Variant::kCpuFreePerks,
+                    Variant::kCpuFreeTwoKernels}) {
+    const Creation c = stencil_creation(v, /*slice=*/true);
+    EXPECT_EQ(c.names, stencil_names(v, "slice.", 2))
+        << stencil::variant_name(v);
+    const std::size_t k = streams_for(stencil::plan_for(v));
+    const std::vector<std::size_t> want{0, 0, k, k};
+    EXPECT_EQ(c.streams, want) << stencil::variant_name(v);
+  }
+}
+
+TEST(CreationOrder, HistogramUnderEveryTriple) {
+  const Plan plans[] = {
+      {LaunchPolicy::kHostLoop, CommPolicy::kStagedCopy,
+       SyncPolicy::kHostBarrier, "hist"},
+      {LaunchPolicy::kHostLoop, CommPolicy::kOverlapStreams,
+       SyncPolicy::kHostBarrier, "hist"},
+      {LaunchPolicy::kHostLoop, CommPolicy::kPeerStore,
+       SyncPolicy::kHostBarrier, "hist_p2p"},
+      {LaunchPolicy::kHostLoop, CommPolicy::kSignaledPut,
+       SyncPolicy::kStreamSync, "hist_nvshmem"},
+      {LaunchPolicy::kPersistent, CommPolicy::kSignaledPut,
+       SyncPolicy::kIterationFlags, "hist_cpufree"},
+      {LaunchPolicy::kPersistentPair, CommPolicy::kSignaledPut,
+       SyncPolicy::kIterationFlags, "hist_cpufree"},
+  };
+  constexpr int kDevices = 4;
+  for (const Plan& plan : plans) {
+    // The histogram names its World, bins, transfer rows and 2n signals per
+    // PE whatever the plan; the run adds only the pair flags.
+    std::vector<std::string> names;
+    append_per_pe(names, "flag", "nbi_completed", kDevices);
+    append_per_pe(names, "mem", "hist_bins", kDevices);
+    append_per_pe(names, "mem", "hist_xfer", kDevices);
+    append_signals(names, "", 2 * kDevices, kDevices);
+    if (plan.launch == LaunchPolicy::kPersistentPair) {
+      append_pair_flags(names, kDevices);
+    }
+    const std::string what = std::string(exec::name(plan.launch)) + '/' +
+                             std::string(exec::name(plan.comm));
+    CreationLog log;
+    workloads::HistogramConfig cfg;
+    cfg.bins = 97;
+    cfg.keys_per_round = 64;
+    cfg.rounds = 2;
+    cfg.threads_per_block = 128;
+    cfg.persistent_blocks = 8;
+    cfg.observer = &log;
+    static_cast<void>(
+        workloads::run_histogram(vgpu::MachineSpec::hgx_a100(kDevices), cfg,
+                                 plan));
+    EXPECT_EQ(log.names, names) << what;
+    // run_histogram keeps its machine to itself, so these are the streams
+    // each device enqueued work on.
+    std::vector<std::size_t> streams(kDevices, 0);
+    for (const auto& [device, lane] : log.lanes) {
+      ++streams[static_cast<std::size_t>(device)];
+    }
+    const std::vector<std::size_t> want(kDevices, streams_for(plan));
+    EXPECT_EQ(streams, want) << what;
   }
 }
 

@@ -9,7 +9,8 @@
 #include <vector>
 
 #include "cpufree/halo.hpp"
-#include "cpufree/launch.hpp"
+#include "exec/policy.hpp"
+#include "exec/program.hpp"
 #include "sim/combinators.hpp"
 #include "vgpu/kernel.hpp"
 #include "vgpu/machine.hpp"
@@ -162,18 +163,29 @@ TEST(Inject, MissingPeerAccessThrows) {
 
 /// Oversubscribing a cooperative launch must throw BEFORE anything runs (the
 /// Cooperative Groups restriction, §4.1.4), including through the CPU-Free
-/// launcher.
+/// launch of exec::run_program.
 TEST(Inject, PersistentOversubscriptionRejectedUpfront) {
   Machine m(spec(1));
+  vshmem::World w(m);
   const int limit = m.device(0).spec().max_cooperative_blocks(1024);
   bool body_ran = false;
-  std::vector<cpufree::DeviceGroups> groups(1);
-  groups[0].push_back(BlockGroup{"huge", limit + 1, [&](KernelCtx&) -> Task {
+  exec::Program prog;
+  prog.world = &w;
+  prog.groups = [limit, &body_ran](int, const exec::IterationJoin&) {
+    exec::ProgramGroups pg;
+    pg.comm.push_back(BlockGroup{"huge", limit + 1, [&](KernelCtx&) -> Task {
                                    body_ran = true;
                                    co_return;
                                  }});
-  EXPECT_THROW(cpufree::launch_persistent_all(m, std::move(groups)),
-               vgpu::CooperativeLaunchError);
+    return pg;
+  };
+  EXPECT_THROW(
+      exec::run_program(prog,
+                        {exec::LaunchPolicy::kPersistent,
+                         exec::CommPolicy::kSignaledPut,
+                         exec::SyncPolicy::kIterationFlags, "persistent"},
+                        {}),
+      vgpu::CooperativeLaunchError);
   EXPECT_FALSE(body_ran);
 }
 

@@ -3,6 +3,8 @@
 // kernel launch, cooperative grid sync, and host API costs.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/combinators.hpp"
@@ -511,6 +513,51 @@ TEST(Kernel, HostApiIntervalsAttributedToHostTimeline) {
     co_await h.sync_stream(s);
   });
   EXPECT_GE(m.trace().union_length(sim::Cat::kHostApi, -1), 20);
+}
+
+/// Counts the copies made of the closures that capture one; moves are free.
+struct CopyCounter {
+  static inline int copies = 0;
+  CopyCounter() = default;
+  CopyCounter(const CopyCounter&) { ++copies; }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) {
+    ++copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&&) noexcept = default;
+  ~CopyCounter() = default;
+};
+
+TEST(Kernel, StreamOpsMoveWhatTheyAreHanded) {
+  // A stream op runs once, so a launch's block-group bodies reach their
+  // groups and a peer copy's deliver callback reaches the transfer without
+  // a copy.
+  Machine m(simple_spec(2));
+  m.enable_all_peer_access();
+  Stream& s = m.device(0).create_stream();
+  bool ran = false;
+  bool delivered = false;
+  std::vector<BlockGroup> groups;
+  groups.push_back(BlockGroup{
+      "g", 1, [c = CopyCounter{}, &ran](KernelCtx&) -> Task {
+        ran = true;
+        co_return;
+      }});
+  std::function<void()> deliver = [c = CopyCounter{}, &delivered] {
+    delivered = true;
+  };
+  CopyCounter::copies = 0;
+  m.run_host_threads([&](int dev) -> Task {
+    if (dev != 0) co_return;
+    HostCtx h(m, 0);
+    CO_AWAIT(h.launch(s, LaunchConfig{.name = "k"}, std::move(groups)));
+    CO_AWAIT(h.memcpy_peer_async(s, 1, 0, 8.0, "copy", std::move(deliver)));
+    co_await h.sync_stream(s);
+  });
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(delivered);
+  EXPECT_EQ(CopyCounter::copies, 0);
 }
 
 }  // namespace
