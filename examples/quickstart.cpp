@@ -39,8 +39,11 @@ int main(int argc, char** argv) {
   // pass it right. No CPU involvement after the launch. The ring is one
   // group per PE that orders itself by signals, so it needs no per-round
   // join.
-  exec::Program ring;
-  ring.world = &world;
+  exec::Program ring{.world = &world,
+                     .plan = {exec::LaunchPolicy::kPersistent,
+                              exec::CommPolicy::kSignaledPut,
+                              exec::SyncPolicy::kIterationFlags,
+                              "quickstart_ring"}};
   ring.groups = [&world, &token, sig = signals.get()](
                     int pe, const exec::IterationJoin&) {
     auto body = [&world, &token, sig, pe](KernelCtx& k) -> Task {
@@ -61,11 +64,7 @@ int main(int argc, char** argv) {
     pg.comm.push_back(BlockGroup{"ring", 1, std::move(body)});
     return pg;
   };
-  exec::run_program(ring,
-                    {exec::LaunchPolicy::kPersistent,
-                     exec::CommPolicy::kSignaledPut,
-                     exec::SyncPolicy::kIterationFlags, "quickstart_ring"},
-                    {});
+  exec::run_program(ring);
 
   const auto& tr = machine.trace();
   std::printf("simulated time: %.2f us\n", sim::to_usec(machine.engine().now()));

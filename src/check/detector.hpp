@@ -63,10 +63,6 @@ class Detector final : public sim::Observer {
   [[nodiscard]] const std::vector<RaceReport>& races() const {
     return races_;
   }
-  [[nodiscard]] bool deadlocked() const { return deadlocked_; }
-  [[nodiscard]] const std::string& deadlock_report() const {
-    return deadlock_report_;
-  }
   /// Verdict line followed by every race line and the deadlock diagnosis.
   [[nodiscard]] std::string report_text() const;
 

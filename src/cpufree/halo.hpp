@@ -179,10 +179,6 @@ class IterationProtocol {
                                vshmem::SignalOp::kSet, dst_pe);
   }
 
-  [[nodiscard]] std::int64_t flag_value(int pe, std::size_t flag) const {
-    return signals_->at(pe, flag).value();
-  }
-
  private:
   /// Defensive bound on degraded polling: a sender that never issues is a
   /// real deadlock and should surface through the engine's attributed

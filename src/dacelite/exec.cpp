@@ -280,6 +280,12 @@ ExecResult execute_discrete(vgpu::Machine& machine, hostmpi::Comm& comm,
                             ExecOptions options) {
   check_mode("execute_discrete", options, data);
   check_world("execute_discrete", machine, nullptr, data);
+  // The MPI operations wait on the Comm's machine's engine.
+  if (&comm.machine() != &machine) {
+    throw std::invalid_argument(
+        "execute_discrete: the Comm is not on the ProgramData's World's "
+        "machine");
+  }
   sdfg.validate();
   machine.trace().set_enabled(options.trace);
   const int iters = resolve_iterations(sdfg, options);
@@ -287,8 +293,8 @@ ExecResult execute_discrete(vgpu::Machine& machine, hostmpi::Comm& comm,
   // Each rank's outstanding MPI requests, kept across steps.
   std::vector<std::vector<hostmpi::Request>> reqs(
       static_cast<std::size_t>(world.n_pes()));
-  exec::Program prog;
-  prog.world = &world;
+  exec::Program prog{
+      .world = &world, .plan = kDiscretePlan, .iterations = iters};
   // Rank `rank`'s step t: the setup states (as iteration 0) at the top of
   // step 1, every body state, and the closing stream sync after the last.
   prog.host_step = [&comm, &data, &sdfg, &reqs, iters](
@@ -308,7 +314,7 @@ ExecResult execute_discrete(vgpu::Machine& machine, hostmpi::Comm& comm,
     }
     if (t == iters) CO_AWAIT(h.sync_stream(stream));
   };
-  exec::run_program(prog, kDiscretePlan, {.iterations = iters});
+  exec::run_program(prog);
   ExecResult r;
   r.iterations = iters;
   r.put_expansion = "mpi";
@@ -498,7 +504,12 @@ sim::Task run_device_persistent(vshmem::World& w, ProgramData& data,
   }
 }
 
-/// The persistent backend's prologue, shared by both entry points: checks
+constexpr exec::Plan kPersistentPlan{
+    exec::LaunchPolicy::kPersistent, exec::CommPolicy::kSignaledPut,
+    exec::SyncPolicy::kIterationFlags, "dacelite_persistent"};
+
+/// The persistent backend's prologue, shared by both entry points once they
+/// checked the mode (and the machine and World they were handed): checks
 /// the SDFG, resolves the iteration count and the co-resident blocks into
 /// `options` (the software-tiling model reads persistent_blocks for the
 /// resident-thread count), runs the setup states functionally
@@ -508,13 +519,9 @@ sim::Task run_device_persistent(vshmem::World& w, ProgramData& data,
 /// per PE under the single-kernel plan; the SDFG places its own grid
 /// barriers). ProgramData owns the signals. Ranks are PE indices of the
 /// World, which may be a device slice.
-exec::Program prepare_persistent(std::string_view fn,
-                                 const vgpu::Machine& machine,
-                                 const vshmem::World& world, ProgramData& data,
+exec::Program prepare_persistent(std::string_view fn, ProgramData& data,
                                  const Sdfg& sdfg, ExecOptions& options,
                                  ExecResult& r) {
-  check_mode(fn, options, data);
-  check_world(fn, machine, &world, data);
   sdfg.validate();
   if (!sdfg.persistent) {
     std::string msg(fn);
@@ -542,8 +549,10 @@ exec::Program prepare_persistent(std::string_view fn,
   r.persistent_blocks = options.persistent_blocks;
   r.put_expansion = describe_put_expansions(sdfg, options, n);
 
-  exec::Program prog;
-  prog.world = &w;
+  exec::Program prog{.world = &w,
+                     .plan = kPersistentPlan,
+                     .iterations = options.iterations,
+                     .threads_per_block = options.threads_per_block};
   prog.groups = [wp = &w, dp = &data, sp = &sdfg, options](
                     int rank, const exec::IterationJoin&) {
     auto body = [wp, dp, sp, rank, options](vgpu::KernelCtx& k) -> sim::Task {
@@ -558,40 +567,33 @@ exec::Program prepare_persistent(std::string_view fn,
   return prog;
 }
 
-constexpr exec::Plan kPersistentPlan{
-    exec::LaunchPolicy::kPersistent, exec::CommPolicy::kSignaledPut,
-    exec::SyncPolicy::kIterationFlags, "dacelite_persistent"};
-
 }  // namespace
 
 ExecResult execute_persistent(vgpu::Machine& machine, vshmem::World& world,
                               ProgramData& data, const Sdfg& sdfg,
                               ExecOptions options) {
+  check_mode("execute_persistent", options, data);
+  check_world("execute_persistent", machine, &world, data);
   ExecResult r;
-  const exec::Program prog = prepare_persistent(
-      "execute_persistent", machine, world, data, sdfg, options, r);
+  const exec::Program prog =
+      prepare_persistent("execute_persistent", data, sdfg, options, r);
   machine.trace().set_enabled(options.trace);
-  exec::run_program(prog, kPersistentPlan,
-                    {.iterations = r.iterations,
-                     .threads_per_block = options.threads_per_block});
+  exec::run_program(prog);
   r.metrics = cpufree::analyze_run(machine.trace(), machine.engine().now(),
                                    r.iterations);
   cpufree::apply_fault_stats(r.metrics, machine.faults().stats());
   return r;
 }
 
-sim::Task execute_persistent_task(vgpu::Machine& machine, vshmem::World& world,
-                                  ProgramData& data, const Sdfg& sdfg,
+sim::Task execute_persistent_task(ProgramData& data, const Sdfg& sdfg,
                                   ExecOptions options, ExecResult* result) {
+  check_mode("execute_persistent_task", options, data);
   ExecResult r;
-  // On this frame: the launch task below holds references to both.
-  const exec::Program prog = prepare_persistent(
-      "execute_persistent_task", machine, world, data, sdfg, options, r);
-  const exec::ProgramExecParams params{
-      .iterations = r.iterations,
-      .threads_per_block = options.threads_per_block};
+  // On this frame: the launch task below holds a reference to it.
+  const exec::Program prog =
+      prepare_persistent("execute_persistent_task", data, sdfg, options, r);
   if (result != nullptr) *result = std::move(r);
-  co_await exec::run_program_persistent_task(prog, kPersistentPlan, params);
+  co_await exec::run_program_persistent_task(prog);
 }
 
 }  // namespace dacelite

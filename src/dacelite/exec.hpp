@@ -125,15 +125,14 @@ ExecResult execute_persistent(vgpu::Machine& machine, vshmem::World& world,
                               ExecOptions options);
 
 /// Spawnable variant of execute_persistent for an externally-driven engine
-/// (the multi-tenant job server): same setup pass and kernel bodies, but it
-/// never touches the machine-wide trace and completes when every PE's
-/// persistent kernel drains instead of driving the engine itself. In both
-/// forms `world` may be a device slice. `data`, `sdfg`, and `*result` must
-/// outlive the task. Fills result->iterations / persistent_blocks /
-/// put_expansion; result->metrics stays empty (per-job timing is the
-/// caller's concern).
-sim::Task execute_persistent_task(vgpu::Machine& machine, vshmem::World& world,
-                                  ProgramData& data, const Sdfg& sdfg,
+/// (the multi-tenant job server): same setup pass and kernel bodies on the
+/// ProgramData's World, but it never touches the machine-wide trace and
+/// completes when every PE's persistent kernel drains instead of driving
+/// the engine itself. In both forms the World may be a device slice.
+/// `data`, `sdfg`, and `*result` must outlive the task. Fills
+/// result->iterations / persistent_blocks / put_expansion; result->metrics
+/// stays empty (per-job timing is the caller's concern).
+sim::Task execute_persistent_task(ProgramData& data, const Sdfg& sdfg,
                                   ExecOptions options,
                                   ExecResult* result = nullptr);
 

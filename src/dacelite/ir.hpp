@@ -81,15 +81,6 @@ struct Subset {
   }
 };
 
-/// Copies `src_sub` of `src` into `dst_sub` of `dst` (functional payload of
-/// communication nodes).
-inline void copy_subset(std::span<const double> src, const Subset& src_sub,
-                        std::span<double> dst, const Subset& dst_sub) {
-  for (std::size_t i = 0; i < src_sub.count; ++i) {
-    dst[dst_sub.index(i)] = src[src_sub.index(i)];
-  }
-}
-
 // --- Nodes ---------------------------------------------------------------
 
 enum class Schedule : std::uint8_t { kCpu, kGpuDevice };

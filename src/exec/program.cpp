@@ -70,21 +70,16 @@ IterationJoin grid_only_join() {
 /// device is dead at t, or whose job has been hard-stopped (always set
 /// before the join's barrier releases when any group skipped part of t),
 /// must not commit a slice of a half-finished iteration.
-IterationJoin checkpointing_join(const Program& P,
-                                 const ProgramExecParams& prm) {
+IterationJoin checkpointing_join(const Program& P) {
   IterationJoin join = grid_only_join();
-  if (prm.checkpoint_every <= 0 || prm.checkpoint_store == nullptr ||
-      !P.capture) {
+  if (P.checkpoints == nullptr || P.checkpoints->every <= 0 || !P.capture) {
     return join;
   }
-  const Program* Pp = &P;
-  const int every = prm.checkpoint_every;
-  const int iterations = prm.iterations;
-  CheckpointStore* store = prm.checkpoint_store;
-  join.comm_end = [Pp, every, iterations, store](vgpu::KernelCtx& k, bool lead,
-                                                 int t) -> sim::Task {
+  join.comm_end = [Pp = &P](vgpu::KernelCtx& k, bool lead,
+                            int t) -> sim::Task {
     co_await k.grid_sync();
-    if (!lead || t % every != 0 || t >= iterations) co_return;
+    CheckpointStore& store = *Pp->checkpoints;
+    if (!lead || t % store.every != 0 || t >= Pp->iterations) co_return;
     vshmem::World& w = *Pp->world;
     if (w.hard_stopped() ||
         w.machine().faults().device_dead(k.device_id()) ||
@@ -97,22 +92,21 @@ IterationJoin checkpointing_join(const Program& P,
         static_cast<double>(slice.size()) * static_cast<double>(sizeof(double));
     co_await k.busy(w.machine().spec().device.dram_time(bytes), sim::Cat::kComm,
                     "checkpoint");
-    store->put(t, pe, std::move(slice));
+    store.put(t, pe, std::move(slice));
   };
   return join;
 }
 
 /// The single-kernel composition: each PE's comm groups, then its inner
 /// groups, in one cooperative kernel joined by grid.sync().
-std::vector<PeKernels> single_kernels(const Program& P, const Plan& plan,
-                                      const ProgramExecParams& prm) {
-  const IterationJoin join = checkpointing_join(P, prm);
+std::vector<PeKernels> single_kernels(const Program& P) {
+  const IterationJoin join = checkpointing_join(P);
   const int n = P.world->n_pes();
   std::vector<PeKernels> kernels(static_cast<std::size_t>(n));
   for (int pe = 0; pe < n; ++pe) {
     ProgramGroups pg = P.groups(pe, join);
     PersistentKernel& k = kernels[static_cast<std::size_t>(pe)].emplace_back();
-    k.name = plan.kernel_name;
+    k.name = P.plan.kernel_name;
     k.groups = std::move(pg.comm);
     for (auto& g : pg.inner) k.groups.push_back(std::move(g));
   }
@@ -193,14 +187,13 @@ std::vector<PeKernels> pair_kernels(const Program& P) {
 /// lone kernel is checked when it starts). Returns a flag counting the
 /// devices whose host has synced every stream; the caller drives the engine
 /// or awaits the flag.
-std::shared_ptr<sim::Flag> spawn_program(const Program& P, const Plan& plan,
-                                         const ProgramExecParams& prm) {
+std::shared_ptr<sim::Flag> spawn_program(const Program& P) {
   vshmem::World& w = *P.world;
   vgpu::Machine& m = w.machine();
   const auto n = static_cast<std::size_t>(w.n_pes());
-  std::vector<PeKernels> kernels = plan.launch == LaunchPolicy::kPersistentPair
-                                       ? pair_kernels(P)
-                                       : single_kernels(P, plan, prm);
+  std::vector<PeKernels> kernels =
+      P.plan.launch == LaunchPolicy::kPersistentPair ? pair_kernels(P)
+                                                     : single_kernels(P);
   for (std::size_t pe = 0; pe < n; ++pe) {
     if (kernels[pe].size() < 2) continue;
     int blocks = 0;
@@ -209,7 +202,7 @@ std::shared_ptr<sim::Flag> spawn_program(const Program& P, const Plan& plan,
     }
     const int limit = m.device(w.device_of(static_cast<int>(pe)))
                           .spec()
-                          .max_cooperative_blocks(prm.threads_per_block);
+                          .max_cooperative_blocks(P.threads_per_block);
     if (blocks > limit) throw vgpu::CooperativeLaunchError(blocks, limit);
   }
   std::vector<std::vector<vgpu::Stream*>> streams(n);
@@ -222,7 +215,7 @@ std::shared_ptr<sim::Flag> spawn_program(const Program& P, const Plan& plan,
   for (std::size_t pe = 0; pe < n; ++pe) {
     m.engine().spawn(persistent_host(
         m, w.device_of(static_cast<int>(pe)), std::move(streams[pe]),
-        std::move(kernels[pe]), prm.threads_per_block, done));
+        std::move(kernels[pe]), P.threads_per_block, done));
   }
   return done;
 }
@@ -231,12 +224,11 @@ std::shared_ptr<sim::Flag> spawn_program(const Program& P, const Plan& plan,
 /// device-major order (two under kOverlapStreams, else one), then run one
 /// host thread per device that issues the workload's step for
 /// t = 1..iterations.
-void run_host_driven(const Program& P, const Plan& plan,
-                     const ProgramExecParams& prm) {
+void run_host_driven(const Program& P) {
   vgpu::Machine& m = P.world->machine();
   const int n = P.world->n_pes();
-  if (plan.comm == CommPolicy::kPeerStore) m.enable_all_peer_access();
-  const int per_device = plan.comm == CommPolicy::kOverlapStreams ? 2 : 1;
+  if (P.plan.comm == CommPolicy::kPeerStore) m.enable_all_peer_access();
+  const int per_device = P.plan.comm == CommPolicy::kOverlapStreams ? 2 : 1;
   std::vector<std::vector<vgpu::Stream*>> st(static_cast<std::size_t>(n));
   for (int d = 0; d < n; ++d) {
     auto& dst = st[static_cast<std::size_t>(d)];
@@ -244,23 +236,37 @@ void run_host_driven(const Program& P, const Plan& plan,
       dst.push_back(&P.world->create_stream(d));
     }
   }
-  m.run_host_threads([&m, &P, &prm, &st](int dev) -> sim::Task {
+  m.run_host_threads([&m, &P, &st](int dev) -> sim::Task {
     vgpu::HostCtx h(m, dev);
     const std::span<vgpu::Stream* const> streams(
         st[static_cast<std::size_t>(dev)]);
-    for (int t = 1; t <= prm.iterations; ++t) {
+    for (int t = 1; t <= P.iterations; ++t) {
       CO_AWAIT(P.host_step(h, dev, t, streams));
     }
   });
 }
 
+/// `fn` rejects a program without the hook its plan uses: a default Plan
+/// is a valid host loop, so a program whose plan was left unset would
+/// otherwise call a null host_step.
+void require_hook(std::string_view fn, const Program& P) {
+  const bool host = P.plan.launch == LaunchPolicy::kHostLoop;
+  if (host ? P.host_step != nullptr : P.groups != nullptr) return;
+  std::string msg(fn);
+  msg += ": launch: ";
+  msg += name(P.plan.launch);
+  msg += host ? " needs the host_step hook" : " needs the groups hook";
+  throw std::invalid_argument(msg);
+}
+
 }  // namespace
 
-void run_program(const Program& program, const Plan& plan,
-                 const ProgramExecParams& params) {
+void run_program(const Program& program) {
+  const Plan& plan = program.plan;
   if (!valid(plan)) {
     throw std::invalid_argument(invalid_plan_message("run_program", plan));
   }
+  require_hook("run_program", program);
   vshmem::World& w = *program.world;
   if (plan.launch == LaunchPolicy::kHostLoop) {
     // One host thread per machine device drives the PE of the same index.
@@ -273,15 +279,15 @@ void run_program(const Program& program, const Plan& plan,
           "i on device i (got " + std::to_string(w.n_pes()) + " PEs on " +
           std::to_string(n) + " devices)");
     }
-    run_host_driven(program, plan, params);
+    run_host_driven(program);
     return;
   }
-  static_cast<void>(spawn_program(program, plan, params));
+  static_cast<void>(spawn_program(program));
   w.machine().engine().run();
 }
 
-sim::Task run_program_persistent_task(const Program& program, const Plan& plan,
-                                      const ProgramExecParams& params) {
+sim::Task run_program_persistent_task(const Program& program) {
+  const Plan& plan = program.plan;
   if (!valid(plan)) {
     throw std::invalid_argument(
         invalid_plan_message("run_program_persistent_task", plan));
@@ -291,7 +297,8 @@ sim::Task run_program_persistent_task(const Program& program, const Plan& plan,
         "run_program_persistent_task: launch: host_loop plans drive the "
         "engine themselves and cannot be spawned");
   }
-  const std::shared_ptr<sim::Flag> done = spawn_program(program, plan, params);
+  require_hook("run_program_persistent_task", program);
+  const std::shared_ptr<sim::Flag> done = spawn_program(program);
   co_await done->wait_geq(program.world->n_pes());
 }
 

@@ -16,10 +16,11 @@
 //    design), handed to the workload as an IterationJoin, so the same group
 //    builder serves both persistent launch policies.
 //
-// The (launch, comm, sync) Plan machinery composes the hooks: run_program()
-// dispatches on the plan, and no problem shape is baked in. Every workload
-// lowers to this one contract: the stencil variants
-// (stencil::make_slab_setup), the generalized histogram, the one CG solver
+// A program is built for one (launch, comm, sync) Plan and carries it with
+// the run's iteration count and block size: run_program() takes the program
+// alone, dispatches on its plan, and no problem shape is baked in. Every
+// workload lowers to this one contract: the stencil variants
+// (stencil::make_slab_program), the generalized histogram, the one CG solver
 // and both dacelite backends.
 #pragma once
 
@@ -48,19 +49,22 @@ struct IterationJoin {
   std::function<sim::Task(vgpu::KernelCtx&, int t)> inner_end;
 };
 
-/// Deterministic checkpoint store for persistent runs. Every
-/// `checkpoint_every` iterations the lead comm group of each PE snapshots
-/// the PE's owned state at the iteration join — after every group of the PE
-/// committed iteration t and before any t+1 write can touch the captured
-/// parity (double buffering isolates it) — so the bytes are a pure function
-/// of (workload, t) and identical across --threads and reruns. The capture's DRAM drain is charged to simulated time.
+/// Deterministic checkpoint store for persistent runs. Every `every`
+/// iterations the lead comm group of each PE snapshots the PE's owned state
+/// at the iteration join — after every group of the PE committed iteration
+/// t and before any t+1 write can touch the captured parity (double
+/// buffering isolates it) — so the bytes are a pure function of
+/// (workload, t) and identical across --threads and reruns. The capture's
+/// DRAM drain is charged to simulated time.
 ///
 /// A snapshot at iteration t is usable for restart only once EVERY PE
 /// committed its slice; last_complete() reports the newest such t.
 struct CheckpointStore {
-  explicit CheckpointStore(int pes = 0) : n_pes(pes) {}
+  CheckpointStore(int pes, int interval) : n_pes(pes), every(interval) {}
 
   int n_pes = 0;
+  /// Snapshot interval in iterations (0 = never snapshot).
+  int every = 0;
   /// snapshots[t][pe] -> that PE's owned interior at the end of iteration t.
   std::map<int, std::map<int, std::vector<double>>> snapshots;
 
@@ -90,24 +94,27 @@ struct ProgramGroups {
   std::vector<vgpu::BlockGroup> inner;
 };
 
-/// Type-erased view of an iterative multi-GPU workload. All hooks must stay
-/// valid for the run; hooks a composition does not use may be null (e.g. a
-/// persistent-only workload needs no host_step).
+/// An iterative multi-GPU workload and the run it was built for: where it
+/// runs, under which plan, for how many iterations. The hooks may capture
+/// `plan` and switch on it (the stencil's and the histogram's host steps
+/// do). All hooks must stay valid for the run; a hook the plan does not use
+/// may be null (e.g. a persistent-only workload needs no host_step), and
+/// run_program rejects a program that lacks the hook its plan uses.
 ///
-/// Two rules hold for every program:
-///  * A program runs under the plan it was built for. Its hooks may capture
-///    that plan and switch on it (the stencil's and the histogram's host
-///    steps do); run_program validates the plan it is given before it calls
-///    any hook, but cannot tell which plan a program was built for.
-///  * A workload that signals owns its SignalSet. It allocates the set when
-///    it builds the program, before run_program creates any stream, and
-///    keeps it alive at least as long as the world (World::retain_signals,
-///    or a member of the workload's own state), since a final fire-and-forget
-///    put_signal may land after the kernels synced.
+/// A workload that signals owns its SignalSet. It allocates the set when it
+/// builds the program, before run_program creates any stream, and keeps it
+/// alive at least as long as the world (World::retain_signals, or a member
+/// of the workload's own state), since a final fire-and-forget put_signal
+/// may land after the kernels synced.
 struct Program {
   /// The PEs the program runs on: the whole machine, or a device slice for
   /// persistent compositions. The machine and the PE count come from it.
   vshmem::World* world = nullptr;
+  /// The (launch, comm, sync) composition the program was built for.
+  Plan plan;
+  int iterations = 1;
+  /// Threads per block of a persistent (cooperative) launch.
+  int threads_per_block = 1024;
 
   /// One step of the host-driven loop on device `dev` at iteration `t`.
   /// run_program creates `streams` per device in creation order (index 0
@@ -118,7 +125,7 @@ struct Program {
   /// discrete baseline); run_program rejects any other.
   std::function<sim::Task(vgpu::HostCtx&, int dev, int t,
                           std::span<vgpu::Stream* const> streams)>
-      host_step;
+      host_step = nullptr;
 
   /// Persistent compositions: PE `dev`'s block groups under `join`.
   ///
@@ -130,43 +137,35 @@ struct Program {
   /// per-iteration grid sync), and so does the dacelite persistent backend
   /// (the SDFG places its own grid barriers); neither's entry points accept
   /// another plan.
-  std::function<ProgramGroups(int dev, const IterationJoin& join)> groups;
+  std::function<ProgramGroups(int dev, const IterationJoin& join)> groups =
+      nullptr;
 
   /// Checkpoint hook (nullable): PE `pe`'s owned state at the end of
   /// iteration `t`, read under the capture-safety window described on
-  /// CheckpointStore. Only consulted when the run's exec params configure a
-  /// checkpoint interval and store.
-  std::function<std::vector<double>(int pe, int t)> capture;
+  /// CheckpointStore. Only consulted when `checkpoints` is set with a
+  /// positive interval.
+  std::function<std::vector<double>(int pe, int t)> capture = nullptr;
+  /// Persistent compositions: the store `capture` snapshots into (null = no
+  /// checkpoints). It must outlive the run.
+  CheckpointStore* checkpoints = nullptr;
 };
 
-/// Composition knobs that belong to the run, not the workload shape.
-struct ProgramExecParams {
-  int iterations = 1;
-  int threads_per_block = 1024;
-  /// Persistent compositions: snapshot every N iterations into
-  /// `checkpoint_store` via the program's capture hook (0 = off). The store
-  /// must outlive the run.
-  int checkpoint_every = 0;
-  CheckpointStore* checkpoint_store = nullptr;
-};
-
-/// Runs `program` under `plan`, driving the machine to completion. Throws
-/// std::invalid_argument (naming the offending policy component), before
-/// calling any hook or creating anything, for plans that fail exec::valid()
-/// and for a host-loop plan on any world but the whole machine; and
+/// Runs `program` under its plan, driving the machine to completion. Throws
+/// std::invalid_argument, before calling any hook or creating anything, for
+/// a plan that fails exec::valid() or a host-loop plan on any world but the
+/// whole machine (naming the offending policy component), and for a
+/// program without the hook its plan uses (naming the hook); and
 /// vgpu::CooperativeLaunchError when a persistent composition exceeds the
 /// co-residency limit. A persistent composition is
 /// run_program_persistent_task's launch plus engine.run(): both run on the
 /// program's world, which may be a device slice.
-void run_program(const Program& program, const Plan& plan,
-                 const ProgramExecParams& params);
+void run_program(const Program& program);
 
 /// Spawnable form of either persistent composition: builds the kernels,
 /// launches them on the world's physical devices and co_awaits every
 /// device's final sync WITHOUT driving the engine — the caller (e.g. the
-/// multi-tenant job server) owns the engine. The program, plan and params
-/// must outlive the returned task.
-sim::Task run_program_persistent_task(const Program& program, const Plan& plan,
-                                      const ProgramExecParams& params);
+/// multi-tenant job server) owns the engine. The program must outlive the
+/// returned task.
+sim::Task run_program_persistent_task(const Program& program);
 
 }  // namespace exec

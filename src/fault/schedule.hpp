@@ -226,9 +226,6 @@ class Schedule {
   [[nodiscard]] bool device_dead(int device) const {
     return dead_devices_.count(device) != 0;
   }
-  [[nodiscard]] bool any_device_dead() const noexcept {
-    return !dead_devices_.empty();
-  }
   /// Devices currently declared dead (iteration order = device id order).
   [[nodiscard]] const std::map<int, sim::Nanos>& dead_devices() const {
     return dead_devices_;

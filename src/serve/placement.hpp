@@ -69,7 +69,6 @@ class AdmissionController {
 
   /// Free resident-thread capacity on `device` (tests / introspection).
   [[nodiscard]] long long free_threads(int device) const;
-  [[nodiscard]] long long device_capacity() const { return capacity_; }
 
  private:
   vgpu::MachineSpec spec_;

@@ -64,28 +64,23 @@ class StencilWorkload final : public SliceWorkload {
         prob_(make_prob(spec)),
         start_iter_(resume ? resume->iteration : 0),
         S_(world_, prob_, make_cfg(spec, start_iter_)),
-        store_(static_cast<int>(place.devices.size())),
-        iters_(spec.iterations),
-        checkpointing_(spec.checkpoint_every > 0) {
+        store_(static_cast<int>(place.devices.size()), spec.checkpoint_every),
+        iters_(spec.iterations) {
     devices_ = place.devices;
     if (start_iter_ > 0) {
       seed_state_ = resume->state;
       S_.load_state(seed_state_);
     }
-    // Same factory as the bench runner (run_variant); only checkpointing is
-    // layered on top.
-    setup_ = stencil::make_slab_setup(S_, stencil::Variant::kCpuFree);
-    if (checkpointing_) {
-      setup_.params.checkpoint_every = spec.checkpoint_every;
-      setup_.params.checkpoint_store = &store_;
-    }
+    // Same factory as the bench runner (run_variant); only the checkpoint
+    // store is layered on top (an interval of 0 never snapshots).
+    program_ = stencil::make_slab_program(S_, stencil::Variant::kCpuFree);
+    program_.checkpoints = &store_;
   }
 
   sim::Task task() override {
-    // setup_ is a member: the lazy coroutine keeps its const& parameters
-    // alive only as references, so a temporary program/plan would dangle.
-    return exec::run_program_persistent_task(setup_.program, setup_.plan,
-                                             setup_.params);
+    // program_ is a member: the lazy coroutine keeps its const& parameter
+    // alive only as a reference, so a temporary program would dangle.
+    return exec::run_program_persistent_task(program_);
   }
 
   bool verify() override {
@@ -129,7 +124,7 @@ class StencilWorkload final : public SliceWorkload {
     return "device in slice declared dead";
   }
 
-  bool restartable() const override { return checkpointing_; }
+  bool restartable() const override { return store_.every > 0; }
 
   int resume_iteration() const override {
     return start_iter_ + store_.last_complete();
@@ -172,10 +167,9 @@ class StencilWorkload final : public SliceWorkload {
   int start_iter_;
   stencil::SlabStencil<stencil::Jacobi2D> S_;
   exec::CheckpointStore store_;
-  stencil::SlabSetup setup_;
+  exec::Program program_;
   std::vector<double> seed_state_;
   int iters_;
-  bool checkpointing_;
 };
 
 /// A CG job's solver config. Its problem fields key the reference memo, so
@@ -207,7 +201,7 @@ class CgWorkload final : public SliceWorkload {
         ny_(spec.ny) {
     auto make = [&](auto cfg) {
       static_cast<exec::RunOptions&>(cfg) = run_;
-      job_ = std::make_unique<solvers::CgCpufreeJob>(machine, world_, cfg);
+      job_ = std::make_unique<solvers::CgCpufreeJob>(world_, cfg);
     };
     if (spec.kind == JobKind::kCg) {
       make(cg_config<solvers::CgConfig>(spec));
@@ -264,8 +258,8 @@ class DaceliteWorkload final : public SliceWorkload {
   }
 
   sim::Task task() override {
-    return dacelite::execute_persistent_task(world_.machine(), world_, *data_,
-                                             prog_.sdfg, options_, &result_);
+    return dacelite::execute_persistent_task(*data_, prog_.sdfg, options_,
+                                             &result_);
   }
 
   bool verify() override {
@@ -314,8 +308,7 @@ class HistogramWorkload final : public SliceWorkload {
     cfg_.keys_per_round = spec.ny;
     cfg_.rounds = spec.iterations;
     cfg_.skew = spec.skew;
-    job_ =
-        std::make_unique<workloads::HistogramCpufreeJob>(machine, world_, cfg_);
+    job_ = std::make_unique<workloads::HistogramCpufreeJob>(world_, cfg_);
   }
 
   sim::Task task() override { return job_->task(); }

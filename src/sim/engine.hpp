@@ -359,9 +359,6 @@ class Engine {
   void note_incident(std::string line) {
     incidents_.push_back(std::move(line));
   }
-  [[nodiscard]] const std::vector<std::string>& incidents() const noexcept {
-    return incidents_;
-  }
 
   /// The incident log rendered for a hang report ("" when empty).
   [[nodiscard]] std::string describe_incidents() const;

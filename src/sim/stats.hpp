@@ -3,7 +3,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -41,14 +40,6 @@ class RunStats {
     const double hi = *mid;
     const double lo = *std::max_element(v.begin(), mid);
     return (lo + hi) / 2.0;
-  }
-
-  [[nodiscard]] double stddev() const {
-    require_nonempty();
-    const double m = mean();
-    double acc = 0.0;
-    for (double s : samples_) acc += (s - m) * (s - m);
-    return std::sqrt(acc / static_cast<double>(samples_.size()));
   }
 
   [[nodiscard]] const std::vector<double>& samples() const noexcept {

@@ -130,7 +130,6 @@ class Flag {
     return WaitAwaiter{*this, cmp, rhs};
   }
   [[nodiscard]] WaitAwaiter wait_geq(std::int64_t rhs) { return wait(Cmp::kGe, rhs); }
-  [[nodiscard]] WaitAwaiter wait_eq(std::int64_t rhs) { return wait(Cmp::kEq, rhs); }
 
   /// Watchdog-guarded wait: resumes when the predicate holds OR after
   /// `timeout` simulated ns, whichever comes first. `co_await` yields true

@@ -34,9 +34,6 @@
 #include "sim/task.hpp"
 #include "vgpu/costmodel.hpp"
 
-namespace vgpu {
-class Machine;
-}
 namespace vshmem {
 class World;
 }
@@ -76,21 +73,20 @@ struct CgResult {
 [[nodiscard]] CgResult run_cg_baseline(const vgpu::MachineSpec& spec,
                                        const CgConfig& config);
 
-/// CPU-Free CG bound to an existing machine + world whose engine is driven
+/// CPU-Free CG bound to an existing world whose engine is driven
 /// EXTERNALLY — the building block the multi-tenant job server schedules.
-/// The world may be a device slice; allocation and initialization happen in
-/// the constructor, the kernels launch when the engine first resumes the
-/// task() coroutine, and the result accessors are valid once it completes.
+/// The world may be a device slice; its machine's spec sizes the persistent
+/// launch. Allocation and initialization happen in the constructor, the
+/// kernels launch when the engine first resumes the task() coroutine, and
+/// the result accessors are valid once it completes.
 /// The config's type picks the operator: a CgConfig runs matrix-free CG
 /// (results bitwise-comparable to cg_reference(config, world.n_pes())), a
 /// SparseCgConfig sparse CG (sparse_cg_reference); reference() returns that
 /// reference.
 class CgCpufreeJob {
  public:
-  CgCpufreeJob(vgpu::Machine& machine, vshmem::World& world,
-               const CgConfig& config);
-  CgCpufreeJob(vgpu::Machine& machine, vshmem::World& world,
-               const SparseCgConfig& config);
+  CgCpufreeJob(vshmem::World& world, const CgConfig& config);
+  CgCpufreeJob(vshmem::World& world, const SparseCgConfig& config);
   ~CgCpufreeJob();
   CgCpufreeJob(const CgCpufreeJob&) = delete;
   CgCpufreeJob& operator=(const CgCpufreeJob&) = delete;

@@ -534,6 +534,14 @@ struct Problem {
     return res;
   }
 
+  /// A program on this problem's World built for `plan`, without hooks.
+  exec::Program program(const exec::Plan& plan) const {
+    return {.world = world,
+            .plan = plan,
+            .iterations = cfg.max_iterations,
+            .threads_per_block = cfg.threads_per_block};
+  }
+
   const Operator* op;
   SparseCgConfig cfg;
   vshmem::World* world;
@@ -549,11 +557,10 @@ struct Problem {
 /// and the signals. Signal layout: reduction flags channel*n + peer
 /// (channel 0 = p·q, 1 = r·r), halo flags 2n and 2n+1, preset to 1.
 struct Core : Problem {
-  Core(const Operator& o, vshmem::World& w, const vgpu::MachineSpec& spec,
-       const SparseCgConfig& c)
+  Core(const Operator& o, vshmem::World& w, const SparseCgConfig& c)
       : Problem(o, w, c),
         persistent_blocks(exec::resolve_persistent_blocks(
-            c.persistent_blocks, spec, c.threads_per_block)),
+            c.persistent_blocks, w.machine().spec(), c.threads_per_block)),
         slots0(w.alloc<double>(static_cast<std::size_t>(n), o.allocs[5])),
         slots1(w.alloc<double>(static_cast<std::size_t>(n), o.allocs[6])),
         sig(w.alloc_signals(2 * static_cast<std::size_t>(n) + 2)),
@@ -702,22 +709,14 @@ exec::ProgramGroups persistent_groups(Core& core, int dev,
   return pg;
 }
 
-/// The persistent composition as an exec::Program (groups hook only; the
-/// core owns its SignalSet).
-exec::Program persistent_program(Core& core) {
-  exec::Program prog;
-  prog.world = core.world;
+/// The persistent composition as an exec::Program built for `plan` (groups
+/// hook only; the core owns its SignalSet).
+exec::Program persistent_program(Core& core, const exec::Plan& plan) {
+  exec::Program prog = core.program(plan);
   prog.groups = [&core](int dev, const exec::IterationJoin& join) {
     return persistent_groups(core, dev, join);
   };
   return prog;
-}
-
-exec::ProgramExecParams exec_params(const SparseCgConfig& cfg) {
-  exec::ProgramExecParams prm;
-  prm.iterations = cfg.max_iterations;
-  prm.threads_per_block = cfg.threads_per_block;
-  return prm;
 }
 
 /// The CPU-controlled loop's per-rank state across host steps.
@@ -889,21 +888,20 @@ CgResult run(const Operator& op, const vgpu::MachineSpec& spec,
   machine.trace().set_enabled(cfg.trace);
 
   if (plan.launch == exec::LaunchPolicy::kPersistent) {
-    Core core(op, world, spec, cfg);
-    exec::run_program(persistent_program(core), plan, exec_params(cfg));
+    Core core(op, world, cfg);
+    exec::run_program(persistent_program(core, plan));
     return core.result(machine);
   }
 
   hostmpi::Comm comm(machine);
   Problem prob(op, world, cfg);
   HostLoop loop(prob);
-  exec::Program prog;
-  prog.world = &world;
+  exec::Program prog = prob.program(plan);
   prog.host_step = [&loop, &comm](vgpu::HostCtx& h, int dev, int t,
                                   std::span<vgpu::Stream* const> streams) {
     return host_step(loop, comm, h, dev, t, *streams[0]);
   };
-  exec::run_program(prog, plan, exec_params(cfg));
+  exec::run_program(prog);
   return prob.result(machine);
 }
 
@@ -963,36 +961,29 @@ CgResult run_sparse_cg(const vgpu::MachineSpec& spec,
 // --- Externally-driven job (multi-tenant serve) --------------------------------
 
 struct CgCpufreeJob::Impl {
-  Impl(const Operator& op, vgpu::Machine& machine, vshmem::World& world,
-       const SparseCgConfig& cfg)
-      : core(op, world, machine.spec(), cfg),
-        program(persistent_program(core)),
-        plan{exec::LaunchPolicy::kPersistent, exec::CommPolicy::kSignaledPut,
-             exec::SyncPolicy::kIterationFlags, op.kernel},
-        params(exec_params(cfg)) {}
+  Impl(const Operator& op, vshmem::World& world, const SparseCgConfig& cfg)
+      : core(op, world, cfg),
+        program(persistent_program(
+            core, {exec::LaunchPolicy::kPersistent,
+                   exec::CommPolicy::kSignaledPut,
+                   exec::SyncPolicy::kIterationFlags, op.kernel})) {}
 
   Core core;
   exec::Program program;
-  exec::Plan plan;
-  exec::ProgramExecParams params;
 };
 
-CgCpufreeJob::CgCpufreeJob(vgpu::Machine& machine, vshmem::World& world,
-                           const CgConfig& config)
-    : impl_(std::make_unique<Impl>(kStencil, machine, world,
-                                   as_sparse(config))) {}
+CgCpufreeJob::CgCpufreeJob(vshmem::World& world, const CgConfig& config)
+    : impl_(std::make_unique<Impl>(kStencil, world, as_sparse(config))) {}
 
-CgCpufreeJob::CgCpufreeJob(vgpu::Machine& machine, vshmem::World& world,
-                           const SparseCgConfig& config)
-    : impl_(std::make_unique<Impl>(kCsr, machine, world, config)) {}
+CgCpufreeJob::CgCpufreeJob(vshmem::World& world, const SparseCgConfig& config)
+    : impl_(std::make_unique<Impl>(kCsr, world, config)) {}
 
 CgCpufreeJob::~CgCpufreeJob() = default;
 
 sim::Task CgCpufreeJob::task() {
-  // Members, not temporaries: the lazy coroutine keeps its const& parameters
-  // alive only as references.
-  return exec::run_program_persistent_task(impl_->program, impl_->plan,
-                                           impl_->params);
+  // A member, not a temporary: the lazy coroutine keeps its const&
+  // parameter alive only as a reference.
+  return exec::run_program_persistent_task(impl_->program);
 }
 
 int CgCpufreeJob::iterations_run() const {

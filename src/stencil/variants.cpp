@@ -8,7 +8,7 @@
 // variants describe (§6.1.1, Listing 4.1).
 //
 // Every hook captures the SlabStencil by reference and the plan, variant and
-// signals by value, so a SlabSetup may be copied; the stencil must outlive
+// signals by value, so a program may be copied; the stencil must outlive
 // each run.
 #include "stencil/variants.hpp"
 
@@ -413,15 +413,12 @@ exec::ProgramGroups build_groups(SlabStencil<P>& S, Variant v, int dev,
 }  // namespace
 
 template <class P>
-SlabSetup make_slab_setup(SlabStencil<P>& S, Variant v) {
-  SlabSetup setup;
-  setup.plan = plan_for(v);
-  setup.params.iterations = S.config().iterations;
-  setup.params.threads_per_block = S.config().threads_per_block;
-
-  const exec::Plan plan = setup.plan;
-  exec::Program& prog = setup.program;
-  prog.world = &S.world();
+exec::Program make_slab_program(SlabStencil<P>& S, Variant v) {
+  const exec::Plan plan = plan_for(v);
+  exec::Program prog{.world = &S.world(),
+                     .plan = plan,
+                     .iterations = S.config().iterations,
+                     .threads_per_block = S.config().threads_per_block};
   vshmem::SignalSet* const sigp = plan.comm == exec::CommPolicy::kSignaledPut
                                       ? alloc_halo_signals(S.world())
                                       : nullptr;
@@ -450,10 +447,10 @@ SlabSetup make_slab_setup(SlabStencil<P>& S, Variant v) {
                                                S.rows(pe) * S.plane());
     return std::vector<double>(span.begin(), span.end());
   };
-  return setup;
+  return prog;
 }
 
-template SlabSetup make_slab_setup(SlabStencil<Jacobi2D>& S, Variant v);
-template SlabSetup make_slab_setup(SlabStencil<Jacobi3D>& S, Variant v);
+template exec::Program make_slab_program(SlabStencil<Jacobi2D>& S, Variant v);
+template exec::Program make_slab_program(SlabStencil<Jacobi3D>& S, Variant v);
 
 }  // namespace stencil

@@ -56,29 +56,23 @@ namespace stencil {
   return {};
 }
 
-/// A variant's complete exec-layer wiring: the exec::Program over the
-/// stencil, built for `plan`, the exec params drawn from the stencil's
-/// config, and the plan. One factory serves both the bench runner
-/// (run_variant) and the serve workload path, so jobs and figures can never
-/// drift apart. Building a setup whose plan signals allocates the halo
-/// SignalSet and hands it to the stencil's World (World::retain_signals).
-/// The program's hooks capture the SlabStencil by reference (it must
-/// outlive every run) and the plan, variant and signals by value, so a
-/// setup may be copied and its params edited (e.g. to layer checkpointing
-/// on).
-struct SlabSetup {
-  exec::Program program;
-  exec::ProgramExecParams params;
-  exec::Plan plan;
-};
-
-/// Builds `v`'s SlabSetup over `S`. Explicitly instantiated for Jacobi2D
-/// and Jacobi3D in variants.cpp, which holds the compositions.
+/// Builds `v`'s exec::Program over `S`: plan_for(v), with the iteration
+/// count and block size of the stencil's config. One factory serves both the
+/// bench runner (run_variant) and the serve workload path, so jobs and
+/// figures can never drift apart. Building a program whose plan signals
+/// allocates the halo SignalSet and hands it to the stencil's World
+/// (World::retain_signals). The hooks capture the SlabStencil by reference
+/// (it must outlive every run) and the plan, variant and signals by value,
+/// so a program may be copied and edited (e.g. to layer checkpointing on).
+/// Explicitly instantiated for Jacobi2D and Jacobi3D in variants.cpp, which
+/// holds the compositions.
 template <class P>
-SlabSetup make_slab_setup(SlabStencil<P>& S, Variant v);
+exec::Program make_slab_program(SlabStencil<P>& S, Variant v);
 
-extern template SlabSetup make_slab_setup(SlabStencil<Jacobi2D>& S, Variant v);
-extern template SlabSetup make_slab_setup(SlabStencil<Jacobi3D>& S, Variant v);
+extern template exec::Program make_slab_program(SlabStencil<Jacobi2D>& S,
+                                                Variant v);
+extern template exec::Program make_slab_program(SlabStencil<Jacobi3D>& S,
+                                                Variant v);
 
 /// Runs `variant` over a prepared SlabStencil and returns timing metrics.
 template <class P>
@@ -87,8 +81,7 @@ StencilResult run_variant(SlabStencil<P>& S, Variant v) {
   const StencilConfig& cfg = S.config();
   m.trace().set_enabled(cfg.trace);
 
-  const SlabSetup setup = make_slab_setup(S, v);
-  exec::run_program(setup.program, setup.plan, setup.params);
+  exec::run_program(make_slab_program(S, v));
 
   StencilResult r;
   r.metrics = cpufree::analyze_run(m.trace(), m.engine().now(),

@@ -173,7 +173,6 @@ class World {
   /// switching every other tenant off; machine-wide window faults
   /// (link/stall) are not affected by this gate.
   void set_fault_injection(bool on) noexcept { inject_faults_ = on; }
-  [[nodiscard]] bool fault_injection() const noexcept { return inject_faults_; }
 
   /// Job-level fail-stop verdict. Set once a watchdog (or the launch path)
   /// concludes a hard fault took out part of this world's slice; every slab

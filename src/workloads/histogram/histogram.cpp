@@ -506,8 +506,7 @@ sim::Task signaled_local_phase(HistCore& core, vgpu::KernelCtx& k,
       co_await proto.put_and_signal(
           k, core.xfer, row_off(core, static_cast<std::size_t>(o)) + tr.lo,
           row_off(core, static_cast<std::size_t>(core.n + dev)) + tr.lo,
-          tr.slots(), static_cast<std::size_t>(dev), t, o,
-          core.cfg.comm_scope);
+          tr.slots(), static_cast<std::size_t>(dev), t, o);
     } else {
       co_await proto.signal_only(k, static_cast<std::size_t>(dev), t, o);
     }
@@ -607,8 +606,10 @@ exec::ProgramGroups build_hist_groups(HistCore& core, int dev,
 /// owns its signals (they must outlive externally-driven jobs), and every
 /// body reaches the SignalSet through the core.
 exec::Program make_hist_program(HistCore& core, const exec::Plan& plan) {
-  exec::Program prog;
-  prog.world = core.world;
+  exec::Program prog{.world = core.world,
+                     .plan = plan,
+                     .iterations = core.cfg.rounds,
+                     .threads_per_block = core.cfg.threads_per_block};
   prog.host_step = [&core, plan](vgpu::HostCtx& h, int dev, int t,
                                  std::span<vgpu::Stream* const> streams) {
     switch (plan.comm) {
@@ -701,11 +702,7 @@ HistogramResult run_histogram(const vgpu::MachineSpec& spec,
   world.set_functional(cfg.functional);
   machine.trace().set_enabled(cfg.trace);
   auto core = make_hist_core(world, cfg);
-  const exec::Program prog = make_hist_program(*core, plan);
-  exec::ProgramExecParams prm;
-  prm.iterations = cfg.rounds;
-  prm.threads_per_block = cfg.threads_per_block;
-  exec::run_program(prog, plan, prm);
+  exec::run_program(make_hist_program(*core, plan));
 
   HistogramResult res;
   res.metrics = cpufree::analyze_run(machine.trace(), machine.engine().now(),
@@ -719,34 +716,26 @@ HistogramResult run_histogram(const vgpu::MachineSpec& spec,
 // --- Externally-driven histogram job (multi-tenant serve) ---------------------
 
 struct HistogramCpufreeJob::Impl {
-  vgpu::Machine* machine = nullptr;
   std::unique_ptr<HistCore> core;
   exec::Program program;
-  exec::Plan plan;
-  exec::ProgramExecParams params;
 };
 
-HistogramCpufreeJob::HistogramCpufreeJob(vgpu::Machine& machine,
-                                         vshmem::World& world,
+HistogramCpufreeJob::HistogramCpufreeJob(vshmem::World& world,
                                          const HistogramConfig& config)
     : impl_(std::make_unique<Impl>()) {
-  impl_->machine = &machine;
   impl_->core = make_hist_core(world, config);
-  impl_->plan = exec::Plan{exec::LaunchPolicy::kPersistent,
-                           exec::CommPolicy::kSignaledPut,
-                           exec::SyncPolicy::kIterationFlags, "hist_cpufree"};
-  impl_->program = make_hist_program(*impl_->core, impl_->plan);
-  impl_->params.iterations = config.rounds;
-  impl_->params.threads_per_block = config.threads_per_block;
+  impl_->program = make_hist_program(
+      *impl_->core,
+      {exec::LaunchPolicy::kPersistent, exec::CommPolicy::kSignaledPut,
+       exec::SyncPolicy::kIterationFlags, "hist_cpufree"});
 }
 
 HistogramCpufreeJob::~HistogramCpufreeJob() = default;
 
 sim::Task HistogramCpufreeJob::task() {
-  // Members, not temporaries: the lazy coroutine keeps its const& parameters
-  // alive only as references.
-  return exec::run_program_persistent_task(impl_->program, impl_->plan,
-                                           impl_->params);
+  // A member, not a temporary: the lazy coroutine keeps its const&
+  // parameter alive only as a reference.
+  return exec::run_program_persistent_task(impl_->program);
 }
 
 std::vector<double> HistogramCpufreeJob::gather_bins() const {

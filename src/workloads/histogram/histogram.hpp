@@ -55,7 +55,6 @@ struct HistogramConfig : exec::RunOptions {
   /// bins so the low-bin owner becomes the contended hot spot.
   int skew = 0;
   std::uint64_t seed = 42;
-  vshmem::Scope comm_scope = vshmem::Scope::kBlock;
 };
 
 struct HistogramResult {
@@ -108,14 +107,13 @@ struct HistogramResult {
                                             const HistogramConfig& cfg,
                                             const exec::Plan& plan);
 
-/// CPU-Free histogram bound to an existing machine + world whose engine is
-/// driven EXTERNALLY — the building block the multi-tenant job server
+/// CPU-Free histogram bound to an existing world whose engine is driven
+/// EXTERNALLY — the building block the multi-tenant job server
 /// schedules. The world may be a device slice. Results are bitwise
 /// comparable to histogram_reference(config, world.n_pes()).
 class HistogramCpufreeJob {
  public:
-  HistogramCpufreeJob(vgpu::Machine& machine, vshmem::World& world,
-                      const HistogramConfig& config);
+  HistogramCpufreeJob(vshmem::World& world, const HistogramConfig& config);
   ~HistogramCpufreeJob();
   HistogramCpufreeJob(const HistogramCpufreeJob&) = delete;
   HistogramCpufreeJob& operator=(const HistogramCpufreeJob&) = delete;

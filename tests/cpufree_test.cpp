@@ -210,8 +210,7 @@ TEST(PersistentLaunch, RunsOneKernelPerDeviceWithSingleLaunchCost) {
   Machine m(s);
   vshmem::World w(m);
   std::vector<int> iterations_done(3, 0);
-  exec::Program prog;
-  prog.world = &w;
+  exec::Program prog{.world = &w, .plan = kPersistentPlan, .iterations = 10};
   prog.groups = [&iterations_done](int d, const exec::IterationJoin& join) {
     auto body = [&iterations_done, d,
                  comm_end = join.comm_end](KernelCtx& k) -> Task {
@@ -231,7 +230,7 @@ TEST(PersistentLaunch, RunsOneKernelPerDeviceWithSingleLaunchCost) {
     pg.inner.push_back(BlockGroup{"aux", 1, body2});
     return pg;
   };
-  exec::run_program(prog, kPersistentPlan, {.iterations = 10});
+  exec::run_program(prog);
   for (int d = 0; d < 3; ++d) {
     EXPECT_EQ(iterations_done[static_cast<std::size_t>(d)], 10);
   }
@@ -252,16 +251,14 @@ TEST(PersistentLaunch, EnforcesCoResidency) {
   Machine m(spec(1));
   vshmem::World w(m);
   const int limit = m.device(0).spec().max_cooperative_blocks(1024);
-  exec::Program prog;
-  prog.world = &w;
+  exec::Program prog{.world = &w, .plan = kPersistentPlan};
   prog.groups = [limit](int, const exec::IterationJoin&) {
     exec::ProgramGroups pg;
     pg.comm.push_back(BlockGroup{"too_big", limit + 1,
                                  [](KernelCtx&) -> Task { co_return; }});
     return pg;
   };
-  EXPECT_THROW(exec::run_program(prog, kPersistentPlan, {}),
-               vgpu::CooperativeLaunchError);
+  EXPECT_THROW(exec::run_program(prog), vgpu::CooperativeLaunchError);
 }
 
 TEST(Metrics, AnalyzeRunDerivesRatios) {

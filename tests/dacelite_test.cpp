@@ -437,7 +437,7 @@ TEST(ExecMode, EveryEntryPointRejectsAModeMismatch) {
       ProgramData data(w, prog.sdfg, data_functional);
       if (spawned) {
         m.engine().spawn(
-            dacelite::execute_persistent_task(m, w, data, prog.sdfg, opt));
+            dacelite::execute_persistent_task(data, prog.sdfg, opt));
         expect_rejected("execute_persistent_task", [&] { m.engine().run(); });
       } else {
         expect_rejected("execute_persistent", [&] {
@@ -450,9 +450,9 @@ TEST(ExecMode, EveryEntryPointRejectsAModeMismatch) {
 
 TEST(ExecWorld, EveryEntryPointRejectsAForeignMachineOrWorld) {
   // The SDFG's arrays and signals live in the ProgramData's World, so each
-  // entry point runs there and throws, naming itself, when the machine or
-  // World it is handed besides is another one. The spawned form throws
-  // from engine.run(), like its mode check.
+  // entry point that is handed a machine or a World besides runs there and
+  // throws, naming itself, when it is another one. (The spawned form takes
+  // neither: it runs on the ProgramData's World.)
   const auto expect_rejected = [](const std::string& fn,
                                   const std::string& what, auto&& run) {
     try {
@@ -476,32 +476,45 @@ TEST(ExecWorld, EveryEntryPointRejectsAForeignMachineOrWorld) {
       (void)dacelite::execute_discrete(other, comm, data, prog.sdfg, {});
     });
   }
-  for (bool spawned : {false, true}) {
-    for (bool foreign_world : {false, true}) {
-      auto prog = dacelite::make_jacobi1d(48, 2, 2);
-      dacelite::to_cpu_free(prog.sdfg);
-      vgpu::Machine m(hgx(2));
-      vgpu::Machine other(hgx(2));
-      vshmem::World w(m);
-      vshmem::World slice(m, {0, 1}, "other.");
-      ProgramData data(w, prog.sdfg, true);
-      // Either the World on the right machine, or the right World with
-      // another machine.
-      vgpu::Machine& mm = foreign_world ? m : other;
-      vshmem::World& ww = foreign_world ? slice : w;
-      const std::string what = foreign_world ? "World" : "machine";
-      if (spawned) {
-        mm.engine().spawn(
-            dacelite::execute_persistent_task(mm, ww, data, prog.sdfg, {}));
-        expect_rejected("execute_persistent_task", what,
-                        [&] { mm.engine().run(); });
-      } else {
-        expect_rejected("execute_persistent", what, [&] {
-          (void)dacelite::execute_persistent(mm, ww, data, prog.sdfg, {});
-        });
-      }
-    }
+  for (bool foreign_world : {false, true}) {
+    auto prog = dacelite::make_jacobi1d(48, 2, 2);
+    dacelite::to_cpu_free(prog.sdfg);
+    vgpu::Machine m(hgx(2));
+    vgpu::Machine other(hgx(2));
+    vshmem::World w(m);
+    vshmem::World slice(m, {0, 1}, "other.");
+    ProgramData data(w, prog.sdfg, true);
+    // Either the World on the right machine, or the right World with
+    // another machine.
+    vgpu::Machine& mm = foreign_world ? m : other;
+    vshmem::World& ww = foreign_world ? slice : w;
+    const std::string what = foreign_world ? "World" : "machine";
+    expect_rejected("execute_persistent", what, [&] {
+      (void)dacelite::execute_persistent(mm, ww, data, prog.sdfg, {});
+    });
   }
+}
+
+TEST(ExecWorld, DiscreteRejectsACommOnAnotherMachine) {
+  // The MPI operations wait on the Comm's machine's engine, so a Comm built
+  // on another machine would leave every rank blocked; execute_discrete
+  // rejects it before anything runs.
+  auto prog = dacelite::make_jacobi1d(48, 2, 2);
+  dacelite::apply_gpu_transform(prog.sdfg);
+  vgpu::Machine m(hgx(2));
+  vgpu::Machine other(hgx(2));
+  vshmem::World w(m);
+  hostmpi::Comm comm(other);
+  ProgramData data(w, prog.sdfg, true);
+  try {
+    (void)dacelite::execute_discrete(m, comm, data, prog.sdfg, {});
+    ADD_FAILURE() << "execute_discrete accepted a Comm on another machine";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "execute_discrete: the Comm is not on the ProgramData's "
+                 "World's machine");
+  }
+  EXPECT_EQ(m.engine().now(), 0);
 }
 
 // Functional check of MapFusion: a two-stage pipeline (tmp = 2A; B = tmp+1)

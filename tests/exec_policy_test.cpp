@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -179,13 +180,12 @@ std::pair<std::vector<double>, std::vector<double>> slice_run(Variant v,
   stencil::StencilConfig cfg;
   cfg.iterations = 6;
   stencil::SlabStencil<stencil::Jacobi2D> S(w, prob, cfg);
-  const stencil::SlabSetup setup = stencil::make_slab_setup(S, v);
+  const exec::Program prog = stencil::make_slab_program(S, v);
   if (spawned) {
-    m.engine().spawn(exec::run_program_persistent_task(
-        setup.program, setup.plan, setup.params));
+    m.engine().spawn(exec::run_program_persistent_task(prog));
     m.engine().run();
   } else {
-    exec::run_program(setup.program, setup.plan, setup.params);
+    exec::run_program(prog);
   }
   return {S.gather(cfg.iterations & 1), S.reference(cfg.iterations)};
 }
@@ -224,12 +224,12 @@ TEST(HostLoopSlice, RejectedBeforeAnythingIsCreated) {
     stencil::StencilConfig cfg;
     cfg.iterations = 2;
     stencil::SlabStencil<stencil::Jacobi2D> S(w, prob, cfg);
-    const stencil::SlabSetup setup = stencil::make_slab_setup(S, v);
+    const exec::Program prog = stencil::make_slab_program(S, v);
     CreationCounter counter;
     m.engine().set_observer(&counter);
     const std::size_t bytes = m.live_bytes();
     try {
-      exec::run_program(setup.program, setup.plan, setup.params);
+      exec::run_program(prog);
       ADD_FAILURE() << stencil::variant_name(v) << " ran on a slice";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("run_program: launch: host_loop"),
@@ -339,13 +339,12 @@ Creation stencil_creation(Variant v, bool slice) {
   cfg.iterations = 2;
   cfg.persistent_blocks = 12;
   stencil::SlabStencil<stencil::Jacobi2D> S(*w, prob, cfg);
-  const stencil::SlabSetup setup = stencil::make_slab_setup(S, v);
+  const exec::Program prog = stencil::make_slab_program(S, v);
   if (slice) {
-    m.engine().spawn(exec::run_program_persistent_task(
-        setup.program, setup.plan, setup.params));
+    m.engine().spawn(exec::run_program_persistent_task(prog));
     m.engine().run();
   } else {
-    exec::run_program(setup.program, setup.plan, setup.params);
+    exec::run_program(prog);
   }
   Creation c{log.names, {}};
   for (int d = 0; d < m.num_devices(); ++d) {
@@ -448,10 +447,9 @@ TEST(RunSlab, RejectsInvalidPlan) {
   // Persistent launch with host-barrier sync can never compose.
   const Plan bad{LaunchPolicy::kPersistent, CommPolicy::kSignaledPut,
                  SyncPolicy::kHostBarrier};
-  const stencil::SlabSetup setup =
-      stencil::make_slab_setup(S, Variant::kCpuFree);
-  EXPECT_THROW(exec::run_program(setup.program, bad, setup.params),
-               std::invalid_argument);
+  exec::Program prog = stencil::make_slab_program(S, Variant::kCpuFree);
+  prog.plan = bad;
+  EXPECT_THROW(exec::run_program(prog), std::invalid_argument);
 }
 
 TEST(RunSlab, PersistentTaskRejectsHostLoopAndInvalidPlans) {
@@ -473,16 +471,69 @@ TEST(RunSlab, PersistentTaskRejectsHostLoopAndInvalidPlans) {
     stencil::StencilConfig cfg;
     cfg.iterations = 1;
     stencil::SlabStencil<stencil::Jacobi2D> S(w, prob, cfg);
-    const stencil::SlabSetup setup =
-        stencil::make_slab_setup(S, Variant::kCpuFree);
-    m.engine().spawn(
-        exec::run_program_persistent_task(setup.program, plan, setup.params));
+    exec::Program prog = stencil::make_slab_program(S, Variant::kCpuFree);
+    prog.plan = plan;
+    m.engine().spawn(exec::run_program_persistent_task(prog));
     try {
       m.engine().run();
       ADD_FAILURE() << "expected std::invalid_argument (" << why << ')';
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
           << e.what();
+    }
+  }
+}
+
+TEST(RunProgram, RejectsAProgramWithoutTheHookItsPlanUses) {
+  // A default Plan is a valid host loop, so a program whose plan was left
+  // unset would call a null host_step. Each program below has only the
+  // hook its plan does not use; both entry points name the missing one
+  // before they name a flag or create a stream (the spawned form from
+  // engine.run()).
+  const Plan persistent{LaunchPolicy::kPersistent, CommPolicy::kSignaledPut,
+                        SyncPolicy::kIterationFlags};
+  const Plan pair{LaunchPolicy::kPersistentPair, CommPolicy::kSignaledPut,
+                  SyncPolicy::kIterationFlags};
+  for (const Plan& plan : {Plan{}, persistent, pair}) {
+    const bool host = plan.launch == LaunchPolicy::kHostLoop;
+    for (bool spawned : {false, true}) {
+      if (host && spawned) continue;
+      vgpu::Machine m(vgpu::MachineSpec::hgx_a100(2));
+      vshmem::World w(m);
+      exec::Program prog{.world = &w, .plan = plan};
+      if (host) {
+        prog.groups = [](int, const exec::IterationJoin&) {
+          return exec::ProgramGroups{};
+        };
+      } else {
+        prog.host_step = [](vgpu::HostCtx&, int, int,
+                            std::span<vgpu::Stream* const>) -> sim::Task {
+          co_return;
+        };
+      }
+      std::string want = spawned ? "run_program_persistent_task" : "run_program";
+      want += ": launch: ";
+      want += exec::name(plan.launch);
+      want += host ? " needs the host_step hook" : " needs the groups hook";
+      CreationCounter counter;
+      m.engine().set_observer(&counter);
+      try {
+        if (spawned) {
+          m.engine().spawn(exec::run_program_persistent_task(prog));
+          m.engine().run();
+        } else {
+          exec::run_program(prog);
+        }
+        ADD_FAILURE() << want << ": the program ran";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+      }
+      m.engine().set_observer(nullptr);
+      EXPECT_EQ(counter.created, 0) << want;
+      for (int d = 0; d < m.num_devices(); ++d) {
+        EXPECT_EQ(m.device(d).stream_count(), 0u) << want;
+      }
     }
   }
 }

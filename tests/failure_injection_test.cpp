@@ -169,8 +169,10 @@ TEST(Inject, PersistentOversubscriptionRejectedUpfront) {
   vshmem::World w(m);
   const int limit = m.device(0).spec().max_cooperative_blocks(1024);
   bool body_ran = false;
-  exec::Program prog;
-  prog.world = &w;
+  exec::Program prog{.world = &w,
+                     .plan = {exec::LaunchPolicy::kPersistent,
+                              exec::CommPolicy::kSignaledPut,
+                              exec::SyncPolicy::kIterationFlags, "persistent"}};
   prog.groups = [limit, &body_ran](int, const exec::IterationJoin&) {
     exec::ProgramGroups pg;
     pg.comm.push_back(BlockGroup{"huge", limit + 1, [&](KernelCtx&) -> Task {
@@ -179,13 +181,7 @@ TEST(Inject, PersistentOversubscriptionRejectedUpfront) {
                                  }});
     return pg;
   };
-  EXPECT_THROW(
-      exec::run_program(prog,
-                        {exec::LaunchPolicy::kPersistent,
-                         exec::CommPolicy::kSignaledPut,
-                         exec::SyncPolicy::kIterationFlags, "persistent"},
-                        {}),
-      vgpu::CooperativeLaunchError);
+  EXPECT_THROW(exec::run_program(prog), vgpu::CooperativeLaunchError);
   EXPECT_FALSE(body_ran);
 }
 

@@ -141,12 +141,11 @@ std::map<int, std::map<int, std::vector<double>>> ckpt_snapshots() {
   cfg.trace = false;
   cfg.persistent_blocks = 4;
   stencil::SlabStencil<stencil::Jacobi2D> S(w, p, cfg);
-  stencil::SlabSetup setup = stencil::make_slab_setup(S, stencil::Variant::kCpuFree);
-  exec::CheckpointStore store(2);
-  setup.params.checkpoint_every = 2;
-  setup.params.checkpoint_store = &store;
-  m.engine().spawn(exec::run_program_persistent_task(setup.program, setup.plan,
-                                                     setup.params));
+  exec::Program prog =
+      stencil::make_slab_program(S, stencil::Variant::kCpuFree);
+  exec::CheckpointStore store(/*pes=*/2, /*interval=*/2);
+  prog.checkpoints = &store;
+  m.engine().spawn(exec::run_program_persistent_task(prog));
   m.engine().run();
   EXPECT_EQ(S.gather(cfg.iterations & 1), S.reference(cfg.iterations));
   EXPECT_EQ(store.last_complete(), 6);  // 2, 4, 6 (never the final iteration)

@@ -327,7 +327,7 @@ TEST(WeightedSplit, RejectsImbalanceNoSplitCanWeight) {
       expect_invalid("CgCpufreeJob", named, [&] {
         vgpu::Machine machine(spec);
         vshmem::World world(machine);
-        solvers::CgCpufreeJob job(machine, world, cfg);
+        solvers::CgCpufreeJob job(world, cfg);
       });
       cfg.functional = false;
       expect_invalid("run_sparse_cg timing-only", named, [&] {
@@ -758,7 +758,7 @@ TEST(SparseCg, RejectsSlicesThatOverflow32BitCsr) {
   expect_csr_overflow("CgCpufreeJob", [&] {
     vgpu::Machine machine(MachineSpec::hgx_a100(1));
     vshmem::World world(machine);
-    solvers::CgCpufreeJob job(machine, world, cfg);
+    solvers::CgCpufreeJob job(world, cfg);
   });
 }
 
