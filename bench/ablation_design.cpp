@@ -14,6 +14,7 @@
 #include "bench_common.hpp"
 #include "dacelite/exec.hpp"
 #include "dacelite/frontend.hpp"
+#include "dacelite/pass.hpp"
 #include "stencil/problems.hpp"
 #include "stencil/runner.hpp"
 #include "stencil/variants.hpp"
@@ -75,7 +76,10 @@ sweep::RunResult run_dace2d(bool blocking, bool conservative, int gpus,
                             sim::Observer* obs = nullptr) {
   auto prog = dacelite::make_jacobi2d(obs != nullptr ? 128 : 2048, gpus,
                                       obs != nullptr ? 8 : 50);
-  dacelite::to_cpu_free(prog.sdfg);
+  // Barrier placement is the persistent pass's decision (§5.1).
+  dacelite::Recipe recipe = dacelite::Recipe::cpu_free_default();
+  if (conservative) recipe.steps.back().params["barriers"] = "conservative";
+  dacelite::Pipeline().apply(prog.sdfg, recipe);
   vgpu::MachineSpec spec = vgpu::MachineSpec::hgx_a100(gpus);
   spec.faults = g_faults;
   vgpu::Machine m(spec);
@@ -85,7 +89,6 @@ sweep::RunResult run_dace2d(bool blocking, bool conservative, int gpus,
   dacelite::ExecOptions opt;
   opt.functional = false;
   opt.blocking_puts = blocking;
-  opt.conservative_barriers = conservative;
   const auto r = dacelite::execute_persistent(m, w, data, prog.sdfg, opt);
   sweep::RunResult res;
   res.spec = spec;

@@ -290,7 +290,7 @@ void Detector::on_put_deliver(std::uint64_t op_id, const sim::Actor& wire) {
 
 void Detector::on_quiet(const sim::Actor& actor, int pe,
                         std::string_view what) {
-  (void)what;  // "quiet" and "fence" get the same (over-approximated) edge
+  (void)what;
   auto it = quiet_clock_.find(pe);
   if (it != quiet_clock_.end()) vc(tid(actor)).join(it->second);
 }

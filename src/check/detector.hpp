@@ -22,15 +22,15 @@
 //    source read and destination write are recorded at that wire epoch, and
 //    the wire clock is SNAPSHOTTED per op. At DELIVERY the snapshot — not
 //    the then-current wire clock, which may already contain later ops —
-//    either rejoins the issuer (blocking gets/copies) or is parked for the
-//    issuing PE's next quiet()/fence(); a signal applied by the delivery
+//    either rejoins the issuer (copies, peer stores) or is parked for the
+//    issuing PE's next quiet(); a signal applied by the delivery
 //    joins the snapshot into the flag. This per-op snapshot is what lets a
 //    signal ordered after an iput on the same wire carry the iput's epochs
 //    (in-order links) while an unordered read still races.
 //
-// Over-approximations (documented in DESIGN.md): fence is treated as quiet;
-// a quiet() covers every delivered nbi op of the PE, including ops issued
-// after the quiet began; purely local (unpublished) accesses are invisible.
+// Over-approximations (documented in DESIGN.md): a quiet() covers every
+// delivered nbi op of the PE, including ops issued after the quiet began;
+// purely local (unpublished) accesses are invisible.
 #pragma once
 
 #include <cstdint>
@@ -168,7 +168,7 @@ class Detector final : public sim::Observer {
   // delivery applies is published immediately after on_put_deliver.
   std::map<sim::Actor, VectorClock> last_delivered_;
   // Accumulated snapshots of delivered non-rejoining puts per source PE;
-  // quiet()/fence() joins this (monotone, never cleared: a later quiet by
+  // quiet() joins this (monotone, never cleared: a later quiet by
   // another actor on the PE must still acquire them).
   std::map<int, VectorClock> quiet_clock_;
 

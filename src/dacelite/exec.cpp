@@ -495,9 +495,9 @@ sim::Task run_device_persistent(vshmem::World& w, ProgramData& data,
                                             opt));
         }
       }
-      // Relaxed barrier placement (§5.1): a grid barrier only on state edges
-      // with a data dependency (or after every state in conservative mode).
-      if (opt.conservative_barriers || sdfg.barrier_after.at(si)) {
+      // The persistent pass placed the grid barriers (§5.1): on state edges
+      // with a data dependency, or after every state when conservative.
+      if (sdfg.barrier_after.at(si)) {
         co_await k.grid_sync();
       }
     }

@@ -41,10 +41,6 @@ struct ExecOptions {
   /// Co-resident blocks per device for the persistent backend; 0 (default)
   /// derives one block per SM from MachineSpec::sm_count at launch time.
   int persistent_blocks = 0;
-  /// Ablation: emit a grid barrier after EVERY state (the conservative
-  /// pre-relaxation behaviour of DaCe's persistent fusion, §5.1) instead of
-  /// only on dependent state edges.
-  bool conservative_barriers = false;
   /// Ablation: use blocking puts instead of the default nonblocking (nbi)
   /// expansion (§5.3.2).
   bool blocking_puts = false;

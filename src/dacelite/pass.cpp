@@ -2,41 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <string_view>
 #include <utility>
 #include <variant>
 
 namespace dacelite {
 
 namespace {
-
-/// Rejects parameter keys a pass does not declare — a misspelled recipe must
-/// fail loudly, not silently run with defaults.
-void check_params(const Pass& pass, const PassParams& params) {
-  const std::vector<ParamDomain> space = pass.parameter_space();
-  for (const auto& [key, value] : params) {
-    const auto it = std::find_if(
-        space.begin(), space.end(),
-        [&key](const ParamDomain& d) { return d.key == key; });
-    if (it == space.end()) {
-      throw ValidationError("pass " + std::string(pass.name()) +
-                            ": unknown parameter '" + key + "'");
-    }
-    if (!it->values.empty() &&
-        std::find(it->values.begin(), it->values.end(), value) ==
-            it->values.end()) {
-      throw ValidationError("pass " + std::string(pass.name()) +
-                            ": parameter '" + key + "' has no value '" +
-                            value + "'");
-    }
-  }
-}
-
-[[nodiscard]] std::string param_or(const PassParams& params,
-                                   const std::string& key,
-                                   std::string fallback) {
-  const auto it = params.find(key);
-  return it == params.end() ? std::move(fallback) : it->second;
-}
 
 [[nodiscard]] bool has_lib_node(const Sdfg& sdfg, bool (*pred)(LibKind)) {
   auto scan = [pred](const State& st) {
@@ -56,85 +29,64 @@ void check_params(const Pass& pass, const PassParams& params) {
   return false;
 }
 
-class GpuTransformPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "gpu_transform";
-  }
-  [[nodiscard]] bool applicable(const Sdfg& sdfg) const override {
-    return !sdfg.gpu;
-  }
-  int apply(Sdfg& sdfg, const PassParams& params) const override {
-    check_params(*this, params);
-    return apply_gpu_transform(sdfg);
-  }
+/// One of the five passes: its name, whether it matches an SDFG in its
+/// current shape, and the transformation, which returns the number of
+/// nodes/arrays/edges changed. `conservative` is persistent's one parameter.
+struct PassEntry {
+  std::string_view name;
+  bool (*applicable)(const Sdfg&);
+  int (*apply)(Sdfg&, bool conservative);
 };
 
-class MpiToNvshmemPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "mpi_to_nvshmem";
-  }
-  [[nodiscard]] bool applicable(const Sdfg& sdfg) const override {
-    return has_lib_node(sdfg, [](LibKind k) { return !is_nvshmem(k); });
-  }
-  int apply(Sdfg& sdfg, const PassParams& params) const override {
-    check_params(*this, params);
-    return apply_mpi_to_nvshmem(sdfg);
-  }
-};
-
-class NvshmemArrayPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "nvshmem_array";
-  }
-  [[nodiscard]] bool applicable(const Sdfg& sdfg) const override {
-    return has_lib_node(sdfg, [](LibKind k) { return is_nvshmem(k); });
-  }
-  int apply(Sdfg& sdfg, const PassParams& params) const override {
-    check_params(*this, params);
-    return apply_nvshmem_arrays(sdfg);
-  }
-};
-
-class MapFusionPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override { return "map_fusion"; }
-  [[nodiscard]] bool applicable(const Sdfg&) const override {
+constexpr PassEntry kPasses[] = {
+    {"gpu_transform", [](const Sdfg& s) { return !s.gpu; },
+     [](Sdfg& s, bool) { return apply_gpu_transform(s); }},
+    {"mpi_to_nvshmem",
+     [](const Sdfg& s) {
+       return has_lib_node(s, [](LibKind k) { return !is_nvshmem(k); });
+     },
+     [](Sdfg& s, bool) { return apply_mpi_to_nvshmem(s); }},
+    {"nvshmem_array",
+     [](const Sdfg& s) {
+       return has_lib_node(s, [](LibKind k) { return is_nvshmem(k); });
+     },
+     [](Sdfg& s, bool) { return apply_nvshmem_arrays(s); }},
     // Fusion is a search, not a precondition: zero matches is a valid
     // outcome (changed == 0), so the pass applies to any SDFG.
-    return true;
-  }
-  int apply(Sdfg& sdfg, const PassParams& params) const override {
-    check_params(*this, params);
-    return apply_map_fusion(sdfg);
-  }
+    {"map_fusion", [](const Sdfg&) { return true; },
+     [](Sdfg& s, bool) { return apply_map_fusion(s); }},
+    // Changes are the grid barriers placed.
+    {"persistent", [](const Sdfg& s) { return s.gpu && !s.persistent; },
+     [](Sdfg& s, bool conservative) {
+       apply_persistent(s);
+       if (conservative) s.barrier_after.assign(s.body.size(), true);
+       return static_cast<int>(
+           std::count(s.barrier_after.begin(), s.barrier_after.end(), true));
+     }},
 };
 
-class PersistentPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const override { return "persistent"; }
-  [[nodiscard]] bool applicable(const Sdfg& sdfg) const override {
-    return sdfg.gpu && !sdfg.persistent;
-  }
-  [[nodiscard]] std::vector<ParamDomain> parameter_space() const override {
-    // Barrier placement is the transform's own decision (§5.1): the relaxed
-    // subgraph-edge rule, or the conservative barrier-after-every-state
-    // behaviour of DaCe's stock persistent fusion.
-    return {{"barriers", {"relaxed", "conservative"}}};
-  }
-  int apply(Sdfg& sdfg, const PassParams& params) const override {
-    check_params(*this, params);
-    apply_persistent(sdfg);
-    if (param_or(params, "barriers", "relaxed") == "conservative") {
-      sdfg.barrier_after.assign(sdfg.body.size(), true);
+/// Checks a step's parameters and returns whether it asks for conservative
+/// barriers. Only persistent takes one: `barriers`, the relaxed
+/// subgraph-edge rule (§5.1, the default) or `conservative`, a grid barrier
+/// after every state as DaCe's stock persistent fusion places them. Any
+/// other key or value is a ValidationError — a misspelled recipe must fail
+/// loudly, not silently run with defaults.
+bool check_params(const PassEntry& pass, const PassParams& params) {
+  bool conservative = false;
+  for (const auto& [key, value] : params) {
+    if (pass.name != "persistent" || key != "barriers") {
+      throw ValidationError("pass " + std::string(pass.name) +
+                            ": unknown parameter '" + key + "'");
     }
-    int barriers = 0;
-    for (const bool b : sdfg.barrier_after) barriers += b ? 1 : 0;
-    return barriers;
+    if (value != "relaxed" && value != "conservative") {
+      throw ValidationError("pass " + std::string(pass.name) +
+                            ": parameter '" + key + "' has no value '" +
+                            value + "'");
+    }
+    conservative = value == "conservative";
   }
-};
+  return conservative;
+}
 
 }  // namespace
 
@@ -171,121 +123,6 @@ std::string Recipe::serialize() const {
   return out;
 }
 
-namespace {
-
-[[nodiscard]] std::string_view trim(std::string_view s) {
-  while (!s.empty() && s.front() == ' ') s.remove_prefix(1);
-  while (!s.empty() && s.back() == ' ') s.remove_suffix(1);
-  return s;
-}
-
-[[nodiscard]] int parse_recipe_int(std::string_view text, std::string_view what) {
-  if (text.empty()) {
-    throw ValidationError("recipe: empty " + std::string(what));
-  }
-  int value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      throw ValidationError("recipe: malformed " + std::string(what) + " '" +
-                            std::string(text) + "'");
-    }
-    value = value * 10 + (c - '0');
-  }
-  return value;
-}
-
-RecipeStep parse_step(std::string_view text) {
-  RecipeStep step;
-  const std::size_t paren = text.find('(');
-  if (paren == std::string_view::npos) {
-    step.pass = std::string(trim(text));
-    return step;
-  }
-  if (text.back() != ')') {
-    throw ValidationError("recipe: unbalanced '(' in step '" +
-                          std::string(text) + "'");
-  }
-  step.pass = std::string(trim(text.substr(0, paren)));
-  std::string_view body = text.substr(paren + 1, text.size() - paren - 2);
-  while (!body.empty()) {
-    std::size_t comma = body.find(',');
-    const std::string_view kv =
-        body.substr(0, comma == std::string_view::npos ? body.size() : comma);
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string_view::npos || eq == 0 || eq + 1 == kv.size()) {
-      throw ValidationError("recipe: malformed parameter '" + std::string(kv) +
-                            "' in step '" + step.pass + "'");
-    }
-    step.params.emplace(std::string(trim(kv.substr(0, eq))),
-                        std::string(trim(kv.substr(eq + 1))));
-    if (comma == std::string_view::npos) break;
-    body.remove_prefix(comma + 1);
-  }
-  return step;
-}
-
-}  // namespace
-
-Recipe Recipe::parse(std::string_view text) {
-  Recipe r;
-  const std::size_t at = text.rfind('@');
-  if (at == std::string_view::npos) {
-    throw ValidationError("recipe: missing '@ blocks=... tpb=... expansion=...'"
-                          " execution-knob suffix");
-  }
-  std::string_view knobs = trim(text.substr(at + 1));
-  bool saw_blocks = false, saw_tpb = false, saw_expansion = false;
-  while (!knobs.empty()) {
-    std::size_t sp = knobs.find(' ');
-    const std::string_view kv =
-        knobs.substr(0, sp == std::string_view::npos ? knobs.size() : sp);
-    const std::size_t eq = kv.find('=');
-    const std::string_view key = kv.substr(0, eq);
-    const std::string_view value =
-        eq == std::string_view::npos ? std::string_view() : kv.substr(eq + 1);
-    if (key == "blocks") {
-      r.persistent_blocks = parse_recipe_int(value, "blocks");
-      saw_blocks = true;
-    } else if (key == "tpb") {
-      r.threads_per_block = parse_recipe_int(value, "tpb");
-      saw_tpb = true;
-    } else if (key == "expansion") {
-      const auto choice = parse_expansion_choice(value);
-      if (!choice) {
-        throw ValidationError("recipe: unknown expansion '" +
-                              std::string(value) + "'");
-      }
-      r.expansion = *choice;
-      saw_expansion = true;
-    } else {
-      throw ValidationError("recipe: unknown execution knob '" +
-                            std::string(kv) + "'");
-    }
-    if (sp == std::string_view::npos) break;
-    knobs.remove_prefix(sp + 1);
-    knobs = trim(knobs);
-  }
-  if (!saw_blocks || !saw_tpb || !saw_expansion) {
-    throw ValidationError(
-        "recipe: knob suffix must set blocks, tpb and expansion");
-  }
-  std::string_view body = trim(text.substr(0, at));
-  while (!body.empty()) {
-    const std::size_t sep = body.find(">>");
-    const std::string_view step_text =
-        trim(body.substr(0, sep == std::string_view::npos ? body.size() : sep));
-    if (step_text.empty()) {
-      throw ValidationError("recipe: empty step in '" + std::string(text) +
-                            "'");
-    }
-    r.steps.push_back(parse_step(step_text));
-    if (sep == std::string_view::npos) break;
-    body.remove_prefix(sep + 2);
-    body = trim(body);
-  }
-  return r;
-}
-
 Recipe Recipe::cpu_free_default() {
   Recipe r;
   r.add("gpu_transform")
@@ -303,51 +140,23 @@ Recipe Recipe::gpu_baseline() {
 
 // --- Pipeline -----------------------------------------------------------------
 
-Pipeline::Pipeline() {
-  register_pass(std::make_unique<GpuTransformPass>());
-  register_pass(std::make_unique<MpiToNvshmemPass>());
-  register_pass(std::make_unique<NvshmemArrayPass>());
-  register_pass(std::make_unique<MapFusionPass>());
-  register_pass(std::make_unique<PersistentPass>());
-}
-
-void Pipeline::register_pass(std::unique_ptr<Pass> pass) {
-  passes_.push_back(std::move(pass));
-}
-
-const Pass& Pipeline::at(std::string_view pass_name) const {
-  for (auto it = passes_.rbegin(); it != passes_.rend(); ++it) {
-    if ((*it)->name() == pass_name) return **it;
-  }
-  throw ValidationError("pipeline: unknown pass '" + std::string(pass_name) +
-                        "'");
-}
-
-bool Pipeline::has(std::string_view pass_name) const {
-  for (const auto& p : passes_) {
-    if (p->name() == pass_name) return true;
-  }
-  return false;
-}
-
-std::vector<std::string_view> Pipeline::pass_names() const {
-  std::vector<std::string_view> names;
-  names.reserve(passes_.size());
-  for (const auto& p : passes_) names.push_back(p->name());
-  return names;
-}
-
 std::vector<AppliedStep> Pipeline::apply(Sdfg& sdfg,
                                          const Recipe& recipe) const {
   std::vector<AppliedStep> applied;
   applied.reserve(recipe.steps.size());
   for (const RecipeStep& step : recipe.steps) {
-    const Pass& pass = at(step.pass);
-    if (!pass.applicable(sdfg)) {
+    const auto* pass = std::find_if(
+        std::begin(kPasses), std::end(kPasses),
+        [&step](const PassEntry& p) { return p.name == step.pass; });
+    if (pass == std::end(kPasses)) {
+      throw ValidationError("pipeline: unknown pass '" + step.pass + "'");
+    }
+    if (!pass->applicable(sdfg)) {
       throw ValidationError("pipeline: pass '" + step.pass +
                             "' is not applicable to SDFG '" + sdfg.name + "'");
     }
-    applied.push_back(AppliedStep{step, pass.apply(sdfg, step.params)});
+    const bool conservative = check_params(*pass, step.params);
+    applied.push_back(AppliedStep{step, pass->apply(sdfg, conservative)});
   }
   sdfg.validate();
   return applied;

@@ -1,6 +1,7 @@
 #include "dacelite/transforms.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <variant>
 
 namespace dacelite {
@@ -268,15 +269,6 @@ PutExpansion select_expansion(const Subset& src, const Subset& dst) {
     return PutExpansion::kContiguousSignal;
   }
   return PutExpansion::kStridedIputSignal;
-}
-
-std::optional<ExpansionChoice> parse_expansion_choice(std::string_view s) {
-  for (const ExpansionChoice c :
-       {ExpansionChoice::kAuto, ExpansionChoice::kContiguousSignal,
-        ExpansionChoice::kStridedIputSignal, ExpansionChoice::kSingleElementP}) {
-    if (s == name(c)) return c;
-  }
-  return std::nullopt;
 }
 
 PutExpansion resolve_expansion(ExpansionChoice choice, const Subset& src,

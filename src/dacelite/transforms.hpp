@@ -1,7 +1,6 @@
 // Pattern-matched SDFG transformations (paper §5.1, §5.3, §6.2.1).
 #pragma once
 
-#include <optional>
 #include <string_view>
 
 #include "dacelite/ir.hpp"
@@ -68,9 +67,6 @@ enum class ExpansionChoice : std::uint8_t {
   }
   return "?";
 }
-
-[[nodiscard]] std::optional<ExpansionChoice> parse_expansion_choice(
-    std::string_view s);
 
 /// The expansion actually generated for a signaled put with the given subset
 /// shapes under a (possibly forced) choice. kAuto defers to select_expansion

@@ -302,4 +302,15 @@ sim::Task run_program_persistent_task(const Program& program) {
   co_await done->wait_geq(program.world->n_pes());
 }
 
+void check_mode(std::string_view fn, const RunOptions& options,
+                const vshmem::World& world) {
+  if (options.functional == world.functional()) return;
+  std::string msg(fn);
+  msg += ": the config's functional is ";
+  msg += options.functional ? "true" : "false";
+  msg += " but the World's is ";
+  msg += world.functional() ? "true" : "false";
+  throw std::invalid_argument(msg);
+}
+
 }  // namespace exec

@@ -27,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "exec/policy.hpp"
@@ -167,5 +168,13 @@ void run_program(const Program& program);
 /// multi-tenant job server) owns the engine. The program must outlive the
 /// returned task.
 sim::Task run_program_persistent_task(const Program& program);
+
+/// A spawnable job computes under its World's mode: World::functional()
+/// decides whether puts copy payloads, `options.functional` how the job sizes
+/// and fills its arrays. `fn` rejects options that disagree with
+/// std::invalid_argument, naming both values (a timing-only job on a
+/// functional World would copy halos out of one-element arrays).
+void check_mode(std::string_view fn, const RunOptions& options,
+                const vshmem::World& world);
 
 }  // namespace exec

@@ -3,7 +3,7 @@
 // An Observer attached to an Engine receives a stream of synchronization and
 // memory events from the vgpu/vshmem/exec layers: actor lifecycles, stream
 // ordering, barrier arrivals, signal updates and waits, put issue/delivery,
-// quiet/fence, and application-level memory accesses at halo-region
+// quiet, and application-level memory accesses at halo-region
 // granularity. The checker subsystem (src/check/) implements this interface
 // to run a vector-clock happens-before race detector and a deadlock
 // analyzer; a null observer costs one pointer test per event site and the
@@ -122,10 +122,9 @@ struct TransferObs {
   MemRange read{};   // source bytes the transfer reads (optional)
   MemRange write{};  // destination bytes the transfer writes (optional)
   /// True for operations whose completion the issuer observes directly
-  /// (blocking gets, host/stream copies): delivery joins the wire clock back
-  /// into the issuer. False for NVSHMEM-style nonblocking puts: the issuer
-  /// learns of completion only through quiet()/fence() or a delivered
-  /// signal.
+  /// (host/stream copies, a kernel's blocking peer stores): delivery joins
+  /// the wire clock back into the issuer. False for NVSHMEM-style puts: the
+  /// issuer learns of completion only through quiet() or a delivered signal.
   bool rejoin = true;
 };
 
@@ -207,8 +206,8 @@ class Observer {
   virtual void on_put_deliver(std::uint64_t op_id, const Actor& wire) {
     (void)op_id, (void)wire;
   }
-  /// quiet()/fence() completion point for `actor`'s outstanding nonblocking
-  /// puts issued from PE `pe`. `what` is "quiet" or "fence".
+  /// quiet() completion point for `actor`'s outstanding nonblocking puts
+  /// issued from PE `pe`. `what` names the operation ("quiet").
   virtual void on_quiet(const Actor& actor, int pe, std::string_view what) {
     (void)actor, (void)pe, (void)what;
   }

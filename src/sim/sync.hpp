@@ -11,11 +11,9 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <new>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -309,50 +307,6 @@ class Flag {
   std::size_t withdrawn_ = 0;
 };
 
-/// Counting semaphore with FIFO handoff: a released unit is transferred
-/// directly to the oldest waiter, so a same-instant acquire cannot steal it.
-class Semaphore {
- public:
-  Semaphore(Engine& engine, std::int64_t initial)
-      : engine_(&engine), count_(initial) {}
-
-  struct AcquireAwaiter {
-    Semaphore& sem;
-    bool await_ready() noexcept {
-      if (sem.count_ > 0) {
-        --sem.count_;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) { sem.waiters_.push_back(h); }
-    void await_resume() const noexcept {}
-  };
-
-  [[nodiscard]] AcquireAwaiter acquire() { return AcquireAwaiter{*this}; }
-
-  void release(std::int64_t n = 1) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (!waiters_.empty()) {
-        auto h = waiters_.front();
-        waiters_.pop_front();
-        engine_->schedule(h, 0);
-      } else {
-        ++count_;
-      }
-    }
-  }
-
-  [[nodiscard]] std::int64_t available() const noexcept { return count_; }
-  [[nodiscard]] std::size_t waiter_count() const noexcept { return waiters_.size(); }
-
- private:
-  friend struct AcquireAwaiter;
-  Engine* engine_;
-  std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
 /// Cyclic barrier for a fixed set of participants (used for device-side
 /// grid.sync() and host-side OpenMP/MPI-style barriers).
 class Barrier {
@@ -391,55 +345,6 @@ class Barrier {
   std::size_t arrived_ = 0;
   std::uint64_t generation_ = 0;
   std::vector<std::coroutine_handle<>> waiting_;
-};
-
-/// Unbounded FIFO channel; pop suspends until an element is available.
-/// Pushed elements are handed directly to the oldest waiter (see Semaphore).
-template <typename T>
-class Channel {
- public:
-  explicit Channel(Engine& engine) : engine_(&engine) {}
-
-  void push(T value) {
-    if (!waiters_.empty()) {
-      PopAwaiter* w = waiters_.front();
-      waiters_.pop_front();
-      w->slot = std::move(value);
-      engine_->schedule(w->handle, 0);
-      return;
-    }
-    items_.push_back(std::move(value));
-  }
-
-  struct PopAwaiter {
-    Channel& ch;
-    std::optional<T> slot;
-    std::coroutine_handle<> handle;
-
-    bool await_ready() noexcept {
-      if (!ch.items_.empty()) {
-        slot = std::move(ch.items_.front());
-        ch.items_.pop_front();
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      ch.waiters_.push_back(this);
-    }
-    T await_resume() { return std::move(*slot); }
-  };
-
-  [[nodiscard]] PopAwaiter pop() { return PopAwaiter{*this, std::nullopt, {}}; }
-  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
-
- private:
-  friend struct PopAwaiter;
-  Engine* engine_;
-  std::deque<T> items_;
-  std::deque<PopAwaiter*> waiters_;
 };
 
 }  // namespace sim

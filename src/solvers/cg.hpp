@@ -82,7 +82,8 @@ struct CgResult {
 /// The config's type picks the operator: a CgConfig runs matrix-free CG
 /// (results bitwise-comparable to cg_reference(config, world.n_pes())), a
 /// SparseCgConfig sparse CG (sparse_cg_reference); reference() returns that
-/// reference.
+/// reference. A config whose `functional` is not the World's is rejected
+/// (exec::check_mode) before anything is allocated.
 class CgCpufreeJob {
  public:
   CgCpufreeJob(vshmem::World& world, const CgConfig& config);

@@ -483,8 +483,9 @@ CgResult reference(const Operator& op, const SparseCgConfig& cfg, int ranks) {
 /// The problem on `world` (the whole machine or a device slice): each
 /// rank's slice and the halo-extended p, x, r, q, b, one element each when
 /// timing-only, with x0 = 0 and r0 = p0 = b. Throws std::invalid_argument
-/// for a split the operator rejects, before allocating anything
-/// problem-sized.
+/// for a split the operator rejects, or a config whose mode is not the
+/// World's, before allocating anything problem-sized. Only CgCpufreeJob can
+/// reach the second: run() sets the World's mode from the config.
 struct Problem {
   Problem(const Operator& o, vshmem::World& w, const SparseCgConfig& c)
       : op(&o),
@@ -492,6 +493,7 @@ struct Problem {
         world(&w),
         n(w.n_pes()),
         slices(o.slices(c, w.n_pes())) {
+    exec::check_mode("CgCpufreeJob", cfg, w);
     std::size_t rows = 0;
     for (const CsrSlice& s : slices) rows = std::max(rows, s.rows);
     const std::size_t size = cfg.functional ? (rows + 2) * cfg.nx : 1;

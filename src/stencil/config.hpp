@@ -13,7 +13,8 @@ namespace stencil {
 /// The code variants evaluated in the paper (§6.1.1).
 enum class Variant : std::uint8_t {
   kBaselineCopy,     // CPU-controlled, async memcpy halos, no explicit overlap
-  kBaselineOverlap,  // boundary kernel + memcpys in a second stream, events
+  kBaselineOverlap,  // boundary kernel + memcpys in a second stream; host
+                     // syncs both streams
   kBaselineP2P,      // device-side direct stores, host-side synchronization
   kBaselineNvshmem,  // discrete kernels with device NVSHMEM comm + sync kernel
   kCpuFree,          // persistent kernel, TB specialization, signaled puts

@@ -22,8 +22,8 @@
 //
 // Delivery on a route is FIFO per ordered (src, dst) pair: a later-admitted
 // transfer never completes before an earlier one of the same pair, even if
-// fair sharing would drain its bytes first. vshmem::fence and the checker's
-// wire actors rely on this.
+// fair sharing would drain its bytes first. The checker's wire actors rely
+// on this.
 //
 // Determinism: the ledger's only event source is Engine::schedule_callback
 // timers, rescheduled (cancel + re-arm) whenever the earliest completion

@@ -4,9 +4,9 @@
 // breadth-first shortest paths with ties broken by link insertion order, so
 // the same topology always yields the same routes (no load balancing, no
 // randomness — determinism is a simulator invariant). Because a pair's
-// route never changes, per-pair FIFO delivery (which vshmem::fence and the
-// checker's wire actors rely on) only needs ordering per route, which the
-// LinkLedger enforces.
+// route never changes, per-pair FIFO delivery (which the checker's wire
+// actors rely on) only needs ordering per route, which the LinkLedger
+// enforces.
 #pragma once
 
 #include <cstdint>

@@ -129,7 +129,7 @@ sim::Nanos predict_total(const dacelite::Sdfg& sdfg,
           }
         }
       }
-      if (options.conservative_barriers || sdfg.barrier_after.at(si)) {
+      if (sdfg.barrier_after.at(si)) {
         c.sync += dev.grid_sync;
       }
     }

@@ -254,17 +254,6 @@ sim::Task World::quiet(vgpu::KernelCtx& ctx) {
                            machine_->engine().now(), "quiet");
 }
 
-sim::Task World::fence(vgpu::KernelCtx& ctx) {
-  // Same-destination transfers already complete in issue order on our links.
-  // For the checker, fence is over-approximated as quiet over the ops
-  // delivered so far — sound for the same-destination ordering it provides
-  // (FIFO links), see DESIGN.md.
-  if (sim::Observer* o = machine_->engine().observer()) {
-    o->on_quiet(ctx.obs_actor(), ctx.device_id(), "fence");
-  }
-  co_await machine_->engine().delay(machine_->spec().link.device_put_issue);
-}
-
 namespace {
 /// Device-side dissemination barrier cost: ceil(log2 n) exchange rounds.
 /// Each round is charged the worst route's hop latency on top of the
@@ -278,12 +267,6 @@ sim::Nanos barrier_cost(const vgpu::Machine& machine, int n) {
                               machine.router().max_extra_latency());
 }
 }  // namespace
-
-sim::Task World::barrier_all(vgpu::KernelCtx& ctx) {
-  // barrier_all implies quiet for the calling PE.
-  co_await quiet(ctx);
-  co_await sync_all(ctx);
-}
 
 sim::Task World::sync_all(vgpu::KernelCtx& ctx) {
   if (!barrier_) {

@@ -5,8 +5,8 @@
 // signals (nvshmemx_putmem_signal_nbi_block), strided element-wise puts
 // (nvshmem_<type>_iput), single-element puts (nvshmem_<type>_p), remote
 // signal updates (nvshmem_signal_op), point-to-point signal waits
-// (nvshmem_signal_wait_until), memory-ordering (quiet/fence) and device-side
-// collectives (barrier_all/sync_all).
+// (nvshmem_signal_wait_until), completion (quiet) and the device-side
+// barrier (sync_all).
 //
 // Semantics preserved from NVSHMEM:
 //  * put_signal delivers the payload to the destination PE's memory *before*
@@ -280,25 +280,6 @@ class World {
   sim::Task p(vgpu::KernelCtx& ctx, Sym<T>& arr, std::size_t dst_off, T value,
               int dst_pe);
 
-  /// nvshmem_getmem: blocking contiguous GET from `src_pe`'s instance into
-  /// the caller's instance. Gets are round trips: request + payload return.
-  template <typename T>
-  sim::Task getmem(vgpu::KernelCtx& ctx, Sym<T>& arr, std::size_t src_off,
-                   std::size_t dst_off, std::size_t count, int src_pe,
-                   Scope scope = Scope::kBlock);
-
-  /// nvshmem_<type>_iget: strided element-wise GET.
-  template <typename T>
-  sim::Task iget(vgpu::KernelCtx& ctx, Sym<T>& arr, std::size_t src_off,
-                 std::ptrdiff_t src_stride, std::size_t dst_off,
-                 std::ptrdiff_t dst_stride, std::size_t count, int src_pe);
-
-  /// nvshmem_<type>_g: single-element GET; returns the fetched value via
-  /// `out` (0 in timing-only mode).
-  template <typename T>
-  sim::Task g(vgpu::KernelCtx& ctx, Sym<T>& arr, std::size_t src_off,
-              int src_pe, T& out);
-
   // --- Signaling ------------------------------------------------------------
 
   /// nvshmem_signal_op: remote update of a signal variable (no payload).
@@ -310,17 +291,10 @@ class World {
                               std::size_t sig_idx, sim::Cmp cmp,
                               std::int64_t value);
 
-  // --- Ordering and collectives ---------------------------------------------
+  // --- Completion and the barrier ------------------------------------------
 
   /// nvshmem_quiet: waits until every nbi op issued by this PE completed.
   sim::Task quiet(vgpu::KernelCtx& ctx);
-
-  /// nvshmem_fence: ordering between puts to the same PE. Our interconnect
-  /// delivers same-link transfers in order, so fence costs only issue time.
-  sim::Task fence(vgpu::KernelCtx& ctx);
-
-  /// nvshmem_barrier_all: device-side barrier across all PEs (implies quiet).
-  sim::Task barrier_all(vgpu::KernelCtx& ctx);
 
   /// nvshmem_sync_all: barrier without completion guarantee for nbi ops.
   sim::Task sync_all(vgpu::KernelCtx& ctx);
@@ -438,7 +412,7 @@ sim::Task World::putmem(vgpu::KernelCtx& ctx, Sym<T>& arr, std::size_t src_off,
     obs.read = sim::MemRange::of(arr.on(src_pe), src_off, count);
     obs.write = sim::MemRange::of(arr.on(dst_pe), dst_off, count);
     // NVSHMEM blocking puts guarantee source reuse, not remote visibility:
-    // the issuer still learns of delivery only via quiet/fence or a signal.
+    // the issuer still learns of delivery only via quiet or a signal.
     obs.rejoin = false;
   }
   co_await do_put(src_pe, dst_pe, static_cast<double>(count * sizeof(T)),
@@ -610,93 +584,6 @@ sim::Task World::p(vgpu::KernelCtx& ctx, Sym<T>& arr, std::size_t dst_off,
   co_await machine_->engine().delay(extra);
   co_await do_put(src_pe, dst_pe, static_cast<double>(sizeof(T)), 1.0,
                   ctx.lane(), "p", std::move(deliver), sim::Cat::kComm, obs);
-}
-
-template <typename T>
-sim::Task World::getmem(vgpu::KernelCtx& ctx, Sym<T>& arr, std::size_t src_off,
-                        std::size_t dst_off, std::size_t count, int src_pe,
-                        Scope scope) {
-  const int me = pe_of(ctx.device_id());
-  // Request leg: a small message to the source PE...
-  co_await do_put(me, src_pe, 8.0, 1.0, ctx.lane(), "get_request", {},
-                  sim::Cat::kSync);
-  // ...then the payload travels back.
-  World* self = this;
-  std::function<void()> deliver = [self, &arr, me, src_pe, src_off, dst_off,
-                                   count]() {
-    if (!self->functional()) return;
-    auto src = arr.on(src_pe).subspan(src_off, count);
-    auto dst = arr.on(me).subspan(dst_off, count);
-    std::copy(src.begin(), src.end(), dst.begin());
-  };
-  sim::TransferObs obs;
-  if (machine_->engine().observer() != nullptr) {
-    obs.actor = ctx.obs_actor();
-    obs.read = sim::MemRange::of(arr.on(src_pe), src_off, count);
-    obs.write = sim::MemRange::of(arr.on(me), dst_off, count);
-    obs.rejoin = true;  // blocking get: the caller observes the data arrive
-  }
-  co_await do_put(src_pe, me, static_cast<double>(count * sizeof(T)),
-                  scope_fraction(scope), ctx.lane(), "getmem",
-                  std::move(deliver), sim::Cat::kComm, obs);
-}
-
-template <typename T>
-sim::Task World::iget(vgpu::KernelCtx& ctx, Sym<T>& arr, std::size_t src_off,
-                      std::ptrdiff_t src_stride, std::size_t dst_off,
-                      std::ptrdiff_t dst_stride, std::size_t count, int src_pe) {
-  const int me = pe_of(ctx.device_id());
-  co_await do_put(me, src_pe, 8.0, 1.0, ctx.lane(), "get_request", {},
-                  sim::Cat::kSync);
-  World* self = this;
-  std::function<void()> deliver = [self, &arr, me, src_pe, src_off, dst_off,
-                                   src_stride, dst_stride, count]() {
-    if (!self->functional()) return;
-    auto src = arr.on(src_pe);
-    auto dst = arr.on(me);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto si = static_cast<std::size_t>(
-          static_cast<std::ptrdiff_t>(src_off) +
-          static_cast<std::ptrdiff_t>(i) * src_stride);
-      const auto di = static_cast<std::size_t>(
-          static_cast<std::ptrdiff_t>(dst_off) +
-          static_cast<std::ptrdiff_t>(i) * dst_stride);
-      dst[di] = src[si];
-    }
-  };
-  sim::TransferObs obs;
-  if (machine_->engine().observer() != nullptr) {
-    obs.actor = ctx.obs_actor();
-    obs.read = detail::strided_range(arr.on(src_pe), src_off, src_stride, count);
-    obs.write = detail::strided_range(arr.on(me), dst_off, dst_stride, count);
-    obs.rejoin = true;
-  }
-  const double frac = machine_->spec().link.strided_efficiency;
-  co_await do_put(src_pe, me, static_cast<double>(count * sizeof(T)), frac,
-                  ctx.lane(), "iget", std::move(deliver), sim::Cat::kComm, obs);
-}
-
-template <typename T>
-sim::Task World::g(vgpu::KernelCtx& ctx, Sym<T>& arr, std::size_t src_off,
-                   int src_pe, T& out) {
-  const int me = pe_of(ctx.device_id());
-  const sim::Nanos extra = machine_->spec().link.small_op_overhead;
-  co_await machine_->engine().delay(extra);
-  co_await do_put(me, src_pe, 8.0, 1.0, ctx.lane(), "get_request", {},
-                  sim::Cat::kSync);
-  World* self = this;
-  T* outp = &out;
-  std::function<void()> deliver = [self, &arr, src_pe, src_off, outp]() {
-    *outp = self->functional() ? arr.on(src_pe)[src_off] : T{};
-  };
-  sim::TransferObs obs;
-  if (machine_->engine().observer() != nullptr) {
-    obs.actor = ctx.obs_actor();
-    obs.read = sim::MemRange::of(arr.on(src_pe), src_off, 1);
-    obs.rejoin = true;  // the fetched value lands in a local variable
-  }
-  co_await do_put(src_pe, me, static_cast<double>(sizeof(T)), 1.0, ctx.lane(),
-                  "g", std::move(deliver), sim::Cat::kComm, obs);
 }
 
 }  // namespace vshmem

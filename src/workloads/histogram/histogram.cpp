@@ -723,6 +723,7 @@ struct HistogramCpufreeJob::Impl {
 HistogramCpufreeJob::HistogramCpufreeJob(vshmem::World& world,
                                          const HistogramConfig& config)
     : impl_(std::make_unique<Impl>()) {
+  exec::check_mode("HistogramCpufreeJob", config, world);
   impl_->core = make_hist_core(world, config);
   impl_->program = make_hist_program(
       *impl_->core,

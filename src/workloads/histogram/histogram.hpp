@@ -110,7 +110,9 @@ struct HistogramResult {
 /// CPU-Free histogram bound to an existing world whose engine is driven
 /// EXTERNALLY — the building block the multi-tenant job server
 /// schedules. The world may be a device slice. Results are bitwise
-/// comparable to histogram_reference(config, world.n_pes()).
+/// comparable to histogram_reference(config, world.n_pes()). A config whose
+/// `functional` is not the World's is rejected (exec::check_mode) before
+/// anything is allocated.
 class HistogramCpufreeJob {
  public:
   HistogramCpufreeJob(vshmem::World& world, const HistogramConfig& config);

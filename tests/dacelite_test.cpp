@@ -18,6 +18,7 @@
 #include "dacelite/exec.hpp"
 #include "dacelite/frontend.hpp"
 #include "dacelite/ir.hpp"
+#include "dacelite/pass.hpp"
 #include "dacelite/transforms.hpp"
 #include "hostmpi/comm.hpp"
 #include "vgpu/machine.hpp"
@@ -30,8 +31,10 @@ using dacelite::ExecOptions;
 using dacelite::LibKind;
 using dacelite::LibraryNode;
 using dacelite::MapNode;
+using dacelite::Pipeline;
 using dacelite::ProgramData;
 using dacelite::PutExpansion;
+using dacelite::Recipe;
 using dacelite::Schedule;
 using dacelite::Sdfg;
 using dacelite::State;
@@ -781,16 +784,18 @@ TEST(DaceliteDigest, GeneratedCasesArePinned) {
   // iterations, functional and timing-only runs and both block sizes (a
   // discrete launch's block size never reaches simulated time; the
   // persistent backend's caps its resident blocks); then the persistent
-  // ablations: conservative barriers, blocking puts, mapped p and each
-  // forced expansion. Each case adds its metrics JSON, put expansion,
-  // resolved persistent blocks and, when functional, the gathered result.
+  // ablations: the persistent(barriers=conservative) recipe, blocking puts,
+  // mapped p and each forced expansion. Each case adds its metrics JSON, put
+  // expansion, resolved persistent blocks and, when functional, the gathered
+  // result.
   std::uint64_t h = 1469598103934665603ull;
   int cases = 0;
-  const auto run = [&](auto prog, bool persistent, const ExecOptions& opt) {
+  const auto run = [&](auto prog, bool persistent, const ExecOptions& opt,
+                       const Recipe& recipe) {
     dacelite::ExecResult r;
     std::vector<double> got;
     if (persistent) {
-      dacelite::to_cpu_free(prog.sdfg);
+      Pipeline().apply(prog.sdfg, recipe);
       vgpu::Machine m(hgx(prog.ranks));
       vshmem::World w(m);
       ProgramData data(w, prog.sdfg, opt.functional);
@@ -813,13 +818,16 @@ TEST(DaceliteDigest, GeneratedCasesArePinned) {
     ++cases;
   };
   const auto both = [&](bool two_d, int ranks, int iters, bool persistent,
-                        const ExecOptions& opt) {
+                        const ExecOptions& opt,
+                        const Recipe& recipe = Recipe::cpu_free_default()) {
     if (two_d) {
-      run(dacelite::make_jacobi2d(24, ranks, iters), persistent, opt);
+      run(dacelite::make_jacobi2d(24, ranks, iters), persistent, opt, recipe);
     } else {
-      run(dacelite::make_jacobi1d(48, ranks, iters), persistent, opt);
+      run(dacelite::make_jacobi1d(48, ranks, iters), persistent, opt, recipe);
     }
   };
+  Recipe conservative = Recipe::cpu_free_default();
+  conservative.steps.back().params["barriers"] = "conservative";
   for (bool two_d : {false, true}) {
     for (int ranks = 1; ranks <= 4; ++ranks) {
       for (int iters : {1, 3}) {
@@ -834,13 +842,13 @@ TEST(DaceliteDigest, GeneratedCasesArePinned) {
           }
         }
       }
-      std::vector<ExecOptions> ablations(6);
-      ablations[0].conservative_barriers = true;
-      ablations[1].blocking_puts = true;
-      ablations[2].mapped_p_expansion = true;
-      ablations[3].expansion = dacelite::ExpansionChoice::kContiguousSignal;
-      ablations[4].expansion = dacelite::ExpansionChoice::kStridedIputSignal;
-      ablations[5].expansion = dacelite::ExpansionChoice::kSingleElementP;
+      both(two_d, ranks, 3, /*persistent=*/true, ExecOptions{}, conservative);
+      std::vector<ExecOptions> ablations(5);
+      ablations[0].blocking_puts = true;
+      ablations[1].mapped_p_expansion = true;
+      ablations[2].expansion = dacelite::ExpansionChoice::kContiguousSignal;
+      ablations[3].expansion = dacelite::ExpansionChoice::kStridedIputSignal;
+      ablations[4].expansion = dacelite::ExpansionChoice::kSingleElementP;
       for (const ExecOptions& opt : ablations) {
         both(two_d, ranks, 3, /*persistent=*/true, opt);
       }

@@ -18,6 +18,7 @@
 
 #include "dacelite/exec.hpp"
 #include "dacelite/frontend.hpp"
+#include "dacelite/pass.hpp"
 #include "dacelite/transforms.hpp"
 #include "hostmpi/comm.hpp"
 #include "solvers/cg.hpp"
@@ -155,12 +156,13 @@ std::vector<std::string> generate() {
   // dacelite: jacobi2d persistent (default, conservative, blocking), 4 ranks.
   for (int mode = 0; mode < 3; ++mode) {
     auto prog = dacelite::make_jacobi2d(256, 4, 10);
-    dacelite::to_cpu_free(prog.sdfg);
+    dacelite::Recipe recipe = dacelite::Recipe::cpu_free_default();
+    if (mode == 1) recipe.steps.back().params["barriers"] = "conservative";
+    dacelite::Pipeline().apply(prog.sdfg, recipe);
     vgpu::Machine m(vgpu::MachineSpec::hgx_a100(4));
     vshmem::World w(m);
     dacelite::ExecOptions opt;
     opt.functional = false;
-    opt.conservative_barriers = mode == 1;
     opt.blocking_puts = mode == 2;
     dacelite::ProgramData data(w, prog.sdfg, false);
     const auto r = dacelite::execute_persistent(m, w, data, prog.sdfg, opt);

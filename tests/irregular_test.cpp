@@ -367,6 +367,42 @@ TEST(WeightedSplit, RejectsFewerThanOneRank) {
   }
 }
 
+TEST(JobMode, SpawnableJobsRejectAConfigWhoseModeIsNotTheWorlds) {
+  // The World's mode decides whether puts copy payloads, the config's how a
+  // job sizes and fills its arrays: a timing-only CG config on a functional
+  // World used to overrun its one-element vectors on the first halo put,
+  // and a histogram computed under a mode its World did not share. Every
+  // spawnable job rejects the mismatch both ways before allocating anything,
+  // naming both values.
+  for (const bool world_functional : {true, false}) {
+    const std::string job_mode = world_functional ? "false" : "true";
+    const std::string world_mode = world_functional ? "true" : "false";
+    vgpu::Machine machine(MachineSpec::hgx_a100(2));
+    vshmem::World world(machine);
+    world.set_functional(world_functional);
+    const auto named = [&](const char* job) {
+      return std::vector<std::string>{
+          std::string(job) + ": the config's functional is " + job_mode,
+          "the World's is " + world_mode};
+    };
+    solvers::CgConfig cg;
+    cg.nx = cg.ny = 64;
+    cg.max_iterations = 3;
+    cg.functional = !world_functional;
+    expect_invalid("CgCpufreeJob(CgConfig)", named("CgCpufreeJob"),
+                   [&] { solvers::CgCpufreeJob job(world, cg); });
+    solvers::SparseCgConfig sparse = small_sparse(2.0);
+    sparse.functional = !world_functional;
+    expect_invalid("CgCpufreeJob(SparseCgConfig)", named("CgCpufreeJob"),
+                   [&] { solvers::CgCpufreeJob job(world, sparse); });
+    HistogramConfig hist = small_hist();
+    hist.functional = !world_functional;
+    expect_invalid("HistogramCpufreeJob", named("HistogramCpufreeJob"),
+                   [&] { workloads::HistogramCpufreeJob job(world, hist); });
+    EXPECT_EQ(machine.peak_bytes(), 0u) << "world functional " << world_mode;
+  }
+}
+
 TEST(WeightedSplit, EveryUsableImbalanceKeepsItsSplit) {
   // The bound itself is accepted, and finite values below 1 still clamp
   // to 1.

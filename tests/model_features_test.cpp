@@ -10,6 +10,7 @@
 #include "cpufree/metrics.hpp"
 #include "dacelite/exec.hpp"
 #include "dacelite/frontend.hpp"
+#include "dacelite/pass.hpp"
 #include "hostmpi/comm.hpp"
 #include "stencil/problems.hpp"
 #include "stencil/runner.hpp"
@@ -166,13 +167,14 @@ TEST(Knobs, DaceliteBlockingPutsSlowerButCorrect) {
 TEST(Knobs, ConservativeBarriersSlowerButCorrect) {
   auto run = [](bool conservative) {
     auto prog = dacelite::make_jacobi1d(48, 4, 5);
-    dacelite::to_cpu_free(prog.sdfg);
+    dacelite::Recipe recipe = dacelite::Recipe::cpu_free_default();
+    if (conservative) recipe.steps.back().params["barriers"] = "conservative";
+    dacelite::Pipeline().apply(prog.sdfg, recipe);
     vgpu::Machine m(MachineSpec::hgx_a100(4));
     vshmem::World w(m);
     dacelite::ProgramData data(w, prog.sdfg, true);
-    dacelite::ExecOptions opt;
-    opt.conservative_barriers = conservative;
-    const auto r = dacelite::execute_persistent(m, w, data, prog.sdfg, opt);
+    const auto r = dacelite::execute_persistent(m, w, data, prog.sdfg,
+                                                dacelite::ExecOptions{});
     const bool ok = prog.gather(data) == prog.reference(5);
     return std::pair<bool, sim::Nanos>(ok, r.metrics.total);
   };

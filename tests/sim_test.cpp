@@ -21,13 +21,11 @@ namespace {
 
 using sim::Barrier;
 using sim::Cat;
-using sim::Channel;
 using sim::Cmp;
 using sim::Engine;
 using sim::Flag;
 using sim::Nanos;
 using sim::RunStats;
-using sim::Semaphore;
 using sim::Task;
 
 TEST(Time, Conversions) {
@@ -215,40 +213,6 @@ TEST(Flag, AddAccumulates) {
   EXPECT_EQ(flag.value(), 2);
 }
 
-TEST(Semaphore, LimitsConcurrency) {
-  Engine eng;
-  Semaphore sem(eng, 2);
-  int concurrent = 0;
-  int peak = 0;
-  auto worker = [](Engine& e, Semaphore& s, int& cur, int& pk) -> Task {
-    co_await s.acquire();
-    ++cur;
-    pk = std::max(pk, cur);
-    co_await e.delay(100);
-    --cur;
-    s.release();
-  };
-  for (int i = 0; i < 6; ++i) eng.spawn(worker(eng, sem, concurrent, peak));
-  eng.run();
-  EXPECT_EQ(peak, 2);
-  EXPECT_EQ(sem.available(), 2);
-}
-
-TEST(Semaphore, HandoffIsFifo) {
-  Engine eng;
-  Semaphore sem(eng, 1);
-  std::vector<int> order;
-  auto worker = [](Engine& e, Semaphore& s, std::vector<int>& ord, int id) -> Task {
-    co_await s.acquire();
-    ord.push_back(id);
-    co_await e.delay(10);
-    s.release();
-  };
-  for (int i = 0; i < 4; ++i) eng.spawn(worker(eng, sem, order, i));
-  eng.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
 TEST(Barrier, ReleasesAllPartiesTogether) {
   Engine eng;
   Barrier bar(eng, 3);
@@ -300,62 +264,6 @@ TEST(Barrier, SinglePartyNeverBlocks) {
   }(bar, done));
   eng.run();
   EXPECT_TRUE(done);
-}
-
-TEST(Channel, PopBlocksUntilPush) {
-  Engine eng;
-  Channel<int> ch(eng);
-  int got = 0;
-  Nanos when = -1;
-  eng.spawn([](Engine& e, Channel<int>& c, int& v, Nanos& t) -> Task {
-    v = co_await c.pop();
-    t = e.now();
-  }(eng, ch, got, when));
-  eng.spawn([](Engine& e, Channel<int>& c) -> Task {
-    co_await e.delay(42);
-    c.push(7);
-  }(eng, ch));
-  eng.run();
-  EXPECT_EQ(got, 7);
-  EXPECT_EQ(when, 42);
-}
-
-TEST(Channel, PreservesFifoOrder) {
-  Engine eng;
-  Channel<int> ch(eng);
-  std::vector<int> got;
-  eng.spawn([](Channel<int>& c, std::vector<int>& out) -> Task {
-    for (int i = 0; i < 4; ++i) out.push_back(co_await c.pop());
-  }(ch, got));
-  eng.spawn([](Engine& e, Channel<int>& c) -> Task {
-    for (int i = 0; i < 4; ++i) {
-      c.push(i);
-      co_await e.delay(5);
-    }
-  }(eng, ch));
-  eng.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(Channel, HandoffNotStolenBySameInstantPop) {
-  Engine eng;
-  Channel<int> ch(eng);
-  std::vector<int> first, second;
-  eng.spawn([](Channel<int>& c, std::vector<int>& out) -> Task {
-    out.push_back(co_await c.pop());
-  }(ch, first));
-  eng.spawn([](Engine& e, Channel<int>& c, std::vector<int>& out) -> Task {
-    co_await e.delay(10);
-    c.push(1);  // handed to the first (suspended) popper
-    out.push_back(co_await c.pop());
-  }(eng, ch, second));
-  eng.spawn([](Engine& e, Channel<int>& c) -> Task {
-    co_await e.delay(20);
-    c.push(2);
-  }(eng, ch));
-  eng.run();
-  EXPECT_EQ(first, (std::vector<int>{1}));
-  EXPECT_EQ(second, (std::vector<int>{2}));
 }
 
 TEST(TimerToken, CancelReleasesPayloadImmediately) {
@@ -692,35 +600,6 @@ TEST(Stats, SpeedupPercentMatchesPaperFormula) {
   EXPECT_DOUBLE_EQ(sim::speedup_percent(10.0, 0.38), 96.2);
   EXPECT_DOUBLE_EQ(sim::speedup_percent(0.0, 1.0), 0.0);
 }
-
-// Property-style sweep: N producers and N consumers over one channel always
-// deliver every element exactly once, regardless of interleaving.
-class ChannelSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChannelSweep, AllElementsDeliveredExactlyOnce) {
-  const int n = GetParam();
-  Engine eng;
-  Channel<int> ch(eng);
-  std::vector<int> seen;
-  for (int c = 0; c < n; ++c) {
-    eng.spawn([](Channel<int>& q, std::vector<int>& out) -> Task {
-      out.push_back(co_await q.pop());
-    }(ch, seen));
-  }
-  for (int p = 0; p < n; ++p) {
-    eng.spawn([](Engine& e, Channel<int>& q, int v) -> Task {
-      co_await e.delay(v % 7);
-      q.push(v);
-    }(eng, ch, p));
-  }
-  eng.run();
-  std::sort(seen.begin(), seen.end());
-  std::vector<int> expect(static_cast<std::size_t>(n));
-  std::iota(expect.begin(), expect.end(), 0);
-  EXPECT_EQ(seen, expect);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, ChannelSweep, ::testing::Values(1, 2, 5, 16, 64));
 
 // Property-style sweep: barriers of any size synchronize: after a barrier, a
 // shared counter incremented before the barrier equals the party count.

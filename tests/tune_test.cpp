@@ -3,7 +3,8 @@
 // Locks the three contracts the tuner rests on:
 //  1. Recipe replay — Pipeline::apply of Recipe::cpu_free_default() is
 //     byte-identical to the historical free-function transform chain, and
-//     recipes round-trip through serialize/parse.
+//     a digest pins the text, replayed steps, barriers and storages of every
+//     candidate the tuner enumerates.
 //  2. Determinism — candidate enumeration, ranking, and the whole tuning
 //     report are bit-identical across sweep worker counts.
 //  3. The prototype-then-validate loop — on the paper's jacobi2d workload
@@ -12,7 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -143,15 +147,11 @@ TEST(RecipeReplay, ConservativeBarrierParamMatchesAblationFlag) {
   }
 }
 
-// --- serialize / parse --------------------------------------------------------
-
-TEST(RecipeSerialize, RoundTripsTheBuiltinRecipes) {
-  for (const Recipe& r : {Recipe::cpu_free_default(), Recipe::gpu_baseline()}) {
-    EXPECT_EQ(Recipe::parse(r.serialize()), r) << r.serialize();
-  }
-}
+// --- serialize ---------------------------------------------------------------
 
 TEST(RecipeSerialize, RoundTripsParamsAndExecutionKnobs) {
+  // Recipe text is output only (tuner reports, bench notes, the examples);
+  // this pins its format.
   Recipe r;
   r.add("gpu_transform")
       .add("map_fusion")
@@ -161,33 +161,10 @@ TEST(RecipeSerialize, RoundTripsParamsAndExecutionKnobs) {
   r.persistent_blocks = 216;
   r.threads_per_block = 512;
   r.expansion = ExpansionChoice::kStridedIputSignal;
-  const std::string text = r.serialize();
-  EXPECT_EQ(text,
+  EXPECT_EQ(r.serialize(),
             "gpu_transform >> map_fusion >> mpi_to_nvshmem >> nvshmem_array"
             " >> persistent(barriers=conservative)"
             " @ blocks=216 tpb=512 expansion=strided_iput");
-  EXPECT_EQ(Recipe::parse(text), r);
-}
-
-TEST(RecipeSerialize, ParseRejectsMalformedText) {
-  // No execution-knob suffix.
-  EXPECT_THROW(Recipe::parse("gpu_transform"), ValidationError);
-  // Non-numeric / unknown knobs.
-  EXPECT_THROW(Recipe::parse("gpu_transform @ blocks=x tpb=1024 expansion=auto"),
-               ValidationError);
-  EXPECT_THROW(Recipe::parse("gpu_transform @ blocks=0 tpb=1024 expansion=warp"),
-               ValidationError);
-  EXPECT_THROW(Recipe::parse("gpu_transform @ blocks=0 tpb=1024"),
-               ValidationError);
-  EXPECT_THROW(
-      Recipe::parse("gpu_transform @ blocks=0 tpb=1024 expansion=auto gamma=1"),
-      ValidationError);
-  // Step-list syntax errors.
-  EXPECT_THROW(Recipe::parse(" >> persistent @ blocks=0 tpb=1 expansion=auto"),
-               ValidationError);
-  EXPECT_THROW(
-      Recipe::parse("persistent(barriers @ blocks=0 tpb=1 expansion=auto"),
-      ValidationError);
 }
 
 // --- 2. enumeration + determinism ---------------------------------------------
@@ -375,6 +352,108 @@ TEST(ExpansionAudit, ForcedExpansionsStayRaceFree) {
     EXPECT_EQ(det.verdict(), check::Verdict::kPass)
         << name(choice) << ": " << det.report_text();
   }
+}
+
+// --- recipe digest -----------------------------------------------------------
+
+/// FNV-1a over a 64-bit word's bytes, low byte first.
+void fnv_word(std::uint64_t& h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 1099511628211ull;
+  }
+}
+
+void fnv_text(std::uint64_t& h, std::string_view text) {
+  for (char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+}
+
+/// Adds `recipe`'s text, the steps its replay over `sdfg` records (pass and
+/// change count), and the replayed SDFG's barrier placement and storages.
+void hash_replay(std::uint64_t& h, Sdfg sdfg, const Recipe& recipe) {
+  fnv_text(h, recipe.serialize());
+  for (const auto& applied : Pipeline().apply(sdfg, recipe)) {
+    fnv_text(h, applied.step.pass);
+    fnv_word(h, static_cast<std::uint64_t>(applied.changed));
+  }
+  fnv_word(h, sdfg.barrier_after.size());
+  for (const bool b : sdfg.barrier_after) fnv_word(h, b ? 1 : 0);
+  for (const auto& [arr_name, desc] : sdfg.arrays) {
+    fnv_text(h, arr_name);
+    fnv_word(h, static_cast<std::uint64_t>(desc.storage));
+  }
+}
+
+TEST(RecipeDigest, EveryTunerCandidateIsPinned) {
+  // Every candidate the tuner enumerates for fig_autotune's two workloads on
+  // its three machines (map_fusion placement, forced expansions, grid sizes
+  // and partition shapes), then the conservative-barrier recipe, then the
+  // ValidationError text of each way a replay is refused, including which
+  // check wins when a step fails two of them.
+  tune::Workload j1d;
+  j1d.kind = tune::WorkloadKind::kJacobi1D;
+  j1d.gx = std::size_t{1} << 16;
+  j1d.ranks = 4;
+  j1d.iterations = 10;
+  const tune::Workload j2d = j2d_workload();
+  std::uint64_t h = 1469598103934665603ull;
+  int cases = 0;
+  for (const vgpu::MachineSpec& spec :
+       {hgx(4), vgpu::MachineSpec::dgx_pcie(4),
+        vgpu::MachineSpec::multi_node(2, 2)}) {
+    for (const tune::Workload& w : {j1d, j2d}) {
+      for (const tune::Candidate& c : tune::enumerate_candidates(w, spec)) {
+        fnv_word(h, static_cast<std::uint64_t>(c.px));
+        if (w.kind == tune::WorkloadKind::kJacobi1D) {
+          hash_replay(
+              h, dacelite::make_jacobi1d(w.gx, w.ranks, w.iterations).sdfg,
+              c.recipe);
+        } else {
+          hash_replay(h,
+                      dacelite::make_jacobi2d(w.gx, w.gy, w.ranks,
+                                              w.iterations, c.px)
+                          .sdfg,
+                      c.recipe);
+        }
+        ++cases;
+      }
+    }
+  }
+
+  Recipe conservative = Recipe::cpu_free_default();
+  conservative.steps.back().params["barriers"] = "conservative";
+  hash_replay(h, dacelite::make_jacobi1d(48, 4, 5).sdfg, conservative);
+  hash_replay(h, dacelite::make_jacobi2d(64, 4, 6).sdfg, conservative);
+
+  const auto refusal = [](std::initializer_list<dacelite::RecipeStep> steps) {
+    Recipe r;
+    r.steps = steps;
+    auto prog = dacelite::make_jacobi2d(32, 2, 2);
+    try {
+      Pipeline().apply(prog.sdfg, r);
+    } catch (const ValidationError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const std::string refusals[] = {
+      refusal({{"loop_unroll", {}}}),
+      refusal({{"loop_unroll", {{"barriers", "relaxed"}}}}),
+      refusal({{"persistent", {}}}),
+      refusal({{"persistent", {{"barriers", "psychic"}}}}),
+      refusal({{"gpu_transform", {{"vectorize", "on"}}}}),
+      refusal({{"gpu_transform", {}},
+               {"persistent", {{"barriers", "psychic"}}}}),
+  };
+  for (const std::string& what : refusals) {
+    EXPECT_NE(what, "accepted");
+    fnv_text(h, what);
+  }
+  EXPECT_EQ(cases, 432);
+  EXPECT_EQ(h, 0xf3a71dc7251f0395ull);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the GPU-initiated PGAS library: symmetric allocation,
 // put/signal semantics and ordering, nbi + quiet, strided and single-element
-// ops, fences and device-side collectives.
+// ops and the device-side barrier.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -321,80 +321,6 @@ TEST(P, SingleElementPut) {
   EXPECT_EQ(done, 73);
 }
 
-TEST(Get, BlockingGetmemFetchesAndChargesRoundTrip) {
-  Machine m(spec(2));
-  World w(m);
-  Sym<double> a = w.alloc<double>(16, "a");
-  for (std::size_t i = 0; i < 16; ++i) a.on(1)[i] = 100.0 + static_cast<double>(i);
-  Nanos done = -1;
-  auto body = [&](KernelCtx& k) -> Task {
-    // Fetch 4 elements from PE1 offset 8 into my offset 0.
-    co_await w.getmem(k, a, /*src_off=*/8, /*dst_off=*/0, 4, 1);
-    done = k.now();
-  };
-  run_on_devices(m, {{0, body}});
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(a.on(0)[i], 108.0 + static_cast<double>(i));
-  }
-  // Request leg (issue 10 + 8 B + lat 50 = 68) + payload leg (issue 10 +
-  // 32 B + lat 50 = 92) = 160.
-  EXPECT_EQ(done, 160);
-}
-
-TEST(Get, StridedIgetFetchesColumn) {
-  Machine m(spec(2));
-  World w(m);
-  Sym<double> grid = w.alloc<double>(16, "grid");  // 4x4 on PE1
-  for (std::size_t i = 0; i < 16; ++i) grid.on(1)[i] = static_cast<double>(i);
-  auto body = [&](KernelCtx& k) -> Task {
-    co_await w.iget(k, grid, /*src_off=*/2, /*src_stride=*/4, /*dst_off=*/0,
-                    /*dst_stride=*/1, 4, 1);
-  };
-  run_on_devices(m, {{0, body}});
-  for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(grid.on(0)[r], static_cast<double>(r * 4 + 2));
-  }
-}
-
-TEST(Get, SingleElementG) {
-  Machine m(spec(2));
-  World w(m);
-  Sym<double> a = w.alloc<double>(4, "a");
-  a.on(1)[3] = 6.25;
-  double got = 0.0;
-  auto body = [&](KernelCtx& k) -> Task {
-    co_await w.g(k, a, 3, 1, got);
-  };
-  run_on_devices(m, {{0, body}});
-  EXPECT_EQ(got, 6.25);
-}
-
-TEST(Get, TimingOnlyModeSkipsPayload) {
-  Machine m(spec(2));
-  World w(m);
-  w.set_functional(false);
-  Sym<double> a = w.alloc<double>(4, "a");
-  a.on(1)[0] = 9.0;
-  double got = -1.0;
-  auto body = [&](KernelCtx& k) -> Task {
-    co_await w.g(k, a, 0, 1, got);
-  };
-  run_on_devices(m, {{0, body}});
-  EXPECT_EQ(got, 0.0);  // value zeroed, not fetched
-}
-
-TEST(Ordering, FenceChargesIssueCost) {
-  Machine m(spec(2));
-  World w(m);
-  Nanos done = -1;
-  auto body = [&](KernelCtx& k) -> Task {
-    co_await w.fence(k);
-    done = k.now();
-  };
-  run_on_devices(m, {{0, body}});
-  EXPECT_EQ(done, 10);
-}
-
 TEST(Collectives, SyncAllJoinsAllPes) {
   Machine m(spec(4));
   World w(m);
@@ -410,24 +336,6 @@ TEST(Collectives, SyncAllJoinsAllPes) {
   run_on_devices(m, std::move(bodies));
   // Last arrival at 300, + 2 dissemination rounds * (50 + 5) = 410.
   for (Nanos t : after) EXPECT_EQ(t, 410);
-}
-
-TEST(Collectives, BarrierAllImpliesQuiet) {
-  Machine m(spec(2));
-  World w(m);
-  Sym<double> a = w.alloc<double>(256, "a");
-  a.on(0)[0] = 5.0;
-  double seen = -1.0;
-  auto sender = [&](KernelCtx& k) -> Task {
-    co_await w.putmem_nbi(k, a, 0, 0, 256, 1);
-    co_await w.barrier_all(k);
-  };
-  auto receiver = [&](KernelCtx& k) -> Task {
-    co_await w.barrier_all(k);
-    seen = a.on(1)[0];  // must observe the nbi payload after the barrier
-  };
-  run_on_devices(m, {{0, sender}, {1, receiver}});
-  EXPECT_EQ(seen, 5.0);
 }
 
 TEST(SignalWait, ComparisonVariants) {
