@@ -697,6 +697,12 @@ HistogramResult run_histogram(const vgpu::MachineSpec& spec,
                               const HistogramConfig& cfg,
                               const exec::Plan& plan) {
   vgpu::Machine machine(spec);
+  return run_histogram(machine, cfg, plan);
+}
+
+HistogramResult run_histogram(vgpu::Machine& machine,
+                              const HistogramConfig& cfg,
+                              const exec::Plan& plan) {
   machine.engine().set_observer(cfg.observer);
   vshmem::World world(machine);
   world.set_functional(cfg.functional);

@@ -106,6 +106,11 @@ struct HistogramResult {
 [[nodiscard]] HistogramResult run_histogram(const vgpu::MachineSpec& spec,
                                             const HistogramConfig& cfg,
                                             const exec::Plan& plan);
+/// The same run on `machine`, which nothing has run on yet; its trace
+/// stays readable after the run.
+[[nodiscard]] HistogramResult run_histogram(vgpu::Machine& machine,
+                                            const HistogramConfig& cfg,
+                                            const exec::Plan& plan);
 
 /// CPU-Free histogram bound to an existing world whose engine is driven
 /// EXTERNALLY — the building block the multi-tenant job server
