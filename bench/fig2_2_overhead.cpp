@@ -221,6 +221,7 @@ int main(int argc, char** argv) {
     cfg.iterations = 5;
     cfg.functional = false;
     vgpu::Machine machine(args.with_faults(vgpu::MachineSpec::hgx_a100(4)));
+    machine.trace().keep_intervals();
     vshmem::World world(machine);
     stencil::SlabStencil<Jacobi2D> s(world, weak_scaled(256, 4), cfg);
     stencil::run_variant(s, Variant::kBaselineOverlap);

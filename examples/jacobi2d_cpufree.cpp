@@ -58,6 +58,7 @@ int solve(const stencil::Jacobi2D& prob, const stencil::StencilConfig& cfg,
   if (!trace_path.empty()) {
     // Re-run with tracing into a fresh machine and dump the timeline.
     vgpu::Machine machine(spec);
+    machine.trace().keep_intervals();
     vshmem::World world(machine);
     stencil::StencilConfig tcfg = cfg;
     tcfg.iterations = 5;

@@ -1,7 +1,6 @@
 // Run metrics: the quantities the paper's figures report.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -45,25 +44,20 @@ struct RunMetrics {
   }
 };
 
-/// Derives metrics from a finished run's trace: one pass buckets the
-/// intervals by category, and every union and overlap below comes from
-/// those merged buckets.
+/// Derives metrics from a finished run's trace. Every union and overlap
+/// below is a cross-device query, which reads the category unions the
+/// trace merged as the run recorded them.
 [[nodiscard]] inline RunMetrics analyze_run(const sim::Trace& trace,
                                             sim::Nanos total,
                                             std::int64_t iterations) {
-  const std::array<sim::Spans, sim::kCatCount> by_cat = trace.merged_by_cat();
-  auto spans = [&by_cat](sim::Cat c) -> const sim::Spans& {
-    return by_cat[static_cast<std::size_t>(c)];
-  };
   RunMetrics m;
   m.total = total;
   m.per_iteration = iterations > 0 ? total / iterations : total;
-  m.comm = sim::spans_length(spans(sim::Cat::kComm));
-  m.compute = sim::spans_length(spans(sim::Cat::kCompute));
-  m.sync = sim::spans_length(spans(sim::Cat::kSync));
-  m.host_api = sim::spans_length(spans(sim::Cat::kHostApi));
-  m.comm_hidden =
-      sim::spans_overlap(spans(sim::Cat::kComm), spans(sim::Cat::kCompute));
+  m.comm = trace.union_length(sim::Cat::kComm);
+  m.compute = trace.union_length(sim::Cat::kCompute);
+  m.sync = trace.union_length(sim::Cat::kSync);
+  m.host_api = trace.union_length(sim::Cat::kHostApi);
+  m.comm_hidden = trace.overlap_length(sim::Cat::kComm, sim::Cat::kCompute);
   m.overlap_ratio = m.comm > 0 ? static_cast<double>(m.comm_hidden) /
                                      static_cast<double>(m.comm)
                                : 0.0;
@@ -73,15 +67,9 @@ struct RunMetrics {
       total > 0
           ? 1.0 - static_cast<double>(m.compute) / static_cast<double>(total)
           : 0.0;
-  // All non-compute activity: the union of three merged buckets.
-  sim::Spans noncompute_spans;
-  for (const sim::Cat c :
-       {sim::Cat::kComm, sim::Cat::kSync, sim::Cat::kHostApi}) {
-    noncompute_spans.insert(noncompute_spans.end(), spans(c).begin(),
-                            spans(c).end());
-  }
-  sim::merge_spans(noncompute_spans);
-  const sim::Nanos noncompute = sim::spans_length(noncompute_spans);
+  // All non-compute activity.
+  const sim::Nanos noncompute = trace.union_length_any(
+      {sim::Cat::kComm, sim::Cat::kSync, sim::Cat::kHostApi});
   if (noncompute > 0 && total > 0) {
     // Covered = compute + noncompute - total (both unions tile the run up to
     // idle gaps), clamped to [0, noncompute].

@@ -176,7 +176,7 @@ struct RunOptions {
   /// (large benchmark domains use it); control flow, synchronization and
   /// costs are identical.
   bool functional = true;
-  /// Record trace intervals (needed for comm/overlap metrics).
+  /// Record the trace's category unions (needed for comm/overlap metrics).
   bool trace = true;
   /// Threads per block of a persistent (cooperative) launch: it caps the
   /// co-resident blocks and sizes the persistent tiling models. A discrete

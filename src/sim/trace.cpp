@@ -21,8 +21,19 @@ const char* cat_name(Cat c) noexcept {
   return "?";
 }
 
+void Trace::keep_intervals() {
+  for (const Spans& u : unions_) {
+    if (!u.empty()) {
+      throw std::logic_error(
+          "sim::Trace::keep_intervals() after intervals were recorded: call "
+          "it before the run, or the stored intervals are partial");
+    }
+  }
+  keep_ = true;
+}
+
 void Trace::record(Cat cat, std::int32_t device, std::int32_t lane, Nanos begin,
-                   Nanos end, std::string name) {
+                   Nanos end, std::string_view name, std::string_view suffix) {
   if (!enabled_ || end <= begin) return;
   const std::thread::id self = std::this_thread::get_id();
   if (owner_ == std::thread::id{}) {
@@ -32,15 +43,47 @@ void Trace::record(Cat cat, std::int32_t device, std::int32_t lane, Nanos begin,
         "sim::Trace is thread-confined: recorded from two threads; give "
         "each worker its own Machine/Engine (see sweep::Executor)");
   }
-  intervals_.push_back(Interval{cat, device, lane, begin, end, std::move(name)});
+  Spans& u = unions_[static_cast<std::size_t>(cat)];
+  if (!u.empty() && end < u.back().second) {
+    throw std::logic_error(
+        std::string("sim::Trace: a ") + cat_name(cat) + " interval ending at " +
+        std::to_string(end) + " ns was recorded after one ending at " +
+        std::to_string(u.back().second) +
+        " ns; intervals must end at the engine's current time");
+  }
+  // Every span the new one touches ends at or after `begin`, and they are
+  // the trailing ones, since the list is sorted and disjoint.
+  Nanos lo = begin;
+  while (!u.empty() && u.back().second >= begin) {
+    lo = std::min(lo, u.back().first);
+    u.pop_back();
+  }
+  u.emplace_back(lo, end);
+  if (keep_) {
+    std::string label(name);
+    label += suffix;
+    intervals_.push_back(
+        Interval{cat, device, lane, begin, end, std::move(label)});
+  }
 }
 
-void Trace::append(std::vector<Interval> more) {
-  if (intervals_.empty()) {
-    intervals_ = std::move(more);
-    return;
+void Trace::clear() {
+  intervals_.clear();
+  for (Spans& u : unions_) u.clear();
+  owner_ = std::thread::id{};
+}
+
+const std::vector<Interval>& Trace::intervals() const {
+  return kept("intervals()");
+}
+
+const std::vector<Interval>& Trace::kept(const char* what) const {
+  if (!keep_) {
+    throw std::logic_error(std::string("sim::Trace::") + what +
+                           " needs the stored intervals: call "
+                           "keep_intervals() before the run");
   }
-  std::move(more.begin(), more.end(), std::back_inserter(intervals_));
+  return intervals_;
 }
 
 void merge_spans(Spans& spans) {
@@ -81,26 +124,24 @@ Nanos spans_overlap(const Spans& a, const Spans& b) {
 Spans Trace::merged(std::initializer_list<Cat> cats,
                     std::int32_t device) const {
   Spans spans;
-  for (const Interval& iv : intervals_) {
-    if (device != -2 && iv.device != device) continue;
-    if (std::find(cats.begin(), cats.end(), iv.cat) == cats.end()) continue;
-    spans.emplace_back(iv.begin, iv.end);
+  if (device == -2) {
+    for (const Cat c : cats) {
+      spans.insert(spans.end(), merged(c).begin(), merged(c).end());
+    }
+  } else {
+    for (const Interval& iv : kept("a per-device query")) {
+      if (iv.device != device) continue;
+      if (std::find(cats.begin(), cats.end(), iv.cat) == cats.end()) continue;
+      spans.emplace_back(iv.begin, iv.end);
+    }
   }
   merge_spans(spans);
   return spans;
 }
 
-std::array<Spans, kCatCount> Trace::merged_by_cat() const {
-  std::array<Spans, kCatCount> by_cat;
-  for (const Interval& iv : intervals_) {
-    by_cat[static_cast<std::size_t>(iv.cat)].emplace_back(iv.begin, iv.end);
-  }
-  for (Spans& spans : by_cat) merge_spans(spans);
-  return by_cat;
-}
-
 Nanos Trace::union_length(Cat cat, std::int32_t device) const {
-  return spans_length(merged({cat}, device));
+  return device == -2 ? spans_length(merged(cat))
+                      : spans_length(merged({cat}, device));
 }
 
 Nanos Trace::union_length_any(std::initializer_list<Cat> cats,
@@ -109,14 +150,15 @@ Nanos Trace::union_length_any(std::initializer_list<Cat> cats,
 }
 
 Nanos Trace::overlap_length(Cat a, Cat b, std::int32_t device) const {
-  return spans_overlap(merged({a}, device), merged({b}, device));
+  return device == -2
+             ? spans_overlap(merged(a), merged(b))
+             : spans_overlap(merged({a}, device), merged({b}, device));
 }
 
 double Trace::overlap_ratio(Cat a, Cat b, std::int32_t device) const {
-  const Spans ua = merged({a}, device);
-  const Nanos len = spans_length(ua);
+  const Nanos len = union_length(a, device);
   if (len == 0) return 0.0;
-  return static_cast<double>(spans_overlap(ua, merged({b}, device))) /
+  return static_cast<double>(overlap_length(a, b, device)) /
          static_cast<double>(len);
 }
 
@@ -124,7 +166,7 @@ std::string Trace::to_chrome_json() const {
   std::ostringstream os;
   os << "[";
   bool first = true;
-  for (const Interval& iv : intervals_) {
+  for (const Interval& iv : kept("to_chrome_json()")) {
     if (!first) os << ",";
     first = false;
     std::string name;
@@ -143,7 +185,7 @@ std::string Trace::to_chrome_json() const {
 std::string Trace::summary(Nanos total) const {
   // Collect the device ids present.
   std::vector<std::int32_t> devices;
-  for (const Interval& iv : intervals_) {
+  for (const Interval& iv : kept("summary()")) {
     if (std::find(devices.begin(), devices.end(), iv.device) == devices.end()) {
       devices.push_back(iv.device);
     }

@@ -2,16 +2,21 @@
 //
 // Plays the role Nsight Systems plays in the paper: every simulated activity
 // (kernel execution, communication, synchronization, host API call) records a
-// closed interval tagged with a category, device and lane (stream / thread
+// half-open interval tagged with a category, device and lane (stream / thread
 // block group). The analysis helpers compute the quantities reported in
 // Figure 2.2: total communication time, total compute time, and the fraction
-// of communication hidden under compute.
+// of communication hidden under compute. Each category's union across
+// devices is kept merged as intervals arrive, so those quantities need no
+// pass over the run; the intervals themselves, and their names, are stored
+// only for a consumer that asks (a Chrome trace, the summary, a per-device
+// query).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -63,28 +68,46 @@ struct Interval {
 /// from any other thread. Read-only analysis from a different thread after
 /// the owning thread finished (join/future provides the happens-before) is
 /// fine. `clear()` releases ownership.
+///
+/// END ORDER: every recording site ends its interval at the engine's
+/// current time, so each category's intervals arrive in nondecreasing end
+/// order. `record` relies on it to keep each category's union across
+/// devices merged as intervals arrive: a new [b, e) absorbs the trailing
+/// spans that end at or after b, in amortized O(1) with no sort. An
+/// interval that ends before the last one of its category throws
+/// std::logic_error. The cross-device queries (device -2, the default)
+/// read these unions.
+///
+/// INTERVALS ON REQUEST: only a trace that was asked to keep_intervals()
+/// stores intervals and builds their names. intervals(), to_chrome_json(),
+/// summary() and every per-device query (device >= -1) throw
+/// std::logic_error on a trace that does not keep them, so a forgotten
+/// opt-in fails instead of reporting zeros.
 class Trace {
  public:
-  /// Enables or disables recording. Disabled traces drop all intervals,
-  /// which keeps timing-only benchmark sweeps allocation-free.
+  /// Enables or disables recording. A disabled trace drops every interval
+  /// before it touches a union or builds a name, which keeps timing-only
+  /// benchmark sweeps and serve's fleets allocation-free.
   void set_enabled(bool on) noexcept { enabled_ = on; }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
+  /// Stores every interval recorded from now on, with its name. Call it
+  /// before the run records anything: a trace that already holds unions
+  /// throws std::logic_error, since its intervals would be partial.
+  void keep_intervals();
+
+  /// Records [begin, end) (dropped when end <= begin). The interval's name
+  /// is `name` followed by `suffix`, built only if the trace keeps
+  /// intervals; an empty name stands for the category's.
   void record(Cat cat, std::int32_t device, std::int32_t lane, Nanos begin,
-              Nanos end, std::string name = {});
+              Nanos end, std::string_view name = {},
+              std::string_view suffix = {});
 
-  /// Appends intervals verbatim, in the caller's order (record's filters
-  /// do not apply).
-  void append(std::vector<Interval> more);
+  /// Drops every interval and union and releases thread ownership; whether
+  /// the trace is enabled and keeps intervals stays as it was.
+  void clear();
 
-  void clear() {
-    intervals_.clear();
-    owner_ = std::thread::id{};
-  }
-
-  [[nodiscard]] const std::vector<Interval>& intervals() const noexcept {
-    return intervals_;
-  }
+  [[nodiscard]] const std::vector<Interval>& intervals() const;
 
   /// Total length of the union of all intervals with category `cat`
   /// (optionally restricted to one device). Overlapping intervals are merged,
@@ -105,11 +128,6 @@ class Trace {
   /// `a` intervals exist.
   [[nodiscard]] double overlap_ratio(Cat a, Cat b, std::int32_t device = -2) const;
 
-  /// Merged spans of every category across all devices, indexed by Cat:
-  /// one pass over the intervals and one sort per category, for callers
-  /// that need several of the unions above.
-  [[nodiscard]] std::array<Spans, kCatCount> merged_by_cat() const;
-
   /// Serializes the trace in Chrome `chrome://tracing` JSON array format so
   /// timelines analogous to the paper's Nsight figures can be inspected.
   [[nodiscard]] std::string to_chrome_json() const;
@@ -120,14 +138,23 @@ class Trace {
   [[nodiscard]] std::string summary(Nanos total) const;
 
  private:
+  /// The union of `cat` across all devices, merged as it was recorded.
+  [[nodiscard]] const Spans& merged(Cat cat) const noexcept {
+    return unions_[static_cast<std::size_t>(cat)];
+  }
   /// Merged spans of the intervals in any of `cats` on `device` (-2: all).
   [[nodiscard]] Spans merged(std::initializer_list<Cat> cats,
                              std::int32_t device) const;
+  /// The stored intervals; throws std::logic_error naming `what` unless the
+  /// trace keeps them.
+  [[nodiscard]] const std::vector<Interval>& kept(const char* what) const;
 
+  std::array<Spans, kCatCount> unions_;
   std::vector<Interval> intervals_;
   /// Thread that first recorded; default-constructed id == unowned.
   std::thread::id owner_;
   bool enabled_ = true;
+  bool keep_ = false;
 };
 
 }  // namespace sim

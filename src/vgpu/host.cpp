@@ -9,17 +9,15 @@ namespace vgpu {
 namespace {
 
 /// Records a kHostApi interval on the host timeline (device -1), lane = the
-/// issuing host thread's device id. `prefix`/`suffix` are concatenated here
-/// so callers never build string temporaries at the co_await site (see the
-/// CO_AWAIT note in sim/task.hpp).
+/// issuing host thread's device id. The trace joins `prefix` and `suffix`
+/// only if it keeps intervals, and callers never build string temporaries
+/// at the co_await site (see the CO_AWAIT note in sim/task.hpp).
 sim::Task host_busy(Machine& m, int host_lane, sim::Nanos cost,
                     std::string_view prefix, std::string_view suffix = {}) {
   const sim::Nanos t0 = m.engine().now();
   co_await m.engine().delay(cost);
-  std::string label(prefix);
-  label += suffix;
   m.trace().record(sim::Cat::kHostApi, -1, host_lane, t0, m.engine().now(),
-                   std::move(label));
+                   prefix, suffix);
 }
 
 /// Checker identity of `stream`.

@@ -33,7 +33,7 @@ sim::Task KernelCtx::busy(sim::Nanos d, sim::Cat cat, std::string_view name) {
   }
   co_await engine().delay(d);
   machine_->trace().record(cat, device_id(), lane_ * 16 + group_index_, t0, now(),
-                           std::string(name));
+                           name);
 }
 
 sim::Task KernelCtx::compute(double dram_bytes, double bw_fraction,
@@ -92,7 +92,7 @@ sim::Task KernelCtx::spin_wait(sim::Flag& flag, sim::Cmp cmp, std::int64_t rhs,
   if (obs != nullptr) obs->on_signal_wait_end(obs_actor(), &flag);
   co_await engine().delay(device_->spec().spin_poll);
   machine_->trace().record(sim::Cat::kSync, device_id(),
-                           lane_ * 16 + group_index_, t0, now(), std::string(name));
+                           lane_ * 16 + group_index_, t0, now(), name);
 }
 
 sim::Task KernelCtx::spin_wait_for(sim::Flag& flag, sim::Cmp cmp,
@@ -113,14 +113,14 @@ sim::Task KernelCtx::spin_wait_for(sim::Flag& flag, sim::Cmp cmp,
     // flag is acquired (the wait did not complete).
     if (obs != nullptr) obs->on_signal_wait_timeout(obs_actor(), &flag, name);
     machine_->trace().record(sim::Cat::kSync, device_id(),
-                             lane_ * 16 + group_index_, t0, now(),
-                             std::string(name) + "(timeout)");
+                             lane_ * 16 + group_index_, t0, now(), name,
+                             "(timeout)");
     co_return;
   }
   if (obs != nullptr) obs->on_signal_wait_end(obs_actor(), &flag);
   co_await engine().delay(device_->spec().spin_poll);
   machine_->trace().record(sim::Cat::kSync, device_id(),
-                           lane_ * 16 + group_index_, t0, now(), std::string(name));
+                           lane_ * 16 + group_index_, t0, now(), name);
 }
 
 namespace {
@@ -147,9 +147,6 @@ sim::Task run_kernel(Machine& machine, Device& device, int lane,
     // Fail-stop: a launch onto a declared-dead device retires immediately
     // (the driver rejects it; the stream stays usable for bookkeeping).
     // Not an exception — one dead tenant must not unwind the whole fleet.
-    machine.trace().record(sim::Cat::kKernel, device.id(), lane,
-                           machine.engine().now(), machine.engine().now(),
-                           std::string(config.name) + " [rejected: dead]");
     co_return;
   }
   if (config.cooperative) {
@@ -175,7 +172,7 @@ sim::Task run_kernel(Machine& machine, Device& device, int lane,
   co_await sim::when_all(machine.engine(), std::move(tasks));
   if (grid_barrier) machine.engine().forget(grid_barrier.get());
   machine.trace().record(sim::Cat::kKernel, device.id(), lane, t0,
-                         machine.engine().now(), std::string(config.name));
+                         machine.engine().now(), config.name);
 }
 
 }  // namespace vgpu

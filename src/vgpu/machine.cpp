@@ -128,7 +128,7 @@ sim::Task Machine::transfer(int src, int dst, double bytes, TransferKind kind,
     co_await engine_.delay(dur);
     if (obs_sink != nullptr) obs_sink->on_put_deliver(op_id, wire);
     if (deliver) deliver();
-    trace().record(cat, src, lane, t0, engine_.now(), std::string(name));
+    trace().record(cat, src, lane, t0, engine_.now(), name);
     co_return;
   }
   if (!peer_enabled(src, dst)) {
@@ -180,7 +180,7 @@ sim::Task Machine::transfer(int src, int dst, double bytes, TransferKind kind,
     if (obs_sink != nullptr) obs_sink->on_put_deliver(op_id, wire);
     if (deliver) deliver();
   }
-  trace().record(cat, src, lane, t0, engine_.now(), std::string(name));
+  trace().record(cat, src, lane, t0, engine_.now(), name);
 }
 
 sim::Task Machine::staging_transfer(int device, double bytes, bool to_host,

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -208,6 +209,7 @@ TEST(PersistentLaunch, RunsOneKernelPerDeviceWithSingleLaunchCost) {
   s.host.launch_to_start = 30;
   s.host.stream_sync = 1;
   Machine m(s);
+  m.trace().keep_intervals();
   vshmem::World w(m);
   std::vector<int> iterations_done(3, 0);
   exec::Program prog{.world = &w, .plan = kPersistentPlan, .iterations = 10};
@@ -349,11 +351,10 @@ TEST(Metrics, JsonEmitsExactNanosAndRatios) {
 
 // --- Trace analysis over generated traces ------------------------------------
 
-// A trace of up to 48 raw intervals (appended, not recorded, so zero-length
-// spans reach the analysis) over every category and devices -1..2: fresh
-// spans, exact duplicates of the previous span, spans nested inside it and
-// spans touching its end. Seed 0 draws the empty trace.
-sim::Trace generated_trace(std::uint64_t seed) {
+// Up to 48 raw intervals over every category and devices -1..2: fresh
+// spans, some of them zero-length, exact duplicates of the previous span,
+// spans nested inside it and spans touching its end. Seed 0 draws none.
+std::vector<sim::Interval> generated_intervals(std::uint64_t seed) {
   auto u = [seed](std::uint64_t i, std::uint64_t field) {
     return sim::stream_uniform(seed, 0x7ace, i, field);
   };
@@ -385,32 +386,63 @@ sim::Trace generated_trace(std::uint64_t seed) {
     }
     ivs.push_back(iv);
   }
+  return ivs;
+}
+
+// The intervals recorded in end order, as the engine records them. Unions
+// do not depend on the order, and the zero-length intervals that record
+// drops add nothing to them.
+sim::Trace end_ordered_trace(std::vector<sim::Interval> ivs) {
+  std::stable_sort(ivs.begin(), ivs.end(),
+                   [](const sim::Interval& a, const sim::Interval& b) {
+                     return a.end < b.end;
+                   });
   sim::Trace tr;
-  tr.append(std::move(ivs));
+  for (const sim::Interval& iv : ivs) {
+    tr.record(iv.cat, iv.device, iv.lane, iv.begin, iv.end);
+  }
   return tr;
 }
 
-// analyze_run spelled out with one per-call Trace query per field.
-cpufree::RunMetrics analyze_per_call(const sim::Trace& tr, Nanos total,
-                                     std::int64_t iterations) {
+// The union of the raw intervals in any of `cats`, merged in one batch.
+sim::Spans batch_union(const std::vector<sim::Interval>& ivs,
+                       std::initializer_list<sim::Cat> cats) {
+  sim::Spans spans;
+  for (const sim::Interval& iv : ivs) {
+    if (std::find(cats.begin(), cats.end(), iv.cat) != cats.end()) {
+      spans.emplace_back(iv.begin, iv.end);
+    }
+  }
+  sim::merge_spans(spans);
+  return spans;
+}
+
+// analyze_run spelled out field by field over batch unions of the raw
+// intervals.
+cpufree::RunMetrics analyze_batch(const std::vector<sim::Interval>& ivs,
+                                  Nanos total, std::int64_t iterations) {
   using sim::Cat;
+  const sim::Spans comm = batch_union(ivs, {Cat::kComm});
+  const sim::Spans compute = batch_union(ivs, {Cat::kCompute});
   cpufree::RunMetrics m;
   m.total = total;
   m.per_iteration = iterations > 0 ? total / iterations : total;
-  m.comm = tr.union_length(Cat::kComm);
-  m.compute = tr.union_length(Cat::kCompute);
-  m.sync = tr.union_length(Cat::kSync);
-  m.host_api = tr.union_length(Cat::kHostApi);
-  m.comm_hidden = tr.overlap_length(Cat::kComm, Cat::kCompute);
-  m.overlap_ratio = tr.overlap_ratio(Cat::kComm, Cat::kCompute);
+  m.comm = sim::spans_length(comm);
+  m.compute = sim::spans_length(compute);
+  m.sync = sim::spans_length(batch_union(ivs, {Cat::kSync}));
+  m.host_api = sim::spans_length(batch_union(ivs, {Cat::kHostApi}));
+  m.comm_hidden = sim::spans_overlap(comm, compute);
+  m.overlap_ratio = m.comm > 0 ? static_cast<double>(m.comm_hidden) /
+                                     static_cast<double>(m.comm)
+                               : 0.0;
   m.comm_fraction =
       total > 0 ? static_cast<double>(m.comm) / static_cast<double>(total) : 0.0;
   m.noncompute_fraction =
       total > 0
           ? 1.0 - static_cast<double>(m.compute) / static_cast<double>(total)
           : 0.0;
-  const Nanos noncompute =
-      tr.union_length_any({Cat::kComm, Cat::kSync, Cat::kHostApi});
+  const Nanos noncompute = sim::spans_length(
+      batch_union(ivs, {Cat::kComm, Cat::kSync, Cat::kHostApi}));
   if (noncompute > 0 && total > 0) {
     const Nanos covered =
         std::clamp<Nanos>(m.compute + noncompute - total, 0, noncompute);
@@ -420,22 +452,22 @@ cpufree::RunMetrics analyze_per_call(const sim::Trace& tr, Nanos total,
   return m;
 }
 
-// Every field of analyze_run equals the per-call queries on 400 generated
-// traces and several run lengths each, and the whole set reproduces the
-// digest captured before analyze_run bucketed the trace in one pass.
+// Every field of analyze_run over the end-ordered trace equals the batch
+// computation over the raw intervals, on 400 generated traces and several
+// run lengths each, and the whole set reproduces the digest captured before
+// analyze_run bucketed the trace in one pass.
 TEST(Metrics, AnalyzeRunMatchesPerCallQueriesOnGeneratedTraces) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
-    const sim::Trace tr = generated_trace(seed);
+    const std::vector<sim::Interval> ivs = generated_intervals(seed);
+    const sim::Trace tr = end_ordered_trace(ivs);
     Nanos last = 0;
-    for (const sim::Interval& iv : tr.intervals()) {
-      last = std::max(last, iv.end);
-    }
+    for (const sim::Interval& iv : ivs) last = std::max(last, iv.end);
     for (const Nanos total : {Nanos{0}, last / 2, last, 2 * last + 7}) {
       const auto iterations = static_cast<std::int64_t>(seed % 5);
       const std::string got =
           cpufree::to_json(cpufree::analyze_run(tr, total, iterations));
-      ASSERT_EQ(got, cpufree::to_json(analyze_per_call(tr, total, iterations)))
+      ASSERT_EQ(got, cpufree::to_json(analyze_batch(ivs, total, iterations)))
           << "seed " << seed << " total " << total;
       for (const char c : got) {
         h ^= static_cast<unsigned char>(c);
@@ -444,6 +476,44 @@ TEST(Metrics, AnalyzeRunMatchesPerCallQueriesOnGeneratedTraces) {
     }
   }
   EXPECT_EQ(h, 0x951fb4c0d7484420ull) << std::hex << h;
+}
+
+// Every cross-device union and overlap query of the end-ordered trace, which
+// merged its unions as the intervals arrived, equals the batch merge of the
+// raw intervals.
+TEST(Trace, OnlineUnionsMatchTheBatchMergeOnGeneratedTraces) {
+  using sim::Cat;
+  constexpr Cat kCats[] = {Cat::kCompute, Cat::kComm,   Cat::kSync,
+                           Cat::kHostApi, Cat::kKernel, Cat::kOther};
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    const std::vector<sim::Interval> ivs = generated_intervals(seed);
+    const sim::Trace tr = end_ordered_trace(ivs);
+    for (const Cat a : kCats) {
+      const sim::Spans ua = batch_union(ivs, {a});
+      const Nanos len = sim::spans_length(ua);
+      ASSERT_EQ(tr.union_length(a), len) << "seed " << seed;
+      for (const Cat b : kCats) {
+        const sim::Spans ub = batch_union(ivs, {b});
+        const Nanos both = sim::spans_overlap(ua, ub);
+        ASSERT_EQ(tr.overlap_length(a, b), both) << "seed " << seed;
+        ASSERT_EQ(tr.overlap_ratio(a, b),
+                  len > 0 ? static_cast<double>(both) /
+                                static_cast<double>(len)
+                          : 0.0)
+            << "seed " << seed;
+        ASSERT_EQ(tr.union_length_any({a, b}),
+                  sim::spans_length(batch_union(ivs, {a, b})))
+            << "seed " << seed;
+      }
+    }
+    ASSERT_EQ(tr.union_length_any({}), 0);
+    ASSERT_EQ(tr.union_length_any({Cat::kCompute, Cat::kComm, Cat::kSync,
+                                   Cat::kHostApi, Cat::kKernel, Cat::kOther}),
+              sim::spans_length(batch_union(
+                  ivs, {Cat::kCompute, Cat::kComm, Cat::kSync, Cat::kHostApi,
+                        Cat::kKernel, Cat::kOther})))
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -564,6 +564,7 @@ TEST(Transforms, MapFusionPreservesSemanticsAndSavesLaunches) {
   auto run = [](Sdfg& s) {
     dacelite::apply_gpu_transform(s);
     vgpu::Machine m(hgx(1));
+    m.trace().keep_intervals();
     vshmem::World w(m);
     hostmpi::Comm comm(m);
     ProgramData data(w, s, true);

@@ -17,6 +17,7 @@
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
+#include "sim/trace.hpp"
 
 namespace {
 
@@ -236,6 +237,34 @@ TEST(EngineAllocs, OpenWaitRegistry) {
               }
               for (sim::Engine::WaitToken t : open) eng.note_wait_end(t);
               open.clear();
+            }),
+            0u);
+}
+
+/// One lane's activity as the recording sites see it: back-to-back steps,
+/// each recorded when it ends, under a name and suffix that would not fit
+/// a std::string's small-string buffer.
+sim::Task recording_lane(sim::Engine& eng, sim::Cat cat, int lane, int n) {
+  for (int i = 0; i < n; ++i) {
+    const sim::Nanos t0 = eng.now();
+    co_await eng.delay(10);
+    eng.trace().record(cat, lane, lane, t0, eng.now(),
+                       "a step name longer than the buffer", "(and a suffix)");
+  }
+}
+
+TEST(EngineAllocs, TraceThatKeepsNoIntervalsBuildsNoNames) {
+  // 10,000 intervals per run on four categories. Each category's steps
+  // touch, also from one run to the next, so its union stays one span: any
+  // allocation would be a name built, or an interval stored, for nobody.
+  EXPECT_EQ(steady_state_allocs([](sim::Engine& eng) {
+              constexpr sim::Cat kCats[] = {sim::Cat::kCompute, sim::Cat::kComm,
+                                            sim::Cat::kSync,
+                                            sim::Cat::kHostApi};
+              for (int lane = 0; lane < 4; ++lane) {
+                eng.spawn(recording_lane(eng, kCats[lane], lane, 2500));
+              }
+              eng.run();
             }),
             0u);
 }

@@ -257,6 +257,7 @@ TEST(Expansions, TraceShowsSelectedOperations) {
     auto prog = dacelite::make_jacobi1d(32, 2, 2);
     dacelite::to_cpu_free(prog.sdfg);
     vgpu::Machine m(MachineSpec::hgx_a100(2));
+    m.trace().keep_intervals();
     vshmem::World w(m);
     dacelite::ProgramData data(w, prog.sdfg, true);
     dacelite::execute_persistent(m, w, data, prog.sdfg, dacelite::ExecOptions{});
@@ -270,6 +271,7 @@ TEST(Expansions, TraceShowsSelectedOperations) {
     auto prog = dacelite::make_jacobi2d(16, 4, 2);
     dacelite::to_cpu_free(prog.sdfg);
     vgpu::Machine m(MachineSpec::hgx_a100(4));
+    m.trace().keep_intervals();
     vshmem::World w(m);
     dacelite::ProgramData data(w, prog.sdfg, true);
     dacelite::execute_persistent(m, w, data, prog.sdfg, dacelite::ExecOptions{});

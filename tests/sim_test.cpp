@@ -352,6 +352,7 @@ TEST(Trace, OverlapBetweenCategories) {
 
 TEST(Trace, DeviceFilterRestrictsAnalysis) {
   sim::Trace tr;
+  tr.keep_intervals();
   tr.record(Cat::kComm, 0, 0, 0, 100);
   tr.record(Cat::kComm, 1, 0, 0, 300);
   EXPECT_EQ(tr.union_length(Cat::kComm, 0), 100);
@@ -361,6 +362,7 @@ TEST(Trace, DeviceFilterRestrictsAnalysis) {
 
 TEST(Trace, DisabledTraceDropsIntervals) {
   sim::Trace tr;
+  tr.keep_intervals();
   tr.set_enabled(false);
   tr.record(Cat::kComm, 0, 0, 0, 100);
   EXPECT_TRUE(tr.intervals().empty());
@@ -368,6 +370,7 @@ TEST(Trace, DisabledTraceDropsIntervals) {
 
 TEST(Trace, ZeroLengthIntervalsIgnored) {
   sim::Trace tr;
+  tr.keep_intervals();
   tr.record(Cat::kComm, 0, 0, 100, 100);
   EXPECT_TRUE(tr.intervals().empty());
 }
@@ -492,6 +495,7 @@ class JsonReader {
 
 TEST(Trace, ChromeJsonContainsEvents) {
   sim::Trace tr;
+  tr.keep_intervals();
   tr.record(Cat::kCompute, 2, 1, 1000, 3000, "stencil");
   // A quote, a backslash, a newline and a control byte in one name, and an
   // unnamed interval, which takes its category's name.
@@ -547,6 +551,7 @@ TEST(Trace, RecordFromSecondThreadThrows) {
   // Trace. Recording from a second thread is a programming error the trace
   // detects at runtime.
   sim::Trace tr;
+  tr.keep_intervals();
   tr.record(Cat::kCompute, 0, 0, 0, 100);  // bind to this thread
   bool threw = false;
   std::thread other([&] {
@@ -565,11 +570,40 @@ TEST(Trace, ClearReleasesThreadOwnership) {
   // clear() resets ownership so a pooled worker can reuse a trace for the
   // next job.
   sim::Trace tr;
+  tr.keep_intervals();
   std::thread first([&] { tr.record(Cat::kCompute, 0, 0, 0, 100); });
   first.join();
   tr.clear();
   EXPECT_NO_THROW(tr.record(Cat::kComm, 0, 0, 0, 50));  // this thread now owns
   EXPECT_EQ(tr.intervals().size(), 1u);
+}
+
+TEST(Trace, RecordEndingBeforeItsCategorysLastThrows) {
+  // Every recording site ends its interval at the engine's current time;
+  // the unions are merged on that order, so a break in it is an error.
+  sim::Trace tr;
+  tr.record(Cat::kComm, 0, 0, 100, 200);
+  tr.record(Cat::kComm, 1, 0, 150, 200);    // same end: in order
+  tr.record(Cat::kCompute, 0, 0, 0, 50);    // another category's own order
+  EXPECT_THROW(tr.record(Cat::kComm, 0, 0, 0, 199), std::logic_error);
+  EXPECT_NO_THROW(tr.record(Cat::kComm, 0, 0, 150, 150));  // dropped
+  EXPECT_EQ(tr.union_length(Cat::kComm), 100);
+  EXPECT_EQ(tr.union_length(Cat::kCompute), 50);
+}
+
+TEST(Trace, IntervalReadersThrowUnlessTheTraceKeepsIntervals) {
+  // The cross-device unions need no stored intervals; everything that reads
+  // intervals fails loudly on a trace that was not asked to keep them.
+  sim::Trace tr;
+  tr.record(Cat::kComm, 0, 0, 0, 100);
+  EXPECT_EQ(tr.union_length(Cat::kComm), 100);
+  EXPECT_THROW((void)tr.intervals(), std::logic_error);
+  EXPECT_THROW((void)tr.to_chrome_json(), std::logic_error);
+  EXPECT_THROW((void)tr.summary(100), std::logic_error);
+  EXPECT_THROW((void)tr.union_length(Cat::kComm, 0), std::logic_error);
+  EXPECT_THROW((void)tr.union_length(Cat::kComm, -1), std::logic_error);
+  // Asking after the run recorded would leave the stored intervals partial.
+  EXPECT_THROW(tr.keep_intervals(), std::logic_error);
 }
 
 TEST(Stats, MinMeanMedianMax) {

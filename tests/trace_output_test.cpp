@@ -53,6 +53,7 @@ std::string stencil_dump(const MachineSpec& spec, std::size_t nx,
                          std::size_t ny, const StencilConfig& cfg, Variant v,
                          std::int64_t* watchdog_fires = nullptr) {
   Machine m(spec);
+  m.trace().keep_intervals();
   vshmem::World world(m);
   Jacobi2D p;
   p.nx = nx;
@@ -84,6 +85,7 @@ TEST(TraceOutput, ChromeJsonAndSummaryArePinned) {
     auto prog = dacelite::make_jacobi2d(24, gy, 4, 3);
     dacelite::to_cpu_free(prog.sdfg);
     Machine m(MachineSpec::hgx_a100(4));
+    m.trace().keep_intervals();
     vshmem::World w(m);
     dacelite::ProgramData data(w, prog.sdfg, true);
     (void)dacelite::execute_persistent(m, w, data, prog.sdfg,
@@ -98,6 +100,7 @@ TEST(TraceOutput, ChromeJsonAndSummaryArePinned) {
     cfg.keys_per_round = 512;
     cfg.rounds = 3;
     Machine m(MachineSpec::hgx_a100(2));
+    m.trace().keep_intervals();
     (void)workloads::run_histogram(
         m, cfg,
         {exec::LaunchPolicy::kHostLoop, exec::CommPolicy::kOverlapStreams,

@@ -337,6 +337,7 @@ TEST(Event, ElapsedBeforePublishThrows) {
 
 TEST(Trace, SummaryBreaksDownPerDevice) {
   sim::Trace tr;
+  tr.keep_intervals();
   tr.record(sim::Cat::kCompute, 0, 0, 0, 600);
   tr.record(sim::Cat::kComm, 0, 0, 600, 800);
   tr.record(sim::Cat::kHostApi, -1, 0, 0, 100);
@@ -486,6 +487,7 @@ TEST(Kernel, ComputeRunsFunctionalBodyAndChargesDram) {
 
 TEST(Kernel, EnvelopeRecordedInTrace) {
   Machine m(simple_spec(1));
+  m.trace().keep_intervals();
   Stream& s = m.device(0).create_stream();
   m.run_host_threads([&](int) -> Task {
     HostCtx h(m, 0);
@@ -505,6 +507,7 @@ TEST(Kernel, HostApiIntervalsAttributedToHostTimeline) {
   MachineSpec spec = simple_spec(1);
   spec.host.kernel_launch = 20;
   Machine m(spec);
+  m.trace().keep_intervals();
   Stream& s = m.device(0).create_stream();
   m.run_host_threads([&](int) -> Task {
     HostCtx h(m, 0);
