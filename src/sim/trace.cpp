@@ -21,17 +21,6 @@ const char* cat_name(Cat c) noexcept {
   return "?";
 }
 
-void Trace::keep_intervals() {
-  for (const Spans& u : unions_) {
-    if (!u.empty()) {
-      throw std::logic_error(
-          "sim::Trace::keep_intervals() after intervals were recorded: call "
-          "it before the run, or the stored intervals are partial");
-    }
-  }
-  keep_ = true;
-}
-
 void Trace::record(Cat cat, std::int32_t device, std::int32_t lane, Nanos begin,
                    Nanos end, std::string_view name, std::string_view suffix) {
   if (!enabled_ || end <= begin) return;

@@ -92,9 +92,8 @@ class Trace {
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   /// Stores every interval recorded from now on, with its name. Call it
-  /// before the run records anything: a trace that already holds unions
-  /// throws std::logic_error, since its intervals would be partial.
-  void keep_intervals();
+  /// before the run, so that the stored intervals are the whole run's.
+  void keep_intervals() noexcept { keep_ = true; }
 
   /// Records [begin, end) (dropped when end <= begin). The interval's name
   /// is `name` followed by `suffix`, built only if the trace keeps

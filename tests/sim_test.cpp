@@ -602,8 +602,6 @@ TEST(Trace, IntervalReadersThrowUnlessTheTraceKeepsIntervals) {
   EXPECT_THROW((void)tr.summary(100), std::logic_error);
   EXPECT_THROW((void)tr.union_length(Cat::kComm, 0), std::logic_error);
   EXPECT_THROW((void)tr.union_length(Cat::kComm, -1), std::logic_error);
-  // Asking after the run recorded would leave the stored intervals partial.
-  EXPECT_THROW(tr.keep_intervals(), std::logic_error);
 }
 
 TEST(Stats, MinMeanMedianMax) {
