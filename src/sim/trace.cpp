@@ -63,14 +63,11 @@ void Trace::clear() {
 }
 
 const std::vector<Interval>& Trace::intervals() const {
-  return kept("intervals()");
-}
-
-const std::vector<Interval>& Trace::kept(const char* what) const {
   if (!keep_) {
-    throw std::logic_error(std::string("sim::Trace::") + what +
-                           " needs the stored intervals: call "
-                           "keep_intervals() before the run");
+    throw std::logic_error(
+        "sim::Trace stores intervals only after keep_intervals(): call it "
+        "before the run to read intervals, a Chrome trace, the summary or a "
+        "per-device union");
   }
   return intervals_;
 }
@@ -118,7 +115,7 @@ Spans Trace::merged(std::initializer_list<Cat> cats,
       spans.insert(spans.end(), merged(c).begin(), merged(c).end());
     }
   } else {
-    for (const Interval& iv : kept("a per-device query")) {
+    for (const Interval& iv : intervals()) {
       if (iv.device != device) continue;
       if (std::find(cats.begin(), cats.end(), iv.cat) == cats.end()) continue;
       spans.emplace_back(iv.begin, iv.end);
@@ -155,7 +152,7 @@ std::string Trace::to_chrome_json() const {
   std::ostringstream os;
   os << "[";
   bool first = true;
-  for (const Interval& iv : kept("to_chrome_json()")) {
+  for (const Interval& iv : intervals()) {
     if (!first) os << ",";
     first = false;
     std::string name;
@@ -174,7 +171,7 @@ std::string Trace::to_chrome_json() const {
 std::string Trace::summary(Nanos total) const {
   // Collect the device ids present.
   std::vector<std::int32_t> devices;
-  for (const Interval& iv : kept("summary()")) {
+  for (const Interval& iv : intervals()) {
     if (std::find(devices.begin(), devices.end(), iv.device) == devices.end()) {
       devices.push_back(iv.device);
     }

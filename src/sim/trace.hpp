@@ -106,6 +106,8 @@ class Trace {
   /// the trace is enabled and keeps intervals stays as it was.
   void clear();
 
+  /// The stored intervals, in record order (throws unless the trace keeps
+  /// intervals).
   [[nodiscard]] const std::vector<Interval>& intervals() const;
 
   /// Total length of the union of all intervals with category `cat`
@@ -144,9 +146,6 @@ class Trace {
   /// Merged spans of the intervals in any of `cats` on `device` (-2: all).
   [[nodiscard]] Spans merged(std::initializer_list<Cat> cats,
                              std::int32_t device) const;
-  /// The stored intervals; throws std::logic_error naming `what` unless the
-  /// trace keeps them.
-  [[nodiscard]] const std::vector<Interval>& kept(const char* what) const;
 
   std::array<Spans, kCatCount> unions_;
   std::vector<Interval> intervals_;
