@@ -48,7 +48,7 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-/// A 2D stencil variant on a machine of `spec`, as the drivers trace it.
+/// A 2D stencil variant on a machine of `spec`, traced as `--trace` runs it.
 std::string stencil_dump(const MachineSpec& spec, std::size_t nx,
                          std::size_t ny, const StencilConfig& cfg, Variant v,
                          std::int64_t* watchdog_fires = nullptr) {
