@@ -4,8 +4,9 @@
 // chapter: it sweeps the same parameters, runs the same code variants on the
 // simulated HGX node, and prints the series the figure plots. The simulator
 // is deterministic, so the paper's "minimum of 5 consecutive runs" protocol
-// is satisfied by a single run (all 5 would be identical); the drivers that
-// read --repeats (Reads::repeats) demonstrate that.
+// is satisfied by a single run: all 5 would be identical. Only
+// micro_primitives, which times host wall-clock, reads --repeats
+// (Reads::repeats).
 #pragma once
 
 #include <algorithm>
@@ -341,7 +342,6 @@ inline void parse_hard_faults(std::string_view s, fault::Config& cfg,
           ? "kill_device=D (D>=0),at_iter=K (K>=1)[,ckpt=N (N>=1)]"
           : "kill_device=D (D>=0),at_iter=K (K>=1)";
   fault::HardFault h;
-  h.kind = fault::HardFault::Kind::kDevice;
   bool have_device = false;
   bool have_iter = false;
   parse_kv_flag(
@@ -531,13 +531,8 @@ inline void print_faults(const fault::Config& cfg) {
   }
   if (cfg.hard_enabled()) {
     for (const fault::HardFault& h : cfg.hard) {
-      if (h.kind == fault::HardFault::Kind::kDevice) {
-        std::printf("hard fault: kill device %d at iteration %lld\n", h.device,
-                    static_cast<long long>(h.at));
-      } else {
-        std::printf("hard fault: kill link %d->%d at crossing %lld\n", h.src,
-                    h.dst, static_cast<long long>(h.at));
-      }
+      std::printf("hard fault: kill device %d at iteration %lld\n", h.device,
+                  static_cast<long long>(h.at));
     }
     std::printf("\n");
   }

@@ -55,8 +55,7 @@ std::vector<sweep::Param> params(const char* part, Variant v, int g) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(
-      argc, argv, {.trace = true, .repeats = true});
+  const bench::Args args = bench::Args::parse(argc, argv, {.trace = true});
   if (args.topo) {
     bench::print_topology(vgpu::MachineSpec::hgx_a100(8), "hgx_a100(8)");
     return 0;
@@ -115,7 +114,7 @@ int main(int argc, char** argv) {
     for (int g : gpus) {
       ex.add(std::string("a/") + std::string(stencil::variant_name(v)) +
                  "/gpus=" + std::to_string(g),
-             params("a", v, g), [v, g, repeats = args.repeats, &args] {
+             params("a", v, g), [v, g, &args] {
                StencilConfig cfg;
                cfg.iterations = kIters;
                cfg.functional = false;
@@ -124,14 +123,10 @@ int main(int argc, char** argv) {
                    args.with_faults(vgpu::MachineSpec::hgx_a100(g));
                sweep::RunResult res;
                res.spec = spec;
-               sim::RunStats stats;
-               for (int rep = 0; rep < repeats; ++rep) {
-                 const auto out =
-                     stencil::run_jacobi2d(v, spec, weak_scaled(256, g), cfg);
-                 stats.add(out.result.metrics.per_iteration_us());
-                 res.metrics = out.result.metrics;
-               }
-               res.set("per_iter_us", stats.min());
+               res.metrics =
+                   stencil::run_jacobi2d(v, spec, weak_scaled(256, g), cfg)
+                       .result.metrics;
+               res.set("per_iter_us", res.metrics.per_iteration_us());
                bench::tag_workload(
                    res, "jacobi2d",
                    bench::slab_imbalance(weak_scaled(256, g).ny, g));

@@ -55,7 +55,7 @@ constexpr DomainClass kClasses[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(argc, argv, {.repeats = true});
+  const bench::Args args = bench::Args::parse(argc, argv);
   if (args.topo) {
     bench::print_topology(vgpu::MachineSpec::hgx_a100(8), "hgx_a100(8)");
     return 0;
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
                {{"domain", dc.key},
                 {"variant", std::string(stencil::variant_name(v))},
                 {"gpus", std::to_string(g)}},
-               [dc, v, g, repeats = args.repeats, &args] {
+               [dc, v, g, &args] {
                  StencilConfig cfg;
                  cfg.iterations = dc.iters;
                  cfg.functional = false;
@@ -113,14 +113,10 @@ int main(int argc, char** argv) {
                      args.with_faults(vgpu::MachineSpec::hgx_a100(g));
                  sweep::RunResult res;
                  res.spec = spec;
-                 sim::RunStats stats;
-                 for (int rep = 0; rep < repeats; ++rep) {
-                   const auto out = stencil::run_jacobi2d(
-                       v, spec, weak_scaled(dc.base, g), cfg);
-                   stats.add(out.result.metrics.per_iteration_us());
-                   res.metrics = out.result.metrics;
-                 }
-                 res.set("per_iter_us", stats.min());
+                 res.metrics = stencil::run_jacobi2d(
+                                   v, spec, weak_scaled(dc.base, g), cfg)
+                                   .result.metrics;
+                 res.set("per_iter_us", res.metrics.per_iteration_us());
                  bench::tag_workload(
                      res, "jacobi2d",
                      bench::slab_imbalance(weak_scaled(dc.base, g).ny, g));

@@ -1,15 +1,14 @@
 // fig_autotune — the compiler-support autotuner across machines.
 //
 // For each (workload, machine) pair, enumerate the recipe decision space
-// (put expansion x persistent grid size x map fusion x partition shape),
-// score every candidate with the analytic rollout, validate the default
-// recipe plus the predicted top-K with full simulated runs (numerics
-// verified against the serial reference, race/deadlock checker attached),
-// and report predicted vs measured per candidate. The closing table shows
-// where the tuned recipe beats the §6.2.1 default: the SM-count grid loses
-// to the occupancy cap once the per-rank domain overflows the resident
-// threads, and rectangular machines prefer partition shapes that avoid
-// strided west/east puts.
+// (put expansion x persistent grid size x partition shape), score every
+// candidate with the analytic rollout, validate the default recipe plus the
+// predicted top-K with full simulated runs (numerics verified against the
+// serial reference, race/deadlock checker attached), and report predicted
+// vs measured per candidate. The closing table shows where the tuned recipe
+// beats the §6.2.1 default: the SM-count grid loses to the occupancy cap
+// once the per-rank domain overflows the resident threads, and rectangular
+// machines prefer partition shapes that avoid strided west/east puts.
 #include <cstdio>
 #include <vector>
 

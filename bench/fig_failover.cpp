@@ -173,7 +173,6 @@ int main(int argc, char** argv) {
   fault::Config kill_faults = args.faults;
   if (!kill_faults.hard_enabled()) {
     fault::HardFault h;
-    h.kind = fault::HardFault::Kind::kDevice;
     h.device = 1;
     h.at = 3;
     kill_faults.hard.push_back(h);

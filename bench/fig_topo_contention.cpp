@@ -66,7 +66,7 @@ constexpr int kSweepIters = 30;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(argc, argv, {.repeats = true});
+  const bench::Args args = bench::Args::parse(argc, argv);
   std::vector<TopoClass> topos = topo_classes();
   for (TopoClass& tc : topos) {
     tc.sweep_spec = args.with_faults(tc.sweep_spec);
@@ -123,20 +123,16 @@ int main(int argc, char** argv) {
              {{"topology", tc.key},
               {"variant", std::string(stencil::variant_name(v))},
               {"gpus", "8"}},
-             [spec = tc.sweep_spec, v, repeats = args.repeats] {
+             [spec = tc.sweep_spec, v] {
                StencilConfig cfg;
                cfg.iterations = kSweepIters;
                cfg.functional = false;
                sweep::RunResult res;
                res.spec = spec;
-               sim::RunStats stats;
-               for (int rep = 0; rep < repeats; ++rep) {
-                 const auto out =
-                     stencil::run_jacobi2d(v, spec, sweep_problem(), cfg);
-                 stats.add(out.result.metrics.per_iteration_us());
-                 res.metrics = out.result.metrics;
-               }
-               res.set("per_iter_us", stats.min());
+               res.metrics =
+                   stencil::run_jacobi2d(v, spec, sweep_problem(), cfg)
+                       .result.metrics;
+               res.set("per_iter_us", res.metrics.per_iteration_us());
                bench::tag_workload(
                    res, "jacobi2d",
                    bench::slab_imbalance(sweep_problem().ny, spec.num_devices));

@@ -190,7 +190,7 @@ class IterationProtocol {
   static constexpr sim::Nanos kDefaultHardProbe = 200'000;
   static constexpr int kMaxHardProbes = 1 << 10;
 
-  /// Scans this world's slice for declared-dead components and, on a hit,
+  /// Scans this world's slice for declared-dead devices and, on a hit,
   /// records the job-level hard stop. Returns true when the caller must
   /// abort. Non-coroutine so the scan is atomic w.r.t. the engine.
   bool escalate_if_dead(bool* aborted) {
@@ -204,25 +204,6 @@ class IterationProtocol {
         world_->hard_stop(std::move(why));
         *aborted = true;
         return true;
-      }
-    }
-    if (faults.has_hard_links()) {
-      for (int a = 0; a < world_->n_pes(); ++a) {
-        for (int b = 0; b < world_->n_pes(); ++b) {
-          if (a == b) continue;
-          const int da = world_->device_of(a);
-          const int db = world_->device_of(b);
-          if (faults.link_dead(da, db)) {
-            std::string why = "link ";
-            why += std::to_string(da);
-            why += "->";
-            why += std::to_string(db);
-            why += " declared dead";
-            world_->hard_stop(std::move(why));
-            *aborted = true;
-            return true;
-          }
-        }
       }
     }
     return false;

@@ -20,9 +20,6 @@ namespace dacelite {
 
 namespace {
 
-/// Host (CPU-scheduled) map throughput, GB/s — a CPU core triad bandwidth.
-constexpr double kHostMapBwGbps = 25.0;
-
 int resolve_iterations(const Sdfg& sdfg, const ExecOptions& o) {
   return o.iterations > 0 ? o.iterations : sdfg.default_iterations;
 }
@@ -80,7 +77,7 @@ std::string describe_put_expansions(const Sdfg& sdfg,
     return false;
   };
   std::set<std::string> labels;
-  auto do_state = [&](const State& st) {
+  for (const State& st : sdfg.body) {
     for (const Node& n : st.nodes) {
       const auto* lib = std::get_if<LibraryNode>(&n);
       if (lib == nullptr || lib->kind != LibKind::kNvshmemPutmemSignal ||
@@ -103,9 +100,7 @@ std::string describe_put_expansions(const Sdfg& sdfg,
           break;
       }
     }
-  };
-  for (const State& st : sdfg.setup) do_state(st);
-  for (const State& st : sdfg.body) do_state(st);
+  }
   if (labels.empty()) return "none";
   std::string out;
   for (const std::string& l : labels) {
@@ -145,15 +140,13 @@ ExecCtx ProgramData::ctx(int rank, int size, int t) {
 
 int max_signal_index(const Sdfg& sdfg) {
   int mx = 0;
-  auto do_state = [&mx](const State& st) {
+  for (const State& st : sdfg.body) {
     for (const Node& n : st.nodes) {
       if (const auto* lib = std::get_if<LibraryNode>(&n)) {
         mx = std::max({mx, lib->flag, lib->ack_flag});
       }
     }
-  };
-  for (const State& st : sdfg.setup) do_state(st);
-  for (const State& st : sdfg.body) do_state(st);
+  }
   return mx;
 }
 
@@ -172,32 +165,16 @@ sim::Task run_state_discrete(vgpu::HostCtx& h, hostmpi::Comm& comm,
   const int size = data.world().n_pes();
   for (const Node& node : state.nodes) {
     if (const auto* map = std::get_if<MapNode>(&node)) {
-      const double bytes = map->points * map->bytes_per_point;
-      if (map->schedule == Schedule::kGpuDevice) {
-        std::function<void()> fnl;
-        if (data.functional() && map->body) {
-          fnl = [&data, map, rank, size, t] {
-            ExecCtx c = data.ctx(rank, size, t);
-            map->body(c);
-          };
-        }
-        CO_AWAIT(exec::launch_compute(h, stream, "map", "map", bytes,
-                                      std::move(fnl)));
-      } else {
-        // CPU-scheduled map: runs on the host thread.
-        if (data.functional() && map->body) {
+      std::function<void()> fnl;
+      if (data.functional() && map->body) {
+        fnl = [&data, map, rank, size, t] {
           ExecCtx c = data.ctx(rank, size, t);
           map->body(c);
-        }
-        co_await h.pay(static_cast<sim::Nanos>(bytes / kHostMapBwGbps),
-                       "cpu_map");
+        };
       }
-    } else if (const auto* tl = std::get_if<Tasklet>(&node)) {
-      if (data.functional() && tl->body) {
-        ExecCtx c = data.ctx(rank, size, t);
-        tl->body(c);
-      }
-      co_await h.api("tasklet");
+      CO_AWAIT(exec::launch_compute(h, stream, "map", "map",
+                                    map->points * map->bytes_per_point,
+                                    std::move(fnl)));
     } else if (const auto* lib = std::get_if<LibraryNode>(&node)) {
       switch (lib->kind) {
         case LibKind::kMpiIsend: {
@@ -251,21 +228,16 @@ sim::Task run_state_discrete(vgpu::HostCtx& h, hostmpi::Comm& comm,
           CO_AWAIT(comm.waitall(h, std::move(pending)));
           break;
         }
-        case LibKind::kMpiBarrier: {
-          co_await comm.barrier(h);
-          break;
-        }
         default:
           throw ValidationError(
               "NVSHMEM library node in the discrete (MPI) backend; "
               "run execute_persistent instead");
       }
     }
-    // AccessNodes carry no execution.
   }
   // DaCe-generated code synchronizes at state boundaries: host-side control
-  // flow (interstate edges, tasklets, MPI of the next state) must observe
-  // completed GPU work.
+  // flow (interstate edges, MPI of the next state) must observe completed
+  // GPU work.
   CO_AWAIT(h.sync_stream(stream));
 }
 
@@ -287,6 +259,10 @@ ExecResult execute_discrete(vgpu::Machine& machine, hostmpi::Comm& comm,
         "machine");
   }
   sdfg.validate();
+  if (!sdfg.gpu) {
+    throw ValidationError(
+        "execute_discrete requires apply_gpu_transform (GPUTransform)");
+  }
   machine.trace().set_enabled(options.trace);
   const int iters = resolve_iterations(sdfg, options);
   vshmem::World& world = data.world();
@@ -295,19 +271,13 @@ ExecResult execute_discrete(vgpu::Machine& machine, hostmpi::Comm& comm,
       static_cast<std::size_t>(world.n_pes()));
   exec::Program prog{
       .world = &world, .plan = kDiscretePlan, .iterations = iters};
-  // Rank `rank`'s step t: the setup states (as iteration 0) at the top of
-  // step 1, every body state, and the closing stream sync after the last.
+  // Rank `rank`'s step t: every body state, and the closing stream sync
+  // after the last step.
   prog.host_step = [&comm, &data, &sdfg, &reqs, iters](
                        vgpu::HostCtx& h, int rank, int t,
                        std::span<vgpu::Stream* const> streams) -> sim::Task {
     vgpu::Stream& stream = *streams[0];
     auto& rank_reqs = reqs[static_cast<std::size_t>(rank)];
-    if (t == 1) {
-      for (const State& st : sdfg.setup) {
-        CO_AWAIT(run_state_discrete(h, comm, data, st, stream, rank, 0,
-                                    rank_reqs));
-      }
-    }
     for (const State& st : sdfg.body) {
       CO_AWAIT(
           run_state_discrete(h, comm, data, st, stream, rank, t, rank_reqs));
@@ -397,27 +367,6 @@ sim::Task run_comm_node_persistent(vshmem::World& w, ProgramData& data,
       // OUR sends, which would deadlock.)
       co_await proto.wait_iteration(k, static_cast<std::size_t>(lib.flag), t);
       break;
-    case LibKind::kNvshmemSignalOp:
-      co_await proto.signal_only(k, static_cast<std::size_t>(lib.flag), t,
-                                 lib.peer_of(rank, size));
-      break;
-    case LibKind::kNvshmemIput: {
-      vshmem::Sym<double>& arr = data.sym(lib.array);
-      co_await w.iput(k, arr, lib.src.offset, lib.src.stride, lib.dst.offset,
-                      lib.dst.stride, lib.src.count, lib.peer_of(rank, size));
-      break;
-    }
-    case LibKind::kNvshmemP: {
-      vshmem::Sym<double>& arr = data.sym(lib.array);
-      const double value = data.functional()
-                               ? data.local(lib.array, rank)[lib.src.offset]
-                               : 0.0;
-      co_await w.p(k, arr, lib.dst.offset, value, lib.peer_of(rank, size));
-      break;
-    }
-    case LibKind::kNvshmemQuiet:
-      co_await w.quiet(k);
-      break;
     default:
       throw ValidationError(
           "MPI library node in the persistent (CPU-Free) backend; apply "
@@ -484,12 +433,6 @@ sim::Task run_device_persistent(vshmem::World& w, ProgramData& data,
             };
           }
           co_await k.compute(bytes, 1.0, "map", std::move(fnl));
-        } else if (const auto* tl = std::get_if<Tasklet>(&node)) {
-          if (data.functional() && tl->body) {
-            ExecCtx c = data.ctx(rank, size, t);
-            tl->body(c);
-          }
-          co_await k.busy(100, sim::Cat::kCompute, "tasklet");
         } else if (const auto* lib = std::get_if<LibraryNode>(&node)) {
           CO_AWAIT(run_comm_node_persistent(w, data, *lib, k, rank, size, t,
                                             opt));
@@ -512,8 +455,7 @@ constexpr exec::Plan kPersistentPlan{
 /// checked the mode (and the machine and World they were handed): checks
 /// the SDFG, resolves the iteration count and the co-resident blocks into
 /// `options` (the software-tiling model reads persistent_blocks for the
-/// resident-thread count), runs the setup states functionally
-/// (initialization only) and fills `r`'s fields known before the launch.
+/// resident-thread count) and fills `r`'s fields known before the launch.
 /// Returns the backend as an exec::Program on the ProgramData's World: one
 /// `sdfg` group per PE running the whole time loop, with no join (one group
 /// per PE under the single-kernel plan; the SDFG places its own grid
@@ -532,22 +474,9 @@ exec::Program prepare_persistent(std::string_view fn, ProgramData& data,
   options.iterations = resolve_iterations(sdfg, options);
   options.persistent_blocks = exec::resolve_persistent_blocks(
       options.persistent_blocks, w.machine().spec(), options.threads_per_block);
-  const int n = w.n_pes();
-  for (const State& st : sdfg.setup) {
-    for (const Node& node : st.nodes) {
-      if (const auto* map = std::get_if<MapNode>(&node)) {
-        if (data.functional() && map->body) {
-          for (int rank = 0; rank < n; ++rank) {
-            ExecCtx c = data.ctx(rank, n, 0);
-            map->body(c);
-          }
-        }
-      }
-    }
-  }
   r.iterations = options.iterations;
   r.persistent_blocks = options.persistent_blocks;
-  r.put_expansion = describe_put_expansions(sdfg, options, n);
+  r.put_expansion = describe_put_expansions(sdfg, options, w.n_pes());
 
   exec::Program prog{.world = &w,
                      .plan = kPersistentPlan,

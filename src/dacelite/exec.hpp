@@ -110,6 +110,7 @@ class ProgramData {
 [[nodiscard]] int max_signal_index(const Sdfg& sdfg);
 
 /// Runs the SDFG with the CPU-controlled discrete backend (MPI nodes).
+/// The SDFG must have been GPU-transformed.
 ExecResult execute_discrete(vgpu::Machine& machine, hostmpi::Comm& comm,
                             ProgramData& data, const Sdfg& sdfg,
                             ExecOptions options);
@@ -121,7 +122,7 @@ ExecResult execute_persistent(vgpu::Machine& machine, vshmem::World& world,
                               ExecOptions options);
 
 /// Spawnable variant of execute_persistent for an externally-driven engine
-/// (the multi-tenant job server): same setup pass and kernel bodies on the
+/// (the multi-tenant job server): same checks and kernel bodies on the
 /// ProgramData's World, but it never touches the machine-wide trace and
 /// completes when every PE's persistent kernel drains instead of driving
 /// the engine itself. In both forms the World may be a device slice.

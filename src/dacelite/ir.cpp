@@ -17,14 +17,10 @@ std::vector<std::string> State::read_set() const {
   for (const Node& n : nodes) {
     if (const auto* m = std::get_if<MapNode>(&n)) {
       for (const auto& a : m->reads) add_unique(out, a);
-    } else if (const auto* tl = std::get_if<Tasklet>(&n)) {
-      for (const auto& a : tl->reads) add_unique(out, a);
     } else if (const auto* lib = std::get_if<LibraryNode>(&n)) {
       // Sends read their source array.
       if ((lib->kind == LibKind::kMpiIsend ||
-           lib->kind == LibKind::kNvshmemPutmemSignal ||
-           lib->kind == LibKind::kNvshmemIput ||
-           lib->kind == LibKind::kNvshmemP) &&
+           lib->kind == LibKind::kNvshmemPutmemSignal) &&
           !lib->array.empty()) {
         add_unique(out, lib->array);
       }
@@ -38,15 +34,11 @@ std::vector<std::string> State::write_set() const {
   for (const Node& n : nodes) {
     if (const auto* m = std::get_if<MapNode>(&n)) {
       for (const auto& a : m->writes) add_unique(out, a);
-    } else if (const auto* tl = std::get_if<Tasklet>(&n)) {
-      for (const auto& a : tl->writes) add_unique(out, a);
     } else if (const auto* lib = std::get_if<LibraryNode>(&n)) {
       // Remote-memory writes land in the peer's instance of the array; for
       // dependency purposes within the SPMD program the array is written.
       if ((lib->kind == LibKind::kMpiIsend ||
-           lib->kind == LibKind::kNvshmemPutmemSignal ||
-           lib->kind == LibKind::kNvshmemIput ||
-           lib->kind == LibKind::kNvshmemP) &&
+           lib->kind == LibKind::kNvshmemPutmemSignal) &&
           !lib->array.empty()) {
         add_unique(out, lib->array);
       }
@@ -62,7 +54,11 @@ void Sdfg::validate() const {
       throw ValidationError("unknown array '" + a + "' in " + where);
     }
   };
-  auto check_state = [&](const State& st) {
+  if (default_iterations < 1) {
+    throw ValidationError("default_iterations must be >= 1, got " +
+                          std::to_string(default_iterations));
+  }
+  for (const State& st : body) {
     for (const Node& n : st.nodes) {
       if (const auto* m = std::get_if<MapNode>(&n)) {
         for (const auto& a : m->reads) check_array(a, st.name);
@@ -71,9 +67,6 @@ void Sdfg::validate() const {
           throw ValidationError("persistent SDFG contains a non-GPU map: " +
                                 m->name);
         }
-      } else if (const auto* tl = std::get_if<Tasklet>(&n)) {
-        for (const auto& a : tl->reads) check_array(a, st.name);
-        for (const auto& a : tl->writes) check_array(a, st.name);
       } else if (const auto* lib = std::get_if<LibraryNode>(&n)) {
         check_array(lib->array, st.name);
         if (is_nvshmem(lib->kind) && !lib->array.empty()) {
@@ -85,23 +78,9 @@ void Sdfg::validate() const {
                 "); run the NVSHMEMArray transformation");
           }
         }
-      } else if (const auto* acc = std::get_if<AccessNode>(&n)) {
-        check_array(acc->array, st.name);
       }
     }
-    for (const Memlet& e : st.memlets) {
-      if (e.src_node >= st.nodes.size() || e.dst_node >= st.nodes.size()) {
-        throw ValidationError("memlet endpoint out of range in " + st.name);
-      }
-      check_array(e.array, st.name + " memlet");
-    }
-  };
-  if (default_iterations < 1) {
-    throw ValidationError("default_iterations must be >= 1, got " +
-                          std::to_string(default_iterations));
   }
-  for (const State& st : setup) check_state(st);
-  for (const State& st : body) check_state(st);
   if (persistent && !gpu) {
     throw ValidationError("persistent SDFG must be GPU-transformed first");
   }

@@ -2,12 +2,11 @@
 // (paper §2.3, Chapter 5).
 //
 // An Sdfg holds data descriptors (arrays with storage types, including the
-// GPU_NVSHMEM symmetric storage added by the paper, §5.3.3), a one-shot
-// setup sequence, and a time loop of States. Each State is a dataflow graph
-// of nodes — AccessNode, MapNode (data-parallel region), Tasklet, and
-// LibraryNode (MPI / NVSHMEM communication, §5.2-5.3) — connected by memlets
-// carrying subset information. Memlet subsets drive the compile-time
-// expansion selection for NVSHMEM nodes (contiguous putmem_signal, strided
+// GPU_NVSHMEM symmetric storage added by the paper, §5.3.3) and a time loop
+// of States. Each State is a sequence of nodes: MapNodes (data-parallel
+// regions) and LibraryNodes (MPI / NVSHMEM communication, §5.2-5.3). A
+// library node's source and destination subsets drive the compile-time
+// expansion selection for NVSHMEM puts (contiguous putmem_signal, strided
 // iput + signal_op + quiet, or single-element p; §5.3.1).
 //
 // Distributed programs are SPMD: every rank executes the same SDFG over its
@@ -18,10 +17,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -33,7 +32,6 @@ enum class Storage : std::uint8_t {
   kHost,        // CPU memory
   kGpuGlobal,   // device global memory
   kGpuNvshmem,  // symmetric heap (added storage type, §5.3.3)
-  kRegister,
 };
 
 [[nodiscard]] constexpr const char* storage_name(Storage s) {
@@ -41,7 +39,6 @@ enum class Storage : std::uint8_t {
     case Storage::kHost: return "Host";
     case Storage::kGpuGlobal: return "GPU_Global";
     case Storage::kGpuNvshmem: return "GPU_NVSHMEM";
-    case Storage::kRegister: return "Register";
   }
   return "?";
 }
@@ -85,10 +82,6 @@ struct Subset {
 
 enum class Schedule : std::uint8_t { kCpu, kGpuDevice };
 
-struct AccessNode {
-  std::string array;
-};
-
 /// Data-parallel region (DaCe Map). `points` is the symbolic domain size per
 /// rank; `bytes_per_point` the streaming traffic; `body` the functional
 /// update of this rank's local arrays.
@@ -102,28 +95,16 @@ struct MapNode {
   std::vector<std::string> writes;
 };
 
-/// Arbitrary scalar computation (DaCe Tasklet).
-struct Tasklet {
-  std::string name;
-  double bytes = 0;
-  std::function<void(ExecCtx&)> body;
-  std::vector<std::string> reads;
-  std::vector<std::string> writes;
-};
-
+/// The frontends emit Isend, Irecv and Waitall; apply_mpi_to_nvshmem
+/// rewrites them into PutmemSignal and SignalWait.
 enum class LibKind : std::uint8_t {
   // MPI library nodes (existing distributed support, §5.2)
   kMpiIsend,
   kMpiIrecv,
   kMpiWaitall,
-  kMpiBarrier,
   // NVSHMEM library nodes (this work, §5.3)
-  kNvshmemPutmemSignal,  // putmem_signal_nbi: payload + flag, nonblocking
+  kNvshmemPutmemSignal,  // signaled put; expands per §5.3.1 at execution
   kNvshmemSignalWait,    // signal_wait_until on own flag
-  kNvshmemIput,          // strided element-wise put (no signal variant)
-  kNvshmemP,             // single-element put
-  kNvshmemSignalOp,      // lone remote signal update
-  kNvshmemQuiet,         // completion of nbi ops
 };
 
 [[nodiscard]] constexpr bool is_nvshmem(LibKind k) {
@@ -133,7 +114,7 @@ enum class LibKind : std::uint8_t {
 /// Communication library node. `peer` and `guard` are evaluated per rank at
 /// execution time (SPMD), mirroring DaCe symbolic expressions.
 struct LibraryNode {
-  LibKind kind = LibKind::kMpiBarrier;
+  LibKind kind = LibKind::kMpiWaitall;
   std::string array;  // data array (empty for pure sync nodes)
   Subset src;         // local source subset
   Subset dst;         // subset in the peer's instance
@@ -156,29 +137,18 @@ struct LibraryNode {
   }
 };
 
-using Node = std::variant<AccessNode, MapNode, Tasklet, LibraryNode>;
+using Node = std::variant<MapNode, LibraryNode>;
 
 // --- States and the SDFG ---------------------------------------------------
-
-struct Memlet {
-  std::size_t src_node = 0;
-  std::size_t dst_node = 0;
-  std::string array;
-  Subset subset;
-};
 
 struct State {
   std::string name;
   std::vector<Node> nodes;
-  std::vector<Memlet> memlets;
 
-  std::size_t add(Node n) {
-    nodes.push_back(std::move(n));
-    return nodes.size() - 1;
-  }
-  void connect(std::size_t src, std::size_t dst, std::string array,
-               Subset subset = {}) {
-    memlets.push_back(Memlet{src, dst, std::move(array), subset});
+  /// Appends a MapNode or LibraryNode, constructing the Node in place.
+  template <typename N>
+  void add(N&& n) {
+    nodes.emplace_back(std::forward<N>(n));
   }
 
   /// Arrays read / written by the state's computational nodes (used by the
@@ -195,8 +165,7 @@ class ValidationError : public std::runtime_error {
 struct Sdfg {
   std::string name;
   std::map<std::string, ArrayDesc> arrays;
-  std::vector<State> setup;  // executed once before the loop
-  std::vector<State> body;   // the time loop body
+  std::vector<State> body;  // the time loop body
   int default_iterations = 1;
   std::string loop_var = "t";
 
@@ -212,19 +181,15 @@ struct Sdfg {
     if (!inserted) throw ValidationError("duplicate array: " + it->first);
     return it->second;
   }
-  State& add_setup_state(std::string state_name) {
-    setup.push_back(State{std::move(state_name), {}, {}});
-    return setup.back();
-  }
   State& add_body_state(std::string state_name) {
-    body.push_back(State{std::move(state_name), {}, {}});
+    body.push_back(State{std::move(state_name), {}});
     return body.back();
   }
 
   /// Structural validation: the loop runs at least one iteration, every
-  /// referenced array exists, memlet endpoints are in range, NVSHMEM data
-  /// nodes touch symmetric storage (after the NVSHMEMArray transformation),
-  /// and persistent SDFGs are GPU-scheduled.
+  /// referenced array exists, NVSHMEM data nodes touch symmetric storage
+  /// (after the NVSHMEMArray transformation), and persistent SDFGs are
+  /// GPU-scheduled.
   void validate() const;
 };
 

@@ -12,24 +12,16 @@ namespace dacelite {
 namespace {
 
 [[nodiscard]] bool has_lib_node(const Sdfg& sdfg, bool (*pred)(LibKind)) {
-  auto scan = [pred](const State& st) {
-    for (const Node& n : st.nodes) {
-      if (const auto* lib = std::get_if<LibraryNode>(&n)) {
-        if (pred(lib->kind)) return true;
-      }
-    }
-    return false;
-  };
-  for (const State& st : sdfg.setup) {
-    if (scan(st)) return true;
-  }
   for (const State& st : sdfg.body) {
-    if (scan(st)) return true;
+    for (const Node& n : st.nodes) {
+      const auto* lib = std::get_if<LibraryNode>(&n);
+      if (lib != nullptr && pred(lib->kind)) return true;
+    }
   }
   return false;
 }
 
-/// One of the five passes: its name, whether it matches an SDFG in its
+/// One of the four passes: its name, whether it matches an SDFG in its
 /// current shape, and the transformation, which returns the number of
 /// nodes/arrays/edges changed. `conservative` is persistent's one parameter.
 struct PassEntry {
@@ -51,10 +43,6 @@ constexpr PassEntry kPasses[] = {
        return has_lib_node(s, [](LibKind k) { return is_nvshmem(k); });
      },
      [](Sdfg& s, bool) { return apply_nvshmem_arrays(s); }},
-    // Fusion is a search, not a precondition: zero matches is a valid
-    // outcome (changed == 0), so the pass applies to any SDFG.
-    {"map_fusion", [](const Sdfg&) { return true; },
-     [](Sdfg& s, bool) { return apply_map_fusion(s); }},
     // Changes are the grid barriers placed.
     {"persistent", [](const Sdfg& s) { return s.gpu && !s.persistent; },
      [](Sdfg& s, bool conservative) {

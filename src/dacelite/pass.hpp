@@ -5,9 +5,8 @@
 // plus the execution knobs (persistent grid size, block size, put-expansion
 // choice) a code generator would bake in; the tuner (src/tune/) enumerates
 // Recipes. Pipeline::apply replays one over an SDFG from a fixed table of the
-// five passes (gpu_transform, mpi_to_nvshmem, nvshmem_array, map_fusion,
-// persistent), each with its applicability test, and records what each step
-// changed. Only persistent takes a parameter: `barriers`, the relaxed
+// four passes (gpu_transform, mpi_to_nvshmem, nvshmem_array, persistent),
+// each with its applicability test, and records what each step changed. Only persistent takes a parameter: `barriers`, the relaxed
 // subgraph-edge rule (§5.1) or a conservative barrier after every state. A
 // Recipe's text form (serialize) is output only: the tuner, its reports and
 // the examples print it.
@@ -78,7 +77,7 @@ struct AppliedStep {
 class Pipeline {
  public:
   /// Replays `recipe` over `sdfg`. Each step is checked when reached, in
-  /// this order: it names one of the five passes, the pass is applicable to
+  /// this order: it names one of the four passes, the pass is applicable to
   /// the SDFG as it is then (a recipe that no longer matches its input is a
   /// bug, not a no-op), and its parameters are ones the pass takes. Any
   /// failure is a ValidationError. The SDFG is validated once at the end

@@ -1,25 +1,21 @@
 #include "dacelite/transforms.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <variant>
 
 namespace dacelite {
 
 int apply_gpu_transform(Sdfg& sdfg) {
   int changed = 0;
-  auto do_state = [&changed](State& st) {
+  for (State& st : sdfg.body) {
     for (Node& n : st.nodes) {
-      if (auto* m = std::get_if<MapNode>(&n)) {
-        if (m->schedule != Schedule::kGpuDevice) {
-          m->schedule = Schedule::kGpuDevice;
-          ++changed;
-        }
+      auto* m = std::get_if<MapNode>(&n);
+      if (m != nullptr && m->schedule != Schedule::kGpuDevice) {
+        m->schedule = Schedule::kGpuDevice;
+        ++changed;
       }
     }
-  };
-  for (State& st : sdfg.setup) do_state(st);
-  for (State& st : sdfg.body) do_state(st);
+  }
   for (auto& [name, desc] : sdfg.arrays) {
     if (desc.storage == Storage::kHost) {
       desc.storage = Storage::kGpuGlobal;
@@ -28,99 +24,6 @@ int apply_gpu_transform(Sdfg& sdfg) {
   }
   sdfg.gpu = true;
   return changed;
-}
-
-namespace {
-
-/// Finds the memlet-based pattern mapA -> access -> mapB where the access
-/// node's array is produced only by A and consumed only by B.
-struct FusionMatch {
-  std::size_t map_a;
-  std::size_t access;
-  std::size_t map_b;
-};
-
-std::optional<FusionMatch> find_fusion(const State& st) {
-  for (const Memlet& e1 : st.memlets) {
-    const auto* a = std::get_if<MapNode>(&st.nodes[e1.src_node]);
-    const auto* acc = std::get_if<AccessNode>(&st.nodes[e1.dst_node]);
-    if (a == nullptr || acc == nullptr) continue;
-    for (const Memlet& e2 : st.memlets) {
-      if (e2.src_node != e1.dst_node) continue;
-      const auto* b = std::get_if<MapNode>(&st.nodes[e2.dst_node]);
-      if (b == nullptr) continue;
-      if (a->points != b->points || a->schedule != b->schedule) continue;
-      // The intermediate may have no other consumers or producers.
-      bool exclusive = true;
-      for (const Memlet& e : st.memlets) {
-        if (&e == &e1 || &e == &e2) continue;
-        if (e.src_node == e1.dst_node || e.dst_node == e1.dst_node) {
-          exclusive = false;
-          break;
-        }
-      }
-      if (!exclusive) continue;
-      return FusionMatch{e1.src_node, e1.dst_node, e2.dst_node};
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-int apply_map_fusion(State& state) {
-  int fused = 0;
-  while (auto match = find_fusion(state)) {
-    auto& a = std::get<MapNode>(state.nodes[match->map_a]);
-    auto& b = std::get<MapNode>(state.nodes[match->map_b]);
-    MapNode merged;
-    merged.name = a.name + "+" + b.name;
-    merged.points = a.points;
-    merged.bytes_per_point = a.bytes_per_point + b.bytes_per_point;
-    merged.schedule = a.schedule;
-    merged.reads = a.reads;
-    for (const auto& r : b.reads) {
-      if (std::find(merged.reads.begin(), merged.reads.end(), r) ==
-          merged.reads.end()) {
-        merged.reads.push_back(r);
-      }
-    }
-    merged.writes = a.writes;
-    for (const auto& w : b.writes) {
-      if (std::find(merged.writes.begin(), merged.writes.end(), w) ==
-          merged.writes.end()) {
-        merged.writes.push_back(w);
-      }
-    }
-    merged.body = [fa = a.body, fb = b.body](ExecCtx& ctx) {
-      if (fa) fa(ctx);
-      if (fb) fb(ctx);
-    };
-    // Replace A with the merged map; retarget B's outgoing edges; drop the
-    // intermediate access node's edges and neutralize the consumed nodes.
-    state.nodes[match->map_a] = std::move(merged);
-    std::vector<Memlet> kept;
-    for (Memlet& e : state.memlets) {
-      const bool touches_access =
-          e.src_node == match->access || e.dst_node == match->access;
-      if (touches_access) continue;
-      if (e.src_node == match->map_b) e.src_node = match->map_a;
-      if (e.dst_node == match->map_b) e.dst_node = match->map_a;
-      kept.push_back(e);
-    }
-    state.memlets = std::move(kept);
-    state.nodes[match->map_b] = AccessNode{""};  // tombstone
-    state.nodes[match->access] = AccessNode{""};
-    ++fused;
-  }
-  return fused;
-}
-
-int apply_map_fusion(Sdfg& sdfg) {
-  int fused = 0;
-  for (State& st : sdfg.setup) fused += apply_map_fusion(st);
-  for (State& st : sdfg.body) fused += apply_map_fusion(st);
-  return fused;
 }
 
 void apply_persistent(Sdfg& sdfg) {
@@ -179,7 +82,7 @@ void apply_persistent(Sdfg& sdfg) {
 
 int apply_nvshmem_arrays(Sdfg& sdfg) {
   int changed = 0;
-  auto do_state = [&](const State& st) {
+  for (const State& st : sdfg.body) {
     for (const Node& n : st.nodes) {
       const auto* lib = std::get_if<LibraryNode>(&n);
       if (lib == nullptr || !is_nvshmem(lib->kind) || lib->array.empty()) {
@@ -191,9 +94,7 @@ int apply_nvshmem_arrays(Sdfg& sdfg) {
         ++changed;
       }
     }
-  };
-  for (const State& st : sdfg.setup) do_state(st);
-  for (const State& st : sdfg.body) do_state(st);
+  }
   return changed;
 }
 
@@ -201,17 +102,15 @@ int apply_mpi_to_nvshmem(Sdfg& sdfg) {
   int changed = 0;
   // ACK flags live above the data flags: ack(tag) = max_tag + 1 + tag.
   int max_tag = 0;
-  auto scan = [&max_tag](const State& st) {
+  for (const State& st : sdfg.body) {
     for (const Node& n : st.nodes) {
       if (const auto* lib = std::get_if<LibraryNode>(&n)) {
         max_tag = std::max(max_tag, lib->flag);
       }
     }
-  };
-  for (const State& st : sdfg.setup) scan(st);
-  for (const State& st : sdfg.body) scan(st);
+  }
   const int ack_base = max_tag + 1;
-  auto do_state = [&changed, ack_base](State& st) {
+  for (State& st : sdfg.body) {
     std::vector<Node> kept;
     kept.reserve(st.nodes.size());
     for (Node& n : st.nodes) {
@@ -238,7 +137,6 @@ int apply_mpi_to_nvshmem(Sdfg& sdfg) {
           break;
         }
         case LibKind::kMpiWaitall:
-        case LibKind::kMpiBarrier:
           // Superseded by the granular flag-based synchronization (§6.2.1).
           // Waitall's other guarantee, that a send buffer may be reused,
           // moves to the persistent backend: it quiets in-flight puts before
@@ -250,14 +148,8 @@ int apply_mpi_to_nvshmem(Sdfg& sdfg) {
           break;
       }
     }
-    // Memlets referencing removed nodes would dangle; the jacobi frontends
-    // attach memlets only between compute nodes, so simply keep them if the
-    // node count is unchanged and drop them otherwise.
-    if (kept.size() != st.nodes.size()) st.memlets.clear();
     st.nodes = std::move(kept);
-  };
-  for (State& st : sdfg.setup) do_state(st);
-  for (State& st : sdfg.body) do_state(st);
+  }
   return changed;
 }
 

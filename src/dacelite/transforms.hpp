@@ -12,12 +12,6 @@ namespace dacelite {
 /// Returns the number of nodes/arrays changed.
 int apply_gpu_transform(Sdfg& sdfg);
 
-/// MapFusion: fuses map pairs A -> (access) -> B within one state when B is
-/// the sole consumer of A's output, both maps have the same domain size and
-/// schedule. Returns the number of fusions performed.
-int apply_map_fusion(State& state);
-int apply_map_fusion(Sdfg& sdfg);
-
 /// GPUPersistentKernel: fuses the time loop into one persistent cooperative
 /// kernel. Requires a GPU-transformed SDFG. Barrier placement uses the
 /// relaxed subgraph-edge rule (§5.1): a grid barrier is emitted between
@@ -36,7 +30,7 @@ int apply_nvshmem_arrays(Sdfg& sdfg);
 int apply_mpi_to_nvshmem(Sdfg& sdfg);
 
 /// The compile-time expansion choice for signaled puts (§5.3.1), dispatched
-/// on the memlet subset shapes.
+/// on the shapes of the library node's source and destination subsets.
 enum class PutExpansion : std::uint8_t {
   kContiguousSignal,   // nvshmemx_putmem_signal_nbi(_block)
   kStridedIputSignal,  // nvshmem_<T>_iput + nvshmem_signal_op + quiet

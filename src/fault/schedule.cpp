@@ -83,10 +83,7 @@ bool Schedule::first_sight(Site site, std::uint64_t id, sim::Nanos now) {
 bool Schedule::device_dead_at(int device, std::int64_t iter) const {
   if ((cfg_.classes & kClassDeviceDead) == 0) return false;
   for (const HardFault& h : cfg_.hard) {
-    if (h.kind == HardFault::Kind::kDevice && h.device == device &&
-        iter >= h.at) {
-      return true;
-    }
+    if (h.device == device && iter >= h.at) return true;
   }
   return false;
 }
@@ -94,7 +91,7 @@ bool Schedule::device_dead_at(int device, std::int64_t iter) const {
 std::int64_t Schedule::device_kill_iteration(int device) const {
   if ((cfg_.classes & kClassDeviceDead) == 0) return -1;
   for (const HardFault& h : cfg_.hard) {
-    if (h.kind == HardFault::Kind::kDevice && h.device == device) return h.at;
+    if (h.device == device) return h.at;
   }
   return -1;
 }
@@ -107,31 +104,6 @@ bool Schedule::note_device_iteration(int device, std::int64_t iter,
   ++stats_.devices_dead;
   ++stats_.injected;
   return true;
-}
-
-bool Schedule::has_hard_links() const {
-  if ((cfg_.classes & kClassLinkDead) == 0) return false;
-  for (const HardFault& h : cfg_.hard) {
-    if (h.kind == HardFault::Kind::kLink) return true;
-  }
-  return false;
-}
-
-bool Schedule::note_link_crossing(int src, int dst, sim::Nanos now) {
-  if (!has_hard_links()) return false;
-  const auto key = std::make_pair(src, dst);
-  if (dead_links_.count(key) != 0) return false;
-  const std::int64_t n = ++crossings_[key];
-  for (const HardFault& h : cfg_.hard) {
-    if (h.kind == HardFault::Kind::kLink && h.src == src && h.dst == dst &&
-        n >= h.at) {
-      dead_links_.emplace(key, now);
-      ++stats_.links_dead;
-      ++stats_.injected;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace fault

@@ -28,10 +28,9 @@
 //
 // Hard (fail-stop) faults are configured as an explicit list (Config::hard),
 // not as a rate: each entry kills one device after it completes a given
-// number of persistent-kernel iterations, or one directed link after a given
-// number of transfer crossings. Both triggers are counter-based, so the same
-// spec kills the same component at the same simulated instant for every
-// thread count. Death is permanent: payloads to/from a dead component are
+// number of persistent-kernel iterations. The trigger is counter-based, so
+// the same spec kills the same device at the same simulated instant for
+// every thread count. Death is permanent: payloads to/from a dead device are
 // blackholed (the wire still completes so quiet() drains), kernels launched
 // on a dead device retire immediately, and the wait-side protocol escalates
 // a starved watchdog into a job-level verdict (see cpufree::IterationProtocol
@@ -92,11 +91,10 @@ enum : std::uint32_t {
   kClassPutDup = 1u << 6,       ///< put payload lands twice
   /// All *transient* classes (what a bare --faults rate draws from).
   kClassAll = (1u << 7) - 1,
-  /// Permanent fail-stop classes. Never part of kClassAll: they fire from
-  /// the explicit Config::hard list, not from the rate, and must be opted
-  /// into by mask so a rate-only config can never kill hardware.
+  /// Permanent fail-stop class. Never part of kClassAll: it fires from the
+  /// explicit Config::hard list, not from the rate, and must be opted into
+  /// by mask so a rate-only config can never kill hardware.
   kClassDeviceDead = 1u << 7,   ///< device fail-stop (Config::hard entries)
-  kClassLinkDead = 1u << 8,     ///< link fail-stop (Config::hard entries)
   /// Classes whose injection or recovery reads the SignalShadow plane: only
   /// these can lose or reorder an update. Window-shaped classes
   /// (link/flap/stall) are pure in simulated time and merely stretch it.
@@ -104,18 +102,13 @@ enum : std::uint32_t {
       kClassSignalLost | kClassSignalDelay | kClassPutDrop | kClassPutDup,
 };
 
-/// One permanent fail-stop event. Device deaths trigger on an iteration
-/// counter (the device dies at the top of persistent-kernel iteration `at`
-/// of whichever resident kernel first reaches it — it completes 1..at-1 and
-/// never executes `at`). Link deaths trigger on a transfer-crossing counter
-/// of the directed (src, dst) device pair.
+/// One permanent device death, triggered on an iteration counter: the
+/// device dies at the top of persistent-kernel iteration `at` of whichever
+/// resident kernel first reaches it (it completes 1..at-1 and never executes
+/// `at`).
 struct HardFault {
-  enum class Kind : std::uint8_t { kDevice, kLink };
-  Kind kind = Kind::kDevice;
-  int device = -1;         ///< kDevice: the device to kill
-  int src = -1;            ///< kLink: source endpoint device
-  int dst = -1;            ///< kLink: destination endpoint device
-  std::int64_t at = 1;     ///< kDevice: iteration index; kLink: crossing count
+  int device = -1;      ///< the device to kill
+  std::int64_t at = 1;  ///< iteration index
 };
 
 /// Everything a Schedule needs to decide and price faults. rate == 0 means
@@ -134,23 +127,17 @@ struct Config {
   sim::Nanos fault_window = sim::usec(400);  ///< degradation window length
   sim::Nanos signal_delay = sim::usec(150);  ///< kSignalDelay postponement
 
-  /// Permanent fail-stop events (independent of `rate`; each entry is live
-  /// only while its class bit — kClassDeviceDead / kClassLinkDead — is set).
+  /// Permanent fail-stop events (independent of `rate`; live only while
+  /// the kClassDeviceDead bit is set).
   std::vector<HardFault> hard;
 
   [[nodiscard]] bool enabled() const noexcept { return rate > 0.0; }
 
-  /// True iff any hard-fault entry is active under the class mask. Note
-  /// this is independent of enabled(): a config may kill hardware without
+  /// True iff a hard-fault entry is active under the class mask. Note this
+  /// is independent of enabled(): a config may kill hardware without
   /// injecting any transient faults (rate == 0).
   [[nodiscard]] bool hard_enabled() const noexcept {
-    for (const HardFault& h : hard) {
-      const std::uint32_t c = h.kind == HardFault::Kind::kDevice
-                                  ? kClassDeviceDead
-                                  : kClassLinkDead;
-      if ((classes & c) != 0) return true;
-    }
-    return false;
+    return !hard.empty() && (classes & kClassDeviceDead) != 0;
   }
 };
 
@@ -161,7 +148,6 @@ struct Stats {
   std::int64_t watchdog_fires = 0;  ///< timed waits that expired
   std::int64_t degraded_iters = 0;  ///< iterations completed degraded
   std::int64_t devices_dead = 0;    ///< permanent device deaths fired
-  std::int64_t links_dead = 0;      ///< permanent link deaths fired
 };
 
 /// Injection-site classes; combined with a site-local id (link index, device
@@ -234,24 +220,11 @@ class Schedule {
   /// iteration accounting); -1 when no entry targets it.
   [[nodiscard]] std::int64_t device_kill_iteration(int device) const;
 
-  // --- Permanent link death ---------------------------------------------
-
-  [[nodiscard]] bool has_hard_links() const;
-
-  /// Stateful: one transfer crossed the directed (src, dst) device pair at
-  /// `now`. Returns true exactly once — when the crossing counter reaches a
-  /// matching entry's kill point.
-  [[nodiscard]] bool note_link_crossing(int src, int dst, sim::Nanos now);
-
-  [[nodiscard]] bool link_dead(int src, int dst) const {
-    return dead_links_.count({src, dst}) != 0;
-  }
-
   /// True iff a delivery from `src` to `dst` must be blackholed: either
-  /// endpoint device is dead, or the directed link between them is.
+  /// endpoint device is dead.
   [[nodiscard]] bool delivery_blackholed(int src, int dst) const {
-    if (dead_devices_.empty() && dead_links_.empty()) return false;
-    return device_dead(src) || device_dead(dst) || link_dead(src, dst);
+    if (dead_devices_.empty()) return false;
+    return device_dead(src) || device_dead(dst);
   }
 
   [[nodiscard]] Stats& stats() noexcept { return stats_; }
@@ -302,11 +275,8 @@ class Schedule {
   // (site, id) -> last window already counted/published
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> seen_;
   std::set<int> degraded_;
-  // Fail-stop state: device -> death time; (src, dst) -> death time;
-  // (src, dst) -> crossings so far (only tracked while hard links exist).
+  // Fail-stop state: device -> death time.
   std::map<int, sim::Nanos> dead_devices_;
-  std::map<std::pair<int, int>, sim::Nanos> dead_links_;
-  std::map<std::pair<int, int>, std::int64_t> crossings_;
 };
 
 }  // namespace fault

@@ -120,11 +120,6 @@ sim::Task Comm::recv(vgpu::HostCtx& host, int src, int tag) {
   CO_AWAIT(wait(host, std::move(req)));
 }
 
-sim::Task Comm::barrier(vgpu::HostCtx& host) {
-  static_cast<void>(host);
-  co_await machine_->host_barrier();
-}
-
 sim::Task Comm::sendrecv(vgpu::HostCtx& host, int dst, int send_tag,
                          std::size_t send_count, Datatype type,
                          std::function<void()> deliver, int src, int recv_tag) {

@@ -3,8 +3,10 @@
 // Models a CUDA-aware single-node MPI with one rank per GPU (how the paper's
 // baselines and DaCe's generated code drive multi-GPU execution): eager
 // point-to-point messages with (source, destination, tag) matching, request
-// objects, Waitall, host barriers, and a vector (strided) datatype whose
-// pack/unpack cost the caller charges through Datatype::pack_penalty().
+// objects, Waitall, and a vector (strided) datatype. A message of a
+// non-contiguous datatype pays its pack and unpack (per-block overhead plus
+// device-memory traffic) and its staging through host memory inside the
+// transport, on both ends.
 //
 // Payloads move over the machine's interconnect with host-initiated latency.
 // Functionally, the payload is captured by the sender's `deliver` closure at
@@ -108,9 +110,6 @@ class Comm {
 
   /// Blocking MPI_Recv (irecv + wait).
   sim::Task recv(vgpu::HostCtx& host, int src, int tag);
-
-  /// MPI_Barrier across all ranks.
-  sim::Task barrier(vgpu::HostCtx& host);
 
   /// MPI_Sendrecv: concurrent send to `dst` and receive from `src`.
   sim::Task sendrecv(vgpu::HostCtx& host, int dst, int send_tag,

@@ -259,7 +259,7 @@ class Server {
     // Progress the failure destroyed: everything past the checkpoint the
     // recovery will restore (or everything, when nothing can be restored).
     // The kill iteration K means iterations 1..K-1 committed on the dying
-    // device; link deaths carry no per-device iteration, so count 0.
+    // device.
     std::int64_t progress = 0;
     for (int d : js.place.devices) {
       const std::int64_t k = machine_.faults().device_kill_iteration(d);

@@ -26,7 +26,7 @@
 namespace sim {
 
 enum class Cat : std::uint8_t {
-  kCompute,   // stencil / tasklet computation on a device
+  kCompute,   // stencil / map computation on a device
   kComm,      // inter-device data movement (memcpy, put, MPI payload)
   kSync,      // barriers, signal waits, stream/event synchronization
   kHostApi,   // host-side runtime API call overhead (launch, issue, sync call)

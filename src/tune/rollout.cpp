@@ -12,7 +12,7 @@ namespace {
 
 /// Per-rank, per-iteration cost accumulator.
 struct IterCost {
-  sim::Nanos compute = 0;  // map streaming + tasklets
+  sim::Nanos compute = 0;  // map streaming
   sim::Nanos issue = 0;    // serial sending-thread overheads
   sim::Nanos serial = 0;   // comm the issuing thread blocks on (iput+quiet)
   sim::Nanos overlap = 0;  // nonblocking wire time, hidden behind compute
@@ -90,8 +90,6 @@ sim::Nanos predict_total(const dacelite::Sdfg& sdfg,
               map->points, resident_threads);
           c.compute += dev.dram_time(map->points * map->bytes_per_point /
                                      tiling);
-        } else if (std::get_if<dacelite::Tasklet>(&node) != nullptr) {
-          c.compute += 100;  // matches the backend's fixed tasklet charge
         } else if (const auto* lib =
                        std::get_if<dacelite::LibraryNode>(&node)) {
           if (!lib->active(rank, size)) continue;
@@ -106,23 +104,6 @@ sim::Nanos predict_total(const dacelite::Sdfg& sdfg,
               c.sync += dev.spin_poll;
               if (lib->ack_flag >= 0) c.issue += spec.link.small_op_overhead;
               break;
-            case dacelite::LibKind::kNvshmemSignalOp:
-              c.issue += spec.link.small_op_overhead;
-              break;
-            case dacelite::LibKind::kNvshmemIput:
-              c.serial += spec.link.device_put_issue +
-                          spec.link.device_initiated_latency +
-                          vgpu::transfer_ns(
-                              static_cast<double>(lib->src.count) *
-                                  sizeof(double),
-                              spec.link.bw_gbps * spec.link.strided_efficiency);
-              break;
-            case dacelite::LibKind::kNvshmemP:
-              c.serial += spec.link.device_initiated_latency +
-                          spec.link.small_op_overhead;
-              break;
-            case dacelite::LibKind::kNvshmemQuiet:
-              break;  // completion cost is folded into the serial put paths
             default:
               throw dacelite::ValidationError(
                   "predict_total: MPI library node in a persistent SDFG");

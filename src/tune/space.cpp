@@ -20,50 +20,23 @@ std::string Workload::label() const {
 
 namespace {
 
-enum class Fusion : std::uint8_t { kNone, kEarly, kLate };
-
-constexpr std::string_view name(Fusion f) {
-  switch (f) {
-    case Fusion::kNone: return "none";
-    case Fusion::kEarly: return "early";
-    case Fusion::kLate: return "late";
-  }
-  return "?";
-}
-
-/// The cpu_free_default step sequence with an optional map_fusion step
-/// inserted before (early) or after (late) the MPI->NVSHMEM rewrite.
-dacelite::Recipe make_recipe(Fusion fusion, dacelite::ExpansionChoice expansion,
-                             int blocks) {
+/// The cpu_free_default step sequence, with the persistent step's barrier
+/// rule spelled out, under the given execution knobs.
+dacelite::Recipe make_recipe(dacelite::ExpansionChoice expansion, int blocks) {
   dacelite::Recipe r;
-  r.add("gpu_transform");
-  if (fusion == Fusion::kEarly) r.add("map_fusion");
-  r.add("mpi_to_nvshmem");
-  r.add("nvshmem_array");
-  if (fusion == Fusion::kLate) r.add("map_fusion");
-  r.add("persistent", {{"barriers", "relaxed"}});
+  r.add("gpu_transform")
+      .add("mpi_to_nvshmem")
+      .add("nvshmem_array")
+      .add("persistent", {{"barriers", "relaxed"}});
   r.persistent_blocks = blocks;
   r.expansion = expansion;
   return r;
 }
 
-Fusion fusion_of(const dacelite::Recipe& r) {
-  std::size_t fusion_at = r.steps.size();
-  std::size_t rewrite_at = r.steps.size();
-  for (std::size_t i = 0; i < r.steps.size(); ++i) {
-    if (r.steps[i].pass == "map_fusion") fusion_at = i;
-    if (r.steps[i].pass == "mpi_to_nvshmem") rewrite_at = i;
-  }
-  if (fusion_at == r.steps.size()) return Fusion::kNone;
-  return fusion_at < rewrite_at ? Fusion::kEarly : Fusion::kLate;
-}
-
 }  // namespace
 
 std::string Candidate::id() const {
-  std::string s = "fusion=";
-  s += name(fusion_of(recipe));
-  s += "/expansion=";
+  std::string s = "expansion=";
   s += dacelite::name(recipe.expansion);
   s += "/blocks=" + std::to_string(recipe.persistent_blocks);
   s += "/px=" + std::to_string(px);
@@ -77,7 +50,6 @@ Candidate default_candidate() {
 std::vector<Candidate> enumerate_candidates(const Workload& w,
                                             const vgpu::MachineSpec& spec,
                                             const SpaceOptions& opt) {
-  constexpr Fusion kFusions[] = {Fusion::kNone, Fusion::kEarly, Fusion::kLate};
   constexpr dacelite::ExpansionChoice kExpansions[] = {
       dacelite::ExpansionChoice::kAuto,
       dacelite::ExpansionChoice::kStridedIputSignal,
@@ -114,16 +86,14 @@ std::vector<Candidate> enumerate_candidates(const Workload& w,
   }
 
   std::vector<Candidate> out;
-  for (const Fusion fusion : kFusions) {
-    for (const dacelite::ExpansionChoice expansion : kExpansions) {
-      for (const int b : blocks) {
-        for (const int px : pxs) {
-          if (opt.max_candidates > 0 &&
-              out.size() >= static_cast<std::size_t>(opt.max_candidates)) {
-            return out;
-          }
-          out.push_back(Candidate{make_recipe(fusion, expansion, b), px});
+  for (const dacelite::ExpansionChoice expansion : kExpansions) {
+    for (const int b : blocks) {
+      for (const int px : pxs) {
+        if (opt.max_candidates > 0 &&
+            out.size() >= static_cast<std::size_t>(opt.max_candidates)) {
+          return out;
         }
+        out.push_back(Candidate{make_recipe(expansion, b), px});
       }
     }
   }

@@ -9,10 +9,10 @@
 //   * persistent grid sizing      — derive-from-SM-count (the §6.1.2
 //                                   default), half and quarter occupancy,
 //                                   and the cooperative-launch cap;
-//   * map fusion on/off and order — absent, before, or after the
-//                                   MPI→NVSHMEM rewrite;
 //   * partition shape             — every valid px x (ranks/px) process
 //                                   grid (2D workloads).
+//
+// The pass sequence is the §6.2.1 one for every candidate.
 //
 // Enumeration is a fixed nested loop, so candidate order (and any
 // max_candidates truncation) is deterministic.
@@ -57,7 +57,7 @@ struct Candidate {
   int px = 0;
 
   /// Deterministic identity, e.g.
-  /// "fusion=none/expansion=auto/blocks=0/px=2" — stable across enumeration
+  /// "expansion=auto/blocks=0/px=2" — stable across enumeration
   /// runs and thread counts (ties in predicted cost break on this).
   [[nodiscard]] std::string id() const;
 };

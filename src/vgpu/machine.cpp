@@ -144,19 +144,6 @@ sim::Task Machine::transfer(int src, int dst, double bytes, TransferKind kind,
                                ? spec_.link.device_put_issue
                                : 0;
   const topo::Route& route = router_->route(src, dst);
-  if (faults_.hard_enabled() && faults_.has_hard_links() &&
-      faults_.note_link_crossing(src, dst, t0)) {
-    // Counter-based link fail-stop: this crossing reached the kill point.
-    std::string line = "hard-fault: link ";
-    line += std::to_string(src);
-    line += "->";
-    line += std::to_string(dst);
-    line += " declared dead";
-    engine_.note_incident(std::move(line));
-    if (sim::Observer* o = engine_.observer()) {
-      o->on_fault(wire, "link-dead", name);
-    }
-  }
   if (!route.contended) {
     // Uncontended route: the wire slot is computed in closed form (FIFO per
     // exclusive link) and the whole transfer is one sleep — the exact event
@@ -173,7 +160,7 @@ sim::Task Machine::transfer(int src, int dst, double bytes, TransferKind kind,
     co_await engine_.delay(t_arr - engine_.now());
   }
   // Fail-stop rejection happens at the delivery instant: payloads and
-  // signals to/from a dead device (or across a dead link) are dropped, but
+  // signals to/from a dead device are dropped, but
   // the wire itself still completed, so sender-side quiet() drains and the
   // source coroutine never wedges on its own transfer.
   if (!faults_.hard_enabled() || !faults_.delivery_blackholed(src, dst)) {

@@ -1,8 +1,8 @@
 // Tests for the dacelite mini-compiler: IR validation, transformations
-// (GPUTransform, MapFusion, GPUPersistentKernel with relaxed barriers,
-// NVSHMEMArray storage inference, MPI->NVSHMEM port), expansion selection,
-// and end-to-end execution of the generated programs against serial
-// references in both backends.
+// (GPUTransform, GPUPersistentKernel with relaxed barriers, NVSHMEMArray
+// storage inference, MPI->NVSHMEM port), expansion selection, and end-to-end
+// execution of the generated programs against serial references in both
+// backends.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -65,15 +65,6 @@ TEST(Ir, ValidateRejectsDuplicateArray) {
                ValidationError);
 }
 
-TEST(Ir, ValidateRejectsMemletOutOfRange) {
-  Sdfg s;
-  s.add_array(ArrayDesc{"A", 8, Storage::kHost, {}});
-  State& st = s.add_body_state("st");
-  st.add(dacelite::AccessNode{"A"});
-  st.connect(0, 5, "A");
-  EXPECT_THROW(s.validate(), ValidationError);
-}
-
 TEST(Ir, NvshmemNodeRequiresSymmetricStorage) {
   Sdfg s;
   s.add_array(ArrayDesc{"A", 8, Storage::kGpuGlobal, {}});
@@ -125,76 +116,6 @@ TEST(Transforms, GpuTransformSchedulesMapsAndMovesArrays) {
       }
     }
   }
-}
-
-TEST(Transforms, MapFusionFusesProducerConsumer) {
-  Sdfg s;
-  s.add_array(ArrayDesc{"A", 8, Storage::kHost, {}});
-  s.add_array(ArrayDesc{"tmp", 8, Storage::kHost, {}});
-  s.add_array(ArrayDesc{"B", 8, Storage::kHost, {}});
-  State& st = s.add_body_state("st");
-  MapNode a;
-  a.name = "a";
-  a.points = 8;
-  a.reads = {"A"};
-  a.writes = {"tmp"};
-  MapNode b;
-  b.name = "b";
-  b.points = 8;
-  b.reads = {"tmp"};
-  b.writes = {"B"};
-  const std::size_t ia = st.add(std::move(a));
-  const std::size_t iacc = st.add(dacelite::AccessNode{"tmp"});
-  const std::size_t ib = st.add(std::move(b));
-  st.connect(ia, iacc, "tmp");
-  st.connect(iacc, ib, "tmp");
-  EXPECT_EQ(dacelite::apply_map_fusion(st), 1);
-  const auto* merged = std::get_if<MapNode>(&st.nodes[ia]);
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->name, "a+b");
-  EXPECT_DOUBLE_EQ(merged->bytes_per_point, 32.0);
-  EXPECT_TRUE(st.memlets.empty());
-}
-
-TEST(Transforms, MapFusionRejectsMismatchedDomains) {
-  Sdfg s;
-  s.add_array(ArrayDesc{"tmp", 8, Storage::kHost, {}});
-  State& st = s.add_body_state("st");
-  MapNode a;
-  a.points = 8;
-  a.writes = {"tmp"};
-  MapNode b;
-  b.points = 16;  // different domain
-  b.reads = {"tmp"};
-  const std::size_t ia = st.add(std::move(a));
-  const std::size_t iacc = st.add(dacelite::AccessNode{"tmp"});
-  const std::size_t ib = st.add(std::move(b));
-  st.connect(ia, iacc, "tmp");
-  st.connect(iacc, ib, "tmp");
-  EXPECT_EQ(dacelite::apply_map_fusion(st), 0);
-}
-
-TEST(Transforms, MapFusionRejectsSharedIntermediate) {
-  Sdfg s;
-  s.add_array(ArrayDesc{"tmp", 8, Storage::kHost, {}});
-  State& st = s.add_body_state("st");
-  MapNode a;
-  a.points = 8;
-  a.writes = {"tmp"};
-  MapNode b;
-  b.points = 8;
-  b.reads = {"tmp"};
-  MapNode c;
-  c.points = 8;
-  c.reads = {"tmp"};  // second consumer
-  const std::size_t ia = st.add(std::move(a));
-  const std::size_t iacc = st.add(dacelite::AccessNode{"tmp"});
-  const std::size_t ib = st.add(std::move(b));
-  const std::size_t ic = st.add(std::move(c));
-  st.connect(ia, iacc, "tmp");
-  st.connect(iacc, ib, "tmp");
-  st.connect(iacc, ic, "tmp");
-  EXPECT_EQ(dacelite::apply_map_fusion(st), 0);
 }
 
 TEST(Transforms, PersistentRequiresGpu) {
@@ -318,10 +239,9 @@ TEST(Frontend, FewerThanOneRankIsRejected) {
 }
 
 TEST(Frontend, FewerThanOneIterationIsRejected) {
-  // A discrete run is a host loop of `iterations` steps whose first step
-  // runs the setup states, so zero iterations has no step to run them in:
-  // the builders reject it like a rank count, and so does validate() for a
-  // hand-built SDFG.
+  // A run is a loop of `iterations` steps, and zero of them would run none
+  // of the program: the builders reject it like a rank count, and so does
+  // validate() for a hand-built SDFG.
   for (int iterations : {0, -1}) {
     const auto expect_rejected = [iterations](auto build) {
       try {
@@ -520,118 +440,6 @@ TEST(ExecWorld, DiscreteRejectsACommOnAnotherMachine) {
   EXPECT_EQ(m.engine().now(), 0);
 }
 
-// Functional check of MapFusion: a two-stage pipeline (tmp = 2A; B = tmp+1)
-// computes the same result before and after fusion, and the fused program
-// launches half the kernels.
-TEST(Transforms, MapFusionPreservesSemanticsAndSavesLaunches) {
-  auto build = [] {
-    Sdfg s;
-    s.name = "pipeline";
-    s.default_iterations = 3;
-    auto init = [](int, std::size_t i) { return static_cast<double>(i); };
-    s.add_array(ArrayDesc{"A", 8, Storage::kHost, init});
-    s.add_array(ArrayDesc{"tmp", 8, Storage::kHost, {}});
-    s.add_array(ArrayDesc{"B", 8, Storage::kHost, {}});
-    State& st = s.add_body_state("stage");
-    MapNode a;
-    a.name = "double";
-    a.points = 8;
-    a.reads = {"A"};
-    a.writes = {"tmp"};
-    a.body = [](dacelite::ExecCtx& c) {
-      auto in = c.local("A");
-      auto out = c.local("tmp");
-      for (std::size_t i = 0; i < 8; ++i) out[i] = 2.0 * in[i];
-    };
-    MapNode b;
-    b.name = "inc";
-    b.points = 8;
-    b.reads = {"tmp"};
-    b.writes = {"B"};
-    b.body = [](dacelite::ExecCtx& c) {
-      auto in = c.local("tmp");
-      auto out = c.local("B");
-      for (std::size_t i = 0; i < 8; ++i) out[i] = in[i] + 1.0;
-    };
-    const std::size_t ia = st.add(std::move(a));
-    const std::size_t iacc = st.add(dacelite::AccessNode{"tmp"});
-    const std::size_t ib = st.add(std::move(b));
-    st.connect(ia, iacc, "tmp");
-    st.connect(iacc, ib, "tmp");
-    return s;
-  };
-
-  auto run = [](Sdfg& s) {
-    dacelite::apply_gpu_transform(s);
-    vgpu::Machine m(hgx(1));
-    m.trace().keep_intervals();
-    vshmem::World w(m);
-    hostmpi::Comm comm(m);
-    ProgramData data(w, s, true);
-    dacelite::execute_discrete(m, comm, data, s, ExecOptions{});
-    std::vector<double> out(data.local("B", 0).begin(),
-                            data.local("B", 0).end());
-    int map_launches = 0;
-    for (const auto& iv : m.trace().intervals()) {
-      if (iv.cat == sim::Cat::kKernel) ++map_launches;
-    }
-    return std::pair<std::vector<double>, int>(out, map_launches);
-  };
-
-  Sdfg unfused = build();
-  Sdfg fused = build();
-  EXPECT_EQ(dacelite::apply_map_fusion(fused), 1);
-  const auto [out_a, launches_a] = run(unfused);
-  const auto [out_b, launches_b] = run(fused);
-  EXPECT_EQ(out_a, out_b);
-  EXPECT_EQ(out_a[3], 7.0);  // 2*3 + 1
-  EXPECT_EQ(launches_b, launches_a / 2);
-}
-
-// Setup states run once before the loop; tasklets execute on the host path.
-TEST(Exec, SetupStateAndTaskletRunOnce) {
-  Sdfg s;
-  s.name = "with_setup";
-  s.default_iterations = 4;
-  s.add_array(ArrayDesc{"A", 4, Storage::kHost, {}});
-  int setup_runs = 0;
-  int tasklet_runs = 0;
-  {
-    State& st = s.add_setup_state("init");
-    MapNode m;
-    m.name = "fill";
-    m.points = 4;
-    m.writes = {"A"};
-    m.body = [&setup_runs](dacelite::ExecCtx& c) {
-      ++setup_runs;
-      auto a = c.local("A");
-      for (std::size_t i = 0; i < 4; ++i) a[i] = 5.0;
-    };
-    st.add(std::move(m));
-  }
-  {
-    State& st = s.add_body_state("step");
-    dacelite::Tasklet tl;
-    tl.name = "bump";
-    tl.reads = {"A"};
-    tl.writes = {"A"};
-    tl.body = [&tasklet_runs](dacelite::ExecCtx& c) {
-      ++tasklet_runs;
-      c.local("A")[0] += 1.0;
-    };
-    st.add(std::move(tl));
-  }
-  dacelite::apply_gpu_transform(s);
-  vgpu::Machine m(hgx(1));
-  vshmem::World w(m);
-  hostmpi::Comm comm(m);
-  ProgramData data(w, s, true);
-  dacelite::execute_discrete(m, comm, data, s, ExecOptions{});
-  EXPECT_EQ(setup_runs, 1);
-  EXPECT_EQ(tasklet_runs, 4);
-  EXPECT_EQ(data.local("A", 0)[0], 9.0);  // 5 + 4 increments
-}
-
 TEST(Exec, PersistentRunsOnADeviceSlice) {
   // Four ranks on devices 4..7 of an 8-GPU node: PE i lives on device 4+i.
   auto prog = dacelite::make_jacobi2d(48, 4, 5);
@@ -654,6 +462,20 @@ TEST(Exec, PersistentBackendRejectsNonPersistentSdfg) {
   EXPECT_THROW(
       dacelite::execute_persistent(m, w, data, prog.sdfg, ExecOptions{}),
       ValidationError);
+}
+
+TEST(Exec, DiscreteBackendRejectsAnSdfgWithoutGpuTransform) {
+  // Every recipe starts with gpu_transform, so the discrete backend runs
+  // every map as a GPU kernel and refuses an SDFG that was not transformed.
+  auto prog = dacelite::make_jacobi1d(16, 2, 1);
+  vgpu::Machine m(hgx(2));
+  vshmem::World w(m);
+  hostmpi::Comm comm(m);
+  ProgramData data(w, prog.sdfg, true);
+  EXPECT_THROW(
+      dacelite::execute_discrete(m, comm, data, prog.sdfg, ExecOptions{}),
+      ValidationError);
+  EXPECT_EQ(m.engine().now(), 0);
 }
 
 TEST(Exec, DiscreteBackendRejectsNvshmemNodes) {

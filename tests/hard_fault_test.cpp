@@ -58,7 +58,6 @@ using vgpu::MachineSpec;
 fault::Config kill_device(int device, std::int64_t at) {
   fault::Config cfg;
   fault::HardFault h;
-  h.kind = fault::HardFault::Kind::kDevice;
   h.device = device;
   h.at = at;
   cfg.hard.push_back(h);

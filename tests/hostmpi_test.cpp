@@ -1,6 +1,6 @@
 // Unit tests for the simulated MPI subset: datatypes, eager isend/irecv
-// matching, waits, blocking wrappers, sendrecv, barriers, and strided
-// (vector) staging costs.
+// matching, waits, blocking wrappers, sendrecv, and strided (vector)
+// staging costs.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -206,21 +206,6 @@ TEST(Comm, SendrecvExchangesWithoutDeadlock) {
                            /*recv_tag=*/other));
   });
   EXPECT_EQ(delivered.size(), 2u);
-}
-
-TEST(Comm, BarrierSynchronizesRanks) {
-  MachineSpec s = spec(4);
-  s.host.host_barrier = 15;
-  Machine m(s);
-  Comm comm(m);
-  std::vector<Nanos> after;
-  m.run_host_threads([&](int dev) -> Task {
-    HostCtx h(m, dev);
-    co_await m.engine().delay(dev * 10);
-    co_await comm.barrier(h);
-    after.push_back(m.engine().now());
-  });
-  for (Nanos t : after) EXPECT_EQ(t, 45);
 }
 
 TEST(Comm, IssueCostChargedOnHostThread) {

@@ -25,7 +25,6 @@ using sim::Cmp;
 using sim::Engine;
 using sim::Flag;
 using sim::Nanos;
-using sim::RunStats;
 using sim::Task;
 
 TEST(Time, Conversions) {
@@ -602,28 +601,6 @@ TEST(Trace, IntervalReadersThrowUnlessTheTraceKeepsIntervals) {
   EXPECT_THROW((void)tr.summary(100), std::logic_error);
   EXPECT_THROW((void)tr.union_length(Cat::kComm, 0), std::logic_error);
   EXPECT_THROW((void)tr.union_length(Cat::kComm, -1), std::logic_error);
-}
-
-TEST(Stats, MinMeanMedianMax) {
-  RunStats s;
-  for (double v : {5.0, 1.0, 3.0, 2.0, 4.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.median(), 3.0);
-  EXPECT_EQ(s.count(), 5u);
-}
-
-TEST(Stats, MedianEvenCount) {
-  RunStats s;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.median(), 2.5);
-}
-
-TEST(Stats, EmptyThrows) {
-  RunStats s;
-  EXPECT_THROW(static_cast<void>(s.min()), std::logic_error);
-  EXPECT_THROW(static_cast<void>(s.mean()), std::logic_error);
 }
 
 TEST(Stats, SpeedupPercentMatchesPaperFormula) {
