@@ -85,9 +85,14 @@ class IterationProtocol {
                            std::size_t count, std::size_t flag,
                            std::int64_t iter, int dst_pe,
                            vshmem::Scope scope = vshmem::Scope::kBlock) {
+    // Only a recovering wait ever re-runs the redelivery closure.
+    std::function<void()> redeliver;
+    if (world_->machine().faults().recovers_signals()) {
+      redeliver = make_redeliver(arr, world_->pe_of(ctx.device_id()), dst_pe,
+                                 src_off, dst_off, count);
+    }
     note_issue(ctx, dst_pe, flag, iter, static_cast<double>(count * sizeof(T)),
-               make_redeliver(arr, world_->pe_of(ctx.device_id()), dst_pe,
-                              src_off, dst_off, count));
+               std::move(redeliver));
     co_await world_->putmem_signal_nbi(ctx, arr, src_off, dst_off, count,
                                        *signals_, flag, iter,
                                        vshmem::SignalOp::kSet, dst_pe, scope);
@@ -98,12 +103,10 @@ class IterationProtocol {
   /// active, in which case the watchdog/retry/degrade ladder runs.
   sim::Task wait_iteration(vgpu::KernelCtx& ctx, std::size_t flag,
                            std::int64_t iter) {
-    const fault::Schedule& faults = world_->machine().faults();
     // Only the signal-coupled classes can lose or reorder updates; window
     // masks (link/flap/stall) merely stretch time, so their waits stay
     // plain and shadow-free.
-    if (!faults.signal_coupled() ||
-        faults.config().resilience == fault::Resilience::kNone) {
+    if (!world_->machine().faults().recovers_signals()) {
       co_await world_->signal_wait_until(ctx, *signals_, flag, sim::Cmp::kGe,
                                          iter);
       co_return;
@@ -144,15 +147,11 @@ class IterationProtocol {
       co_await ctx.spin_wait_for(f, sim::Cmp::kGe, iter, probe, "signal_wait",
                                  &ok);
       if (ok) {
-        if (faults.signal_coupled() &&
-            fc.resilience != fault::Resilience::kNone) {
-          co_await ensure_landed(ctx, flag, iter);
-        }
+        if (faults.recovers_signals()) co_await ensure_landed(ctx, flag, iter);
         co_return;
       }
       ++faults.stats().watchdog_fires;
-      if (faults.signal_coupled() &&
-          fc.resilience != fault::Resilience::kNone &&
+      if (faults.recovers_signals() &&
           signals_->shadow(me, flag).progress >= iter) {
         // Transient loss with a live sender: re-pull, no escalation.
         co_await recover(ctx, flag);
@@ -230,13 +229,9 @@ class IterationProtocol {
   void note_issue(vgpu::KernelCtx& ctx, int dst_pe, std::size_t flag,
                   std::int64_t iter, double bytes,
                   std::function<void()> redeliver) {
-    const fault::Schedule& faults = world_->machine().faults();
     // Shadows are recovery state for the signal-coupled classes only;
     // window and hard masks never re-pull, so they skip the write entirely.
-    if (!faults.signal_coupled() ||
-        faults.config().resilience == fault::Resilience::kNone) {
-      return;
-    }
+    if (!world_->machine().faults().recovers_signals()) return;
     vshmem::SignalShadow& sh = signals_->shadow(dst_pe, flag);
     if (sh.progress == 0 && sh.landed == 0) {
       // First issue toward this flag: values below it (e.g. preset

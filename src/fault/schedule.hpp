@@ -183,6 +183,13 @@ class Schedule {
     return has_class(kClassSignalCoupled);
   }
 
+  /// True iff lost updates are recovered: the mask is signal-coupled and a
+  /// resilience rung is configured. Only then do senders keep shadows and
+  /// redelivery closures, and waits run the watchdog ladder.
+  [[nodiscard]] bool recovers_signals() const noexcept {
+    return signal_coupled() && cfg_.resilience != Resilience::kNone;
+  }
+
   /// True iff any permanent fail-stop entry is active (independent of the
   /// transient rate). Gates every hard-fault branch: when false, no timed
   /// waits are armed and no death state is ever consulted, keeping the

@@ -41,6 +41,9 @@ namespace {
 
 // Dense phases: streaming traffic per point (read + write doubles).
 constexpr double kDotBytes = 16.0;      // read two vectors
+// The simulated kernel updates x as well as r, so its traffic counts x. The
+// host model stores neither x nor b (which only seeds r and p): no result
+// reads them, and r carries the residual.
 constexpr double kAxpy2Bytes = 48.0;    // read p, q, x, r; write x, r
 constexpr double kPUpdateBytes = 24.0;  // read r, p; write p
 
@@ -261,12 +264,13 @@ double CsrSlice::spmv_dot(std::span<const double> p,
   return five_point_dot<false>(*this, p, q);
 }
 
-double CsrSlice::axpy2_dot(double alpha, std::span<const double> p,
-                           std::span<const double> q, std::span<double> x,
-                           std::span<double> r) const {
+// Kept out of line: inlined into reference_uncached's rank loop, GCC's code
+// for it ran the serial reference slower than the call does.
+[[gnu::noinline]] double CsrSlice::r_update_dot(double alpha,
+                                                std::span<const double> q,
+                                                std::span<double> r) const {
   double rr = 0.0;
   for (std::size_t i = nx; i < (rows + 1) * nx; ++i) {
-    x[i] += alpha * p[i];
     r[i] -= alpha * q[i];
     rr += r[i] * r[i];
   }
@@ -308,7 +312,7 @@ struct Operator {
   std::string_view phase;     // host-loop launches
   std::string_view spmv;      // persistent SpMV phase
   std::string_view spmv_dot;  // host-loop SpMV + dot(p, q) launch phase
-  std::array<std::string_view, 7> allocs;  // p, x, r, q, b, pq/rr slots
+  std::array<std::string_view, 5> allocs;  // p, r, q, pq/rr slots
 
   [[nodiscard]] SparseOperator slices(const SparseCgConfig& cfg,
                                       int ranks) const {
@@ -336,7 +340,7 @@ constexpr Operator kStencil{
     .phase = "cg_phase",
     .spmv = "spmv",
     .spmv_dot = "spmv+dot",
-    .allocs = {"p", "x", "r", "q", "b", "pq_slots", "rr_slots"}};
+    .allocs = {"p", "r", "q", "pq_slots", "rr_slots"}};
 
 constexpr Operator kCsr{
     .stencil = false,
@@ -350,7 +354,7 @@ constexpr Operator kCsr{
     .phase = "sparse_cg_phase",
     .spmv = "spmv_csr",
     .spmv_dot = "spmv_csr+dot",
-    .allocs = {"sp_p", "sp_x", "sp_r", "sp_q", "sp_b", "sp_pq", "sp_rr"}};
+    .allocs = {"sp_p", "sp_r", "sp_q", "sp_pq", "sp_rr"}};
 
 /// The matrix-free problem in the shared config: imbalance 1 is the even
 /// split.
@@ -364,14 +368,14 @@ SparseCgConfig as_sparse(const CgConfig& c) {
   return s;
 }
 
-void init_vectors(const CsrSlice& s, std::span<double> b,
-                  std::span<double> r, std::span<double> p) {
+/// r0 = p0 = b, since x0 = 0.
+void init_vectors(const CsrSlice& s, std::span<double> r,
+                  std::span<double> p) {
   for (std::size_t row = 1; row <= s.rows; ++row) {
     const std::size_t gy = s.offset + row - 1;
     for (std::size_t j = 0; j < s.nx; ++j) {
       const double v = rhs_value(gy, j);
-      b[s.idx(row, j)] = v;
-      r[s.idx(row, j)] = v;  // x0 = 0 -> r0 = b
+      r[s.idx(row, j)] = v;
       p[s.idx(row, j)] = v;
     }
   }
@@ -401,15 +405,13 @@ CgResult reference_uncached(const Operator& op, const SparseCgConfig& cfg,
                             int ranks) {
   const SparseOperator states = op.slices(cfg, ranks);
   const auto n = static_cast<std::size_t>(ranks);
-  std::vector<std::vector<double>> b(n), x(n), r(n), p(n), q(n);
+  std::vector<std::vector<double>> r(n), p(n), q(n);
   for (std::size_t d = 0; d < n; ++d) {
     const auto sz = (states[d].rows + 2) * cfg.nx;
-    b[d].assign(sz, 0.0);
-    x[d].assign(sz, 0.0);
     r[d].assign(sz, 0.0);
     p[d].assign(sz, 0.0);
     q[d].assign(sz, 0.0);
-    init_vectors(states[d], b[d], r[d], p[d]);
+    init_vectors(states[d], r[d], p[d]);
   }
   auto reduce = [&](auto&& fn) {
     std::vector<double> partials;
@@ -427,7 +429,7 @@ CgResult reference_uncached(const Operator& op, const SparseCgConfig& cfg,
         [&](std::size_t d) { return op.apply(states[d], p[d], q[d]); });
     const double alpha = rz / pq;
     const double rr = reduce([&](std::size_t d) {
-      return states[d].axpy2_dot(alpha, p[d], q[d], x[d], r[d]);
+      return states[d].r_update_dot(alpha, q[d], r[d]);
     });
     res.rr_history.push_back(rr);
     res.iterations_run = t;
@@ -481,8 +483,8 @@ CgResult reference(const Operator& op, const SparseCgConfig& cfg, int ranks) {
 }
 
 /// The problem on `world` (the whole machine or a device slice): each
-/// rank's slice and the halo-extended p, x, r, q, b, one element each when
-/// timing-only, with x0 = 0 and r0 = p0 = b. Throws std::invalid_argument
+/// rank's slice and the halo-extended p, r and q, one element each when
+/// timing-only, with r0 = p0 = b. Throws std::invalid_argument
 /// for a split the operator rejects, or a config whose mode is not the
 /// World's, before allocating anything problem-sized. Only CgCpufreeJob can
 /// reach the second: run() sets the World's mode from the config.
@@ -498,20 +500,18 @@ struct Problem {
     for (const CsrSlice& s : slices) rows = std::max(rows, s.rows);
     const std::size_t size = cfg.functional ? (rows + 2) * cfg.nx : 1;
     p = w.alloc<double>(size, op->allocs[0]);
-    x = w.alloc<double>(size, op->allocs[1]);
-    r = w.alloc<double>(size, op->allocs[2]);
-    q = w.alloc<double>(size, op->allocs[3]);
-    b = w.alloc<double>(size, op->allocs[4]);
+    r = w.alloc<double>(size, op->allocs[1]);
+    q = w.alloc<double>(size, op->allocs[2]);
   }
 
-  /// Fills b, r and p, and returns r0·r0 combined in rank order (1 when
+  /// Fills r and p, and returns r0·r0 combined in rank order (1 when
   /// timing-only).
   double init() {
     if (!cfg.functional) return 1.0;
     std::vector<double> partials;
     for (int d = 0; d < n; ++d) {
       const CsrSlice& s = slices[static_cast<std::size_t>(d)];
-      init_vectors(s, b.on(d), r.on(d), p.on(d));
+      init_vectors(s, r.on(d), p.on(d));
       partials.push_back(s.dot(r.on(d), r.on(d)));
     }
     return combine(partials);
@@ -549,7 +549,7 @@ struct Problem {
   vshmem::World* world;
   int n;
   SparseOperator slices;
-  vshmem::Sym<double> p, x, r, q, b;
+  vshmem::Sym<double> p, r, q;
   std::vector<double> history;
   int iterations_run = 0;
   double final_rr = 0.0;
@@ -563,8 +563,8 @@ struct Core : Problem {
       : Problem(o, w, c),
         persistent_blocks(exec::resolve_persistent_blocks(
             c.persistent_blocks, w.machine().spec(), c.threads_per_block)),
-        slots0(w.alloc<double>(static_cast<std::size_t>(n), o.allocs[5])),
-        slots1(w.alloc<double>(static_cast<std::size_t>(n), o.allocs[6])),
+        slots0(w.alloc<double>(static_cast<std::size_t>(n), o.allocs[3])),
+        slots1(w.alloc<double>(static_cast<std::size_t>(n), o.allocs[4])),
         sig(w.alloc_signals(2 * static_cast<std::size_t>(n) + 2)),
         top_halo(2 * static_cast<std::size_t>(n)),
         bottom_halo(top_halo + 1) {
@@ -662,8 +662,7 @@ exec::ProgramGroups persistent_groups(Core& core, int dev,
       std::function<void()> f_axpy;
       if (cfg.functional) {
         f_axpy = [&core, st, alpha, dev, &rr_local] {
-          rr_local = st->axpy2_dot(alpha, core.p.on(dev), core.q.on(dev),
-                                   core.x.on(dev), core.r.on(dev));
+          rr_local = st->r_update_dot(alpha, core.q.on(dev), core.r.on(dev));
         };
       }
       co_await k.compute(pts * kAxpy2Bytes, 1.0, "axpy", std::move(f_axpy));
@@ -846,8 +845,7 @@ sim::Task host_step(HostLoop& loop, hostmpi::Comm& comm, vgpu::HostCtx& h,
   std::function<void()> f2;
   if (cfg.functional) {
     f2 = [&prob, st, alpha, dev, rr_partial] {
-      *rr_partial = st->axpy2_dot(alpha, prob.p.on(dev), prob.q.on(dev),
-                                  prob.x.on(dev), prob.r.on(dev));
+      *rr_partial = st->r_update_dot(alpha, prob.q.on(dev), prob.r.on(dev));
     };
   }
   CO_AWAIT(exec::launch_compute(h, stream, op.phase, "axpy+dot",

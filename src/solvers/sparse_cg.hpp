@@ -118,11 +118,9 @@ struct CsrSlice {
   /// down terms across ranks. Returns dot(p, q).
   [[nodiscard]] double spmv_dot(std::span<const double> p,
                                 std::span<double> q) const;
-  /// x += alpha p, r -= alpha q; returns dot(r, r) of the updated r.
-  [[nodiscard]] double axpy2_dot(double alpha, std::span<const double> p,
-                                 std::span<const double> q,
-                                 std::span<double> x,
-                                 std::span<double> r) const;
+  /// r -= alpha q; returns dot(r, r) of the updated r.
+  [[nodiscard]] double r_update_dot(double alpha, std::span<const double> q,
+                                    std::span<double> r) const;
   [[nodiscard]] double dot(std::span<const double> a,
                            std::span<const double> b) const;
   /// p = r + beta p.

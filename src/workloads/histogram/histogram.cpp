@@ -52,11 +52,16 @@ BinPartition split_bins(std::size_t bins, int ranks) {
   return part;
 }
 
+/// The owner of `bin`: the count of owners after the first whose slice
+/// starts at or below it. Exact, because empty owners only trail, at
+/// start == bins. Counting has no branch on the key, where a scan that
+/// stops at the owner mispredicts its exit.
 int owner_of(const BinPartition& part, std::size_t bin) {
-  for (std::size_t o = 0; o + 1 < part.start.size(); ++o) {
-    if (bin < part.start[o + 1]) return static_cast<int>(o);
+  int o = 0;
+  for (std::size_t k = 1; k < part.start.size(); ++k) {
+    o += part.start[k] <= bin ? 1 : 0;
   }
-  return static_cast<int>(part.start.size()) - 1;
+  return o;
 }
 
 /// The slice of `owner`'s bins that `source`'s round-`round` keys touch, as
@@ -230,13 +235,20 @@ void accumulate_partials(HistCore& core, int me, int t, bool remote_only,
                             core.part.count[static_cast<std::size_t>(o)]);
     std::fill(row.begin(), row.end(), 0.0);
   }
+  double* const out = rows.data();
+  const std::size_t* const start = core.part.start.data();
+  const std::size_t stride = core.part.stride;
+  // Skipped keys keep their branch: routing them into one discard slot
+  // would serialise them through that slot's adds.
+  const bool filtered = remote_only || self_only;
   for (std::size_t i = 0; i < cfg.keys_per_round; ++i) {
     const std::size_t bin = histogram_key_bin(cfg, me, t, i);
     const int o = owner_of(core.part, bin);
-    if ((remote_only && o == me) || (self_only && o != me)) continue;
-    rows[row_off(core, static_cast<std::size_t>(o)) + bin -
-         core.part.start[static_cast<std::size_t>(o)]] +=
-        histogram_key_weight(cfg, me, t, i);
+    if (filtered && ((remote_only && o == me) || (self_only && o != me))) {
+      continue;
+    }
+    const auto uo = static_cast<std::size_t>(o);
+    out[uo * stride + bin - start[uo]] += histogram_key_weight(cfg, me, t, i);
   }
 }
 

@@ -244,23 +244,26 @@ TEST(FlagIndex, ManyExpiredWatchdogsKeepTheCountExact) {
   EXPECT_EQ(flag.waiter_count(), 0u);
 }
 
-/// Host seconds for 16384 stream ops issued as 16384 / `depth` streams of
-/// `depth` queued ops each, one machine per stream. Both depths do the same
-/// total work, so a preempted run distorts neither side more.
+/// Host seconds for 16384 stream ops on one machine, issued as 16384 /
+/// `depth` streams of `depth` queued ops each. Every op's frame is live
+/// from the start at both depths, so they share one working set and differ
+/// only in how many ops wait on one stream's completion flag.
 double stream_seconds(int depth) {
   constexpr int kOps = 16384;
+  vgpu::Machine m(vgpu::MachineSpec::hgx_a100(1));
   const auto t0 = std::chrono::steady_clock::now();
-  for (int batch = 0; batch < kOps / depth; ++batch) {
-    vgpu::Machine m(vgpu::MachineSpec::hgx_a100(1));
+  for (int stream = 0; stream < kOps / depth; ++stream) {
     vgpu::Stream& s = m.device(0).create_stream();
     for (int i = 0; i < depth; ++i) {
       s.enqueue([&m]() -> sim::Task { co_await m.engine().delay(100); });
     }
-    m.engine().run();
-    EXPECT_EQ(m.engine().now(), 100 * static_cast<sim::Nanos>(depth));
   }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+  m.engine().run();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_EQ(m.engine().now(), 100 * static_cast<sim::Nanos>(depth));
+  return seconds;
 }
 
 TEST(FlagIndex, StreamOpCostIsFlatInQueueDepth) {

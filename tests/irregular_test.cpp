@@ -5,6 +5,7 @@
 // imbalance the contention figures claim.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -187,17 +188,27 @@ TEST(HistFaults, RetryLadderStillBitwiseCorrect) {
 }
 
 TEST(HistSplit, OwnerPartitionCoversEveryBin) {
-  // Weighted-split sanity via the public surface: with bins < ranks the
-  // config is rejected upstream (serve::validate); here every bin must be
-  // owned exactly once — mass conservation through a distributed run.
-  HistogramConfig cfg = small_hist();
-  cfg.bins = 5;
-  cfg.keys_per_round = 64;
-  cfg.rounds = 2;
-  const std::vector<double> ref = workloads::histogram_reference(cfg, 4);
-  const HistogramResult got = workloads::run_histogram(
-      MachineSpec::hgx_a100(4), cfg, hist_plans()[0]);
-  EXPECT_EQ(got.bins, ref);
+  // Every bin must be owned exactly once, on uneven owner splits and on
+  // splits with more owners than bins (serve::validate rejects those, the
+  // runs do not), whose trailing owners own nothing: every plan's fold must
+  // place each key in its owner's slice, and its merge fold what it placed.
+  for (const std::size_t bins : {1U, 2U, 3U, 5U, 7U, 2053U}) {
+    for (int ranks = 1; ranks <= 8; ++ranks) {
+      HistogramConfig cfg = small_hist();
+      cfg.bins = bins;
+      cfg.keys_per_round = 64;
+      cfg.rounds = 2;
+      const std::vector<double> ref =
+          workloads::histogram_reference(cfg, ranks);
+      const std::vector<Plan> plans = hist_plans();
+      for (std::size_t p = 0; p < plans.size(); ++p) {
+        const HistogramResult got = workloads::run_histogram(
+            MachineSpec::hgx_a100(ranks), cfg, plans[p]);
+        EXPECT_EQ(got.bins, ref)
+            << bins << " bins, ranks " << ranks << ", plan " << p;
+      }
+    }
+  }
 }
 
 // --- Sparse SpMV-CG -----------------------------------------------------------
@@ -401,6 +412,46 @@ TEST(JobMode, SpawnableJobsRejectAConfigWhoseModeIsNotTheWorlds) {
                    [&] { workloads::HistogramCpufreeJob job(world, hist); });
     EXPECT_EQ(machine.peak_bytes(), 0u) << "world functional " << world_mode;
   }
+}
+
+/// Runs a functional CgCpufreeJob of `cfg` on a fresh `pes`-device World;
+/// returns the machine's peak device bytes after checking the job against
+/// its reference.
+template <class Config>
+std::size_t cg_job_peak_bytes(const Config& cfg, int pes) {
+  vgpu::Machine machine(MachineSpec::hgx_a100(pes));
+  vshmem::World world(machine);
+  solvers::CgCpufreeJob job(world, cfg);
+  machine.engine().spawn(job.task());
+  machine.engine().run();
+  EXPECT_EQ(job.rr_history(), job.reference().rr_history);
+  return machine.peak_bytes();
+}
+
+TEST(CgFootprint, DeviceHeapHoldsOnlyPRAndQ) {
+  // The host model keeps the vectors a verified result reads: p, r and q.
+  // x and b are charged as device traffic but not stored. So a job's device
+  // heap is three halo-extended vectors per PE, each as long as the largest
+  // slice, plus its two rows of reduction slots; signals are engine flags,
+  // not device memory.
+  constexpr int kPes = 4;
+  const auto footprint = [](std::size_t nx, std::size_t rows) {
+    const auto pes = static_cast<std::size_t>(kPes);
+    return pes * (3 * (rows + 2) * nx + 2 * pes) * sizeof(double);
+  };
+
+  solvers::CgConfig stencil;
+  stencil.nx = 24;
+  stencil.ny = 26;  // even split: 7, 7, 6, 6 rows
+  stencil.max_iterations = 6;
+  EXPECT_EQ(cg_job_peak_bytes(stencil, kPes), footprint(stencil.nx, 7));
+
+  solvers::SparseCgConfig sparse = small_sparse(3.0);
+  sparse.max_iterations = 6;
+  const std::vector<std::size_t> rows =
+      solvers::split_rows_weighted(sparse.ny, kPes, sparse.imbalance);
+  EXPECT_EQ(cg_job_peak_bytes(sparse, kPes),
+            footprint(sparse.nx, *std::max_element(rows.begin(), rows.end())));
 }
 
 TEST(WeightedSplit, EveryUsableImbalanceKeepsItsSplit) {

@@ -295,16 +295,25 @@ TEST(EdgeTableMemo, EveryKeyedFieldReachesTheSharedTable) {
   // Runs and the reference read one shared edge table per key, so a key
   // that missed a field would hand both the same stale table and they would
   // still agree. Check each keyed field against tallies that never read it.
+  // A key's owner is the count of slices that start at or below its bin, so
+  // the bin counts also take uneven splits and splits with more owners than
+  // bins, whose trailing owners own nothing at start == bins.
   using Cfg = workloads::HistogramConfig;
   const Edit<Cfg> edits[] = {
       {"base", [](Cfg&) {}},
       {"bins", [](Cfg& c) { c.bins = 101; }},
+      {"bins 1", [](Cfg& c) { c.bins = 1; }},
+      {"bins 2", [](Cfg& c) { c.bins = 2; }},
+      {"bins 3", [](Cfg& c) { c.bins = 3; }},
+      {"bins 5", [](Cfg& c) { c.bins = 5; }},
+      {"bins 7", [](Cfg& c) { c.bins = 7; }},
+      {"bins 2053", [](Cfg& c) { c.bins = 2053; }},
       {"keys_per_round", [](Cfg& c) { c.keys_per_round = 500; }},
       {"rounds", [](Cfg& c) { c.rounds = 3; }},
       {"skew", [](Cfg& c) { c.skew = 0; }},
       {"seed", [](Cfg& c) { c.seed = 43; }},
   };
-  for (int ranks : {3, 4}) {
+  for (int ranks = 1; ranks <= 8; ++ranks) {
     for (const Edit<Cfg>& e : edits) {
       Cfg cfg = base_hist();
       e.apply(cfg);
